@@ -1,5 +1,5 @@
 //! Regenerates `results/fig3.csv`. Pass `--smoke` for a fast tiny run,
-//! `--threads <n>` / `--shuffle materialized|streaming|pipelined` to pick
+//! `--threads <n>` / `--shuffle materialized|pipelined` to pick
 //! the engine execution knobs (simulated columns are identical either
 //! way; the overlap_blk/peak_blk diagnostics are nonzero only under
 //! `pipelined`).

@@ -1,5 +1,5 @@
 //! Regenerates `results/fig5.csv`. Pass `--smoke` for a fast tiny run,
-//! `--threads <n>` / `--shuffle materialized|streaming` to pick the engine
+//! `--threads <n>` / `--shuffle materialized|pipelined` to pick the engine
 //! execution knobs (recorded numbers are identical either way).
 
 use mrassign_bench::common::{finish, ExecKnobs};

@@ -1,6 +1,6 @@
 //! Runs every experiment in `docs/EXPERIMENTS.md`'s index and writes all CSVs under
 //! `results/`. Pass `--smoke` for a fast tiny run of everything, and
-//! `--threads <n>` / `--shuffle materialized|streaming|pipelined` /
+//! `--threads <n>` / `--shuffle materialized|pipelined` /
 //! `--finalize static|stealing` / `--retries <n>` /
 //! `--faults seed:7,rate:0.05` / `--memory-budget <bytes>` to pick the
 //! engine execution knobs for the job-executing figures (the recorded

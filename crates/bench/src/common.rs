@@ -59,7 +59,7 @@ pub struct ExecKnobs {
 
 impl ExecKnobs {
     /// Parses `--threads <n>`, `--shuffle
-    /// materialized|streaming|pipelined`, `--finalize static|stealing`,
+    /// materialized|pipelined`, `--finalize static|stealing`,
     /// `--retries <n>`, `--faults seed:7,rate:0.05`, and
     /// `--memory-budget <bytes>` from a binary's argument list. `--smoke`
     /// is the experiment binaries' scale flag, so it passes through; any
@@ -107,7 +107,7 @@ impl ExecKnobs {
                 "--smoke" => {}
                 other if other.starts_with("--") => {
                     return Err(format!(
-                        "unknown flag `{other}` (expected --smoke, --threads <n>, --shuffle materialized|streaming|pipelined, --finalize static|stealing, --retries <n>, --faults <spec>, --memory-budget <bytes>)"
+                        "unknown flag `{other}` (expected --smoke, --threads <n>, --shuffle materialized|pipelined, --finalize static|stealing, --retries <n>, --faults <spec>, --memory-budget <bytes>)"
                     ));
                 }
                 _ => {}
@@ -514,8 +514,8 @@ mod tests {
     #[test]
     fn exec_knobs_reject_typos_instead_of_ignoring_them() {
         for bad in [
-            vec!["--shufle", "streaming"],
-            vec!["--shuffle=streaming"],
+            vec!["--shufle", "pipelined"],
+            vec!["--shuffle=pipelined"],
             vec!["--shuffle", "mystery"],
             vec!["--threads"],
             vec!["--finalize"],
@@ -534,6 +534,15 @@ mod tests {
             let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
             assert!(ExecKnobs::from_args(&args).is_err(), "{bad:?}");
         }
+        // The removed streaming shuffle is rejected by name.
+        let args: Vec<String> = ["--shuffle", "streaming"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            ExecKnobs::from_args(&args).unwrap_err(),
+            "unknown shuffle mode `streaming` (expected materialized|pipelined)"
+        );
     }
 
     #[test]

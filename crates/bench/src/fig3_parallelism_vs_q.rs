@@ -25,7 +25,7 @@ pub fn run(scale: Scale) -> Table {
 /// columns are identical across knob settings; the eight trailing columns
 /// (`overlap_blk`, `peak_blk`, `stolen`, `fin_imb`, `retries`, `dlq`,
 /// `spill`, `peak_mb`) are execution diagnostics — zero under the default
-/// pass-based, fault-free, unbudgeted configuration, and legitimately
+/// materialized, fault-free, unbudgeted configuration, and legitimately
 /// run-dependent otherwise. The pipeline four show how much reduce-side
 /// work overlapped live map tasks, how full the bounded channels got, how
 /// many partition finalizations migrated between consumer threads under
@@ -116,19 +116,44 @@ pub fn run_with(scale: Scale, knobs: ExecKnobs) -> Table {
 mod tests {
     use super::*;
 
+    /// The rendered table without its eight trailing execution
+    /// diagnostics: the header and every simulated column.
+    fn strip(table: &Table) -> Vec<String> {
+        table
+            .render()
+            .lines()
+            .skip(1)
+            .map(|l| {
+                let cols: Vec<&str> = l.split_whitespace().collect();
+                cols[..cols.len() - 8].join(" ")
+            })
+            .collect()
+    }
+
+    /// Map threads change nothing at all under the materialized engine
+    /// (its diagnostics stay zero), and switching to the pipelined engine
+    /// leaves every simulated column untouched.
     #[test]
     fn engine_knobs_do_not_change_recorded_numbers() {
         use mrassign_simmr::ShuffleMode;
         let base = run(Scale::Smoke);
-        let knobbed = run_with(
+        let threaded = run_with(
             Scale::Smoke,
             ExecKnobs {
                 map_threads: 4,
-                shuffle: ShuffleMode::Streaming,
                 ..ExecKnobs::default()
             },
         );
-        assert_eq!(base.render(), knobbed.render());
+        assert_eq!(base.render(), threaded.render());
+        let pipelined = run_with(
+            Scale::Smoke,
+            ExecKnobs {
+                map_threads: 4,
+                shuffle: ShuffleMode::Pipelined,
+                ..ExecKnobs::default()
+            },
+        );
+        assert_eq!(strip(&base), strip(&pipelined));
     }
 
     /// Under the pipelined engine (under fault injection, and under a
@@ -139,17 +164,6 @@ mod tests {
     #[test]
     fn pipelined_knobs_keep_simulated_columns_identical() {
         use mrassign_simmr::{FaultPlan, FinalizeMode, ShuffleMode};
-        let strip = |table: &Table| -> Vec<String> {
-            table
-                .render()
-                .lines()
-                .skip(1)
-                .map(|l| {
-                    let cols: Vec<&str> = l.split_whitespace().collect();
-                    cols[..cols.len() - 8].join(" ")
-                })
-                .collect()
-        };
         let base = run(Scale::Smoke);
         let stripped_base = strip(&base);
         for finalize in FinalizeMode::ALL {

@@ -2,7 +2,7 @@
 //! bit-identical to the hand-chained `Job::run` sequence, in every engine
 //! cell — mirroring the `exec_modes` referee pattern one level up.
 //!
-//! Matrix: `{Materialized, Streaming, Pipelined × {static, stealing}}` ×
+//! Matrix: `{Materialized, Pipelined × {static, stealing}}` ×
 //! map threads `{1, 2, 4}` × `{unbounded, tight}` memory budget (the tight
 //! budget only in pipelined cells, where the out-of-core spill path
 //! exists), plus the seeded fault sweep and stage-naming error cases. In
@@ -25,9 +25,8 @@ use mrassign_simmr::{
 use mrassign_workloads::cube::{generate_cube, CubeSpec, CubeTuple};
 use mrassign_workloads::{generate_relation_pair, RelationPair, RelationSpec, SizeDistribution};
 
-const CELLS: [(ShuffleMode, FinalizeMode); 4] = [
+const CELLS: [(ShuffleMode, FinalizeMode); 3] = [
     (ShuffleMode::Materialized, FinalizeMode::Static),
-    (ShuffleMode::Streaming, FinalizeMode::Static),
     (ShuffleMode::Pipelined, FinalizeMode::Static),
     (ShuffleMode::Pipelined, FinalizeMode::Stealing),
 ];
@@ -47,7 +46,6 @@ fn cluster(
         shuffle: mode,
         map_threads: threads,
         finalize_mode: finalize,
-        streaming_reducer_block: 8,
         pipeline_depth: 2,
         memory_budget: budget,
         ..ClusterConfig::default()

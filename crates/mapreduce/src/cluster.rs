@@ -285,41 +285,33 @@ impl std::str::FromStr for FaultPlan {
 
 /// How the engine moves map output into reducer partitions.
 ///
-/// Both modes produce bit-identical [`crate::JobOutput`]s (outputs *and*
-/// metrics); they differ only in peak memory and wall-clock cost.
+/// Both modes produce bit-identical [`crate::JobOutput`]s (outputs and
+/// the deterministic metrics subset); they differ only in peak memory and
+/// wall-clock cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ShuffleMode {
     /// Materialize every reducer partition in memory before the reduce
     /// phase starts — the classic layout, fastest when the whole shuffle
-    /// fits in RAM.
+    /// fits in RAM, and the reference every other engine cell is
+    /// compared against.
     #[default]
     Materialized,
-    /// Stream the shuffle: a first pass over the map output does the byte
-    /// accounting without storing any record, then reducers are fed in
-    /// bounded blocks, re-deriving each block's records from the (required
-    /// to be deterministic) mappers and routers. Peak memory is one reducer
-    /// block plus one map task's output instead of the entire shuffle —
-    /// recomputation traded for memory, the same bargain Spark strikes for
-    /// narrow dependencies.
-    Streaming,
     /// Overlap the phases: mapper threads emit partition-tagged record
     /// blocks into bounded channels while per-reducer-group consumer
     /// threads drain, account, and reassemble them concurrently — map,
     /// shuffle accounting, and reduce-side merge genuinely overlap instead
     /// of running as strict passes. Back-pressure via
-    /// [`ClusterConfig::pipeline_depth`] bounds peak memory; determinism
-    /// is preserved by sequence-numbered block reassembly per reducer.
-    /// See [`crate::pipeline`] for the stage graph.
+    /// [`ClusterConfig::pipeline_depth`] bounds in-flight blocks, and
+    /// [`ClusterConfig::memory_budget`] bounds buffered run bytes by
+    /// spilling to disk; determinism is preserved by sequence-numbered
+    /// block reassembly per reducer. See [`crate::pipeline`] for the
+    /// stage graph.
     Pipelined,
 }
 
 impl ShuffleMode {
     /// Every mode, in the order the `--shuffle` grammar lists them.
-    pub const ALL: [ShuffleMode; 3] = [
-        ShuffleMode::Materialized,
-        ShuffleMode::Streaming,
-        ShuffleMode::Pipelined,
-    ];
+    pub const ALL: [ShuffleMode; 2] = [ShuffleMode::Materialized, ShuffleMode::Pipelined];
 
     /// The name accepted by every `--shuffle` flag. [`std::str::FromStr`]
     /// parses and reports errors through this list, so adding a mode here
@@ -327,7 +319,6 @@ impl ShuffleMode {
     pub fn name(self) -> &'static str {
         match self {
             ShuffleMode::Materialized => "materialized",
-            ShuffleMode::Streaming => "streaming",
             ShuffleMode::Pipelined => "pipelined",
         }
     }
@@ -360,7 +351,7 @@ impl std::str::FromStr for ShuffleMode {
 /// subset are bit-identical across modes (finalized partitions are slotted
 /// by partition index regardless of which thread processed them); only
 /// [`crate::PipelineMetrics`]' finalize counters differ. Ignored by the
-/// pass-based shuffle modes.
+/// materialized shuffle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FinalizeMode {
     /// Each consumer group finalizes exactly the contiguous partition
@@ -434,14 +425,6 @@ pub struct ClusterConfig {
     /// outputs and the deterministic metrics subset are identical across
     /// modes.
     pub shuffle: ShuffleMode,
-    /// [`ShuffleMode::Streaming`]: reducer partitions resident per
-    /// re-derivation sweep. Larger blocks cost memory and save map
-    /// recomputation. Must be ≥ 1.
-    pub streaming_reducer_block: usize,
-    /// [`ShuffleMode::Streaming`]: map tasks executed per batch — the
-    /// bound on resident map outputs and the unit `map_threads` works
-    /// over. Must be ≥ 1.
-    pub streaming_map_batch: usize,
     /// [`ShuffleMode::Pipelined`]: bounded capacity (in blocks) of each
     /// mapper → consumer channel. Depth 1 is maximal back-pressure
     /// (mappers lock-step with consumers); larger depths buy overlap with
@@ -498,8 +481,8 @@ pub struct ClusterConfig {
     /// still-in-flight tasks, ranked largest-first by the same LPT rule
     /// [`Schedule::lpt`] schedules with. First completion wins via a
     /// per-task resolution slot; since tasks are deterministic, outputs
-    /// are bit-identical whichever copy wins. Ignored by the pass-based
-    /// shuffle modes (they have no idle threads to speculate on).
+    /// are bit-identical whichever copy wins. Ignored by the materialized
+    /// shuffle (it has no idle threads to speculate on).
     pub speculation: bool,
     /// What happens when a task exhausts `retry_budget`. See [`DlqMode`].
     pub dlq_mode: DlqMode,
@@ -548,8 +531,6 @@ impl Default for ClusterConfig {
             task_overhead: 0.05,
             map_threads: 1,
             shuffle: ShuffleMode::Materialized,
-            streaming_reducer_block: 64,
-            streaming_map_batch: 256,
             pipeline_depth: 4,
             finalize_mode: FinalizeMode::Static,
             memory_budget: None,
@@ -574,11 +555,12 @@ impl ClusterConfig {
         }
     }
 
-    /// Validates the configuration before a run: at least one worker,
-    /// every block/batch/depth knob at least 1, and every time/rate knob
-    /// finite. The knobs are checked regardless of the configured
-    /// [`ShuffleMode`] — a zero value is always a misconfiguration (the
-    /// streaming engine would `step_by(0)` and the pipelined engine would
+    /// Validates the configuration before a run: at least one worker, a
+    /// `pipeline_depth` and any `memory_budget` of at least 1, a
+    /// non-empty `checkpoint_dir`, a satisfiable `checkpoint_retain`,
+    /// finite time/rate knobs, and fault rates in `0..=1`. The knobs are
+    /// checked regardless of the configured [`ShuffleMode`] — a zero
+    /// depth is always a misconfiguration (the pipelined engine would
     /// build zero-capacity channels), and a NaN/infinite rate would
     /// poison every derived task cost — catching either here names the
     /// knob instead of failing mid-job.
@@ -586,14 +568,10 @@ impl ClusterConfig {
         if self.workers == 0 {
             return Err(SimError::NoWorkers);
         }
-        for (knob, value) in [
-            ("streaming_reducer_block", self.streaming_reducer_block),
-            ("streaming_map_batch", self.streaming_map_batch),
-            ("pipeline_depth", self.pipeline_depth),
-        ] {
-            if value == 0 {
-                return Err(SimError::InvalidKnob { knob });
-            }
+        if self.pipeline_depth == 0 {
+            return Err(SimError::InvalidKnob {
+                knob: "pipeline_depth",
+            });
         }
         if self.memory_budget == Some(0) {
             // A zero budget would demand spilling every block before it
@@ -755,34 +733,24 @@ mod tests {
         assert_eq!(cfg.validate(), Err(SimError::NoWorkers));
     }
 
-    /// The latent gap this PR closes: a zero streaming block/batch (or a
-    /// zero pipeline depth) used to pass validation and only fail deep in
-    /// the engine. Every knob is now rejected by name.
+    /// A zero pipeline depth is rejected by name under every shuffle mode:
+    /// the knob is misconfigured whether or not the run reads it, and
+    /// unchecked it would only fail deep in the engine.
     #[test]
     fn zero_engine_knobs_rejected_by_name() {
-        type Zeroer = fn(&mut ClusterConfig);
-        let cases: [(&str, Zeroer); 3] = [
-            ("streaming_reducer_block", |c| c.streaming_reducer_block = 0),
-            ("streaming_map_batch", |c| c.streaming_map_batch = 0),
-            ("pipeline_depth", |c| c.pipeline_depth = 0),
-        ];
-        for (knob, zero) in cases {
-            for shuffle in [
-                ShuffleMode::Materialized,
-                ShuffleMode::Streaming,
-                ShuffleMode::Pipelined,
-            ] {
-                let mut cfg = ClusterConfig {
-                    shuffle,
-                    ..ClusterConfig::default()
-                };
-                zero(&mut cfg);
-                assert_eq!(
-                    cfg.validate(),
-                    Err(SimError::InvalidKnob { knob }),
-                    "{knob} under {shuffle:?}"
-                );
-            }
+        for shuffle in ShuffleMode::ALL {
+            let cfg = ClusterConfig {
+                shuffle,
+                pipeline_depth: 0,
+                ..ClusterConfig::default()
+            };
+            assert_eq!(
+                cfg.validate(),
+                Err(SimError::InvalidKnob {
+                    knob: "pipeline_depth"
+                }),
+                "{shuffle:?}"
+            );
         }
     }
 
@@ -924,6 +892,12 @@ mod tests {
         for mode in ShuffleMode::ALL {
             assert!(err.contains(mode.name()), "{err}");
         }
+        // The deleted streaming shuffle is rejected by name, not silently
+        // mapped to a surviving engine.
+        assert_eq!(
+            "streaming".parse::<ShuffleMode>(),
+            Err("unknown shuffle mode `streaming` (expected materialized|pipelined)".to_string())
+        );
     }
 
     #[test]

@@ -8,11 +8,12 @@ pub enum SimError {
     NoReducers,
     /// The cluster was configured with zero workers.
     NoWorkers,
-    /// An engine knob on [`crate::ClusterConfig`] was configured to zero
-    /// (`streaming_reducer_block`, `streaming_map_batch`, or
-    /// `pipeline_depth` — all of them are block/batch/depth counts that
-    /// must be at least 1). The error names the offending knob so a
-    /// misconfiguration is diagnosable without a debugger.
+    /// A knob on [`crate::ClusterConfig`] was configured to a value that
+    /// can never be meant: a zero `pipeline_depth` or `memory_budget`, an
+    /// empty `checkpoint_dir`, or a `checkpoint_retain` policy without a
+    /// checkpoint dir, without a criterion, or with a zero-session quota.
+    /// The error names the offending knob so a misconfiguration is
+    /// diagnosable without a debugger.
     InvalidKnob {
         /// The field name on `ClusterConfig`.
         knob: &'static str,

@@ -1,6 +1,6 @@
 //! The job runner: map → shuffle → reduce with full accounting.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::checkpoint::{self, CheckpointSession, Fingerprint};
@@ -15,10 +15,46 @@ use crate::traits::{Emitter, Mapper, Reducer};
 /// Key-value pairs produced by one map invocation.
 pub(crate) type MapOutput<M> = Vec<(<M as Mapper>::Key, <M as Mapper>::Value)>;
 
-/// What every shuffle mode's reduce phase hands back: outputs in
-/// (partition, key, arrival) order, per-nonempty-partition reduce costs,
-/// and the dead-letter queue.
-pub(crate) type ReducePhase<Out> = Result<(Vec<Out>, Vec<TaskCost>, Vec<DlqEntry>), SimError>;
+/// What both shuffle modes' reduce phases hand back, built one partition
+/// at a time by [`Job::accept_partition`] in ascending partition order:
+/// outputs in (partition, key, arrival) order, per-nonempty-partition
+/// reduce costs, and the dead-letter queue.
+pub(crate) struct Reduced<Out> {
+    pub(crate) outputs: Vec<Out>,
+    pub(crate) costs: Vec<TaskCost>,
+    pub(crate) dlq: Vec<DlqEntry>,
+}
+
+impl<Out> Reduced<Out> {
+    /// A reduce phase with nothing accepted yet, starting from the map
+    /// stage's dead-letter entries.
+    pub(crate) fn new(dlq: Vec<DlqEntry>) -> Self {
+        Reduced {
+            outputs: Vec::new(),
+            costs: Vec::new(),
+            dlq,
+        }
+    }
+}
+
+/// One reducer partition's finished reduce task, as [`Job::reduce_task`]
+/// hands it back. Carries the fault-layer disposition too: a
+/// dead-lettered partition has `dlq_attempts` set (and no outputs), a
+/// failed one carries `failed`.
+pub(crate) struct FinalizedPartition<Out> {
+    pub(crate) partition: usize,
+    pub(crate) distinct_keys: u64,
+    pub(crate) outputs: Vec<Out>,
+    /// `Some(attempts)` when the partition exhausted its retry budget
+    /// under [`DlqMode::Capture`].
+    pub(crate) dlq_attempts: Option<u32>,
+    /// The `RetriesExhausted` error under [`DlqMode::Fail`], or the error
+    /// the engine's record supplier returned (a [`SimError::SpillIo`]
+    /// from streaming a spilled run back).
+    pub(crate) failed: Option<SimError>,
+    /// Injected faults this partition's task absorbed.
+    pub(crate) retries: u64,
+}
 
 /// One dead-lettered task: a unit of work that exhausted its retry budget
 /// under [`DlqMode::Capture`] and was dropped from the job instead of
@@ -135,8 +171,8 @@ where
     /// Runs the job over `inputs`.
     ///
     /// Deterministic: outputs are ordered by (reducer partition, key,
-    /// arrival order), metrics are identical across runs, thread counts,
-    /// and [`ShuffleMode`]s.
+    /// arrival order), and the deterministic metrics subset is identical
+    /// across runs, thread counts, and [`ShuffleMode`]s.
     pub fn run(&self, inputs: &[M::In]) -> Result<JobOutput<R::Out>, SimError> {
         self.run_with_sink(inputs, &NullSink)
     }
@@ -211,9 +247,8 @@ where
             .map(|input| TaskCost(self.config.map_task_seconds(self.mapper.cost_bytes(input))))
             .collect();
 
-        let (outputs, reduce_costs, mut dlq) = match self.config.shuffle {
+        let mut reduced = match self.config.shuffle {
             ShuffleMode::Materialized => self.run_materialized(inputs, &mut metrics, ckpt, sink)?,
-            ShuffleMode::Streaming => self.run_streaming(inputs, &mut metrics, ckpt, sink)?,
             ShuffleMode::Pipelined => self.run_pipelined(inputs, &mut metrics, ckpt, sink)?,
         };
         // Folded after the dispatch because the pipelined engine rebuilds
@@ -223,13 +258,13 @@ where
         }
         metrics.pipeline.orphans_reclaimed += orphans_reclaimed;
         metrics.pipeline.checkpoint_pruned += checkpoint_pruned;
-        metrics.outputs = outputs.len();
-        dlq.sort();
-        metrics.faults.dlq_len = dlq.len() as u64;
+        metrics.outputs = reduced.outputs.len();
+        reduced.dlq.sort();
+        metrics.faults.dlq_len = reduced.dlq.len() as u64;
 
         // ----- Simulated time -----------------------------------------------
         let map_schedule = Schedule::lpt(&map_costs, self.config.workers);
-        let reduce_schedule = Schedule::lpt(&reduce_costs, self.config.workers);
+        let reduce_schedule = Schedule::lpt(&reduced.costs, self.config.workers);
         metrics.map_makespan = map_schedule.makespan;
         metrics.reduce_makespan = reduce_schedule.makespan;
         metrics.shuffle_seconds = self.config.shuffle_seconds(metrics.bytes_shuffled);
@@ -237,9 +272,9 @@ where
             map_schedule.total_work + reduce_schedule.total_work + metrics.shuffle_seconds;
 
         Ok(JobOutput {
-            outputs,
+            outputs: reduced.outputs,
             metrics,
-            dlq,
+            dlq: reduced.dlq,
         })
     }
 
@@ -308,7 +343,7 @@ where
 
     /// Runs the attempt loop for one map task and, if an attempt survives,
     /// the task itself. Returns the resolution plus the retries burned.
-    pub(crate) fn resolve_map_task(&self, index: usize, input: &M::In) -> (MapResolution<M>, u64) {
+    fn resolve_map_task(&self, index: usize, input: &M::In) -> (MapResolution<M>, u64) {
         match self.fault_verdict(FaultStage::Map, index, false) {
             TaskVerdict::Run { retries } => {
                 (MapResolution::Done(self.map_one(input)), u64::from(retries))
@@ -322,74 +357,6 @@ where
         }
     }
 
-    /// Fault-aware map phase for the pass-based shuffles: every task at
-    /// global index `base + offset` goes through the attempt loop, then
-    /// (on success) through `map_one`. Slotting by input index keeps
-    /// ordering independent of thread interleaving, exactly like
-    /// [`Job::run_map_phase`]. Returns per-task resolutions plus the total
-    /// retries burned.
-    fn run_map_tasks(&self, inputs: &[M::In], base: usize) -> (Vec<MapResolution<M>>, u64) {
-        if self.config.fault_plan.is_none() {
-            // Fast path: no plan means no verdicts, no retries — reuse the
-            // plain map phase unchanged.
-            let resolutions = self
-                .run_map_phase(inputs)
-                .into_iter()
-                .map(MapResolution::Done)
-                .collect();
-            return (resolutions, 0);
-        }
-        let threads = self.config.map_threads.max(1);
-        if threads == 1 || inputs.len() < 2 {
-            let mut retries = 0u64;
-            let resolutions = inputs
-                .iter()
-                .enumerate()
-                .map(|(off, input)| {
-                    let (resolution, r) = self.resolve_map_task(base + off, input);
-                    retries += r;
-                    resolution
-                })
-                .collect();
-            return (resolutions, retries);
-        }
-
-        let slots: Mutex<Vec<Option<MapResolution<M>>>> =
-            Mutex::new((0..inputs.len()).map(|_| None).collect());
-        let retries = AtomicU64::new(0);
-        let chunk = inputs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for (t, chunk_inputs) in inputs.chunks(chunk).enumerate() {
-                let slots = &slots;
-                let retries = &retries;
-                let job = &self;
-                scope.spawn(move || {
-                    let chunk_base = t * chunk;
-                    let mut local: Vec<(usize, MapResolution<M>)> =
-                        Vec::with_capacity(chunk_inputs.len());
-                    let mut local_retries = 0u64;
-                    for (off, input) in chunk_inputs.iter().enumerate() {
-                        let (resolution, r) = job.resolve_map_task(base + chunk_base + off, input);
-                        local_retries += r;
-                        local.push((chunk_base + off, resolution));
-                    }
-                    retries.fetch_add(local_retries, Ordering::Relaxed);
-                    let mut guard = slots.lock().expect("map slot lock poisoned");
-                    for (idx, resolution) in local {
-                        guard[idx] = Some(resolution);
-                    }
-                });
-            }
-        });
-        let resolutions = slots
-            .into_inner()
-            .expect("map slot lock poisoned")
-            .into_iter()
-            .map(|slot| slot.expect("every map slot filled"))
-            .collect();
-        (resolutions, retries.into_inner())
-    }
-
     /// Classic shuffle: every partition materialized in memory, then reduced
     /// in partition order.
     fn run_materialized(
@@ -398,8 +365,8 @@ where
         metrics: &mut JobMetrics,
         ckpt: Option<&CheckpointSession<R::Out>>,
         sink: &dyn PartitionSink<R::Out>,
-    ) -> ReducePhase<R::Out> {
-        let (map_results, map_retries) = self.run_map_tasks(inputs, 0);
+    ) -> Result<Reduced<R::Out>, SimError> {
+        let (map_results, map_retries) = self.run_map_phase(inputs);
         metrics.faults.map_retries = map_retries;
 
         let mut partitions: Vec<Vec<(M::Key, M::Value)>> =
@@ -407,7 +374,7 @@ where
         let mut reducer_value_bytes = vec![0u64; self.n_reducers];
         let mut reducer_total_bytes = vec![0u64; self.n_reducers];
         let mut targets: Vec<usize> = Vec::new();
-        let mut dlq: Vec<DlqEntry> = Vec::new();
+        let mut reduced = Reduced::new(Vec::new());
 
         // Walking resolutions in task order keeps error precedence
         // identical across modes: the lowest task with either an exhausted
@@ -416,7 +383,7 @@ where
             let pairs = match resolution {
                 MapResolution::Done(pairs) => pairs,
                 MapResolution::Dropped { attempts } => {
-                    dlq.push(DlqEntry {
+                    reduced.dlq.push(DlqEntry {
                         stage: FaultStage::Map,
                         index,
                         attempts,
@@ -442,211 +409,129 @@ where
 
         self.account_capacity(metrics, &reducer_value_bytes)?;
 
-        let mut outputs: Vec<R::Out> = Vec::new();
-        let mut reduce_costs: Vec<TaskCost> = Vec::new();
-        for (r, mut partition) in partitions.into_iter().enumerate() {
+        // Each partition is accepted (and so reaches the sink) the moment
+        // its task finishes, so a kill at partition k lands after every
+        // nonempty partition below k has committed.
+        for (r, partition) in partitions.into_iter().enumerate() {
             if partition.is_empty() {
                 continue;
             }
-            metrics.nonempty_reducers += 1;
-            // Checkpoint hit: the partition was finalized by an earlier
-            // run of this fingerprint. Skip the fault verdict (a kill
-            // must not re-fire for work that is already done) and the
-            // reduce itself; the persisted outputs splice in at exactly
-            // the position a fresh reduce would have appended them.
-            if let Some((cached, distinct)) = ckpt.and_then(|s| s.lookup(r)) {
-                reduce_costs.push(TaskCost(
-                    self.config.reduce_task_seconds(reducer_total_bytes[r]),
-                ));
-                metrics.distinct_keys += distinct;
-                // Resumed partitions stream too — a downstream consumer
-                // must not be able to tell a resume from a fresh run.
-                sink.partition(r, &cached, distinct);
-                outputs.extend(cached);
-                continue;
+            let mut part = self
+                .reduce_task(r, false, None, ckpt, || Ok(partition))
+                .expect("a task without a resolution slot always resolves");
+            metrics.faults.reduce_retries += part.retries;
+            if let Some(error) = part.failed.take() {
+                return Err(error);
             }
-            match self.fault_verdict(FaultStage::Reduce, r, false) {
-                TaskVerdict::Run { retries } => {
-                    metrics.faults.reduce_retries += u64::from(retries);
-                    reduce_costs.push(TaskCost(
-                        self.config.reduce_task_seconds(reducer_total_bytes[r]),
-                    ));
-                    let first = outputs.len();
-                    let distinct = self.reduce_partition(&mut partition, &mut outputs);
-                    metrics.distinct_keys += distinct;
-                    if let Some(session) = ckpt {
-                        session.record(r, &outputs[first..], distinct);
-                    }
-                    sink.partition(r, &outputs[first..], distinct);
-                }
-                TaskVerdict::Dropped { retries, attempts } => {
-                    // Dead-lettered partitions stay nonempty (data reached
-                    // them) but contribute no cost, keys, or outputs.
-                    metrics.faults.reduce_retries += u64::from(retries);
-                    dlq.push(DlqEntry {
-                        stage: FaultStage::Reduce,
-                        index: r,
-                        attempts,
-                    });
-                }
-                TaskVerdict::Failed { error, retries } => {
-                    metrics.faults.reduce_retries += u64::from(retries);
-                    return Err(error);
-                }
-            }
+            self.accept_partition(part, reducer_total_bytes[r], metrics, &mut reduced, sink);
         }
         metrics.reducer_value_bytes = reducer_value_bytes;
-        Ok((outputs, reduce_costs, dlq))
+        Ok(reduced)
     }
 
-    /// Streaming shuffle: an accounting pass that stores nothing, then a
-    /// reducer-major pass feeding `config.streaming_reducer_block`
-    /// partitions at a time, re-deriving their records from the mappers.
-    /// Peak memory is one block plus one `config.streaming_map_batch` of
-    /// map outputs (batches use `map_threads` like the materialized path);
-    /// results and metrics are identical to the materialized path because
-    /// mappers and routers are deterministic by contract.
-    fn run_streaming(
+    /// One reducer partition's reduce task, shared by both engines:
+    /// checkpoint lookup → reduce fault verdict → reduce → checkpoint
+    /// commit.
+    ///
+    /// `records` supplies the partition's records in arrival order and is
+    /// called only when the task really runs; an error from it fails the
+    /// partition. `resolved` is the partition's resolution slot, for
+    /// engines where copies of one task may race (the pipelined stealing
+    /// finalize under speculation): only the copy that flips it returns
+    /// `Some` and commits, so a partition is committed exactly once.
+    /// Without a slot the task always returns `Some`. Retry and error side
+    /// effects are left to the caller.
+    pub(crate) fn reduce_task(
         &self,
-        inputs: &[M::In],
-        metrics: &mut JobMetrics,
+        partition: usize,
+        speculative: bool,
+        resolved: Option<&AtomicBool>,
         ckpt: Option<&CheckpointSession<R::Out>>,
+        records: impl FnOnce() -> Result<Vec<(M::Key, M::Value)>, SimError>,
+    ) -> Option<FinalizedPartition<R::Out>> {
+        let mut part = FinalizedPartition {
+            partition,
+            distinct_keys: 0,
+            outputs: Vec::new(),
+            dlq_attempts: None,
+            failed: None,
+            retries: 0,
+        };
+        let mut fresh = false;
+        // Checkpoint hit: an earlier run of this fingerprint finalized the
+        // partition. Checked before the fault verdict so an injected kill
+        // never re-fires for finished work; the persisted outputs splice
+        // in exactly where a fresh reduce would have put them.
+        if let Some((outputs, distinct_keys)) = ckpt.and_then(|s| s.lookup(partition)) {
+            part.outputs = outputs;
+            part.distinct_keys = distinct_keys;
+        } else {
+            match self.fault_verdict(FaultStage::Reduce, partition, speculative) {
+                TaskVerdict::Run { retries } => {
+                    part.retries = u64::from(retries);
+                    match records() {
+                        Ok(mut records) => {
+                            part.distinct_keys =
+                                self.reduce_partition(&mut records, &mut part.outputs);
+                            fresh = true;
+                        }
+                        Err(error) => part.failed = Some(error),
+                    }
+                }
+                TaskVerdict::Dropped { retries, attempts } => {
+                    part.retries = u64::from(retries);
+                    part.dlq_attempts = Some(attempts);
+                }
+                TaskVerdict::Failed { error, retries } => {
+                    part.retries = u64::from(retries);
+                    part.failed = Some(error);
+                }
+            }
+        }
+        let won = resolved.is_none_or(|slot| {
+            slot.compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        });
+        if !won {
+            return None;
+        }
+        // Only fresh work is persisted: dead-lettered, failed, and
+        // already-checkpointed partitions are not (re)committed.
+        if let Some(session) = ckpt.filter(|_| fresh) {
+            session.record(partition, &part.outputs, part.distinct_keys);
+        }
+        Some(part)
+    }
+
+    /// Accepts one nonempty partition's finished task into the job — the
+    /// in-order step both engines share. A dead-lettered partition counts
+    /// as nonempty (data reached it) but adds only its DLQ entry; any
+    /// other adds its reduce cost and distinct keys, goes to the sink,
+    /// and appends its outputs. Callers accept partitions in ascending
+    /// order, which is the sink's ordering contract.
+    pub(crate) fn accept_partition(
+        &self,
+        part: FinalizedPartition<R::Out>,
+        total_bytes: u64,
+        metrics: &mut JobMetrics,
+        reduced: &mut Reduced<R::Out>,
         sink: &dyn PartitionSink<R::Out>,
-    ) -> ReducePhase<R::Out> {
-        let mut reducer_value_bytes = vec![0u64; self.n_reducers];
-        let mut reducer_total_bytes = vec![0u64; self.n_reducers];
-        let mut reducer_records = vec![0u64; self.n_reducers];
-        let mut targets: Vec<usize> = Vec::new();
-        let mut dlq: Vec<DlqEntry> = Vec::new();
-        // Which map tasks survived pass 1 — pass 2 replays exactly these.
-        let mut task_ok = vec![true; inputs.len()];
-
-        // ----- Pass 1: byte accounting; records are dropped as they flow.
-        // The attempt loop runs here, once per task: pass 2 is a *replay*
-        // of the attempts that already succeeded, not a new attempt, so it
-        // consumes no fault schedule and burns no retries.
-        let mut base = 0usize;
-        for batch in inputs.chunks(self.config.streaming_map_batch) {
-            let (resolutions, batch_retries) = self.run_map_tasks(batch, base);
-            metrics.faults.map_retries += batch_retries;
-            for (off, resolution) in resolutions.into_iter().enumerate() {
-                let pairs = match resolution {
-                    MapResolution::Done(pairs) => pairs,
-                    MapResolution::Dropped { attempts } => {
-                        task_ok[base + off] = false;
-                        dlq.push(DlqEntry {
-                            stage: FaultStage::Map,
-                            index: base + off,
-                            attempts,
-                        });
-                        continue;
-                    }
-                    MapResolution::Failed(error) => return Err(error),
-                };
-                for (key, value) in pairs {
-                    metrics.records_emitted += 1;
-                    self.route_into(&key, &mut targets)?;
-                    let key_bytes = key.size_bytes();
-                    let value_bytes = value.size_bytes();
-                    for &t in &targets {
-                        metrics.records_shuffled += 1;
-                        metrics.bytes_shuffled += key_bytes + value_bytes;
-                        reducer_value_bytes[t] += value_bytes;
-                        reducer_total_bytes[t] += key_bytes + value_bytes;
-                        reducer_records[t] += 1;
-                    }
-                }
-            }
-            base += batch.len();
+    ) {
+        metrics.nonempty_reducers += 1;
+        if let Some(attempts) = part.dlq_attempts {
+            reduced.dlq.push(DlqEntry {
+                stage: FaultStage::Reduce,
+                index: part.partition,
+                attempts,
+            });
+            return;
         }
-
-        self.account_capacity(metrics, &reducer_value_bytes)?;
-
-        // ----- Pass 2: reducer-major reduce, one bounded block at a time.
-        let mut outputs: Vec<R::Out> = Vec::new();
-        let mut reduce_costs: Vec<TaskCost> = Vec::new();
-        for block_start in (0..self.n_reducers).step_by(self.config.streaming_reducer_block) {
-            let block_end =
-                (block_start + self.config.streaming_reducer_block).min(self.n_reducers);
-            let expected: u64 = reducer_records[block_start..block_end].iter().sum();
-            if expected == 0 {
-                continue;
-            }
-            let mut partitions: Vec<Vec<(M::Key, M::Value)>> = reducer_records
-                [block_start..block_end]
-                .iter()
-                .map(|&n| Vec::with_capacity(n as usize))
-                .collect();
-            let mut collected = 0u64;
-            let mut sweep_base = 0usize;
-            'sweep: for batch in inputs.chunks(self.config.streaming_map_batch) {
-                for (off, pairs) in self.run_map_phase(batch).into_iter().enumerate() {
-                    if !task_ok[sweep_base + off] {
-                        continue;
-                    }
-                    for (key, value) in pairs {
-                        self.route_into(&key, &mut targets)?;
-                        for &t in &targets {
-                            if (block_start..block_end).contains(&t) {
-                                partitions[t - block_start].push((key.clone(), value.clone()));
-                                collected += 1;
-                            }
-                        }
-                    }
-                }
-                sweep_base += batch.len();
-                if collected == expected {
-                    break 'sweep;
-                }
-            }
-            for (offset, mut partition) in partitions.into_iter().enumerate() {
-                if partition.is_empty() {
-                    continue;
-                }
-                metrics.nonempty_reducers += 1;
-                let r = block_start + offset;
-                // Same hit short-circuit as the materialized pass: done
-                // work is spliced in, the fault verdict never re-fires.
-                if let Some((cached, distinct)) = ckpt.and_then(|s| s.lookup(r)) {
-                    reduce_costs.push(TaskCost(
-                        self.config.reduce_task_seconds(reducer_total_bytes[r]),
-                    ));
-                    metrics.distinct_keys += distinct;
-                    sink.partition(r, &cached, distinct);
-                    outputs.extend(cached);
-                    continue;
-                }
-                match self.fault_verdict(FaultStage::Reduce, r, false) {
-                    TaskVerdict::Run { retries } => {
-                        metrics.faults.reduce_retries += u64::from(retries);
-                        reduce_costs.push(TaskCost(
-                            self.config.reduce_task_seconds(reducer_total_bytes[r]),
-                        ));
-                        let first = outputs.len();
-                        let distinct = self.reduce_partition(&mut partition, &mut outputs);
-                        metrics.distinct_keys += distinct;
-                        if let Some(session) = ckpt {
-                            session.record(r, &outputs[first..], distinct);
-                        }
-                        sink.partition(r, &outputs[first..], distinct);
-                    }
-                    TaskVerdict::Dropped { retries, attempts } => {
-                        metrics.faults.reduce_retries += u64::from(retries);
-                        dlq.push(DlqEntry {
-                            stage: FaultStage::Reduce,
-                            index: r,
-                            attempts,
-                        });
-                    }
-                    TaskVerdict::Failed { error, retries } => {
-                        metrics.faults.reduce_retries += u64::from(retries);
-                        return Err(error);
-                    }
-                }
-            }
-        }
-        metrics.reducer_value_bytes = reducer_value_bytes;
-        Ok((outputs, reduce_costs, dlq))
+        metrics.distinct_keys += part.distinct_keys;
+        reduced
+            .costs
+            .push(TaskCost(self.config.reduce_task_seconds(total_bytes)));
+        sink.partition(part.partition, &part.outputs, part.distinct_keys);
+        reduced.outputs.extend(part.outputs);
     }
 
     /// Routes `key`, leaving the sorted, deduplicated, range-checked target
@@ -732,44 +617,64 @@ where
         distinct_keys
     }
 
-    /// Runs every map task, optionally on `config.map_threads` OS threads.
-    /// Results are slotted by input index, so ordering (and therefore all
-    /// downstream accounting) is independent of thread interleaving.
-    fn run_map_phase(&self, inputs: &[M::In]) -> Vec<MapOutput<M>> {
+    /// The materialized shuffle's map phase: every task goes through the
+    /// fault layer's attempt loop and, if an attempt survives, `map_one` —
+    /// on `config.map_threads` OS threads when there are several. (With
+    /// no fault plan the verdict is an immediate `Run`.) Resolutions are
+    /// slotted by input index, so ordering, and therefore all downstream
+    /// accounting, is independent of thread interleaving. Returns the
+    /// per-task resolutions plus the total retries burned.
+    fn run_map_phase(&self, inputs: &[M::In]) -> (Vec<MapResolution<M>>, u64) {
         let threads = self.config.map_threads.max(1);
         if threads == 1 || inputs.len() < 2 {
-            return inputs.iter().map(|input| self.map_one(input)).collect();
+            let mut retries = 0u64;
+            let resolutions = inputs
+                .iter()
+                .enumerate()
+                .map(|(index, input)| {
+                    let (resolution, r) = self.resolve_map_task(index, input);
+                    retries += r;
+                    resolution
+                })
+                .collect();
+            return (resolutions, retries);
         }
 
-        let slots: Mutex<Vec<Option<MapOutput<M>>>> =
+        let slots: Mutex<Vec<Option<MapResolution<M>>>> =
             Mutex::new((0..inputs.len()).map(|_| None).collect());
+        let retries = AtomicU64::new(0);
         let chunk = inputs.len().div_ceil(threads);
         std::thread::scope(|scope| {
             for (t, chunk_inputs) in inputs.chunks(chunk).enumerate() {
                 let slots = &slots;
+                let retries = &retries;
                 let job = &self;
                 scope.spawn(move || {
                     let base = t * chunk;
                     // Map the whole chunk locally, then take the lock once.
-                    let mut local: Vec<(usize, MapOutput<M>)> =
+                    let mut local: Vec<(usize, MapResolution<M>)> =
                         Vec::with_capacity(chunk_inputs.len());
+                    let mut local_retries = 0u64;
                     for (off, input) in chunk_inputs.iter().enumerate() {
-                        local.push((base + off, job.map_one(input)));
+                        let (resolution, r) = job.resolve_map_task(base + off, input);
+                        local_retries += r;
+                        local.push((base + off, resolution));
                     }
+                    retries.fetch_add(local_retries, Ordering::Relaxed);
                     let mut guard = slots.lock().expect("map slot lock poisoned");
-                    for (idx, pairs) in local {
-                        guard[idx] = Some(pairs);
+                    for (idx, resolution) in local {
+                        guard[idx] = Some(resolution);
                     }
                 });
             }
         });
-
-        slots
+        let resolutions = slots
             .into_inner()
             .expect("map slot lock poisoned")
             .into_iter()
             .map(|slot| slot.expect("every map slot filled"))
-            .collect()
+            .collect();
+        (resolutions, retries.into_inner())
     }
 
     /// One map task: emit, then apply the optional map-side combiner per
@@ -1018,129 +923,6 @@ mod tests {
         assert_eq!(a.metrics.reducer_value_bytes, b.metrics.reducer_value_bytes);
     }
 
-    /// Streaming and materialized shuffles must agree on everything:
-    /// outputs, byte accounting, and simulated times.
-    #[test]
-    fn streaming_shuffle_matches_materialized() {
-        let inputs: Vec<(u64, String)> =
-            (0..300).map(|i| (i % 23, format!("payload-{i}"))).collect();
-        let run = |shuffle| {
-            Job::new(
-                IdentityMapper,
-                ConcatReducer,
-                HashRouter::new(),
-                // More reducers than one streaming block, to cross blocks.
-                70,
-                ClusterConfig {
-                    shuffle,
-                    ..ClusterConfig::default()
-                },
-            )
-            .run(&inputs)
-            .unwrap()
-        };
-        let materialized = run(ShuffleMode::Materialized);
-        let streaming = run(ShuffleMode::Streaming);
-        assert_eq!(materialized.outputs, streaming.outputs);
-        assert_eq!(materialized.metrics, streaming.metrics);
-    }
-
-    /// Streaming batches run through the same threaded map phase as the
-    /// materialized path: `map_threads` changes nothing but wall-clock.
-    #[test]
-    fn streaming_shuffle_with_parallel_map_matches() {
-        let inputs: Vec<(u64, String)> =
-            (0..500).map(|i| (i % 31, format!("payload-{i}"))).collect();
-        let run = |shuffle, map_threads| {
-            Job::new(
-                IdentityMapper,
-                ConcatReducer,
-                HashRouter::new(),
-                70,
-                ClusterConfig {
-                    shuffle,
-                    map_threads,
-                    ..ClusterConfig::default()
-                },
-            )
-            .run(&inputs)
-            .unwrap()
-        };
-        let reference = run(ShuffleMode::Materialized, 1);
-        for threads in [1, 4] {
-            let streaming = run(ShuffleMode::Streaming, threads);
-            assert_eq!(reference.outputs, streaming.outputs);
-            assert_eq!(reference.metrics, streaming.metrics);
-        }
-    }
-
-    #[test]
-    fn streaming_shuffle_matches_under_broadcast_and_capacity() {
-        let run = |shuffle, policy| {
-            Job::new(
-                IdentityMapper,
-                ConcatReducer,
-                BroadcastRouter,
-                5,
-                ClusterConfig {
-                    shuffle,
-                    ..ClusterConfig::default()
-                },
-            )
-            .capacity(policy)
-            .run(&sample_inputs())
-        };
-        // Record mode: violations lists agree.
-        let m = run(ShuffleMode::Materialized, CapacityPolicy::Record(3)).unwrap();
-        let s = run(ShuffleMode::Streaming, CapacityPolicy::Record(3)).unwrap();
-        assert_eq!(m.outputs, s.outputs);
-        assert_eq!(m.metrics, s.metrics);
-        assert!(!s.metrics.capacity_violations.is_empty());
-        // Enforce mode: both modes fail with the same error.
-        assert_eq!(
-            run(ShuffleMode::Materialized, CapacityPolicy::Enforce(3)).unwrap_err(),
-            run(ShuffleMode::Streaming, CapacityPolicy::Enforce(3)).unwrap_err(),
-        );
-    }
-
-    #[test]
-    fn streaming_shuffle_empty_input_runs_cleanly() {
-        let job = Job::new(
-            IdentityMapper,
-            ConcatReducer,
-            HashRouter::new(),
-            4,
-            ClusterConfig {
-                shuffle: ShuffleMode::Streaming,
-                ..ClusterConfig::default()
-            },
-        );
-        let result = job.run(&[]).unwrap();
-        assert_eq!(result.outputs.len(), 0);
-        assert_eq!(result.metrics.bytes_shuffled, 0);
-    }
-
-    #[test]
-    fn streaming_out_of_range_route_is_an_error() {
-        let job = Job::new(
-            IdentityMapper,
-            ConcatReducer,
-            TableRouter::new([(1u64, vec![7])]),
-            2,
-            ClusterConfig {
-                shuffle: ShuffleMode::Streaming,
-                ..ClusterConfig::default()
-            },
-        );
-        assert_eq!(
-            job.run(&sample_inputs()[..1]).unwrap_err(),
-            SimError::RouteOutOfRange {
-                target: 7,
-                n_reducers: 2
-            }
-        );
-    }
-
     #[test]
     fn simulated_times_are_positive_and_consistent() {
         let job = Job::new(
@@ -1301,9 +1083,9 @@ mod combiner_tests {
             .unwrap()
         };
         let m = run(ShuffleMode::Materialized);
-        let s = run(ShuffleMode::Streaming);
-        assert_eq!(m.outputs, s.outputs);
-        assert_eq!(m.metrics, s.metrics);
+        let p = run(ShuffleMode::Pipelined);
+        assert_eq!(m.outputs, p.outputs);
+        assert_eq!(m.metrics.deterministic(), p.metrics.deterministic());
     }
 
     #[test]

@@ -20,14 +20,15 @@
 //!   be *measured* rather than argued,
 //! * optional real parallelism for the map phase (std scoped threads)
 //!   that never changes results or metrics, only wall-clock time,
-//! * a memory-bounded [`ShuffleMode::Streaming`] shuffle that feeds
-//!   reducers from bounded blocks instead of materializing every
-//!   partition, again with bit-identical results,
-//! * an overlapped [`ShuffleMode::Pipelined`] engine (see [`pipeline`])
+//! * two shuffle engines sharing one reduce-task path (checkpoint
+//!   lookup, fault verdict, reduce, checkpoint commit, sink hand-off):
+//!   the default [`ShuffleMode::Materialized`] reference, and an
+//!   overlapped [`ShuffleMode::Pipelined`] engine (see [`pipeline`])
 //!   whose mapper and consumer stages run concurrently over bounded
 //!   channels, reporting how much map/shuffle/reduce overlap a run
 //!   achieved in [`PipelineMetrics`],
-//! * an out-of-core path for the pipelined shuffle: under a validated
+//! * an out-of-core path for the pipelined shuffle — the way to bound
+//!   shuffle memory: under a validated
 //!   [`ClusterConfig::memory_budget`] each consumer group seals and
 //!   spills its largest sorted runs to length-prefixed temp files (see
 //!   [`SpillCodec`]) and finalize becomes an external k-way merge over

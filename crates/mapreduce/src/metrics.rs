@@ -7,7 +7,8 @@
 /// run was executed — how much reduce-side work overlapped live map tasks,
 /// how full the bounded channels got, and the real wall-clock span of each
 /// phase — and therefore legitimately vary between runs and thread counts.
-/// They are all zero under the pass-based modes. Differential tests that
+/// Apart from the checkpoint counters, they are all zero under the
+/// materialized shuffle. Differential tests that
 /// assert bit-identical metrics across modes must compare
 /// [`JobMetrics::deterministic`], which masks this struct out.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -40,7 +41,7 @@ pub struct PipelineMetrics {
     pub finalize_group_seconds: Vec<f64>,
     /// Finalize imbalance: max per-group finalize span over the mean span
     /// (≥ 1.0 for a pipelined run; 1.0 is perfectly balanced). Zero under
-    /// the pass-based modes, which never finalize concurrently.
+    /// the materialized shuffle, which never finalizes concurrently.
     pub finalize_imbalance: f64,
     /// Wall-clock span of the whole pipelined run.
     pub wall_seconds: f64,
@@ -95,10 +96,11 @@ pub struct PipelineMetrics {
 /// than *what* it computed: the whole point of the retry/speculation
 /// machinery is that a faulted run's [`JobMetrics::deterministic`] stays
 /// bit-identical to the fault-free run, so every counter here is masked
-/// out of that comparison. (Retry counts also legitimately differ between
-/// shuffle modes: streaming's second pass replays only known-good
-/// attempts, so it burns each retry once, while counting conventions are
-/// per-mode.)
+/// out of that comparison. Across engine cells, though, a faulted run's
+/// `map_retries`, `reduce_retries` and `dlq_len` agree: both shuffle
+/// modes walk each task's attempt loop once per run (a speculative copy's
+/// retries count only if it wins), so only the speculation counters
+/// depend on how the run was scheduled.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultMetrics {
     /// Injected map-task faults that were absorbed by a retry.
@@ -171,8 +173,8 @@ pub struct JobMetrics {
     pub reduce_makespan: f64,
     /// Simulated serial execution time (all work on one worker, seconds).
     pub serial_seconds: f64,
-    /// Overlap/back-pressure counters from the pipelined engine (all zero
-    /// under the pass-based modes; execution-dependent, see
+    /// Overlap/back-pressure counters from the pipelined engine (zero
+    /// under the materialized shuffle; execution-dependent, see
     /// [`PipelineMetrics`]).
     pub pipeline: PipelineMetrics,
     /// Retry/speculation/DLQ counters from the fault-tolerance layer

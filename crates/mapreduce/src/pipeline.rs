@@ -1,7 +1,8 @@
 //! The overlapped pipeline engine behind [`ShuffleMode::Pipelined`].
 //!
-//! The pass-based modes run map → shuffle → reduce as strict phases: the
-//! first reduce byte is processed only after the last map task finishes.
+//! The materialized mode runs map → shuffle → reduce as strict phases:
+//! the first reduce byte is processed only after the last map task
+//! finishes.
 //! This module replaces the passes with a **stage graph of scoped worker
 //! threads connected by bounded MPSC channels** (hand-rolled over
 //! `std::sync::Mutex` + `Condvar`, no external runtime — the engine stays
@@ -43,8 +44,9 @@
 //! sender. Peak resident blocks are therefore bounded by
 //! `pipeline_depth × consumer groups` (the gauge increments inside the
 //! sending channel's critical section, so the recorded
-//! `peak_inflight_blocks` respects the same bound), giving the pipelined
-//! mode a memory ceiling like `Streaming`'s without its recomputation.
+//! `peak_inflight_blocks` respects the same bound). Buffered runs are
+//! bounded separately by [`ClusterConfig::memory_budget`], which spills
+//! them to disk.
 //!
 //! **Determinism.** Mappers pull tasks dynamically, so blocks arrive at a
 //! consumer in arbitrary order — but every block carries the index of the
@@ -82,13 +84,13 @@
 //! have hit first), mappers skip later tasks, consumers keep draining
 //! until the channels close — nobody blocks on a full channel, no thread
 //! leaks (all are scoped), and the job returns the same [`SimError`] the
-//! pass-based modes return. Capacity enforcement runs after the map stage
+//! materialized mode returns. Capacity enforcement runs after the map stage
 //! completes, on the same totals, in the same reducer order. *Panics* in
 //! user code propagate rather than deadlock: both channel endpoints
 //! detach via RAII guards, so an unwinding mapper still signals
 //! end-of-stream and an unwinding consumer unblocks any sender stuck on
 //! its full channel; the scope join then re-raises the panic, exactly as
-//! the pass-based modes do.
+//! the materialized mode does.
 //!
 //! **Fault tolerance.** With a [`crate::FaultPlan`] configured, every map
 //! task and finalize runs the fault-layer attempt loop first
@@ -114,7 +116,7 @@ use std::time::Instant;
 use crate::checkpoint::CheckpointSession;
 use crate::cluster::{FaultStage, FinalizeMode, Schedule, TaskCost};
 use crate::error::SimError;
-use crate::job::{DlqEntry, Job, ReducePhase, TaskVerdict};
+use crate::job::{DlqEntry, FinalizedPartition, Job, Reduced, TaskVerdict};
 use crate::metrics::{JobMetrics, PipelineMetrics};
 use crate::record::ByteSized;
 use crate::router::Router;
@@ -478,30 +480,6 @@ struct PartitionBuffer<M: Mapper> {
     spilled: Vec<SpilledRun>,
 }
 
-/// The merge + reduce result of one partition, slotted back into global
-/// partition order by [`Job::run_pipelined`]. Carries the fault-layer
-/// disposition too: a dead-lettered partition has `dlq_attempts` set (and
-/// no outputs), an exhausted one under `Fail` carries `failed`.
-struct FinalizedPartition<Out> {
-    partition: usize,
-    distinct_keys: u64,
-    outputs: Vec<Out>,
-    /// `Some(attempts)` when the partition exhausted its retry budget
-    /// under [`crate::DlqMode::Capture`].
-    dlq_attempts: Option<u32>,
-    /// The `RetriesExhausted` error under [`crate::DlqMode::Fail`], or a
-    /// [`SimError::SpillIo`] from streaming a spilled run back.
-    failed: Option<SimError>,
-    /// Injected faults this partition's winning finalize absorbed.
-    retries: u64,
-    /// Runs (in-memory + spilled) this partition's merge consumed — the
-    /// external merge's fan-in.
-    fanin: u64,
-    /// The outputs came from a verified checkpoint rather than a fresh
-    /// merge + reduce; the caller must not re-record such a partition.
-    from_checkpoint: bool,
-}
-
 /// Everything one consumer hands back: per owned partition (indexed from
 /// `first_partition`) the byte/record accounting, the partitions this
 /// *thread* finalized (its own under static finalize; whatever it stole
@@ -522,6 +500,9 @@ struct GroupResult<Out> {
     /// Highest buffered residency this group reached after each block's
     /// budget enforcement (the per-group bound `memory_budget` states).
     peak_buffered: u64,
+    /// Most runs (in-memory + spilled) one of this thread's finalizes
+    /// merged — the external merge's fan-in.
+    merge_fanin: u64,
 }
 
 /// K-way merges a partition's sequence-ordered runs back into exact
@@ -661,9 +642,9 @@ struct Coordination {
     /// compare-and-swap to `TASK_RESOLVED` is the only copy that counts
     /// metrics, sends blocks, or records errors for its task.
     task_state: Vec<AtomicU8>,
-    /// Per-partition finalize resolution slots (used by the stealing
-    /// finalize so a primary and a speculative copy publish exactly one
-    /// result per partition).
+    /// Per-partition finalize resolution slots: every finalize flips its
+    /// partition's slot, so when the stealing finalize races a primary
+    /// and a speculative copy, exactly one result per partition counts.
     finalize_resolved: Vec<AtomicBool>,
     gauge: InflightGauge,
 }
@@ -735,7 +716,7 @@ where
         metrics: &mut JobMetrics,
         ckpt: Option<&CheckpointSession<R::Out>>,
         sink: &dyn PartitionSink<R::Out>,
-    ) -> ReducePhase<R::Out> {
+    ) -> Result<Reduced<R::Out>, SimError> {
         let n_inputs = inputs.len();
         let n_mappers = self.config.map_threads.max(1);
         // Groups own contiguous partition ranges of `per_group`. The
@@ -821,15 +802,13 @@ where
         // Reassemble the per-partition results in partition order, exactly
         // like the materialized pass walks its partitions. Accounting is
         // slotted by each group's contiguous drain range; finalized
-        // outputs carry their own partition index because under stealing
-        // any thread may have finalized any partition.
+        // partitions carry their own index because under stealing any
+        // thread may have finalized any partition.
         let mut reducer_value_bytes = vec![0u64; self.n_reducers];
         let mut reducer_total_bytes = vec![0u64; self.n_reducers];
         let mut reducer_records = vec![0u64; self.n_reducers];
-        let mut slotted_outputs: Vec<Option<Vec<R::Out>>> =
+        let mut slotted: Vec<Option<FinalizedPartition<R::Out>>> =
             (0..self.n_reducers).map(|_| None).collect();
-        let mut slotted_distinct = vec![0u64; self.n_reducers];
-        let mut slotted_dlq: Vec<Option<u32>> = vec![None; self.n_reducers];
         let mut overlap_blocks = 0u64;
         let mut stolen_partitions = 0u64;
         let mut finalize_start = f64::INFINITY;
@@ -850,6 +829,7 @@ where
             spilled_runs += group.spilled_runs;
             spilled_bytes += group.spilled_bytes;
             peak_buffered_bytes = peak_buffered_bytes.max(group.peak_buffered);
+            merge_fanin = merge_fanin.max(group.merge_fanin);
             for local in 0..group.records.len() {
                 let p = group.first_partition + local;
                 reducer_value_bytes[p] = group.value_bytes[local];
@@ -857,10 +837,8 @@ where
                 reducer_records[p] = group.records[local];
             }
             for part in group.finalized {
-                merge_fanin = merge_fanin.max(part.fanin);
-                slotted_distinct[part.partition] = part.distinct_keys;
-                slotted_dlq[part.partition] = part.dlq_attempts;
-                slotted_outputs[part.partition] = Some(part.outputs);
+                let p = part.partition;
+                slotted[p] = Some(part);
             }
         }
 
@@ -878,35 +856,17 @@ where
             return Err(error);
         }
 
-        let mut dlq = std::mem::take(&mut *coord.dlq.lock().expect("dlq slot poisoned"));
-        let mut outputs: Vec<R::Out> = Vec::new();
-        let mut reduce_costs: Vec<TaskCost> = Vec::new();
-        for (p, slot) in slotted_outputs.into_iter().enumerate() {
+        let map_dlq = std::mem::take(&mut *coord.dlq.lock().expect("dlq slot poisoned"));
+        let mut reduced = Reduced::new(map_dlq);
+        for (p, slot) in slotted.into_iter().enumerate() {
             if reducer_records[p] == 0 {
                 continue;
             }
-            metrics.nonempty_reducers += 1;
-            if let Some(attempts) = slotted_dlq[p] {
-                // Dead-lettered partition: counted nonempty (data reached
-                // it) but contributes no cost, keys, or outputs — exactly
-                // like the pass-based modes.
-                dlq.push(DlqEntry {
-                    stage: FaultStage::Reduce,
-                    index: p,
-                    attempts,
-                });
-                continue;
-            }
-            metrics.distinct_keys += slotted_distinct[p];
-            reduce_costs.push(TaskCost(
-                self.config.reduce_task_seconds(reducer_total_bytes[p]),
-            ));
-            let part_outputs = slot.expect("every nonempty partition finalized");
+            let part = slot.expect("every nonempty partition finalized");
             // The sink contract promises ascending partition order, so
-            // delivery happens here — during deterministic reassembly —
+            // acceptance happens here — during deterministic reassembly —
             // not at the consumer threads' out-of-order finalize times.
-            sink.partition(p, &part_outputs, slotted_distinct[p]);
-            outputs.extend(part_outputs);
+            self.accept_partition(part, reducer_total_bytes[p], metrics, &mut reduced, sink);
         }
         let max_span = finalize_group_seconds.iter().cloned().fold(0.0, f64::max);
         let mean_span =
@@ -944,7 +904,7 @@ where
         metrics.faults.reduce_retries = coord.reduce_retries.load(Ordering::Relaxed);
         metrics.faults.speculative_launches = coord.spec_launches.load(Ordering::Relaxed);
         metrics.faults.speculative_wins = coord.spec_wins.load(Ordering::Relaxed);
-        Ok((outputs, reduce_costs, dlq))
+        Ok(reduced)
     }
 
     /// One mapper worker: pull tasks from the shared cursor, map and route
@@ -1280,6 +1240,7 @@ where
         let finalize_start = epoch.elapsed().as_secs_f64();
         let mut finalized: Vec<FinalizedPartition<R::Out>> = Vec::new();
         let mut stolen = 0u64;
+        let mut merge_fanin = 0u64;
         let clean = coord.error_seq.load(Ordering::Relaxed) == usize::MAX;
         match self.config.finalize_mode {
             FinalizeMode::Static => {
@@ -1288,16 +1249,17 @@ where
                         if records[local] == 0 {
                             continue;
                         }
-                        let part =
-                            self.finalize_partition(lo + local, buf.runs, buf.spilled, false, ckpt);
-                        coord
-                            .reduce_retries
-                            .fetch_add(part.retries, Ordering::Relaxed);
-                        if let Some(error) = part.failed.clone() {
-                            coord.record_reduce_error(lo + local, error);
+                        if let Some((part, fanin)) = self.finalize_partition(
+                            lo + local,
+                            buf.runs,
+                            buf.spilled,
+                            false,
+                            coord,
+                            ckpt,
+                        ) {
+                            merge_fanin = merge_fanin.max(fanin);
+                            finalized.push(part);
                         }
-                        self.checkpoint_finalized(&part, ckpt);
-                        finalized.push(part);
                     }
                 }
             }
@@ -1325,13 +1287,17 @@ where
                     finalize_queue.publish(items);
                 }
                 publisher.finish();
+                let mut keep = |owner: usize, (part, fanin): (FinalizedPartition<R::Out>, u64)| {
+                    if owner != group {
+                        stolen += 1;
+                    }
+                    merge_fanin = merge_fanin.max(fanin);
+                    finalized.push(part);
+                };
                 while let Some(item) = finalize_queue.steal() {
                     let owner = item.owner;
-                    if let Some(part) = self.finalize_shared(item, coord, false, ckpt) {
-                        if owner != group {
-                            stolen += 1;
-                        }
-                        finalized.push(part);
+                    if let Some(won) = self.finalize_shared(item, coord, false, ckpt) {
+                        keep(owner, won);
                     }
                 }
                 // The queue is dry but peers may still be finalizing
@@ -1350,12 +1316,9 @@ where
                         let Some(item) = candidate else { break };
                         let owner = item.owner;
                         coord.spec_launches.fetch_add(1, Ordering::Relaxed);
-                        if let Some(part) = self.finalize_shared(item, coord, true, ckpt) {
+                        if let Some(won) = self.finalize_shared(item, coord, true, ckpt) {
                             coord.spec_wins.fetch_add(1, Ordering::Relaxed);
-                            if owner != group {
-                                stolen += 1;
-                            }
-                            finalized.push(part);
+                            keep(owner, won);
                         }
                     }
                 }
@@ -1374,126 +1337,60 @@ where
             spilled_runs,
             spilled_bytes,
             peak_buffered,
+            merge_fanin,
         }
     }
 
-    /// Merges one partition's runs into arrival order and reduces it —
-    /// the unit of work both finalize modes schedule — after running the
-    /// fault-layer attempt loop. Pure: all side effects (retry counters,
-    /// error recording) are applied by the caller, and under the stealing
-    /// finalize only by the resolution winner.
+    /// Finalizes one partition — the unit of work both finalize modes
+    /// schedule — through the shared [`Job::reduce_task`]: the k-way merge
+    /// of its in-memory and spilled runs supplies the records, so it runs
+    /// only when the task does. The task races any other copy of the
+    /// partition on its resolution slot; only the winner gets `Some`,
+    /// with its retry and error side effects applied and the merge's
+    /// fan-in (0 when nothing was merged). Under static finalize each
+    /// partition has exactly one copy, so it always wins.
     fn finalize_partition(
         &self,
         partition: usize,
         runs: Vec<Run<M>>,
         spilled: Vec<SpilledRun>,
         speculative: bool,
+        coord: &Coordination,
         ckpt: Option<&CheckpointSession<R::Out>>,
-    ) -> FinalizedPartition<R::Out> {
-        // Checkpoint hit: a previous run of this fingerprint already
-        // finalized the partition. Checked *before* the fault verdict so
-        // an injected kill never re-fires for finished work; the buffered
-        // and spilled runs are simply dropped (the RAII guards delete the
-        // temp files) in favor of the verified persisted outputs.
-        if let Some((outputs, distinct_keys)) = ckpt.and_then(|s| s.lookup(partition)) {
-            return FinalizedPartition {
+    ) -> Option<(FinalizedPartition<R::Out>, u64)> {
+        let mut fanin = 0;
+        let resolved = Some(&coord.finalize_resolved[partition]);
+        let part = self.reduce_task(partition, speculative, resolved, ckpt, || {
+            fanin = (runs.len() + spilled.len()) as u64;
+            // A disk or decode failure streaming a spilled run back is an
+            // infrastructure error, not a task fault: it bypasses the DLQ
+            // and surfaces as the job error (lowest partition wins).
+            merge_mixed(runs, &spilled).map_err(|error| SimError::SpillIo {
                 partition,
-                distinct_keys,
-                outputs,
-                dlq_attempts: None,
-                failed: None,
-                retries: 0,
-                fanin: 0,
-                from_checkpoint: true,
-            };
+                path: error.path,
+                source: error.source,
+            })
+        })?;
+        coord
+            .reduce_retries
+            .fetch_add(part.retries, Ordering::Relaxed);
+        if let Some(error) = part.failed.clone() {
+            coord.record_reduce_error(partition, error);
         }
-        match self.fault_verdict(FaultStage::Reduce, partition, speculative) {
-            TaskVerdict::Run { retries } => {
-                let fanin = (runs.len() + spilled.len()) as u64;
-                match merge_mixed(runs, &spilled) {
-                    Ok(mut merged) => {
-                        let mut outputs = Vec::new();
-                        let distinct_keys = self.reduce_partition(&mut merged, &mut outputs);
-                        FinalizedPartition {
-                            partition,
-                            distinct_keys,
-                            outputs,
-                            dlq_attempts: None,
-                            failed: None,
-                            retries: u64::from(retries),
-                            fanin,
-                            from_checkpoint: false,
-                        }
-                    }
-                    // A disk or decode failure streaming a spilled run
-                    // back is an infrastructure error, not a task fault:
-                    // it bypasses the DLQ and surfaces as the job error
-                    // (lowest partition wins, applied by the caller).
-                    Err(error) => FinalizedPartition {
-                        partition,
-                        distinct_keys: 0,
-                        outputs: Vec::new(),
-                        dlq_attempts: None,
-                        failed: Some(SimError::SpillIo {
-                            partition,
-                            path: error.path,
-                            source: error.source,
-                        }),
-                        retries: u64::from(retries),
-                        fanin,
-                        from_checkpoint: false,
-                    },
-                }
-            }
-            TaskVerdict::Dropped { retries, attempts } => FinalizedPartition {
-                partition,
-                distinct_keys: 0,
-                outputs: Vec::new(),
-                dlq_attempts: Some(attempts),
-                failed: None,
-                retries: u64::from(retries),
-                fanin: 0,
-                from_checkpoint: false,
-            },
-            TaskVerdict::Failed { error, retries } => FinalizedPartition {
-                partition,
-                distinct_keys: 0,
-                outputs: Vec::new(),
-                dlq_attempts: None,
-                failed: Some(error),
-                retries: u64::from(retries),
-                fanin: 0,
-                from_checkpoint: false,
-            },
-        }
+        Some((part, fanin))
     }
 
-    /// Finalizes an `Arc`-shared queue item (stealing mode): does the
-    /// work, then races the compare-and-swap on the partition's
-    /// resolution slot. Returns `Some` — and applies the retry/error side
-    /// effects — only for the winner; the loser's work is discarded.
-    /// Commits one winning finalize to the checkpoint session (when one
-    /// is active): successful fresh work only — dead-lettered, failed,
-    /// and already-checkpointed partitions are not (re)persisted.
-    fn checkpoint_finalized(
-        &self,
-        part: &FinalizedPartition<R::Out>,
-        ckpt: Option<&CheckpointSession<R::Out>>,
-    ) {
-        if let Some(session) = ckpt {
-            if !part.from_checkpoint && part.failed.is_none() && part.dlq_attempts.is_none() {
-                session.record(part.partition, &part.outputs, part.distinct_keys);
-            }
-        }
-    }
-
+    /// Finalizes an `Arc`-shared queue item (stealing mode). Returns
+    /// `None` without doing any work when another copy already resolved
+    /// the partition, and `None` after the work when another copy won the
+    /// race meanwhile.
     fn finalize_shared(
         &self,
         item: Arc<FinalizeItem<M>>,
         coord: &Coordination,
         speculative: bool,
         ckpt: Option<&CheckpointSession<R::Out>>,
-    ) -> Option<FinalizedPartition<R::Out>> {
+    ) -> Option<(FinalizedPartition<R::Out>, u64)> {
         let partition = item.partition;
         if coord.finalize_resolved[partition].load(Ordering::Acquire) {
             return None;
@@ -1506,23 +1403,7 @@ where
             Ok(owned) => (owned.runs, owned.spilled),
             Err(shared) => (shared.runs.clone(), shared.spilled.clone()),
         };
-        let part = self.finalize_partition(partition, runs, spilled, speculative, ckpt);
-        if coord.finalize_resolved[partition]
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return None;
-        }
-        coord
-            .reduce_retries
-            .fetch_add(part.retries, Ordering::Relaxed);
-        if let Some(error) = part.failed.clone() {
-            coord.record_reduce_error(partition, error);
-        }
-        // Resolution winner only: exactly one checkpoint commit per
-        // partition, no matter how many copies raced.
-        self.checkpoint_finalized(&part, ckpt);
-        Some(part)
+        self.finalize_partition(partition, runs, spilled, speculative, coord, ckpt)
     }
 }
 
@@ -1837,15 +1718,11 @@ mod tests {
             for finalize in FinalizeMode::ALL {
                 assert_eq!(expected, mk(ShuffleMode::Pipelined, threads, finalize));
             }
-            assert_eq!(
-                expected,
-                mk(ShuffleMode::Streaming, threads, FinalizeMode::Static)
-            );
         }
     }
 
     /// A panic in user map code must propagate out of `Job::run` like the
-    /// pass-based modes propagate it — not deadlock the stage graph. The
+    /// materialized mode propagates it — not deadlock the stage graph. The
     /// test completing at all is the real assertion (a regression hangs
     /// until the harness timeout); depth 1 with several mappers maximizes
     /// the chance that peers are blocked on full channels when the panic
@@ -2075,7 +1952,7 @@ mod tests {
         );
         assert_eq!(
             expected,
-            mk(ShuffleMode::Streaming, 2, FinalizeMode::Static)
+            mk(ShuffleMode::Materialized, 2, FinalizeMode::Static)
         );
         for finalize in FinalizeMode::ALL {
             for threads in [1, 2, 4] {
@@ -2219,13 +2096,13 @@ mod tests {
                     "t={threads} {finalize:?}"
                 );
             }
-            let out = mk(ShuffleMode::Streaming, threads, FinalizeMode::Static);
-            assert_eq!(reference.dlq, out.dlq, "streaming t={threads}");
-            assert_eq!(reference.outputs, out.outputs, "streaming t={threads}");
+            let out = mk(ShuffleMode::Materialized, threads, FinalizeMode::Static);
+            assert_eq!(reference.dlq, out.dlq, "materialized t={threads}");
+            assert_eq!(reference.outputs, out.outputs, "materialized t={threads}");
             assert_eq!(
                 reference.metrics.deterministic(),
                 out.metrics.deterministic(),
-                "streaming t={threads}"
+                "materialized t={threads}"
             );
         }
     }
@@ -2371,6 +2248,5 @@ mod tests {
         let expected = mk(ShuffleMode::Materialized);
         assert!(matches!(expected, SimError::CapacityExceeded { .. }));
         assert_eq!(expected, mk(ShuffleMode::Pipelined));
-        assert_eq!(expected, mk(ShuffleMode::Streaming));
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! [`Job::run`](crate::Job::run) historically surfaced results only as a
 //! monolithic `JobOutput` once every partition had finalized. The sink
-//! refactor splits that path: every engine (materialized, streaming,
-//! pipelined) now announces each reduce partition the moment it
-//! finalizes, through a caller-supplied [`PartitionSink`]. The original
+//! refactor splits that path: both engines (materialized, pipelined)
+//! announce each reduce partition the moment it finalizes, through a
+//! caller-supplied [`PartitionSink`]. The original
 //! all-at-once behaviour is just the no-op sink ([`NullSink`]) — the
 //! engine still returns the full `JobOutput`, so existing callers are
 //! unchanged.
@@ -21,8 +21,8 @@
 //! ## Sink contract
 //!
 //! - Partitions are delivered in **ascending partition order**, each at
-//!   most once per run. The materialized and streaming engines call the
-//!   sink as each partition finalizes; the pipelined engine calls it
+//!   most once per run. The materialized engine calls the sink as
+//!   each partition finalizes; the pipelined engine calls it
 //!   during deterministic reassembly (after out-of-order finalizes have
 //!   been slotted back into partition order).
 //! - Checkpoint-resumed partitions **are** delivered: a resume run
@@ -87,7 +87,16 @@ pub fn decode_partition<Out: SpillCodec>(bytes: &[u8]) -> Result<(Vec<Out>, u64)
     let count = u64::decode(&mut cursor).ok_or_else(|| "record count truncated".to_string())?;
     let distinct_keys =
         u64::decode(&mut cursor).ok_or_else(|| "distinct-key count truncated".to_string())?;
-    let mut outputs = Vec::with_capacity(usize::try_from(count).unwrap_or(0));
+    // The count is untrusted: every record needs at least its 4-byte
+    // length prefix, so bound the count by the remaining bytes before
+    // allocating for it.
+    let max_records = cursor.len() / 4;
+    if count > max_records as u64 {
+        return Err(format!(
+            "record count {count} exceeds the {max_records} records the bytes could hold"
+        ));
+    }
+    let mut outputs = Vec::with_capacity(count as usize);
     for _ in 0..count {
         let len = u32::decode(&mut cursor).ok_or_else(|| "record length truncated".to_string())?;
         let (mut record, rest) = cursor
@@ -138,6 +147,22 @@ mod tests {
         assert!(decode_partition::<u64>(&padded).is_err());
         // A record whose bytes decode to the wrong type is rejected too.
         assert!(decode_partition::<String>(&bytes).is_err());
+    }
+
+    /// A hostile record count must be an error, not an allocation: a
+    /// 16-byte partition claiming `u64::MAX` records used to panic with
+    /// "capacity overflow", and one claiming 2^32 records aborted the
+    /// process trying to reserve 128 GiB.
+    #[test]
+    fn hostile_record_counts_are_rejected_before_allocating() {
+        for count in [u64::MAX, 1 << 32, 1] {
+            let mut bytes = Vec::new();
+            count.encode(&mut bytes);
+            0u64.encode(&mut bytes);
+            assert_eq!(bytes.len(), 16);
+            let err = decode_partition::<u64>(&bytes).unwrap_err();
+            assert!(err.contains("record count"), "{count}: {err}");
+        }
     }
 
     #[test]

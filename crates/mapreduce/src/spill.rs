@@ -373,6 +373,9 @@ pub(crate) fn write_run<K: SpillCodec, V: SpillCodec>(
 pub(crate) struct SpillReader<K, V> {
     reader: BufReader<File>,
     remaining: u64,
+    /// File bytes not yet read — the bound an untrusted record length is
+    /// checked against before any buffer grows to hold it.
+    unread: u64,
     /// Keeps the temp file alive for the duration of the read even if
     /// every other holder of the run drops meanwhile.
     file: Arc<SpillFile>,
@@ -387,6 +390,10 @@ impl<K: SpillCodec, V: SpillCodec> SpillReader<K, V> {
             source,
         };
         let file = File::open(run.path()).map_err(|e| fail(e.to_string()))?;
+        let file_len = file
+            .metadata()
+            .map_err(|e| fail(format!("reading file size: {e}")))?
+            .len();
         let mut reader = BufReader::new(file);
         let mut header = [0u8; 8];
         reader
@@ -402,6 +409,7 @@ impl<K: SpillCodec, V: SpillCodec> SpillReader<K, V> {
         Ok(SpillReader {
             reader,
             remaining,
+            unread: file_len.saturating_sub(header.len() as u64),
             file: Arc::clone(&run.file),
             record: Vec::new(),
             _types: PhantomData,
@@ -426,8 +434,16 @@ impl<K: SpillCodec, V: SpillCodec> SpillReader<K, V> {
         self.reader
             .read_exact(&mut len)
             .map_err(|e| fail(format!("reading record length: {e}")))?;
-        let len = u32::from_le_bytes(len) as usize;
-        self.record.resize(len, 0);
+        let len = u64::from(u32::from_le_bytes(len));
+        self.unread = self.unread.saturating_sub(4);
+        if len > self.unread {
+            return Err(fail(format!(
+                "record length {len} exceeds the {} bytes left in the run",
+                self.unread
+            )));
+        }
+        self.unread -= len;
+        self.record.resize(len as usize, 0);
         self.reader
             .read_exact(&mut self.record)
             .map_err(|e| fail(format!("reading record body: {e}")))?;
@@ -585,6 +601,28 @@ mod tests {
 
         std::fs::remove_file(blocked.join("occupant")).unwrap();
         std::fs::remove_dir(&blocked).unwrap();
+        std::fs::remove_dir(&dir).expect("test dir is empty again");
+    }
+
+    /// A hostile record length must be an error, not a 4 GiB buffer: the
+    /// reader bounds it by the bytes left in the file before growing its
+    /// record buffer.
+    #[test]
+    fn hostile_record_length_is_a_read_error() {
+        let dir = unique_temp_dir("hostile-len");
+        let run: Vec<(usize, u64, u64)> = (0..4).map(|i| (i, i as u64, 0)).collect();
+        let spilled = write_run(&dir, &run, 64, None).expect("spill writes");
+        let mut bytes = std::fs::read(spilled.path()).unwrap();
+        // The first record's length prefix follows the 8-byte count.
+        bytes[8..12].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
+        std::fs::write(spilled.path(), &bytes).unwrap();
+        let mut reader: SpillReader<u64, u64> = SpillReader::open(&spilled).expect("opens");
+        let Some(Err(err)) = reader.next_record() else {
+            panic!("an oversized length prefix must be a read error");
+        };
+        assert!(err.source.contains("exceeds"), "{}", err.source);
+        drop(reader);
+        drop(spilled);
         std::fs::remove_dir(&dir).expect("test dir is empty again");
     }
 

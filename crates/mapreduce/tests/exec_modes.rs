@@ -14,11 +14,11 @@
 //!   the workload the work-stealing finalize exists for.
 //!
 //! The reference cell of the matrix is `Materialized × 1 thread`; every
-//! other cell (`{Materialized, Streaming, Pipelined × {static, stealing}}
-//! × threads {1,2,4} × {Unlimited, Record, Enforce}`) is compared against
-//! it. This is the harness that pins the overlapped pipeline engine: if
-//! its reassembly, finalize scheduling, accounting, or error handling
-//! drifts by one byte, a cell differs.
+//! other cell (`{Materialized, Pipelined × {static, stealing}} × threads
+//! {1,2,4} × {Unlimited, Record, Enforce}`) is compared against it. This
+//! is the harness that pins the overlapped pipeline engine: if its
+//! reassembly, finalize scheduling, accounting, or error handling drifts
+//! by one byte, a cell differs.
 
 use mrassign_core::{a2a, InputSet};
 use mrassign_simmr::{
@@ -27,11 +27,11 @@ use mrassign_simmr::{
 };
 use mrassign_workloads::SizeDistribution;
 
-/// Every engine cell: the pass-based modes (for which the finalize mode
-/// is inert) plus the pipelined engine under both finalize schedulers.
-const CELLS: [(ShuffleMode, FinalizeMode); 4] = [
+/// Every engine cell: the materialized shuffle (for which the finalize
+/// mode is inert) plus the pipelined engine under both finalize
+/// schedulers.
+const CELLS: [(ShuffleMode, FinalizeMode); 3] = [
     (ShuffleMode::Materialized, FinalizeMode::Static),
-    (ShuffleMode::Streaming, FinalizeMode::Static),
     (ShuffleMode::Pipelined, FinalizeMode::Static),
     (ShuffleMode::Pipelined, FinalizeMode::Stealing),
 ];
@@ -42,9 +42,8 @@ fn cluster(shuffle: ShuffleMode, finalize: FinalizeMode, map_threads: usize) -> 
         shuffle,
         map_threads,
         finalize_mode: finalize,
-        // A small streaming block and pipeline depth so multi-block sweeps
-        // and back-pressure are exercised even at test sizes.
-        streaming_reducer_block: 8,
+        // A small pipeline depth so back-pressure is exercised even at
+        // test sizes.
         pipeline_depth: 2,
         ..ClusterConfig::default()
     }
@@ -101,7 +100,10 @@ fn sweep_fault_plan() -> FaultPlan {
 /// single-threaded materialized reference: the retry layer must replay the
 /// deterministic tasks until outputs and the deterministic metrics subset
 /// are bit-identical to a run where nothing ever failed, and the masked
-/// fault counters must show the faults actually fired.
+/// fault counters must show the faults actually fired. The retry and DLQ
+/// counters are pinned too: every cell burns exactly the retries the
+/// faulted `Materialized × 1` run burns, since both engines walk each
+/// task's attempt loop once.
 fn sweep_faulted<Out, F>(run: F)
 where
     Out: PartialEq + std::fmt::Debug,
@@ -112,16 +114,35 @@ where
         reference.is_ok(),
         "the fault sweep workloads are all clean-run feasible"
     );
+    let faulted_reference = run(
+        ShuffleMode::Materialized,
+        FinalizeMode::Static,
+        1,
+        Some(sweep_fault_plan()),
+    )
+    .expect("budget 8 absorbs every fault in the reference cell")
+    .metrics
+    .faults;
     for (mode, finalize) in CELLS {
         for threads in THREADS {
             let label = format!("faulted {mode:?}/{finalize:?} × threads={threads}");
             let cell = run(mode, finalize, threads, Some(sweep_fault_plan()));
             if let Ok(out) = &cell {
+                let faults = &out.metrics.faults;
                 assert!(
-                    out.metrics.faults.retries() > 0,
+                    faults.retries() > 0,
                     "{label}: seed 23 at rate 0.2 must inject at least one fault"
                 );
                 assert!(out.dlq.is_empty(), "{label}: budget 8 absorbs every fault");
+                assert_eq!(
+                    (faults.map_retries, faults.reduce_retries, faults.dlq_len),
+                    (
+                        faulted_reference.map_retries,
+                        faulted_reference.reduce_retries,
+                        faulted_reference.dlq_len
+                    ),
+                    "{label}: retry accounting diverged from the faulted reference"
+                );
             }
             assert_cell_matches(&reference, cell, &label);
         }
@@ -976,10 +997,8 @@ fn checkpointed_rerun_is_bit_identical_across_the_matrix() {
                         "{label}: cold deterministic metrics"
                     );
                     assert_eq!(cold.metrics.pipeline.checkpoint_hits, 0, "{label}: cold");
-                    // The executed-partition count is mode-shaped (the
-                    // pass-based engines skip empty partitions before the
-                    // checkpoint lookup; the pipelined engine finalizes
-                    // all of them), so calibrate from the cold run.
+                    // Only nonempty partitions run a reduce task (and so
+                    // a checkpoint lookup), so calibrate from the cold run.
                     let executed = cold.metrics.pipeline.checkpoint_misses;
                     assert!(executed > 0, "{label}: cold misses every partition");
 
@@ -1021,10 +1040,10 @@ fn killed_job_resumes_reexecuting_strictly_fewer_partitions() {
         .run(&lines)
         .unwrap();
     for (mode, finalize) in CELLS {
-        // How many partitions this engine shape actually executes (the
-        // pass-based engines skip empty ones): a throwaway checkpointed
-        // run, with the same inert fault-plan skeleton the resume uses so
-        // its fingerprint matches the counts being calibrated.
+        // How many partitions the job actually executes (empty ones run
+        // no reduce task): a throwaway checkpointed run, with the same
+        // inert fault-plan skeleton the resume uses so its fingerprint
+        // matches the counts being calibrated.
         let probe_dir = ckpt_dir("kill-probe");
         let probe = wc_job(ClusterConfig {
             checkpoint_dir: Some(probe_dir.clone()),

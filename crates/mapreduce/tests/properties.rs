@@ -102,8 +102,6 @@ proptest! {
 
     #[test]
     fn shuffle_mode_never_changes_results(inputs in records(), n_red in 1usize..90) {
-        // Reducer counts straddle the streaming block size, so single-block
-        // and multi-block sweeps are both exercised.
         let run = |shuffle| {
             Job::new(KvMapper, CountBytes, HashRouter::new(), n_red, ClusterConfig {
                 shuffle,
@@ -113,9 +111,9 @@ proptest! {
             .unwrap()
         };
         let materialized = run(ShuffleMode::Materialized);
-        let streaming = run(ShuffleMode::Streaming);
-        prop_assert_eq!(&materialized.outputs, &streaming.outputs);
-        prop_assert_eq!(&materialized.metrics, &streaming.metrics);
+        let pipelined = run(ShuffleMode::Pipelined);
+        prop_assert_eq!(&materialized.outputs, &pipelined.outputs);
+        prop_assert_eq!(materialized.metrics.deterministic(), pipelined.metrics.deterministic());
     }
 
     /// Pipeline internals under random shapes: for arbitrary inputs,
@@ -232,32 +230,6 @@ proptest! {
         }
     }
 
-    /// Streaming block/batch knobs are behavior-free: any valid setting
-    /// produces the same `JobOutput` (the knobs only move the
-    /// memory/recomputation tradeoff).
-    #[test]
-    fn streaming_knobs_never_change_results(
-        inputs in records(),
-        n_red in 1usize..90,
-        block in 1usize..100,
-        batch in 1usize..40,
-    ) {
-        let run = |shuffle, streaming_reducer_block, streaming_map_batch| {
-            Job::new(KvMapper, CountBytes, HashRouter::new(), n_red, ClusterConfig {
-                shuffle,
-                streaming_reducer_block,
-                streaming_map_batch,
-                ..ClusterConfig::default()
-            })
-            .run(&inputs)
-            .unwrap()
-        };
-        let materialized = run(ShuffleMode::Materialized, 64, 256);
-        let streaming = run(ShuffleMode::Streaming, block, batch);
-        prop_assert_eq!(&materialized.outputs, &streaming.outputs);
-        prop_assert_eq!(&materialized.metrics, &streaming.metrics);
-    }
-
     #[test]
     fn broadcast_multiplies_exactly_by_reducers(inputs in records(), n_red in 1usize..7) {
         let job = Job::new(KvMapper, CountBytes, BroadcastRouter, n_red, ClusterConfig::default());
@@ -362,12 +334,10 @@ proptest! {
             ..FaultPlan::seeded(seed, 0.0)
         };
         let reference = run(ShuffleMode::Materialized, FinalizeMode::Static, None);
-        for shuffle in [ShuffleMode::Materialized, ShuffleMode::Streaming] {
-            let faulted = run(shuffle, FinalizeMode::Static, Some(plan.clone()));
-            prop_assert_eq!(&reference.outputs, &faulted.outputs);
-            prop_assert_eq!(reference.metrics.deterministic(), faulted.metrics.deterministic());
-            prop_assert!(faulted.dlq.is_empty());
-        }
+        let faulted = run(ShuffleMode::Materialized, FinalizeMode::Static, Some(plan.clone()));
+        prop_assert_eq!(&reference.outputs, &faulted.outputs);
+        prop_assert_eq!(reference.metrics.deterministic(), faulted.metrics.deterministic());
+        prop_assert!(faulted.dlq.is_empty());
         for finalize in FinalizeMode::ALL {
             let faulted = run(ShuffleMode::Pipelined, finalize, Some(plan.clone()));
             prop_assert_eq!(&reference.outputs, &faulted.outputs);
@@ -426,7 +396,6 @@ proptest! {
         };
         for (shuffle, finalize) in [
             (ShuffleMode::Materialized, FinalizeMode::Static),
-            (ShuffleMode::Streaming, FinalizeMode::Static),
             (ShuffleMode::Pipelined, FinalizeMode::Static),
             (ShuffleMode::Pipelined, FinalizeMode::Stealing),
         ] {
@@ -509,7 +478,6 @@ proptest! {
             .collect();
         for (shuffle, finalize) in [
             (ShuffleMode::Materialized, FinalizeMode::Static),
-            (ShuffleMode::Streaming, FinalizeMode::Static),
             (ShuffleMode::Pipelined, FinalizeMode::Static),
             (ShuffleMode::Pipelined, FinalizeMode::Stealing),
         ] {

@@ -654,10 +654,9 @@ mod tests {
             .unwrap()
         };
         let reference = mk(ShuffleMode::Materialized, FinalizeMode::Static);
-        assert_eq!(reference, mk(ShuffleMode::Streaming, FinalizeMode::Static));
-        // The overlapped engine too: Plan is built from the simulated
-        // (deterministic) metrics, so neither pipelining nor its finalize
-        // scheduler can move the frontier.
+        // Plan is built from the simulated (deterministic) metrics, so
+        // neither pipelining nor its finalize scheduler can move the
+        // frontier.
         for finalize in FinalizeMode::ALL {
             assert_eq!(reference, mk(ShuffleMode::Pipelined, finalize));
         }

@@ -90,9 +90,11 @@ fn main() {
     let inputs = InputSet::from_weights(weights.clone());
     let cluster = ClusterConfig {
         workers: 16,
-        // The streaming shuffle bounds peak memory to one reducer block;
-        // every number printed below is identical under either mode.
-        shuffle: mrassign::simmr::ShuffleMode::Streaming,
+        // The pipelined shuffle with a memory budget bounds the buffered
+        // shuffle bytes, spilling sorted runs to disk past 64 KiB; every
+        // number printed below is identical under either mode.
+        shuffle: mrassign::simmr::ShuffleMode::Pipelined,
+        memory_budget: Some(64 * 1024),
         ..ClusterConfig::default()
     };
 

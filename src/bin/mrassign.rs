@@ -6,7 +6,7 @@
 //! mrassign x2y  --x xs.txt --y ys.txt --q 200 [--algo <x2y solver>] [--budget <nodes>] [--routes]
 //! mrassign plan --weights weights.txt [--workers 16] [--candidates 10]
 //!               [--objective makespan|comm:<slowdown>] [--algo <a2a solver>] [--budget <nodes>]
-//!               [--threads <n>] [--shuffle materialized|streaming|pipelined]
+//!               [--threads <n>] [--shuffle materialized|pipelined]
 //!               [--finalize static|stealing] [--retries <n>] [--faults seed:7,rate:0.05]
 //!               [--memory-budget <bytes>]
 //! mrassign dag  [--workload marginals|skewjoin] [--jobs 4] [--tenants 2] [--pool 2]
@@ -99,12 +99,12 @@ usage:
   mrassign a2a  --weights <file> --q <n> [--algo <a2a solver>] [--budget <nodes>] [--routes]
   mrassign x2y  --x <file> --y <file> --q <n> [--algo <x2y solver>] [--budget <nodes>] [--routes]
   mrassign plan --weights <file> [--workers <n>] [--candidates <n>] [--objective makespan|comm:<slowdown>]
-                [--algo <a2a solver>] [--budget <nodes>] [--threads <n>] [--shuffle materialized|streaming|pipelined]
+                [--algo <a2a solver>] [--budget <nodes>] [--threads <n>] [--shuffle materialized|pipelined]
                 [--finalize static|stealing] [--retries <n>] [--faults <spec>]
                 [--memory-budget <bytes>] [--checkpoint-dir <dir>]
   mrassign dag  [--workload marginals|skewjoin] [--jobs <n>] [--tenants <n>] [--pool <n>] [--rows <n>]
                 [--seed <s>] [--repeat <n>] [--stage-cache <bytes>] [--threads <n>]
-                [--shuffle materialized|streaming|pipelined] [--finalize static|stealing]
+                [--shuffle materialized|pipelined] [--finalize static|stealing]
                 [--retries <n>] [--faults <spec>] [--memory-budget <bytes>] [--checkpoint-dir <dir>]
 
 distribution specs: const:<w> | uniform:<lo>:<hi> | zipf:<ranks>:<exp>:<max> | bimodal:<small>:<big>:<frac> | boundary:<q>
@@ -975,26 +975,31 @@ mod tests {
             .map(|s| s.to_string())
             .collect();
             args.extend(extra.iter().map(|s| s.to_string()));
-            run(&args).unwrap()
+            run(&args)
         };
         // The plan is identical whatever knobs are set: determinism is the
         // whole point of both flags.
-        let reference = base(&[]);
-        assert_eq!(reference, base(&["--threads", "4"]));
-        assert_eq!(reference, base(&["--shuffle", "streaming"]));
-        assert_eq!(reference, base(&["--shuffle", "pipelined"]));
+        let reference = base(&[]).unwrap();
+        assert_eq!(reference, base(&["--threads", "4"]).unwrap());
+        assert_eq!(reference, base(&["--shuffle", "pipelined"]).unwrap());
         assert_eq!(
             reference,
-            base(&["--shuffle", "pipelined", "--finalize", "stealing"])
+            base(&["--shuffle", "pipelined", "--finalize", "stealing"]).unwrap()
         );
-        assert_eq!(reference, base(&["--finalize", "static"]));
+        assert_eq!(reference, base(&["--finalize", "static"]).unwrap());
         assert_eq!(
             reference,
-            base(&["--threads", "2", "--shuffle", "streaming"])
+            base(&["--threads", "2", "--shuffle", "materialized"]).unwrap()
         );
         assert_eq!(
             reference,
-            base(&["--threads", "4", "--shuffle", "pipelined"])
+            base(&["--threads", "4", "--shuffle", "pipelined"]).unwrap()
+        );
+        // The removed streaming shuffle is rejected by name, not run.
+        let err = base(&["--shuffle", "streaming"]).unwrap_err();
+        assert!(
+            err.contains("unknown shuffle mode `streaming` (expected materialized|pipelined)"),
+            "{err}"
         );
         std::fs::remove_file(path).unwrap();
     }
@@ -1121,8 +1126,11 @@ mod tests {
         assert!(parse_a2a_algo("grid").is_err());
         assert!(parse_x2y_algo("grouping").is_err());
         assert!(parse_shuffle("materialized").is_ok());
-        assert!(parse_shuffle("streaming").is_ok());
         assert!(parse_shuffle("pipelined").is_ok());
+        assert_eq!(
+            parse_shuffle("streaming").unwrap_err(),
+            "unknown shuffle mode `streaming` (expected materialized|pipelined)"
+        );
         let err = parse_shuffle("mystery").unwrap_err();
         assert!(err.contains("pipelined"), "{err}");
         assert!(parse_finalize("static").is_ok());
@@ -1281,7 +1289,7 @@ mod tests {
         };
         let reference = base(&[]).unwrap();
         for knobs in [
-            &["--shuffle", "streaming"][..],
+            &["--shuffle", "pipelined", "--threads", "2"][..],
             &["--shuffle", "pipelined", "--finalize", "stealing"][..],
             &[
                 "--shuffle",
