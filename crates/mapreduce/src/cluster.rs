@@ -51,39 +51,6 @@ pub enum DlqMode {
     Capture,
 }
 
-impl DlqMode {
-    /// Every mode, in the order the `--dlq` grammar lists them.
-    pub const ALL: [DlqMode; 2] = [DlqMode::Fail, DlqMode::Capture];
-
-    /// The name accepted by every `--dlq` flag; [`std::str::FromStr`]
-    /// parses and reports errors through this list.
-    pub fn name(self) -> &'static str {
-        match self {
-            DlqMode::Fail => "fail",
-            DlqMode::Capture => "capture",
-        }
-    }
-}
-
-impl std::str::FromStr for DlqMode {
-    type Err = String;
-
-    /// Parses the mode names used by every `--dlq` flag, so a typo fails
-    /// loudly instead of silently reverting to the default.
-    fn from_str(name: &str) -> Result<Self, Self::Err> {
-        DlqMode::ALL
-            .into_iter()
-            .find(|mode| mode.name() == name)
-            .ok_or_else(|| {
-                let expected: Vec<&str> = DlqMode::ALL.map(DlqMode::name).to_vec();
-                format!(
-                    "unknown dlq mode `{name}` (expected {})",
-                    expected.join("|")
-                )
-            })
-    }
-}
-
 /// A deterministic, seeded fault-injection schedule.
 ///
 /// Whether a given task *attempt* fails is a pure function of
@@ -425,11 +392,13 @@ pub struct ClusterConfig {
     /// outputs and the deterministic metrics subset are identical across
     /// modes.
     pub shuffle: ShuffleMode,
-    /// [`ShuffleMode::Pipelined`]: bounded capacity (in blocks) of each
-    /// mapper → consumer channel. Depth 1 is maximal back-pressure
-    /// (mappers lock-step with consumers); larger depths buy overlap with
-    /// memory. Peak in-flight blocks are bounded by
-    /// `pipeline_depth × consumer groups`. Must be ≥ 1.
+    /// [`ShuffleMode::Pipelined`]: blocks each mapper → consumer channel
+    /// may hold in flight. A channel buffers `pipeline_depth − 1` blocks,
+    /// so depth 1 is a rendezvous: a mapper's send returns only once the
+    /// consumer takes the block (true lock-step). Larger depths buy
+    /// overlap with memory. Blocks sent and not yet taken in by a
+    /// consumer are bounded by `pipeline_depth × consumer groups`. Must be
+    /// ≥ 1.
     pub pipeline_depth: usize,
     /// [`ShuffleMode::Pipelined`]: how completed partitions are assigned
     /// to consumer threads for finalization. See [`FinalizeMode`].
@@ -908,18 +877,6 @@ mod tests {
         assert_eq!(FinalizeMode::default(), FinalizeMode::Static);
         let err = "mystery".parse::<FinalizeMode>().unwrap_err();
         for mode in FinalizeMode::ALL {
-            assert!(err.contains(mode.name()), "{err}");
-        }
-    }
-
-    #[test]
-    fn dlq_mode_names_round_trip() {
-        for mode in DlqMode::ALL {
-            assert_eq!(mode.name().parse::<DlqMode>(), Ok(mode));
-        }
-        assert_eq!(DlqMode::default(), DlqMode::Fail);
-        let err = "mystery".parse::<DlqMode>().unwrap_err();
-        for mode in DlqMode::ALL {
             assert!(err.contains(mode.name()), "{err}");
         }
     }

@@ -299,9 +299,9 @@ where
         // Process-level fault injection: a kill is worker *death*, not a
         // transient task failure — it unwinds instead of flowing through
         // `Result`, exactly like a real crash, and the pipelined engine's
-        // RAII guards (SenderGuard / ReceiverGuard / the finalize
-        // publisher) absorb it so sibling threads drain instead of
-        // deadlocking. Primaries only: the speculative copy is the one
+        // unwind paths (channel endpoints dropping with their thread, the
+        // finalize publisher guard) absorb it so sibling threads drain
+        // instead of deadlocking. Primaries only: the speculative copy is the one
         // that survives. Tests kill a job mid-run, then re-run the same
         // checkpoint dir without the kill list (the job fingerprint
         // excludes it) to prove resume skips the completed partitions.

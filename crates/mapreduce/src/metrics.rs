@@ -17,9 +17,9 @@ pub struct PipelineMetrics {
     /// task was still in flight — the overlap the pipelined engine exists
     /// to create. Zero means the run degenerated to strict passes.
     pub map_reduce_overlap_blocks: u64,
-    /// Highest number of blocks simultaneously resident in the bounded
-    /// stage channels. Back-pressure bounds this by
-    /// `pipeline_depth × consumer_groups`.
+    /// Highest number of blocks sent into the stage channels and not yet
+    /// taken in by their consumer at one time. Back-pressure bounds this
+    /// by `pipeline_depth × consumer_groups`.
     pub peak_inflight_blocks: u64,
     /// Total partition-tagged blocks that flowed mapper → consumer.
     pub blocks_sent: u64,

@@ -4,9 +4,9 @@
 //! the first reduce byte is processed only after the last map task
 //! finishes.
 //! This module replaces the passes with a **stage graph of scoped worker
-//! threads connected by bounded MPSC channels** (hand-rolled over
-//! `std::sync::Mutex` + `Condvar`, no external runtime — the engine stays
-//! dependency-free and offline-friendly):
+//! threads connected by bounded MPSC channels** (`std::sync::mpsc::
+//! sync_channel`, no external runtime — the engine stays dependency-free
+//! and offline-friendly):
 //!
 //! ```text
 //!   inputs ──► task queue (atomic cursor)
@@ -16,13 +16,13 @@
 //!      │  map_one → route → partition-tagged Block { seq, records }
 //!      │  (emission/byte accounting into shared atomics)
 //!      └───┬────────┬──────┘
-//!     bounded channel per consumer group (capacity = pipeline_depth)
+//!     bounded channel per consumer group (buffer = pipeline_depth − 1)
 //!          │        │        ◄── back-pressure: a full channel blocks
 //!          ▼        ▼            the sender until the consumer drains
 //!   consumer 1 … consumer G               G = min(T, n_reducers)
 //!      │  per-partition byte accounting + incremental reassembly into
 //!      │  seq-ordered runs (overlaps live map tasks — the pipelining)
-//!      │  … channels close when every mapper is done …
+//!      │  … channels close when every mapper drops its senders …
 //!      │  finalize: k-way merge each partition's runs, group, reduce
 //!      │  (static: own range only; stealing: shared LPT finalize queue)
 //!      ▼
@@ -39,14 +39,17 @@
 //! across consumer groups the moment the channels close.
 //! [`PipelineMetrics`] reports how much overlap a run actually achieved.
 //!
-//! **Back-pressure.** Every channel holds at most
-//! [`ClusterConfig::pipeline_depth`] blocks; a full channel blocks its
-//! sender. Peak resident blocks are therefore bounded by
-//! `pipeline_depth × consumer groups` (the gauge increments inside the
-//! sending channel's critical section, so the recorded
-//! `peak_inflight_blocks` respects the same bound). Buffered runs are
-//! bounded separately by [`ClusterConfig::memory_budget`], which spills
-//! them to disk.
+//! **Back-pressure.** Every channel buffers
+//! [`ClusterConfig::pipeline_depth`] − 1 blocks and a full channel blocks
+//! its sender, so depth 1 is a rendezvous: a send returns only once the
+//! consumer takes the block. A sender raises the in-flight gauge after
+//! its send returns and the consumer lowers it right after `recv`, so
+//! each channel counts at most `pipeline_depth` blocks sent and not yet
+//! taken in (its buffer plus the block its consumer just received), and
+//! the recorded `peak_inflight_blocks` is bounded by
+//! `pipeline_depth × consumer groups`. Buffered runs are bounded
+//! separately by [`ClusterConfig::memory_budget`], which spills them to
+//! disk.
 //!
 //! **Determinism.** Mappers pull tasks dynamically, so blocks arrive at a
 //! consumer in arbitrary order — but every block carries the index of the
@@ -64,11 +67,14 @@
 //! and [`FinalizeMode`]; only [`PipelineMetrics`] varies run to run.
 //!
 //! **Finalize scheduling.** Once the channels close, each completed
-//! partition still needs its merge + reduce. Under
+//! partition still needs its merge + reduce. Both modes wrap each one in
+//! the same finalize item and run it through the same function; the mode
+//! only decides which thread takes an item. Under
 //! [`FinalizeMode::Static`] every consumer finalizes exactly the
-//! contiguous range it drained — which serializes a hot group's whole
-//! range on one thread while its peers idle, precisely the skew pathology
-//! the paper's load-balancing thesis targets. Under
+//! contiguous range it drained, in ascending partition order — which
+//! serializes a hot group's whole range on one thread while its peers
+//! idle, precisely the skew pathology the paper's load-balancing thesis
+//! targets. Under
 //! [`FinalizeMode::Stealing`] consumers publish their completed
 //! partitions into a shared `FinalizeQueue` (popped
 //! largest-bytes-first, the LPT rule the simulated scheduler itself
@@ -86,17 +92,19 @@
 //! leaks (all are scoped), and the job returns the same [`SimError`] the
 //! materialized mode returns. Capacity enforcement runs after the map stage
 //! completes, on the same totals, in the same reducer order. *Panics* in
-//! user code propagate rather than deadlock: both channel endpoints
-//! detach via RAII guards, so an unwinding mapper still signals
-//! end-of-stream and an unwinding consumer unblocks any sender stuck on
-//! its full channel; the scope join then re-raises the panic, exactly as
-//! the materialized mode does.
+//! user code propagate rather than deadlock, because every channel
+//! endpoint is owned by one thread and drops as that thread unwinds: an
+//! unwinding mapper's senders drop, so `recv` still ends once every
+//! mapper is gone, and an unwinding consumer's receiver drops, so every
+//! send to it — including one blocked on its full channel — returns
+//! `Err` and the mapper drops the block. The scope join then re-raises
+//! the panic, exactly as the materialized mode does.
 //!
 //! **Fault tolerance.** With a [`crate::FaultPlan`] configured, every map
 //! task and finalize runs the fault-layer attempt loop first
 //! (`Job::fault_verdict`): injected faults are *check-first* — they
 //! preempt the attempt before any user code runs and flow through
-//! `Result` values, never unwinding — so the RAII abort guards above stay
+//! `Result` values, never unwinding — so the unwind paths above stay
 //! reserved for true user-code panics. A task that exhausts its budget is
 //! dead-lettered (capture mode) or recorded as the job error keyed by the
 //! lowest task index / partition, matching the sequential pass. With
@@ -108,8 +116,9 @@
 //! bit-identical no matter who wins.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -127,14 +136,17 @@ use crate::traits::{Mapper, Reducer};
 #[cfg(doc)]
 use crate::cluster::{ClusterConfig, ShuffleMode};
 
-/// Gauge of blocks currently resident in the stage channels, with a
-/// high-water mark. Updated inside the owning channel's critical section,
-/// which is what keeps `peak ≤ Σ channel capacities` exact (see the
-/// module docs).
+/// Gauge of blocks sent into the stage channels and not yet taken in by
+/// their consumers, with a high-water mark (see the module docs for why
+/// the count per channel is at most `pipeline_depth`). A `recv` can lower
+/// the gauge before the matching raise lands, so it is signed and may lag
+/// the true count but never exceeds it. The block a consumer takes in was
+/// itself in flight, so lowering records at least 1: a run that moved any
+/// block reports a peak of at least one.
 #[derive(Default)]
 struct InflightGauge {
-    current: AtomicU64,
-    peak: AtomicU64,
+    current: AtomicI64,
+    peak: AtomicI64,
 }
 
 impl InflightGauge {
@@ -144,139 +156,8 @@ impl InflightGauge {
     }
 
     fn lower(&self) {
-        self.current.fetch_sub(1, Ordering::Relaxed);
-    }
-}
-
-struct QueueState<T> {
-    queue: VecDeque<T>,
-    senders: usize,
-    receiver_alive: bool,
-}
-
-/// A bounded multi-producer single-consumer channel built from
-/// `Mutex` + two `Condvar`s. `send` blocks while the queue is at
-/// capacity (the back-pressure), `recv` blocks while it is empty and
-/// returns `None` once every sender has detached and the queue drained.
-///
-/// Both endpoints detach through RAII guards ([`SenderGuard`],
-/// [`ReceiverGuard`]) so that a *panic* in user code (a mapper, reducer,
-/// or `ByteSized` impl) unwinds through the detach path instead of
-/// leaving the other side blocked forever: a dead receiver turns `send`
-/// into a no-op, a dead sender still counts down `senders`. The panic
-/// then propagates normally when the scope joins the thread.
-struct BoundedQueue<T> {
-    capacity: usize,
-    state: Mutex<QueueState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-impl<T> BoundedQueue<T> {
-    fn new(capacity: usize, senders: usize) -> Self {
-        assert!(capacity >= 1, "validated by ClusterConfig::validate");
-        BoundedQueue {
-            capacity,
-            state: Mutex::new(QueueState {
-                queue: VecDeque::with_capacity(capacity),
-                senders,
-                receiver_alive: true,
-            }),
-            not_full: Condvar::new(),
-            not_empty: Condvar::new(),
-        }
-    }
-
-    fn send(&self, item: T, gauge: &InflightGauge) {
-        let mut state = self.state.lock().expect("pipeline channel poisoned");
-        while state.queue.len() >= self.capacity && state.receiver_alive {
-            state = self
-                .not_full
-                .wait(state)
-                .expect("pipeline channel poisoned");
-        }
-        if !state.receiver_alive {
-            // The consumer died mid-unwind; the job is about to re-raise
-            // its panic, so the block is dropped rather than queued.
-            return;
-        }
-        state.queue.push_back(item);
-        gauge.raise();
-        drop(state);
-        self.not_empty.notify_one();
-    }
-
-    fn recv(&self, gauge: &InflightGauge) -> Option<T> {
-        let mut state = self.state.lock().expect("pipeline channel poisoned");
-        loop {
-            if let Some(item) = state.queue.pop_front() {
-                gauge.lower();
-                drop(state);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if state.senders == 0 {
-                return None;
-            }
-            state = self
-                .not_empty
-                .wait(state)
-                .expect("pipeline channel poisoned");
-        }
-    }
-
-    /// Detaches one sender; the last detachment wakes the consumer so it
-    /// can observe end-of-stream instead of waiting forever. Runs from
-    /// [`SenderGuard::drop`] — possibly mid-unwind — so it tolerates a
-    /// poisoned lock instead of double-panicking.
-    fn close_sender(&self) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.senders -= 1;
-        let closed = state.senders == 0;
-        drop(state);
-        if closed {
-            self.not_empty.notify_all();
-        }
-    }
-
-    /// Marks the receiver dead (runs from [`ReceiverGuard::drop`],
-    /// possibly mid-unwind) and wakes every sender blocked on a full
-    /// queue so none of them waits on a consumer that will never drain.
-    fn close_receiver(&self) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.receiver_alive = false;
-        drop(state);
-        self.not_full.notify_all();
-    }
-}
-
-/// Detaches a mapper from every stage channel on drop — including panic
-/// unwinds, which is the point: without it a panicking mapper never
-/// closes its channels and every consumer waits forever.
-struct SenderGuard<'a, T>(&'a [BoundedQueue<T>]);
-
-impl<T> Drop for SenderGuard<'_, T> {
-    fn drop(&mut self) {
-        for channel in self.0 {
-            channel.close_sender();
-        }
-    }
-}
-
-/// Marks a consumer's channel receiver dead on drop, so mappers blocked
-/// on a full channel resume (their sends become no-ops) if the consumer
-/// panics instead of draining to end-of-stream.
-struct ReceiverGuard<'a, T>(&'a BoundedQueue<T>);
-
-impl<T> Drop for ReceiverGuard<'_, T> {
-    fn drop(&mut self) {
-        self.0.close_receiver();
+        let before = self.current.fetch_sub(1, Ordering::Relaxed);
+        self.peak.fetch_max(before.max(1), Ordering::Relaxed);
     }
 }
 
@@ -292,11 +173,11 @@ impl<T> Drop for ReceiverGuard<'_, T> {
 /// consumer's [`FinalizePublisherGuard`] triggers so its peers drain out
 /// instead of waiting forever on a publisher that will never arrive.
 struct FinalizeQueue<T> {
-    state: Mutex<FinalizeQueueState<T>>,
+    state: Mutex<FinalizeQueueInner<T>>,
     work_ready: Condvar,
 }
 
-struct FinalizeQueueState<T> {
+struct FinalizeQueueInner<T> {
     items: Vec<(u64, T)>,
     /// Items popped by `steal` but not yet resolved — the candidate pool
     /// for speculative re-execution. Tracked only when the run has
@@ -311,7 +192,7 @@ struct FinalizeQueueState<T> {
 impl<T> FinalizeQueue<T> {
     fn new(publishers: usize, track_in_progress: bool) -> Self {
         FinalizeQueue {
-            state: Mutex::new(FinalizeQueueState {
+            state: Mutex::new(FinalizeQueueInner {
                 items: Vec::new(),
                 in_progress: Vec::new(),
                 track_in_progress,
@@ -322,7 +203,7 @@ impl<T> FinalizeQueue<T> {
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FinalizeQueueState<T>> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, FinalizeQueueInner<T>> {
         // Tolerate poisoning: the abort path runs mid-unwind and must not
         // double-panic; normal paths never panic while holding this lock.
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
@@ -406,7 +287,7 @@ impl<T: Clone> FinalizeQueue<T> {
 /// finalize phase. Dropping it *without* [`FinalizePublisherGuard::finish`]
 /// means the consumer is unwinding before it could publish — the guard
 /// aborts the queue so sibling consumers blocked in `steal` drain out
-/// (mirroring what [`ReceiverGuard`] does for the stage channels).
+/// (as a dropped receiver does for the stage channels).
 struct FinalizePublisherGuard<'a, T> {
     queue: &'a FinalizeQueue<T>,
     finished: bool,
@@ -505,42 +386,7 @@ struct GroupResult<Out> {
     merge_fanin: u64,
 }
 
-/// K-way merges a partition's sequence-ordered runs back into exact
-/// (task, emission) arrival order — the order the materialized pass
-/// produces — and strips the sequence tags. Each `seq` lives in exactly
-/// one run (a map task emits one block per group), so a min-heap over the
-/// run heads is a total order and ties cannot occur across runs.
-fn merge_runs<K, V>(mut runs: Vec<Vec<(usize, K, V)>>) -> Vec<(K, V)> {
-    if runs.len() <= 1 {
-        return runs
-            .pop()
-            .unwrap_or_default()
-            .into_iter()
-            .map(|(_, k, v)| (k, v))
-            .collect();
-    }
-    let total: usize = runs.iter().map(Vec::len).sum();
-    let mut merged: Vec<(K, V)> = Vec::with_capacity(total);
-    let mut iters: Vec<std::vec::IntoIter<(usize, K, V)>> =
-        runs.into_iter().map(Vec::into_iter).collect();
-    let mut heads: Vec<Option<(usize, K, V)>> = iters.iter_mut().map(Iterator::next).collect();
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> = heads
-        .iter()
-        .enumerate()
-        .filter_map(|(run, head)| head.as_ref().map(|&(seq, _, _)| Reverse((seq, run))))
-        .collect();
-    while let Some(Reverse((_, run))) = heap.pop() {
-        let (_, key, value) = heads[run].take().expect("heap entries have a live head");
-        merged.push((key, value));
-        heads[run] = iters[run].next();
-        if let Some(&(seq, _, _)) = heads[run].as_ref() {
-            heap.push(Reverse((seq, run)));
-        }
-    }
-    merged
-}
-
-/// One run feeding the external merge: either resident records or a
+/// One run feeding the k-way merge: either resident records or a
 /// streaming reader over a spilled temp file. Disk sources yield the
 /// records the owner sealed, in the same seq order, so the merge cannot
 /// tell (and the output cannot reflect) where a run lived.
@@ -558,18 +404,22 @@ impl<K: SpillCodec, V: SpillCodec> RunSource<K, V> {
     }
 }
 
-/// The external k-way merge: identical order contract to [`merge_runs`]
-/// (each `seq` lives in exactly one run, so the min-heap over run heads
-/// is a total order), but run heads stream from a mix of in-memory and
-/// on-disk runs — at most one resident record per spilled run. Disk
-/// errors surface as values for the caller to lift into
+/// K-way merges a partition's sequence-ordered runs back into exact
+/// (task, emission) arrival order — the order the materialized pass
+/// produces — and strips the sequence tags. Each `seq` lives in exactly
+/// one run (a map task emits one block per group), so a min-heap over the
+/// run heads is a total order and ties cannot occur across runs. Run
+/// heads stream from a mix of in-memory and on-disk runs — at most one
+/// resident record per spilled run — and a lone in-memory run needs no
+/// heap. Disk errors surface as values for the caller to lift into
 /// [`SimError::SpillIo`].
 fn merge_mixed<K: SpillCodec, V: SpillCodec>(
-    runs: Vec<Vec<(usize, K, V)>>,
+    mut runs: Vec<Vec<(usize, K, V)>>,
     spilled: &[SpilledRun],
 ) -> Result<Vec<(K, V)>, SpillError> {
-    if spilled.is_empty() {
-        return Ok(merge_runs(runs));
+    if spilled.is_empty() && runs.len() <= 1 {
+        let run = runs.pop().unwrap_or_default();
+        return Ok(run.into_iter().map(|(_, k, v)| (k, v)).collect());
     }
     let total: usize = runs.iter().map(Vec::len).sum::<usize>()
         + spilled.iter().map(|s| s.records as usize).sum::<usize>();
@@ -727,9 +577,12 @@ where
         let n_groups = self.n_reducers.div_ceil(per_group);
         let depth = self.config.pipeline_depth;
 
-        let channels: Vec<BoundedQueue<Block<M::Key, M::Value>>> = (0..n_groups)
-            .map(|_| BoundedQueue::new(depth, n_mappers))
-            .collect();
+        // A buffer of `depth − 1` blocks (a rendezvous at depth 1) plus the
+        // block a consumer has just received keeps at most `depth` blocks
+        // per channel in flight — the bound the gauge reports.
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_groups)
+            .map(|_| sync_channel::<Block<M::Key, M::Value>>(depth - 1))
+            .unzip();
         let finalize_queue: FinalizeQueue<Arc<FinalizeItem<M>>> =
             FinalizeQueue::new(n_groups, self.config.speculation);
         let coord = Coordination::new(n_inputs, self.n_reducers);
@@ -740,9 +593,10 @@ where
         let epoch = Instant::now();
 
         let (map_wall, group_results) = std::thread::scope(|scope| {
-            let consumer_handles: Vec<_> = (0..n_groups)
-                .map(|g| {
-                    let channels = &channels;
+            let consumer_handles: Vec<_> = receivers
+                .into_iter()
+                .enumerate()
+                .map(|(g, channel)| {
                     let finalize_queue = &finalize_queue;
                     let coord = &coord;
                     let delete_errors = &delete_errors;
@@ -752,7 +606,7 @@ where
                             g,
                             per_group,
                             n_inputs,
-                            &channels[g],
+                            channel,
                             finalize_queue,
                             coord,
                             &epoch,
@@ -763,17 +617,21 @@ where
                 })
                 .collect();
 
+            // Every mapper owns clones of the senders, so once the
+            // originals drop here a consumer's `recv` ends when the last
+            // mapper exits or unwinds.
             let mapper_handles: Vec<_> = (0..n_mappers)
                 .map(|_| {
-                    let channels = &channels;
+                    let channels = senders.clone();
                     let coord = &coord;
                     let job = self;
                     scope.spawn(move || {
-                        job.map_stage(inputs, per_group, channels, coord);
+                        job.map_stage(inputs, per_group, &channels, coord);
                         epoch.elapsed().as_secs_f64()
                     })
                 })
                 .collect();
+            drop(senders);
 
             let map_wall = mapper_handles
                 .into_iter()
@@ -874,7 +732,8 @@ where
         metrics.reducer_value_bytes = reducer_value_bytes;
         metrics.pipeline = PipelineMetrics {
             map_reduce_overlap_blocks: overlap_blocks,
-            peak_inflight_blocks: coord.gauge.peak.load(Ordering::Relaxed),
+            peak_inflight_blocks: u64::try_from(coord.gauge.peak.load(Ordering::Relaxed))
+                .expect("the peak starts at 0 and only rises"),
             blocks_sent: coord.blocks_sent.load(Ordering::Relaxed),
             consumer_groups: n_groups as u64,
             stolen_partitions,
@@ -909,19 +768,13 @@ where
 
     /// One mapper worker: pull tasks from the shared cursor, map and route
     /// them, and push partition-tagged blocks into the group channels.
-    /// Detaches from every channel on exit so consumers observe
-    /// end-of-stream once the last mapper finishes.
     fn map_stage(
         &self,
         inputs: &[M::In],
         per_group: usize,
-        channels: &[BoundedQueue<Block<M::Key, M::Value>>],
+        channels: &[SyncSender<Block<M::Key, M::Value>>],
         coord: &Coordination,
     ) {
-        // Detach-on-drop covers both the normal exit and a panic in user
-        // map/route/size code: either way the consumers observe
-        // end-of-stream instead of blocking forever.
-        let _detach = SenderGuard(channels);
         loop {
             let task = coord.next_task.fetch_add(1, Ordering::Relaxed);
             if task >= inputs.len() {
@@ -954,7 +807,7 @@ where
         &self,
         inputs: &[M::In],
         per_group: usize,
-        channels: &[BoundedQueue<Block<M::Key, M::Value>>],
+        channels: &[SyncSender<Block<M::Key, M::Value>>],
         coord: &Coordination,
     ) {
         loop {
@@ -990,7 +843,7 @@ where
         task: usize,
         inputs: &[M::In],
         per_group: usize,
-        channels: &[BoundedQueue<Block<M::Key, M::Value>>],
+        channels: &[SyncSender<Block<M::Key, M::Value>>],
         coord: &Coordination,
         speculative: bool,
     ) {
@@ -1061,7 +914,11 @@ where
                             continue;
                         }
                         coord.blocks_sent.fetch_add(1, Ordering::Relaxed);
-                        channels[g].send(Block { seq: task, records }, &coord.gauge);
+                        // A failed send means the consumer died; its panic
+                        // re-raises at the scope join, so drop the block.
+                        if channels[g].send(Block { seq: task, records }).is_ok() {
+                            coord.gauge.raise();
+                        }
                     }
                 }
             }
@@ -1094,7 +951,7 @@ where
 
     /// One consumer worker: drain the group's channel (accounting bytes
     /// and building seq-ordered runs per owned partition, concurrently
-    /// with live mappers), then — once every mapper detached — finalize:
+    /// with live mappers), then — once every mapper is gone — finalize:
     /// k-way merge each partition's runs and reduce it, either for the
     /// owned range only ([`FinalizeMode::Static`]) or by stealing
     /// completed partitions from the shared queue
@@ -1105,17 +962,13 @@ where
         group: usize,
         per_group: usize,
         n_inputs: usize,
-        channel: &BoundedQueue<Block<M::Key, M::Value>>,
+        channel: Receiver<Block<M::Key, M::Value>>,
         finalize_queue: &FinalizeQueue<Arc<FinalizeItem<M>>>,
         coord: &Coordination,
         epoch: &Instant,
         ckpt: Option<&CheckpointSession<R::Out>>,
         delete_errors: &Arc<AtomicU64>,
     ) -> GroupResult<R::Out> {
-        // Mark the receiver dead if this thread unwinds (a panicking
-        // reducer or `ByteSized` impl), so mappers blocked on this
-        // channel resume instead of deadlocking the scope join.
-        let _detach = ReceiverGuard(channel);
         // Registered *before* the drain: if user code panics while this
         // consumer is still draining (a `ByteSized` impl), the guard
         // aborts the finalize queue so sibling consumers stealing from it
@@ -1150,7 +1003,8 @@ where
         let mut spilled_bytes = 0u64;
         let mut spill_failed = false;
 
-        while let Some(block) = channel.recv(&coord.gauge) {
+        while let Ok(block) = channel.recv() {
+            coord.gauge.lower();
             if coord.tasks_done.load(Ordering::Relaxed) < n_inputs {
                 overlap_blocks += 1;
             }
@@ -1242,63 +1096,51 @@ where
         let mut stolen = 0u64;
         let mut merge_fanin = 0u64;
         let clean = coord.error_seq.load(Ordering::Relaxed) == usize::MAX;
+        // Both modes finalize the same items, in ascending partition
+        // order; the mode only decides which thread takes each one.
+        let items: Vec<(u64, Arc<FinalizeItem<M>>)> = parts
+            .into_iter()
+            .enumerate()
+            .filter(|&(local, _)| clean && records[local] > 0)
+            .map(|(local, buf)| {
+                let item = FinalizeItem {
+                    partition: lo + local,
+                    owner: group,
+                    runs: buf.runs,
+                    spilled: buf.spilled,
+                };
+                (total_bytes[local], Arc::new(item))
+            })
+            .collect();
+        let mut finalize = |item: Arc<FinalizeItem<M>>, speculative: bool| {
+            let owner = item.owner;
+            let Some((part, fanin)) = self.finalize_item(item, speculative, coord, ckpt) else {
+                return false;
+            };
+            if owner != group {
+                stolen += 1;
+            }
+            merge_fanin = merge_fanin.max(fanin);
+            finalized.push(part);
+            true
+        };
         match self.config.finalize_mode {
+            // The owner never touches the shared queue, so its partitions
+            // commit in ascending order: a kill at partition k lands after
+            // every lower partition of the group committed.
             FinalizeMode::Static => {
-                if clean {
-                    for (local, buf) in parts.into_iter().enumerate() {
-                        if records[local] == 0 {
-                            continue;
-                        }
-                        if let Some((part, fanin)) = self.finalize_partition(
-                            lo + local,
-                            buf.runs,
-                            buf.spilled,
-                            false,
-                            coord,
-                            ckpt,
-                        ) {
-                            merge_fanin = merge_fanin.max(fanin);
-                            finalized.push(part);
-                        }
-                    }
+                for (_, item) in items {
+                    finalize(item, false);
                 }
             }
             FinalizeMode::Stealing => {
-                let publisher = publisher
+                finalize_queue.publish(items);
+                publisher
                     .as_mut()
-                    .expect("guard registered for stealing mode before the drain");
-                if clean {
-                    let items: Vec<(u64, Arc<FinalizeItem<M>>)> = parts
-                        .into_iter()
-                        .enumerate()
-                        .filter(|&(local, _)| records[local] > 0)
-                        .map(|(local, buf)| {
-                            (
-                                total_bytes[local],
-                                Arc::new(FinalizeItem {
-                                    partition: lo + local,
-                                    owner: group,
-                                    runs: buf.runs,
-                                    spilled: buf.spilled,
-                                }),
-                            )
-                        })
-                        .collect();
-                    finalize_queue.publish(items);
-                }
-                publisher.finish();
-                let mut keep = |owner: usize, (part, fanin): (FinalizedPartition<R::Out>, u64)| {
-                    if owner != group {
-                        stolen += 1;
-                    }
-                    merge_fanin = merge_fanin.max(fanin);
-                    finalized.push(part);
-                };
+                    .expect("guard registered for stealing mode before the drain")
+                    .finish();
                 while let Some(item) = finalize_queue.steal() {
-                    let owner = item.owner;
-                    if let Some(won) = self.finalize_shared(item, coord, false, ckpt) {
-                        keep(owner, won);
-                    }
+                    finalize(item, false);
                 }
                 // The queue is dry but peers may still be finalizing
                 // stragglers: speculate on the largest in-flight items.
@@ -1314,11 +1156,9 @@ where
                                     !coord.finalize_resolved[item.partition].load(Ordering::Acquire)
                                 });
                         let Some(item) = candidate else { break };
-                        let owner = item.owner;
                         coord.spec_launches.fetch_add(1, Ordering::Relaxed);
-                        if let Some(won) = self.finalize_shared(item, coord, true, ckpt) {
+                        if finalize(item, true) {
                             coord.spec_wins.fetch_add(1, Ordering::Relaxed);
-                            keep(owner, won);
                         }
                     }
                 }
@@ -1341,26 +1181,38 @@ where
         }
     }
 
-    /// Finalizes one partition — the unit of work both finalize modes
-    /// schedule — through the shared [`Job::reduce_task`]: the k-way merge
-    /// of its in-memory and spilled runs supplies the records, so it runs
-    /// only when the task does. The task races any other copy of the
-    /// partition on its resolution slot; only the winner gets `Some`,
-    /// with its retry and error side effects applied and the merge's
-    /// fan-in (0 when nothing was merged). Under static finalize each
-    /// partition has exactly one copy, so it always wins.
-    fn finalize_partition(
+    /// Finalizes one partition's item — the unit of work both finalize
+    /// modes schedule — through the shared [`Job::reduce_task`]: the k-way
+    /// merge of its in-memory and spilled runs supplies the records, so it
+    /// runs only when the task does. Copies of a partition (stolen or
+    /// speculative) race on its resolution slot: a copy returns `None`
+    /// without any work when another already resolved the partition, and
+    /// `None` after the work when another won meanwhile. The winner gets
+    /// `Some`, with its retry and error side effects applied and the
+    /// merge's fan-in (0 when nothing was merged). Under static finalize
+    /// each partition has exactly one copy, so it always wins.
+    fn finalize_item(
         &self,
-        partition: usize,
-        runs: Vec<Run<M>>,
-        spilled: Vec<SpilledRun>,
+        item: Arc<FinalizeItem<M>>,
         speculative: bool,
         coord: &Coordination,
         ckpt: Option<&CheckpointSession<R::Out>>,
     ) -> Option<(FinalizedPartition<R::Out>, u64)> {
+        let partition = item.partition;
+        let resolved = &coord.finalize_resolved[partition];
+        if resolved.load(Ordering::Acquire) {
+            return None;
+        }
+        // Owned when this thread holds the last reference; under
+        // speculation the item stays shared, so the runs are cloned and
+        // the spilled handles `Arc`-bumped — both finalize copies stream
+        // the same temp files through independent readers.
+        let (runs, spilled) = match Arc::try_unwrap(item) {
+            Ok(owned) => (owned.runs, owned.spilled),
+            Err(shared) => (shared.runs.clone(), shared.spilled.clone()),
+        };
         let mut fanin = 0;
-        let resolved = Some(&coord.finalize_resolved[partition]);
-        let part = self.reduce_task(partition, speculative, resolved, ckpt, || {
+        let part = self.reduce_task(partition, speculative, Some(resolved), ckpt, || {
             fanin = (runs.len() + spilled.len()) as u64;
             // A disk or decode failure streaming a spilled run back is an
             // infrastructure error, not a task fault: it bypasses the DLQ
@@ -1378,32 +1230,6 @@ where
             coord.record_reduce_error(partition, error);
         }
         Some((part, fanin))
-    }
-
-    /// Finalizes an `Arc`-shared queue item (stealing mode). Returns
-    /// `None` without doing any work when another copy already resolved
-    /// the partition, and `None` after the work when another copy won the
-    /// race meanwhile.
-    fn finalize_shared(
-        &self,
-        item: Arc<FinalizeItem<M>>,
-        coord: &Coordination,
-        speculative: bool,
-        ckpt: Option<&CheckpointSession<R::Out>>,
-    ) -> Option<(FinalizedPartition<R::Out>, u64)> {
-        let partition = item.partition;
-        if coord.finalize_resolved[partition].load(Ordering::Acquire) {
-            return None;
-        }
-        // Owned when this thread holds the last reference; under
-        // speculation the item stays shared, so the runs are cloned and
-        // the spilled handles `Arc`-bumped — both finalize copies stream
-        // the same temp files through independent readers.
-        let (runs, spilled) = match Arc::try_unwrap(item) {
-            Ok(owned) => (owned.runs, owned.spilled),
-            Err(shared) => (shared.runs.clone(), shared.spilled.clone()),
-        };
-        self.finalize_partition(partition, runs, spilled, speculative, coord, ckpt)
     }
 }
 
@@ -1462,22 +1288,32 @@ mod tests {
         .unwrap()
     }
 
-    /// `merge_runs` restores exact ascending-seq order (ties contiguous
-    /// within a run, preserved stably) — the same order a stable
-    /// `sort_by_key(seq)` over the concatenation would produce.
+    /// `merge_mixed` restores exact ascending-seq order over in-memory
+    /// runs (ties contiguous within a run, preserved stably) — the same
+    /// order a stable `sort_by_key(seq)` over the concatenation would
+    /// produce.
     #[test]
-    fn merge_runs_restores_sequence_order() {
-        let runs: Vec<Vec<(usize, u64, &str)>> = vec![
-            vec![(0, 1, "a"), (2, 2, "b"), (2, 3, "c"), (7, 4, "d")],
-            vec![(1, 5, "e"), (5, 6, "f")],
-            vec![(3, 7, "g")],
+    fn merge_mixed_restores_sequence_order() {
+        let run = |records: &[(usize, u64, &str)]| -> Vec<(usize, u64, String)> {
+            records
+                .iter()
+                .map(|&(seq, k, v)| (seq, k, v.to_string()))
+                .collect()
+        };
+        let runs = vec![
+            run(&[(0, 1, "a"), (2, 2, "b"), (2, 3, "c"), (7, 4, "d")]),
+            run(&[(1, 5, "e"), (5, 6, "f")]),
+            run(&[(3, 7, "g")]),
         ];
-        let mut expected: Vec<(usize, u64, &str)> = runs.concat();
+        let mut expected: Vec<(usize, u64, String)> = runs.concat();
         expected.sort_by_key(|&(seq, _, _)| seq);
-        let expected: Vec<(u64, &str)> = expected.into_iter().map(|(_, k, v)| (k, v)).collect();
-        assert_eq!(merge_runs(runs), expected);
-        assert_eq!(merge_runs(Vec::<Vec<(usize, u64, &str)>>::new()), vec![]);
-        assert_eq!(merge_runs(vec![vec![(4, 9u64, "z")]]), vec![(9, "z")]);
+        let expected: Vec<(u64, String)> = expected.into_iter().map(|(_, k, v)| (k, v)).collect();
+        assert_eq!(merge_mixed(runs, &[]).unwrap(), expected);
+        assert_eq!(merge_mixed::<u64, String>(Vec::new(), &[]).unwrap(), vec![]);
+        assert_eq!(
+            merge_mixed(vec![run(&[(4, 9, "z")])], &[]).unwrap(),
+            vec![(9, "z".to_string())]
+        );
     }
 
     /// The finalize queue pops largest-priority first, blocks until the
@@ -1503,55 +1339,6 @@ mod tests {
         });
         assert_eq!(stolen[0], "big", "largest bytes pop first");
         assert_eq!(stolen.len(), 3);
-    }
-
-    #[test]
-    fn bounded_queue_delivers_fifo_and_signals_close() {
-        let gauge = InflightGauge::default();
-        let queue: BoundedQueue<u32> = BoundedQueue::new(2, 1);
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                for i in 0..50 {
-                    queue.send(i, &gauge);
-                }
-                queue.close_sender();
-            });
-            let mut seen = Vec::new();
-            while let Some(i) = queue.recv(&gauge) {
-                seen.push(i);
-            }
-            assert_eq!(seen, (0..50).collect::<Vec<_>>());
-        });
-        assert!(
-            gauge.peak.load(Ordering::Relaxed) <= 2,
-            "capacity bounds the gauge"
-        );
-        assert_eq!(gauge.current.load(Ordering::Relaxed), 0);
-    }
-
-    #[test]
-    fn gauge_peak_respects_summed_capacities() {
-        let gauge = InflightGauge::default();
-        let queues: Vec<BoundedQueue<u32>> = (0..3).map(|_| BoundedQueue::new(2, 2)).collect();
-        std::thread::scope(|scope| {
-            for sender in 0..2 {
-                let queues = &queues;
-                let gauge = &gauge;
-                scope.spawn(move || {
-                    for i in 0..60 {
-                        queues[(i as usize + sender) % 3].send(i, gauge);
-                    }
-                    for q in queues {
-                        q.close_sender();
-                    }
-                });
-            }
-            for q in &queues {
-                let gauge = &gauge;
-                scope.spawn(move || while q.recv(gauge).is_some() {});
-            }
-        });
-        assert!(gauge.peak.load(Ordering::Relaxed) <= 6);
     }
 
     #[test]

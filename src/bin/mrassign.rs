@@ -59,7 +59,8 @@
 //! Weight files hold one integer per line; `#` starts a comment. All
 //! commands print a human-readable summary; `--routes` additionally dumps
 //! `reducer <tab> input,input,...` lines for piping into a real job
-//! submitter.
+//! submitter. A flag the command does not accept (a typo such as
+//! `--shufle`) is an error naming the flag and the flags it accepts.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -74,7 +75,7 @@ use mrassign::dag::marginals::{marginals_graph, run_marginals_chained, Marginals
 use mrassign::dag::{DagMetrics, JobServer};
 use mrassign::joins::{run_skew_join_chained, skew_join_graph, SkewDagConfig};
 use mrassign::planner::{plan_a2a_with, Objective, PlannerConfig};
-use mrassign::simmr::{ClusterConfig, FaultPlan, FinalizeMode, ShuffleMode};
+use mrassign::simmr::{ClusterConfig, FinalizeMode, ShuffleMode};
 use mrassign::workloads::cube::{generate_cube, CubeSpec};
 use mrassign::workloads::{generate_relation_pair, RelationSpec, SizeDistribution};
 
@@ -120,30 +121,59 @@ x2y solvers: auto | one-reducer | grid | grid-optimized | bighandling | exact
          (MRASSIGN_STAGE_CACHE is the env fallback; the flag wins) and --repeat resubmits every dag
          job that many times, so repeat rounds are served from the store instead of re-executing";
 
+/// The engine knobs `plan` and `dag` share, parsed by
+/// [`parse_engine_cluster`].
+const ENGINE_FLAGS: &str = "shuffle finalize retries faults memory-budget checkpoint-dir";
+
+type Command = fn(&HashMap<String, String>) -> Result<String, String>;
+
 /// Executes a parsed command line; returns the printable result.
 fn run(args: &[String]) -> Result<String, String> {
     let Some((command, rest)) = args.split_first() else {
         return Err("no command given".into());
     };
-    let flags = parse_flags(rest)?;
-    match command.as_str() {
-        "gen" => cmd_gen(&flags),
-        "a2a" => cmd_a2a(&flags),
-        "x2y" => cmd_x2y(&flags),
-        "plan" => cmd_plan(&flags),
-        "dag" => cmd_dag(&flags),
-        other => Err(format!("unknown command `{other}`")),
-    }
+    // Every flag each command reads, space-separated, so a misspelled
+    // flag fails by name instead of being ignored.
+    let (accepted, cmd): (&[&str], Command) = match command.as_str() {
+        "gen" => (&["dist m seed out"], cmd_gen),
+        "a2a" => (&["weights q algo budget routes"], cmd_a2a),
+        "x2y" => (&["x y q algo budget routes"], cmd_x2y),
+        "plan" => (
+            &[
+                "weights workers candidates objective algo budget threads",
+                ENGINE_FLAGS,
+            ],
+            cmd_plan,
+        ),
+        "dag" => (
+            &[
+                "workload jobs tenants pool rows seed repeat stage-cache threads",
+                ENGINE_FLAGS,
+            ],
+            cmd_dag,
+        ),
+        other => return Err(format!("unknown command `{other}`")),
+    };
+    let accepted: Vec<&str> = accepted.iter().flat_map(|g| g.split_whitespace()).collect();
+    cmd(&parse_flags(rest, &accepted)?)
 }
 
-/// Parses `--key value` pairs plus bare `--flag` booleans.
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--key value` pairs plus bare `--flag` booleans, rejecting any
+/// flag not in `accepted`.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         let Some(key) = arg.strip_prefix("--") else {
             return Err(format!("expected a --flag, found `{arg}`"));
         };
+        if !accepted.contains(&key) {
+            let names: Vec<String> = accepted.iter().map(|name| format!("--{name}")).collect();
+            return Err(format!(
+                "unknown flag --{key} (accepted: {})",
+                names.join(", ")
+            ));
+        }
         let value = match it.peek() {
             Some(next) if !next.starts_with("--") => it.next().unwrap().clone(),
             _ => "true".to_string(),
@@ -436,46 +466,19 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<String, String> {
     if let Some(budget) = parse_budget(flags, algo.name())? {
         algo = a2a::A2aAlgorithm::Exact(budget);
     }
-    let shuffle = parse_shuffle(
-        flags
-            .get("shuffle")
-            .map(String::as_str)
-            .unwrap_or("materialized"),
-    )?;
-    let finalize_mode = parse_finalize(
-        flags
-            .get("finalize")
-            .map(String::as_str)
-            .unwrap_or("static"),
-    )?;
+    // `--threads` sizes the q sweep; the engine's map threads keep their
+    // default.
     let threads: usize = match flags.get("threads") {
         Some(s) => parse_num(s, "a thread count")?,
         None => PlannerConfig::default().threads,
     };
-    let retry_budget: u32 = match flags.get("retries") {
-        Some(s) => parse_num(s, "a retry budget")?,
-        None => ClusterConfig::default().retry_budget,
-    };
-    let fault_plan: Option<FaultPlan> = flags.get("faults").map(|s| s.parse()).transpose()?;
-    let memory_budget: Option<u64> = flags
-        .get("memory-budget")
-        .map(|s| parse_num(s, "a memory budget in bytes"))
-        .transpose()?;
-    let checkpoint_dir: Option<PathBuf> = flags.get("checkpoint-dir").map(PathBuf::from);
-
-    let cluster = ClusterConfig {
-        workers,
-        shuffle,
-        finalize_mode,
-        retry_budget,
-        fault_plan,
-        memory_budget,
-        checkpoint_dir,
-        ..ClusterConfig::default()
-    };
-    // Reject bad knob combinations (e.g. a fault rate outside [0, 1])
-    // here, where they map to a flag error, rather than mid-plan.
-    cluster.validate().map_err(|e| e.to_string())?;
+    let cluster = parse_engine_cluster(
+        flags,
+        ClusterConfig {
+            workers,
+            ..ClusterConfig::default()
+        },
+    )?;
 
     let plan = plan_a2a_with(
         algo,
@@ -509,45 +512,31 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<String, String> {
     Ok(out)
 }
 
-/// Parses the engine knobs shared by every stage of a DAG run into one
-/// `ClusterConfig` (validated so bad combinations map to flag errors).
-fn parse_engine_cluster(flags: &HashMap<String, String>) -> Result<ClusterConfig, String> {
-    let shuffle = parse_shuffle(
-        flags
-            .get("shuffle")
-            .map(String::as_str)
-            .unwrap_or("materialized"),
-    )?;
-    let finalize_mode = parse_finalize(
-        flags
-            .get("finalize")
-            .map(String::as_str)
-            .unwrap_or("static"),
-    )?;
-    let map_threads: usize = match flags.get("threads") {
-        Some(s) => parse_num(s, "a thread count")?,
-        None => ClusterConfig::default().map_threads,
-    };
-    let retry_budget: u32 = match flags.get("retries") {
-        Some(s) => parse_num(s, "a retry budget")?,
-        None => ClusterConfig::default().retry_budget,
-    };
-    let fault_plan: Option<FaultPlan> = flags.get("faults").map(|s| s.parse()).transpose()?;
-    let memory_budget: Option<u64> = flags
-        .get("memory-budget")
-        .map(|s| parse_num(s, "a memory budget in bytes"))
-        .transpose()?;
-    let checkpoint_dir: Option<PathBuf> = flags.get("checkpoint-dir").map(PathBuf::from);
-    let cluster = ClusterConfig {
-        shuffle,
-        finalize_mode,
-        map_threads,
-        retry_budget,
-        fault_plan,
-        memory_budget,
-        checkpoint_dir,
-        ..ClusterConfig::default()
-    };
+/// Applies the engine knobs in [`ENGINE_FLAGS`] to `cluster` and
+/// validates the result, so a bad combination (e.g. a fault rate outside
+/// [0, 1]) maps to a flag error rather than failing mid-run.
+fn parse_engine_cluster(
+    flags: &HashMap<String, String>,
+    mut cluster: ClusterConfig,
+) -> Result<ClusterConfig, String> {
+    if let Some(s) = flags.get("shuffle") {
+        cluster.shuffle = parse_shuffle(s)?;
+    }
+    if let Some(s) = flags.get("finalize") {
+        cluster.finalize_mode = parse_finalize(s)?;
+    }
+    if let Some(s) = flags.get("retries") {
+        cluster.retry_budget = parse_num(s, "a retry budget")?;
+    }
+    if let Some(s) = flags.get("faults") {
+        cluster.fault_plan = Some(s.parse()?);
+    }
+    if let Some(s) = flags.get("memory-budget") {
+        cluster.memory_budget = Some(parse_num(s, "a memory budget in bytes")?);
+    }
+    if let Some(s) = flags.get("checkpoint-dir") {
+        cluster.checkpoint_dir = Some(PathBuf::from(s));
+    }
     cluster.validate().map_err(|e| e.to_string())?;
     Ok(cluster)
 }
@@ -635,7 +624,17 @@ fn cmd_dag(flags: &HashMap<String, String>) -> Result<String, String> {
             _ => None,
         },
     };
-    let cluster = parse_engine_cluster(flags)?;
+    let map_threads: usize = match flags.get("threads") {
+        Some(s) => parse_num(s, "a thread count")?,
+        None => ClusterConfig::default().map_threads,
+    };
+    let cluster = parse_engine_cluster(
+        flags,
+        ClusterConfig {
+            map_threads,
+            ..ClusterConfig::default()
+        },
+    )?;
 
     let mut out = format!(
         "DAG: workload = {workload}, {jobs} job(s) × {repeat} round(s) from {tenants} tenant(s) \
@@ -830,7 +829,7 @@ mod tests {
             .iter()
             .map(|s| s.to_string())
             .collect();
-        let parsed = parse_flags(&args).unwrap();
+        let parsed = parse_flags(&args, &["q", "routes", "algo"]).unwrap();
         assert_eq!(parsed["q"], "200");
         assert_eq!(parsed["routes"], "true");
         assert_eq!(parsed["algo"], "auto");
@@ -839,12 +838,12 @@ mod tests {
     #[test]
     fn parse_flags_rejects_bare_values_and_duplicates() {
         let args: Vec<String> = ["stray"].iter().map(|s| s.to_string()).collect();
-        assert!(parse_flags(&args).is_err());
+        assert!(parse_flags(&args, &["q"]).is_err());
         let args: Vec<String> = ["--q", "1", "--q", "2"]
             .iter()
             .map(|s| s.to_string())
             .collect();
-        assert!(parse_flags(&args).is_err());
+        assert!(parse_flags(&args, &["q"]).is_err());
     }
 
     #[test]
@@ -1237,17 +1236,15 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("budget-guard-weights.txt");
         std::fs::write(&path, "4\n4\n3\n").unwrap();
-        for cmd in ["a2a", "plan"] {
-            let err = run(&[
-                cmd.into(),
-                "--weights".into(),
-                path.to_str().unwrap().into(),
-                "--q".into(),
-                "9".into(),
-                "--budget".into(),
-                "5000".into(),
-            ])
-            .unwrap_err();
+        // `plan` sweeps q itself, so only `a2a` takes `--q`.
+        for (cmd, q) in [("a2a", &["--q", "9"][..]), ("plan", &[][..])] {
+            let args: Vec<String> = [cmd, "--weights", path.to_str().unwrap()]
+                .iter()
+                .chain(q)
+                .chain(&["--budget", "5000"])
+                .map(|s| s.to_string())
+                .collect();
+            let err = run(&args).unwrap_err();
             assert!(err.contains("--algo exact"), "{cmd}: {err}");
         }
         std::fs::remove_file(path).unwrap();
@@ -1369,6 +1366,60 @@ mod tests {
             Objective::MinimizeCommunicationWithin { .. }
         ));
         assert!(parse_objective("speed").is_err());
+    }
+
+    /// A misspelled flag fails the command, naming the flag and the flags
+    /// the command accepts, instead of running with its default.
+    #[test]
+    fn misspelled_flags_are_rejected_by_name() {
+        let args =
+            |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
+        for argv in [
+            &["plan", "--weights", "w.txt", "--shufle", "pipelined"][..],
+            &["plan", "--weights", "w.txt", "--finalise", "stealing"],
+            &["plan", "--weights", "w.txt", "--memory-budegt", "0"],
+            &["dag", "--shufle", "pipelined"],
+            &["dag", "--jobs", "2", "--retry", "3"],
+        ] {
+            let typo = argv[argv.len() - 2];
+            let err = run(&args(argv)).unwrap_err();
+            assert!(err.starts_with(&format!("unknown flag {typo} ")), "{err}");
+            assert!(
+                err.contains("--shuffle"),
+                "the accepted flags are listed: {err}"
+            );
+        }
+        // `plan` sweeps q itself, and `a2a` runs no engine.
+        let err = run(&args(&["plan", "--weights", "w.txt", "--q", "9"])).unwrap_err();
+        assert!(err.starts_with("unknown flag --q "), "{err}");
+        let err = run(&args(&["a2a", "--q", "9", "--shuffle", "pipelined"])).unwrap_err();
+        assert!(err.starts_with("unknown flag --shuffle "), "{err}");
+    }
+
+    /// Every flag the usage text documents for a command is accepted by
+    /// that command. Each flag is passed twice, so the command fails on
+    /// the duplicate instead of running.
+    #[test]
+    fn every_documented_flag_parses() {
+        let mut command = "";
+        let mut checked = 0;
+        for line in USAGE.lines().skip(1).take_while(|line| !line.is_empty()) {
+            if let Some(rest) = line.trim_start().strip_prefix("mrassign ") {
+                command = rest.split_whitespace().next().unwrap();
+            }
+            for tail in line.split("--").skip(1) {
+                let flag: String = tail
+                    .chars()
+                    .take_while(|c| c.is_ascii_alphanumeric() || *c == '-')
+                    .collect();
+                let flag = format!("--{flag}");
+                let argv = [command, &flag, "1", &flag, "1"].map(String::from);
+                let err = run(&argv).unwrap_err();
+                assert_eq!(err, format!("flag {flag} given twice"), "{command}");
+                checked += 1;
+            }
+        }
+        assert!(checked > 30, "the usage text lists every command's flags");
     }
 
     #[test]
