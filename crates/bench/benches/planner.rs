@@ -1,7 +1,7 @@
 //! Criterion bench for the capacity planner's q-frontier sweep — the
 //! tracked perf baseline (`BENCH_planner.json` at the workspace root).
 //!
-//! Each point runs a full `plan_a2a` sweep (solve + simulate + metrics for
+//! Each point runs a full `plan_a2a` sweep (solve + cost-model score for
 //! every candidate) at m ∈ {100, 1k, 10k} inputs with 32 candidates, at
 //! `threads = 1` and `threads = 4`, so the baseline records both the
 //! absolute trajectory and the parallel speedup. On a multi-core host the

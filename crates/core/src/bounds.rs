@@ -37,16 +37,23 @@ pub fn a2a_feasible(inputs: &InputSet, q: Weight) -> Result<(), SchemaError> {
             b = i;
         }
     }
-    let combined = inputs.weight(a as InputId) + inputs.weight(b as InputId);
-    if combined > q {
-        return Err(SchemaError::Infeasible {
-            a: a.min(b) as InputId,
-            b: a.max(b) as InputId,
-            combined,
+    let (a, b) = (a.min(b) as InputId, a.max(b) as InputId);
+    pair_fits((a, inputs.weight(a)), (b, inputs.weight(b)), q)
+}
+
+/// Checks that two inputs, given as `(id, weight)`, fit in one reducer of
+/// capacity `q`. A pair whose weights overflow [`Weight`] fits at no `q`:
+/// its error reports `combined` saturated at `Weight::MAX`.
+fn pair_fits(a: (InputId, Weight), b: (InputId, Weight), q: Weight) -> Result<(), SchemaError> {
+    match a.1.checked_add(b.1) {
+        Some(combined) if combined <= q => Ok(()),
+        combined => Err(SchemaError::Infeasible {
+            a: a.0,
+            b: b.0,
+            combined: combined.unwrap_or(Weight::MAX),
             capacity: q,
-        });
+        }),
     }
-    Ok(())
 }
 
 /// Checks X2Y feasibility: a schema exists iff the heaviest X input and the
@@ -61,16 +68,7 @@ pub fn x2y_feasible(inst: &X2yInstance, q: Weight) -> Result<(), SchemaError> {
     }
     let (ax, _) = max_with_id(&inst.x);
     let (ay, _) = max_with_id(&inst.y);
-    let combined = inst.x.weight(ax) + inst.y.weight(ay);
-    if combined > q {
-        return Err(SchemaError::Infeasible {
-            a: ax,
-            b: ay,
-            combined,
-            capacity: q,
-        });
-    }
-    Ok(())
+    pair_fits((ax, inst.x.weight(ax)), (ay, inst.y.weight(ay)), q)
 }
 
 fn max_with_id(set: &InputSet) -> (InputId, Weight) {
@@ -290,6 +288,38 @@ mod tests {
                 capacity: 10
             })
         );
+    }
+
+    /// A pair whose weights sum past `Weight::MAX` fits at no capacity,
+    /// even `Weight::MAX`; the error saturates the combined weight
+    /// instead of wrapping it to a small, feasible-looking sum.
+    #[test]
+    fn overflowing_pairs_are_infeasible() {
+        let saturated = |a, b, capacity| {
+            Err(SchemaError::Infeasible {
+                a,
+                b,
+                combined: Weight::MAX,
+                capacity,
+            })
+        };
+        for weights in [vec![Weight::MAX, 5], vec![1 << 63, 1 << 63]] {
+            let inputs = InputSet::from_weights(weights);
+            assert_eq!(a2a_feasible(&inputs, 4), saturated(0, 1, 4));
+            assert_eq!(
+                a2a_feasible(&inputs, Weight::MAX),
+                saturated(0, 1, Weight::MAX)
+            );
+        }
+        let inst = X2yInstance::from_weights(vec![Weight::MAX], vec![5]);
+        assert_eq!(x2y_feasible(&inst, 4), saturated(0, 0, 4));
+        assert_eq!(
+            x2y_feasible(&inst, Weight::MAX),
+            saturated(0, 0, Weight::MAX)
+        );
+        // The largest pair that does not overflow still fits at MAX.
+        let edge = InputSet::from_weights(vec![Weight::MAX - 5, 5]);
+        a2a_feasible(&edge, Weight::MAX).unwrap();
     }
 
     #[test]

@@ -262,14 +262,11 @@ where
         reduced.dlq.sort();
         metrics.faults.dlq_len = reduced.dlq.len() as u64;
 
-        // ----- Simulated time -----------------------------------------------
-        let map_schedule = Schedule::lpt(&map_costs, self.config.workers);
-        let reduce_schedule = Schedule::lpt(&reduced.costs, self.config.workers);
-        metrics.map_makespan = map_schedule.makespan;
-        metrics.reduce_makespan = reduce_schedule.makespan;
-        metrics.shuffle_seconds = self.config.shuffle_seconds(metrics.bytes_shuffled);
-        metrics.serial_seconds =
-            map_schedule.total_work + reduce_schedule.total_work + metrics.shuffle_seconds;
+        metrics.simulate(
+            &self.config,
+            &Schedule::lpt(&map_costs, self.config.workers),
+            &Schedule::lpt(&reduced.costs, self.config.workers),
+        );
 
         Ok(JobOutput {
             outputs: reduced.outputs,

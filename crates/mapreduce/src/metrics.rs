@@ -1,5 +1,7 @@
 //! Per-job accounting: the quantities the paper's tradeoffs are stated in.
 
+use crate::cluster::{ClusterConfig, Schedule};
+
 /// Execution-dependent counters from the overlapped
 /// [`ShuffleMode::Pipelined`](crate::ShuffleMode::Pipelined) engine.
 ///
@@ -195,6 +197,19 @@ impl JobMetrics {
             faults: FaultMetrics::default(),
             ..self.clone()
         }
+    }
+
+    /// The cluster cost model: fills the simulated-time fields from the
+    /// two phases' schedules and from `bytes_shuffled`, which must already
+    /// be set. [`Job::run`](crate::Job::run) calls it with the LPT
+    /// schedules of its map and reduce tasks; a caller that knows a job's
+    /// task costs without running it (the capacity planner) gets the same
+    /// times from the same schedules.
+    pub fn simulate(&mut self, config: &ClusterConfig, map: &Schedule, reduce: &Schedule) {
+        self.map_makespan = map.makespan;
+        self.reduce_makespan = reduce.makespan;
+        self.shuffle_seconds = config.shuffle_seconds(self.bytes_shuffled);
+        self.serial_seconds = map.total_work + reduce.total_work + self.shuffle_seconds;
     }
 
     /// End-to-end simulated duration: map + shuffle + reduce.

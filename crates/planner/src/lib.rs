@@ -4,9 +4,16 @@
 //! processors"), but its three tradeoffs make `q` a *decision*: smaller
 //! capacities buy parallelism with communication, larger ones starve the
 //! worker pool. This crate sweeps candidate capacities, builds the schema
-//! for each, executes it on the simulated cluster, and picks the best
+//! for each, scores it on the simulated cluster, and picks the best
 //! candidate under a user objective — the executable version of the
 //! paper's tradeoff discussion.
+//!
+//! A schema alone fixes what the cluster model turns into time: one map
+//! task per input and, per reducer, its members' weights plus an 8-byte
+//! key per routed copy. So each candidate is scored through the engine's
+//! cost model, [`JobMetrics::simulate`], instead of being executed record
+//! by record, and scores exactly what
+//! [`Job::run`](mrassign_simmr::Job::run) reports for the schema's job.
 //!
 //! The candidates are independent, so the sweep fans out across OS threads
 //! ([`PlannerConfig::threads`], defaulting to the machine's available
@@ -42,10 +49,7 @@ use mrassign_core::a2a::A2aAlgorithm;
 use mrassign_core::solver::AssignmentSolver;
 use mrassign_core::x2y::X2yAlgorithm;
 use mrassign_core::{bounds, InputSet, MappingSchema, SchemaError, Weight, X2yInstance, X2ySchema};
-use mrassign_simmr::{
-    ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, Job, JobMetrics, Mapper,
-    Reducer, SpillCodec,
-};
+use mrassign_simmr::{ClusterConfig, JobMetrics, Schedule, TaskCost};
 
 /// What "best capacity" means.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -70,7 +74,9 @@ pub enum Objective {
 /// Planner parameters.
 #[derive(Debug, Clone)]
 pub struct PlannerConfig {
-    /// Simulated cluster the schedule is evaluated on.
+    /// Simulated cluster the candidates are scored on. Only its cost-model
+    /// fields (workers, rates, task overhead, bandwidth) are read, but the
+    /// whole config must pass [`ClusterConfig::validate`] or planning panics.
     pub cluster: ClusterConfig,
     /// Number of capacity candidates to probe (geometric sweep).
     pub candidates: usize,
@@ -146,8 +152,9 @@ where
 {
     let inputs = InputSet::from_weights(weights.to_vec());
     let total: u128 = inputs.total_weight();
+    // A pair whose sum overflows fits at no q; the feasibility check says so.
     let q_floor = match inputs.two_largest() {
-        Some((a, b)) => a + b,
+        Some((a, b)) => a.saturating_add(b),
         None => inputs.max_weight().max(1),
     };
     let q_min = config.q_min.unwrap_or(q_floor).max(q_floor).max(1);
@@ -156,22 +163,18 @@ where
         .unwrap_or_else(|| u64::try_from(total).unwrap_or(u64::MAX))
         .max(q_min);
     bounds::a2a_feasible(&inputs, q_min)?;
+    let model = CostModel::new(&config.cluster, weights);
 
     let frontier = evaluate_candidates(
         &sweep(q_min, q_max, config.candidates),
         config.threads,
         |q| {
             let schema = solver.solve(&inputs, q)?;
-            let routes = routes_of(schema.reducers(), weights.len());
-            let metrics = execute(weights, &routes, schema.reducer_count(), q, &config.cluster);
-            Ok(CandidatePlan {
-                q,
-                reducers: schema.reducer_count(),
-                communication: schema.communication_cost(&inputs),
-                makespan: metrics.total_seconds(),
-                speedup: metrics.speedup(),
-                max_load: metrics.max_reducer_load(),
-            })
+            let reducers = schema
+                .reducers()
+                .iter()
+                .map(|r| r.iter().map(|&i| weights[i as usize]));
+            Ok(model.score(q, reducers, schema.communication_cost(&inputs)))
         },
     )?;
     select(frontier, config.objective)
@@ -199,47 +202,27 @@ where
 {
     let inst = X2yInstance::from_weights(x_weights.to_vec(), y_weights.to_vec());
     let total = inst.x.total_weight() + inst.y.total_weight();
-    let q_floor = (inst.x.max_weight() + inst.y.max_weight()).max(1);
+    let (x_max, y_max) = (inst.x.max_weight(), inst.y.max_weight());
+    let q_floor = x_max.saturating_add(y_max).max(1);
     let q_min = config.q_min.unwrap_or(q_floor).max(q_floor);
     let q_max = config
         .q_max
         .unwrap_or_else(|| u64::try_from(total).unwrap_or(u64::MAX))
         .max(q_min);
     bounds::x2y_feasible(&inst, q_min)?;
-
-    // Concatenate both sides into one routed-blob job: X ids first.
-    let mut weights: Vec<Weight> = x_weights.to_vec();
-    weights.extend_from_slice(y_weights);
+    // One map task per input, X inputs first.
+    let model = CostModel::new(&config.cluster, x_weights.iter().chain(y_weights));
 
     let frontier = evaluate_candidates(
         &sweep(q_min, q_max, config.candidates),
         config.threads,
         |q| {
             let schema = solver.solve(&inst, q)?;
-            let mut routes: Vec<Vec<usize>> = vec![Vec::new(); weights.len()];
-            for (rid, r) in schema.reducers().iter().enumerate() {
-                for &xi in &r.x {
-                    routes[xi as usize].push(rid);
-                }
-                for &yi in &r.y {
-                    routes[x_weights.len() + yi as usize].push(rid);
-                }
-            }
-            let metrics = execute(
-                &weights,
-                &routes,
-                schema.reducer_count(),
-                q,
-                &config.cluster,
-            );
-            Ok(CandidatePlan {
-                q,
-                reducers: schema.reducer_count(),
-                communication: schema.communication_cost(&inst),
-                makespan: metrics.total_seconds(),
-                speedup: metrics.speedup(),
-                max_load: metrics.max_reducer_load(),
-            })
+            let reducers = schema.reducers().iter().map(|r| {
+                let x = r.x.iter().map(|&i| x_weights[i as usize]);
+                x.chain(r.y.iter().map(|&i| y_weights[i as usize]))
+            });
+            Ok(model.score(q, reducers, schema.communication_cost(&inst)))
         },
     )?;
     select(frontier, config.objective)
@@ -326,16 +309,6 @@ fn sweep(lo: Weight, hi: Weight, n: usize) -> Vec<Weight> {
     qs
 }
 
-fn routes_of(reducers: &[Vec<u32>], n_inputs: usize) -> Vec<Vec<usize>> {
-    let mut routes = vec![Vec::new(); n_inputs];
-    for (rid, r) in reducers.iter().enumerate() {
-        for &id in r {
-            routes[id as usize].push(rid);
-        }
-    }
-    routes
-}
-
 fn select(frontier: Vec<CandidatePlan>, objective: Objective) -> Result<Plan, SchemaError> {
     assert!(!frontier.is_empty(), "sweep always yields one candidate");
     let best = match objective {
@@ -367,83 +340,72 @@ fn select(frontier: Vec<CandidatePlan>, objective: Objective) -> Result<Plan, Sc
     Ok(Plan { best, frontier })
 }
 
-// --- blob execution (composition of core + simmr) -------------------------
+/// Key bytes of one routed copy: the `u64` reducer index it is sent to.
+const KEY_BYTES: u64 = 8;
 
-#[derive(Clone, Hash)]
-struct Blob {
-    bytes: u64,
-    targets: Vec<usize>,
+/// The cluster cost model shared by the candidates of one plan call. A
+/// schema scores as the job that sends each input, as one map task, to
+/// its reducers: per copy its weight in value bytes plus [`KEY_BYTES`].
+struct CostModel<'a> {
+    cluster: &'a ClusterConfig,
+    /// The map phase's schedule, which does not depend on `q`.
+    map: Schedule,
 }
 
-impl ByteSized for Blob {
-    fn size_bytes(&self) -> u64 {
-        self.bytes
+impl<'a> CostModel<'a> {
+    /// Validates `cluster` and schedules one map task per weight, in order.
+    fn new(cluster: &'a ClusterConfig, weights: impl IntoIterator<Item = &'a Weight>) -> Self {
+        cluster
+            .validate()
+            .unwrap_or_else(|e| panic!("the planner's cluster must be valid: {e}"));
+        let costs = weights
+            .into_iter()
+            .map(|&w| TaskCost(cluster.map_task_seconds(w)));
+        let map = Schedule::lpt(&costs.collect::<Vec<_>>(), cluster.workers);
+        CostModel { cluster, map }
     }
-}
 
-#[derive(Clone)]
-struct SizedPayload(u64);
-
-impl ByteSized for SizedPayload {
-    fn size_bytes(&self) -> u64 {
-        self.0
-    }
-}
-
-impl SpillCodec for SizedPayload {
-    fn encode(&self, buf: &mut Vec<u8>) {
-        self.0.encode(buf);
-    }
-    fn decode(bytes: &mut &[u8]) -> Option<Self> {
-        Some(SizedPayload(u64::decode(bytes)?))
-    }
-}
-
-struct Replicate;
-
-impl Mapper for Replicate {
-    type In = Blob;
-    type Key = u64;
-    type Value = SizedPayload;
-    fn map(&self, input: &Blob, emit: &mut Emitter<u64, SizedPayload>) {
-        for &t in &input.targets {
-            emit.emit(t as u64, SizedPayload(input.bytes));
+    /// Scores the schema at capacity `q` whose reducers, in schema order,
+    /// hold the member weights `reducers` yields. An empty schema runs no
+    /// job and keeps [`JobMetrics::default`]. Byte totals saturate where
+    /// the engine's `u64` counters would overflow. Panics, as the engine
+    /// fails under `CapacityPolicy::Enforce(q)`, if a load exceeds `q`.
+    fn score(
+        &self,
+        q: Weight,
+        reducers: impl Iterator<Item = impl Iterator<Item = Weight>>,
+        communication: u128,
+    ) -> CandidatePlan {
+        let mut metrics = JobMetrics::default();
+        let mut reduce_costs = Vec::new();
+        for (r, members) in reducers.enumerate() {
+            let mut copies = 0u64;
+            let load = members
+                .inspect(|_| copies += 1)
+                .try_fold(0, Weight::checked_add);
+            let load = load.filter(|&l| l <= q).unwrap_or_else(|| {
+                panic!("valid schemas cannot violate capacity: reducer {r} exceeds q = {q}")
+            });
+            if copies > 0 {
+                let total = load.saturating_add(copies.saturating_mul(KEY_BYTES));
+                metrics.bytes_shuffled = metrics.bytes_shuffled.saturating_add(total);
+                reduce_costs.push(TaskCost(self.cluster.reduce_task_seconds(total)));
+            }
+            metrics.reducer_value_bytes.push(load);
+        }
+        if !metrics.reducer_value_bytes.is_empty() {
+            let reduce = Schedule::lpt(&reduce_costs, self.cluster.workers);
+            metrics.simulate(self.cluster, &self.map, &reduce);
+        }
+        CandidatePlan {
+            q,
+            reducers: metrics.reducer_value_bytes.len(),
+            communication,
+            makespan: metrics.total_seconds(),
+            speedup: metrics.speedup(),
+            max_load: metrics.max_reducer_load(),
         }
     }
-}
-
-struct Absorb;
-
-impl Reducer for Absorb {
-    type Key = u64;
-    type Value = SizedPayload;
-    type Out = ();
-    fn reduce(&self, _: &u64, _: &[SizedPayload], _: &mut Vec<()>) {}
-}
-
-fn execute(
-    weights: &[Weight],
-    routes: &[Vec<usize>],
-    n_reducers: usize,
-    q: Weight,
-    cluster: &ClusterConfig,
-) -> JobMetrics {
-    if n_reducers == 0 {
-        return JobMetrics::default();
-    }
-    let blobs: Vec<Blob> = weights
-        .iter()
-        .zip(routes)
-        .map(|(&bytes, targets)| Blob {
-            bytes,
-            targets: targets.clone(),
-        })
-        .collect();
-    Job::new(Replicate, Absorb, DirectRouter, n_reducers, cluster.clone())
-        .capacity(CapacityPolicy::Enforce(q))
-        .run(&blobs)
-        .expect("valid schemas cannot violate capacity")
-        .metrics
 }
 
 #[cfg(test)]
@@ -717,5 +679,81 @@ mod tests {
         assert_eq!(sweep(9, 3, 10), vec![9]);
         assert_eq!(sweep(5, 50, 0), vec![5]);
         assert_eq!(sweep(5, 50, 1), vec![5]);
+    }
+
+    /// Weights whose largest pair sums past `u64::MAX` are infeasible at
+    /// every q: the plan is a named error, not a wrapped-around floor
+    /// (which used to pick q = 4 for `[u64::MAX, 5]` and divide by zero
+    /// for `[2⁶³, 2⁶³]`).
+    #[test]
+    fn overflowing_pairs_are_infeasible() {
+        let saturated = |b| {
+            Err(SchemaError::Infeasible {
+                a: 0,
+                b,
+                combined: u64::MAX,
+                capacity: u64::MAX,
+            })
+        };
+        for weights in [vec![u64::MAX, 5], vec![1 << 63, 1 << 63]] {
+            assert_eq!(plan_a2a(&weights, &PlannerConfig::default()), saturated(1));
+        }
+        assert_eq!(
+            plan_x2y(&[u64::MAX], &[5], &PlannerConfig::default()),
+            saturated(0)
+        );
+    }
+
+    /// The largest pair that still fits in a `u64` plans one reducer whose
+    /// byte total (load plus two 8-byte keys) saturates instead of
+    /// overflowing.
+    #[test]
+    fn near_max_weights_plan_one_reducer() {
+        let w = u64::MAX / 2;
+        let plan = plan_a2a(&[w, w], &PlannerConfig::default()).unwrap();
+        assert_eq!(plan.best.reducers, 1);
+        assert_eq!(plan.best.max_load, 2 * w);
+    }
+
+    #[test]
+    #[should_panic(expected = "valid schemas cannot violate capacity: reducer 1 exceeds q = 10")]
+    fn score_rejects_an_overloaded_reducer() {
+        let cluster = ClusterConfig::default();
+        let model = CostModel::new(&cluster, &[6, 4, 5]);
+        model.score(
+            10,
+            [vec![6, 4], vec![6, 5]].into_iter().map(Vec::into_iter),
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "valid schemas cannot violate capacity: reducer 0")]
+    fn score_rejects_an_overflowing_load() {
+        let cluster = ClusterConfig::default();
+        let model = CostModel::new(&cluster, &[u64::MAX, 1]);
+        model.score(
+            u64::MAX,
+            [vec![u64::MAX, 1]].into_iter().map(Vec::into_iter),
+            0,
+        );
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "the planner's cluster must be valid: cluster configured with zero workers"
+    )]
+    fn invalid_cluster_is_rejected() {
+        let cluster = ClusterConfig {
+            workers: 0,
+            ..ClusterConfig::default()
+        };
+        let _ = plan_a2a(
+            &mixed_weights(20),
+            &PlannerConfig {
+                cluster,
+                ..PlannerConfig::default()
+            },
+        );
     }
 }

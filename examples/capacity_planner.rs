@@ -1,7 +1,7 @@
 //! Capacity planning: turn the paper's three tradeoffs into a decision.
-//! Sweeps candidate reducer capacities for one workload, executes each
-//! schema on the simulated cluster, and picks `q` under three different
-//! objectives.
+//! Sweeps candidate reducer capacities for one workload, scores each
+//! schema through the simulated cluster's cost model, and picks `q` under
+//! three different objectives.
 //!
 //! Run with: `cargo run --release --example capacity_planner`
 

@@ -6,12 +6,12 @@
 //! mrassign x2y  --x xs.txt --y ys.txt --q 200 [--algo <x2y solver>] [--budget <nodes>] [--routes]
 //! mrassign plan --weights weights.txt [--workers 16] [--candidates 10]
 //!               [--objective makespan|comm:<slowdown>] [--algo <a2a solver>] [--budget <nodes>]
-//!               [--threads <n>] [--shuffle materialized|pipelined]
-//!               [--finalize static|stealing] [--retries <n>] [--faults seed:7,rate:0.05]
-//!               [--memory-budget <bytes>]
+//!               [--threads <n>]
 //! mrassign dag  [--workload marginals|skewjoin] [--jobs 4] [--tenants 2] [--pool 2]
-//!               [--rows 200] [--seed 42] [--repeat 1] [--stage-cache <bytes>]
-//!               [engine knobs as for plan]
+//!               [--rows 200] [--seed 42] [--repeat 1] [--stage-cache <bytes>] [--threads <n>]
+//!               [--shuffle materialized|pipelined] [--finalize static|stealing]
+//!               [--retries <n>] [--faults seed:7,rate:0.05] [--memory-budget <bytes>]
+//!               [--checkpoint-dir <dir>]
 //! ```
 //!
 //! Solver names come from the registry in `mrassign_core::solver`
@@ -19,20 +19,25 @@
 //! branch-and-bound optimal solver; `--budget` caps its node count (it is
 //! rejected with any other solver) and the summary gains a `search:` line
 //! with the node/prune/memo statistics and whether optimality was
-//! certified. `--threads` fans the plan command's q-frontier sweep across
-//! OS threads, `--shuffle` picks the engine's shuffle mode (`pipelined`
-//! runs the overlapped stage-graph engine), and `--finalize` picks the
-//! pipelined engine's finalize scheduler (`stealing` lets idle consumer
-//! threads take completed partitions off hot ones) — none of them
-//! changes any output, only wall-clock time and peak memory. `--faults`
-//! injects a seeded transient-fault schedule (keys: `seed`, `rate`,
-//! `map-rate`, `reduce-rate`) and `--retries` sets the per-task retry
-//! budget; because retries replay deterministic tasks, these don't
-//! change the plan either — they exist to smoke the fault-tolerance
-//! layer end to end. `--memory-budget` caps the bytes of sorted run data
-//! each pipelined consumer group may buffer before sealing runs to disk
-//! (the out-of-core shuffle path); like every engine knob it trades
-//! memory for I/O without changing a single output byte.
+//! certified. `plan` scores each candidate capacity's schema through the
+//! `--workers` cluster's cost model without running the engine, so it
+//! takes no engine knobs; `--threads` fans its q-frontier sweep across OS
+//! threads without changing the plan.
+//!
+//! The engine knobs belong to `dag`, which runs the engine for every
+//! stage. `--threads` sets the engine's map threads, `--shuffle` picks
+//! its shuffle mode (`pipelined` runs the overlapped stage-graph engine),
+//! and `--finalize` picks the pipelined engine's finalize scheduler
+//! (`stealing` lets idle consumer threads take completed partitions off
+//! hot ones) — none of them changes any output, only wall-clock time and
+//! peak memory. `--faults` injects a seeded transient-fault schedule
+//! (keys: `seed`, `rate`, `map-rate`, `reduce-rate`) and `--retries` sets
+//! the per-task retry budget; because retries replay deterministic
+//! tasks, these don't change the outputs either — they exist to smoke the
+//! fault-tolerance layer end to end. `--memory-budget` caps the bytes of
+//! sorted run data each pipelined consumer group may buffer before
+//! sealing runs to disk (the out-of-core shuffle path); like every engine
+//! knob it trades memory for I/O without changing a single output byte.
 //! `--checkpoint-dir` makes the engine persist every finalized reduce
 //! partition under the given directory, keyed by a fingerprint of the
 //! job's semantic configuration and workload; re-running the same
@@ -48,7 +53,9 @@
 //! tenants to one shared `--pool`-worker job server, re-runs every job
 //! hand-chained as a referee, verifies the outputs are bit-identical,
 //! and prints per-job stage metrics plus the fair-share table. All the
-//! engine knobs above apply to every stage of every round. `--repeat`
+//! engine knobs above apply to every stage of every round; the referee
+//! runs without `--checkpoint-dir`, so it recomputes every partition
+//! instead of replaying the ones the DAG run persisted. `--repeat`
 //! submits every job graph that many times; with `--stage-cache <bytes>`
 //! (or the `MRASSIGN_STAGE_CACHE` environment variable — the flag wins)
 //! the server keeps a fingerprint-keyed intermediate store of that
@@ -100,9 +107,7 @@ usage:
   mrassign a2a  --weights <file> --q <n> [--algo <a2a solver>] [--budget <nodes>] [--routes]
   mrassign x2y  --x <file> --y <file> --q <n> [--algo <x2y solver>] [--budget <nodes>] [--routes]
   mrassign plan --weights <file> [--workers <n>] [--candidates <n>] [--objective makespan|comm:<slowdown>]
-                [--algo <a2a solver>] [--budget <nodes>] [--threads <n>] [--shuffle materialized|pipelined]
-                [--finalize static|stealing] [--retries <n>] [--faults <spec>]
-                [--memory-budget <bytes>] [--checkpoint-dir <dir>]
+                [--algo <a2a solver>] [--budget <nodes>] [--threads <n>]
   mrassign dag  [--workload marginals|skewjoin] [--jobs <n>] [--tenants <n>] [--pool <n>] [--rows <n>]
                 [--seed <s>] [--repeat <n>] [--stage-cache <bytes>] [--threads <n>]
                 [--shuffle materialized|pipelined] [--finalize static|stealing]
@@ -121,7 +126,7 @@ x2y solvers: auto | one-reducer | grid | grid-optimized | bighandling | exact
          (MRASSIGN_STAGE_CACHE is the env fallback; the flag wins) and --repeat resubmits every dag
          job that many times, so repeat rounds are served from the store instead of re-executing";
 
-/// The engine knobs `plan` and `dag` share, parsed by
+/// The engine knobs `dag` applies to every stage, parsed by
 /// [`parse_engine_cluster`].
 const ENGINE_FLAGS: &str = "shuffle finalize retries faults memory-budget checkpoint-dir";
 
@@ -139,10 +144,7 @@ fn run(args: &[String]) -> Result<String, String> {
         "a2a" => (&["weights q algo budget routes"], cmd_a2a),
         "x2y" => (&["x y q algo budget routes"], cmd_x2y),
         "plan" => (
-            &[
-                "weights workers candidates objective algo budget threads",
-                ENGINE_FLAGS,
-            ],
+            &["weights workers candidates objective algo budget threads"],
             cmd_plan,
         ),
         "dag" => (
@@ -466,19 +468,17 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<String, String> {
     if let Some(budget) = parse_budget(flags, algo.name())? {
         algo = a2a::A2aAlgorithm::Exact(budget);
     }
-    // `--threads` sizes the q sweep; the engine's map threads keep their
-    // default.
     let threads: usize = match flags.get("threads") {
         Some(s) => parse_num(s, "a thread count")?,
         None => PlannerConfig::default().threads,
     };
-    let cluster = parse_engine_cluster(
-        flags,
-        ClusterConfig {
-            workers,
-            ..ClusterConfig::default()
-        },
-    )?;
+    // The planner reads only the cluster's cost model; validating here
+    // turns `--workers 0` into a flag error.
+    let cluster = ClusterConfig {
+        workers,
+        ..ClusterConfig::default()
+    };
+    cluster.validate().map_err(|e| e.to_string())?;
 
     let plan = plan_a2a_with(
         algo,
@@ -635,6 +635,13 @@ fn cmd_dag(flags: &HashMap<String, String>) -> Result<String, String> {
             ..ClusterConfig::default()
         },
     )?;
+    // The hand-chained referee recomputes every partition: under the DAG
+    // run's checkpoint dir it would replay what that run persisted and so
+    // compare the checkpoint with itself.
+    let referee_cluster = ClusterConfig {
+        checkpoint_dir: None,
+        ..cluster.clone()
+    };
 
     let mut out = format!(
         "DAG: workload = {workload}, {jobs} job(s) × {repeat} round(s) from {tenants} tenant(s) \
@@ -659,6 +666,11 @@ fn cmd_dag(flags: &HashMap<String, String>) -> Result<String, String> {
                 first_cluster: cluster.clone(),
                 second_cluster: cluster,
                 ..MarginalsConfig::default()
+            };
+            let referee_cfg = MarginalsConfig {
+                first_cluster: referee_cluster.clone(),
+                second_cluster: referee_cluster,
+                ..cfg.clone()
             };
             let inputs: Vec<_> = (0..jobs)
                 .map(|i| {
@@ -685,8 +697,8 @@ fn cmd_dag(flags: &HashMap<String, String>) -> Result<String, String> {
                     .collect();
                 for (i, handle) in handles {
                     let result = handle.join().map_err(|e| e.to_string())?;
-                    let referee =
-                        run_marginals_chained(&inputs[i], &cfg).map_err(|e| e.to_string())?;
+                    let referee = run_marginals_chained(&inputs[i], &referee_cfg)
+                        .map_err(|e| e.to_string())?;
                     if result.output != referee.marginals {
                         return Err(format!(
                             "job {i} round {round}: DAG output diverged from the referee"
@@ -707,6 +719,11 @@ fn cmd_dag(flags: &HashMap<String, String>) -> Result<String, String> {
                 stats_cluster: cluster.clone(),
                 join_cluster: cluster,
                 ..SkewDagConfig::default()
+            };
+            let referee_cfg = SkewDagConfig {
+                stats_cluster: referee_cluster.clone(),
+                join_cluster: referee_cluster,
+                ..cfg.clone()
             };
             let inputs: Vec<_> = (0..jobs)
                 .map(|i| {
@@ -736,8 +753,8 @@ fn cmd_dag(flags: &HashMap<String, String>) -> Result<String, String> {
                     .collect();
                 for (i, handle) in handles {
                     let result = handle.join().map_err(|e| e.to_string())?;
-                    let (referee, _) =
-                        run_skew_join_chained(&inputs[i], &cfg).map_err(|e| e.to_string())?;
+                    let (referee, _) = run_skew_join_chained(&inputs[i], &referee_cfg)
+                        .map_err(|e| e.to_string())?;
                     if result.output.output != referee.output {
                         return Err(format!(
                             "job {i} round {round}: DAG output diverged from the referee"
@@ -952,9 +969,21 @@ mod tests {
         .unwrap();
         assert!(out.contains("recommended capacity"));
         assert!(out.contains("<== chosen"));
+        let err = run(&[
+            "plan".into(),
+            "--weights".into(),
+            path.to_str().unwrap().into(),
+            "--workers".into(),
+            "0".into(),
+        ])
+        .unwrap_err();
+        assert_eq!(err, "cluster configured with zero workers");
         std::fs::remove_file(path).unwrap();
     }
 
+    /// `--threads` never moves the plan. The engine knobs are not `plan`
+    /// flags: it scores its candidates without running the engine, so a
+    /// knob passed to it fails by name instead of being ignored.
     #[test]
     fn plan_honors_threads_and_shuffle_flags() {
         let dir = std::env::temp_dir().join("mrassign-cli-test");
@@ -976,135 +1005,65 @@ mod tests {
             args.extend(extra.iter().map(|s| s.to_string()));
             run(&args)
         };
-        // The plan is identical whatever knobs are set: determinism is the
-        // whole point of both flags.
         let reference = base(&[]).unwrap();
         assert_eq!(reference, base(&["--threads", "4"]).unwrap());
-        assert_eq!(reference, base(&["--shuffle", "pipelined"]).unwrap());
-        assert_eq!(
-            reference,
-            base(&["--shuffle", "pipelined", "--finalize", "stealing"]).unwrap()
-        );
-        assert_eq!(reference, base(&["--finalize", "static"]).unwrap());
-        assert_eq!(
-            reference,
-            base(&["--threads", "2", "--shuffle", "materialized"]).unwrap()
-        );
-        assert_eq!(
-            reference,
-            base(&["--threads", "4", "--shuffle", "pipelined"]).unwrap()
-        );
-        // The removed streaming shuffle is rejected by name, not run.
-        let err = base(&["--shuffle", "streaming"]).unwrap_err();
+        assert_eq!(reference, base(&["--threads", "2"]).unwrap());
+        for knob in [["--shuffle", "pipelined"], ["--finalize", "stealing"]] {
+            let err = base(&knob).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unknown flag {} ", knob[0])),
+                "{err}"
+            );
+        }
+        std::fs::remove_file(path).unwrap();
+    }
+
+    /// A malformed shuffle mode or memory budget on `dag` is rejected with
+    /// the knob named, before any job runs: the removed streaming shuffle,
+    /// a zero budget and an unparsable one.
+    #[test]
+    fn dag_rejects_malformed_shuffle_and_memory_budget() {
+        let dag = |extra: &[&str]| {
+            let mut args: Vec<String> = ["dag", "--jobs", "1", "--rows", "20"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
+            args.extend(extra.iter().map(|s| s.to_string()));
+            run(&args)
+        };
+        let err = dag(&["--shuffle", "streaming"]).unwrap_err();
         assert!(
             err.contains("unknown shuffle mode `streaming` (expected materialized|pipelined)"),
             "{err}"
         );
-        std::fs::remove_file(path).unwrap();
-    }
-
-    /// `--memory-budget` forces the pipelined engine out of core but, like
-    /// every engine knob, never moves the plan; a zero or unparsable
-    /// budget is rejected with the knob named.
-    #[test]
-    fn plan_honors_memory_budget_flag() {
-        let dir = std::env::temp_dir().join("mrassign-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("plan-memory-weights.txt");
-        let body: String = (0..50).map(|i| format!("{}\n", 30 + i % 20)).collect();
-        std::fs::write(&path, body).unwrap();
-        let base = |extra: &[&str]| {
-            let mut args: Vec<String> = [
-                "plan",
-                "--weights",
-                path.to_str().unwrap(),
-                "--candidates",
-                "5",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-            args.extend(extra.iter().map(|s| s.to_string()));
-            run(&args)
-        };
-        let reference = base(&[]).unwrap();
-        // A tight budget on the pipelined engine spills heavily and still
-        // produces the identical q-frontier.
-        assert_eq!(
-            reference,
-            base(&[
-                "--shuffle",
-                "pipelined",
-                "--finalize",
-                "stealing",
-                "--memory-budget",
-                "256",
-            ])
-            .unwrap()
-        );
-        assert_eq!(reference, base(&["--memory-budget", "1048576"]).unwrap());
-        let err = base(&["--memory-budget", "0"]).unwrap_err();
+        let err = dag(&["--memory-budget", "0"]).unwrap_err();
         assert!(err.contains("memory_budget"), "{err}");
-        let err = base(&["--memory-budget", "lots"]).unwrap_err();
+        let err = dag(&["--memory-budget", "lots"]).unwrap_err();
         assert!(err.contains("memory budget"), "{err}");
-        std::fs::remove_file(path).unwrap();
     }
 
-    /// The fault-injection knobs never change the plan: retries replay
-    /// deterministic tasks until the faulted run is bit-identical to the
-    /// clean one, so the q-frontier (which is derived from job metrics)
-    /// must not move — under either engine. Typos in either flag fail
-    /// loudly instead of silently planning fault-free.
+    /// Malformed fault-injection flags on `dag` fail loudly instead of
+    /// silently running fault-free: a typoed or out-of-range `--faults`
+    /// key and an unparsable `--retries`.
     #[test]
-    fn plan_under_injected_faults_matches_the_clean_plan() {
-        let dir = std::env::temp_dir().join("mrassign-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("plan-faults-weights.txt");
-        let body: String = (0..50).map(|i| format!("{}\n", 30 + i % 20)).collect();
-        std::fs::write(&path, body).unwrap();
-        let base = |extra: &[&str]| {
-            let mut args: Vec<String> = [
-                "plan",
-                "--weights",
-                path.to_str().unwrap(),
-                "--candidates",
-                "5",
-            ]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+    fn dag_rejects_malformed_fault_flags() {
+        let dag = |extra: &[&str]| {
+            let mut args: Vec<String> = ["dag", "--jobs", "1", "--rows", "20"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect();
             args.extend(extra.iter().map(|s| s.to_string()));
             run(&args)
         };
-        let reference = base(&[]).unwrap();
-        assert_eq!(
-            reference,
-            base(&["--retries", "3", "--faults", "seed:7,rate:0.05"]).unwrap()
-        );
-        assert_eq!(
-            reference,
-            base(&[
-                "--shuffle",
-                "pipelined",
-                "--finalize",
-                "stealing",
-                "--retries",
-                "8",
-                "--faults",
-                "seed:23,rate:0.2",
-            ])
-            .unwrap()
-        );
-        let err = base(&["--faults", "seed:7,rat:0.05"]).unwrap_err();
+        let err = dag(&["--faults", "seed:7,rat:0.05"]).unwrap_err();
         assert!(err.contains("rat"), "typoed key must be named: {err}");
-        let err = base(&["--faults", "seed:7,rate:1.5"]).unwrap_err();
+        let err = dag(&["--faults", "seed:7,rate:1.5"]).unwrap_err();
         assert!(
             err.contains("[0, 1]"),
             "out-of-range rate must be rejected: {err}"
         );
-        let err = base(&["--retries", "many"]).unwrap_err();
+        let err = dag(&["--retries", "many"]).unwrap_err();
         assert!(err.contains("retry budget"), "{err}");
-        std::fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -1374,26 +1333,39 @@ mod tests {
     fn misspelled_flags_are_rejected_by_name() {
         let args =
             |parts: &[&str]| -> Vec<String> { parts.iter().map(|s| s.to_string()).collect() };
-        for argv in [
-            &["plan", "--weights", "w.txt", "--shufle", "pipelined"][..],
-            &["plan", "--weights", "w.txt", "--finalise", "stealing"],
-            &["plan", "--weights", "w.txt", "--memory-budegt", "0"],
-            &["dag", "--shufle", "pipelined"],
-            &["dag", "--jobs", "2", "--retry", "3"],
+        for (argv, listed) in [
+            (
+                &["plan", "--weights", "w.txt", "--thread", "4"][..],
+                "--threads",
+            ),
+            (
+                &["plan", "--weights", "w.txt", "--worker", "8"],
+                "--workers",
+            ),
+            (
+                &["plan", "--weights", "w.txt", "--candidate", "5"],
+                "--candidates",
+            ),
+            (&["dag", "--shufle", "pipelined"], "--shuffle"),
+            (&["dag", "--jobs", "2", "--retry", "3"], "--retries"),
         ] {
             let typo = argv[argv.len() - 2];
             let err = run(&args(argv)).unwrap_err();
             assert!(err.starts_with(&format!("unknown flag {typo} ")), "{err}");
             assert!(
-                err.contains("--shuffle"),
+                err.contains(&format!("{listed},")) || err.ends_with(&format!("{listed})")),
                 "the accepted flags are listed: {err}"
             );
         }
-        // `plan` sweeps q itself, and `a2a` runs no engine.
+        // `plan` sweeps q itself, and neither `plan` nor `a2a` runs the
+        // engine.
         let err = run(&args(&["plan", "--weights", "w.txt", "--q", "9"])).unwrap_err();
         assert!(err.starts_with("unknown flag --q "), "{err}");
-        let err = run(&args(&["a2a", "--q", "9", "--shuffle", "pipelined"])).unwrap_err();
-        assert!(err.starts_with("unknown flag --shuffle "), "{err}");
+        for command in [&["plan", "--weights", "w.txt"][..], &["a2a", "--q", "9"]] {
+            let argv = [command, &["--shuffle", "pipelined"]].concat();
+            let err = run(&args(&argv)).unwrap_err();
+            assert!(err.starts_with("unknown flag --shuffle "), "{err}");
+        }
     }
 
     /// Every flag the usage text documents for a command is accepted by
@@ -1438,5 +1410,47 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("no mapping schema exists"));
         std::fs::remove_file(path).unwrap();
+    }
+
+    /// Weights whose largest pair sums past `u64::MAX` are infeasible at
+    /// every capacity: `plan` and `x2y` name the pair instead of planning
+    /// a wrapped-around capacity, dividing by zero, or overflowing the
+    /// stack.
+    #[test]
+    fn overflowing_weights_are_named_errors() {
+        let dir = std::env::temp_dir().join("mrassign-cli-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let saturated = format!("weigh {} together", u64::MAX);
+        for (name, body) in [
+            ("overflow-max.txt", format!("{}\n5\n", u64::MAX)),
+            ("overflow-half.txt", format!("{0}\n{0}\n", 1u64 << 63)),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, body).unwrap();
+            let err = run(&[
+                "plan".into(),
+                "--weights".into(),
+                path.to_str().unwrap().into(),
+            ])
+            .unwrap_err();
+            assert!(err.contains(&saturated), "{name}: {err}");
+            std::fs::remove_file(path).unwrap();
+        }
+        let (xp, yp) = (dir.join("overflow-x.txt"), dir.join("overflow-y.txt"));
+        std::fs::write(&xp, format!("{}\n", u64::MAX)).unwrap();
+        std::fs::write(&yp, "5\n").unwrap();
+        let err = run(&[
+            "x2y".into(),
+            "--x".into(),
+            xp.to_str().unwrap().into(),
+            "--y".into(),
+            yp.to_str().unwrap().into(),
+            "--q".into(),
+            "4".into(),
+        ])
+        .unwrap_err();
+        assert!(err.contains(&saturated), "{err}");
+        std::fs::remove_file(xp).unwrap();
+        std::fs::remove_file(yp).unwrap();
     }
 }

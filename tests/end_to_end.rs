@@ -11,10 +11,10 @@ use mrassign::joins::{
     run_similarity_join, run_skew_join, SimJoinConfig, SimJoinStrategy, SkewJoinConfig,
     SkewJoinStrategy,
 };
-use mrassign::planner::{plan_a2a, plan_x2y, PlannerConfig};
+use mrassign::planner::{plan_a2a, plan_x2y, Plan, PlannerConfig};
 use mrassign::simmr::{
     ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, FaultPlan, FinalizeMode, Job,
-    Mapper, Reducer, ShuffleMode, SpillCodec,
+    JobMetrics, Mapper, Reducer, ShuffleMode, SpillCodec,
 };
 use mrassign::workloads::cube::{generate_cube, CubeSpec};
 use mrassign::workloads::{
@@ -83,82 +83,97 @@ fn cluster() -> ClusterConfig {
     }
 }
 
+/// One input of a mapping schema's engine job: `bytes` of payload that
+/// [`Replicate`] sends, keyed by reducer index, to every reducer in
+/// `targets`.
+#[derive(Clone, Hash)]
+struct Blob {
+    bytes: u64,
+    targets: Vec<usize>,
+}
+
+impl ByteSized for Blob {
+    fn size_bytes(&self) -> u64 {
+        self.bytes
+    }
+}
+
+#[derive(Clone)]
+struct P(u64);
+
+impl ByteSized for P {
+    fn size_bytes(&self) -> u64 {
+        self.0
+    }
+}
+
+impl SpillCodec for P {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+    fn decode(bytes: &mut &[u8]) -> Option<Self> {
+        Some(P(u64::decode(bytes)?))
+    }
+}
+
+struct Replicate;
+
+impl Mapper for Replicate {
+    type In = Blob;
+    type Key = u64;
+    type Value = P;
+    fn map(&self, input: &Blob, emit: &mut Emitter<u64, P>) {
+        for &t in &input.targets {
+            emit.emit(t as u64, P(input.bytes));
+        }
+    }
+}
+
+struct Absorb;
+
+impl Reducer for Absorb {
+    type Key = u64;
+    type Value = P;
+    type Out = ();
+    fn reduce(&self, _: &u64, _: &[P], _: &mut Vec<()>) {}
+}
+
+/// Executes a mapping schema on the engine under the environment's
+/// cluster and `CapacityPolicy::Enforce(q)`: input `i` weighs
+/// `weights[i]` and is routed to every reducer whose member list holds
+/// `i`.
+fn run_schema(weights: &[u64], reducers: &[Vec<u32>], q: u64) -> JobMetrics {
+    let mut blobs: Vec<Blob> = weights
+        .iter()
+        .map(|&bytes| Blob {
+            bytes,
+            targets: Vec::new(),
+        })
+        .collect();
+    for (rid, members) in reducers.iter().enumerate() {
+        for &id in members {
+            blobs[id as usize].targets.push(rid);
+        }
+    }
+    Job::new(Replicate, Absorb, DirectRouter, reducers.len(), cluster())
+        .capacity(CapacityPolicy::Enforce(q))
+        .run(&blobs)
+        .unwrap()
+        .metrics
+}
+
 /// A schema executed on the engine produces reducer loads identical to the
 /// schema's own load computation — the two accounting systems agree.
 #[test]
 fn schema_loads_match_engine_loads() {
-    #[derive(Clone, Hash)]
-    struct Blob {
-        id: u32,
-        bytes: u64,
-        targets: Vec<usize>,
-    }
-    impl ByteSized for Blob {
-        fn size_bytes(&self) -> u64 {
-            self.bytes
-        }
-    }
-    #[derive(Clone)]
-    struct P(u64);
-    impl ByteSized for P {
-        fn size_bytes(&self) -> u64 {
-            self.0
-        }
-    }
-    impl SpillCodec for P {
-        fn encode(&self, buf: &mut Vec<u8>) {
-            self.0.encode(buf);
-        }
-        fn decode(bytes: &mut &[u8]) -> Option<Self> {
-            Some(P(u64::decode(bytes)?))
-        }
-    }
-    struct M;
-    impl Mapper for M {
-        type In = Blob;
-        type Key = u64;
-        type Value = P;
-        fn map(&self, input: &Blob, emit: &mut Emitter<u64, P>) {
-            for &t in &input.targets {
-                emit.emit(t as u64, P(input.bytes));
-            }
-        }
-    }
-    struct R;
-    impl Reducer for R {
-        type Key = u64;
-        type Value = P;
-        type Out = ();
-        fn reduce(&self, _: &u64, _: &[P], _: &mut Vec<()>) {}
-    }
-
     let weights = SizeDistribution::Uniform { lo: 5, hi: 60 }.sample_many(120, 17);
     let inputs = InputSet::from_weights(weights.clone());
     let q = 150;
     let schema = a2a::solve(&inputs, q, a2a::A2aAlgorithm::Auto).unwrap();
-    let mut routes: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
-    for (rid, r) in schema.reducers().iter().enumerate() {
-        for &id in r {
-            routes[id as usize].push(rid);
-        }
-    }
-    let blobs: Vec<Blob> = weights
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| Blob {
-            id: i as u32,
-            bytes: w,
-            targets: routes[i].clone(),
-        })
-        .collect();
-    let _ = blobs[0].id;
-
-    let job = Job::new(M, R, DirectRouter, schema.reducer_count(), cluster())
-        .capacity(CapacityPolicy::Enforce(q));
-    let run = job.run(&blobs).unwrap();
+    let metrics = run_schema(&weights, schema.reducers(), q);
 
     let schema_loads = schema.loads(&inputs);
-    assert_eq!(run.metrics.reducer_value_bytes, schema_loads);
+    assert_eq!(metrics.reducer_value_bytes, schema_loads);
     // Engine communication = schema communication + 8 key bytes per copy.
     let copies: u64 = schema
         .replication(inputs.len())
@@ -166,9 +181,77 @@ fn schema_loads_match_engine_loads() {
         .map(|&r| r as u64)
         .sum();
     assert_eq!(
-        run.metrics.bytes_shuffled as u128,
+        metrics.bytes_shuffled as u128,
         schema.communication_cost(&inputs) + copies as u128 * 8
     );
+}
+
+/// The planner scores each candidate through the engine's cost model
+/// without running it; this referee runs it. For every frontier
+/// candidate of uniform, Zipf and bimodal A2A workloads and of one X2Y
+/// workload, the schema re-solved at the candidate's q and executed on
+/// the engine under the environment's cluster reports bit for bit the
+/// makespan and speedup the planner scored, and the same max load and
+/// reducer count. CI runs this in every engine leg.
+#[test]
+fn planner_frontier_matches_engine_execution() {
+    let config = PlannerConfig {
+        cluster: cluster(),
+        ..PlannerConfig::default()
+    };
+    let check = |weights: &[u64], plan: &Plan, solve: &dyn Fn(u64) -> Vec<Vec<u32>>| {
+        for c in &plan.frontier {
+            let engine = run_schema(weights, &solve(c.q), c.q);
+            let q = c.q;
+            assert_eq!(
+                c.makespan.to_bits(),
+                engine.total_seconds().to_bits(),
+                "q = {q}"
+            );
+            assert_eq!(c.speedup.to_bits(), engine.speedup().to_bits(), "q = {q}");
+            assert_eq!(c.max_load, engine.max_reducer_load(), "q = {q}");
+            assert_eq!(c.reducers, engine.reducers, "q = {q}");
+        }
+    };
+
+    let dists = [
+        SizeDistribution::Uniform { lo: 20, hi: 140 },
+        SizeDistribution::Zipf {
+            ranks: 100,
+            exponent: 1.0,
+            max_size: 1_000,
+        },
+        SizeDistribution::Bimodal {
+            small: 40,
+            big: 800,
+            big_fraction: 0.1,
+        },
+    ];
+    for (seed, dist) in dists.into_iter().enumerate() {
+        let weights = dist.sample_many(150, 60 + seed as u64);
+        let inputs = InputSet::from_weights(weights.clone());
+        let plan = plan_a2a(&weights, &config).unwrap();
+        check(&weights, &plan, &|q| {
+            let schema = a2a::solve(&inputs, q, a2a::A2aAlgorithm::Auto).unwrap();
+            schema.reducers().to_vec()
+        });
+    }
+
+    // The X2Y job's inputs are X then Y: a reducer's members are its X
+    // ids followed by its Y ids offset by |X|.
+    let x = SizeDistribution::Uniform { lo: 10, hi: 90 }.sample_many(70, 64);
+    let y = SizeDistribution::Uniform { lo: 10, hi: 90 }.sample_many(50, 65);
+    let inst = X2yInstance::from_weights(x.clone(), y.clone());
+    let plan = plan_x2y(&x, &y, &config).unwrap();
+    let offset = x.len() as u32;
+    check(&[x.clone(), y.clone()].concat(), &plan, &|q| {
+        let schema = x2y::solve(&inst, q, x2y::X2yAlgorithm::Auto).unwrap();
+        let reducers = schema.reducers().iter();
+        reducers
+            .map(|r| r.x.iter().copied().chain(r.y.iter().map(|&i| offset + i)))
+            .map(Iterator::collect)
+            .collect()
+    });
 }
 
 /// Full pipeline: generate documents → A2A schema → simulated job →
