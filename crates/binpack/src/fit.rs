@@ -6,10 +6,13 @@ use crate::segtree::MaxSegTree;
 
 /// The classic one-dimensional bin-packing heuristics.
 ///
-/// The *decreasing* variants sort items by weight (descending, ties broken by
-/// item id for determinism) before running the corresponding online rule;
-/// they are the policies the paper's mapping-schema algorithms use by
-/// default (first-fit decreasing).
+/// The *decreasing* variants run the corresponding online rule over the
+/// items in [`DecreasingOrder`] (weight descending, ties by ascending item
+/// id, so packings are deterministic); they are the policies the paper's
+/// mapping-schema algorithms use by default (first-fit decreasing). The
+/// online rules take the items in id order. Ties between equally good bins
+/// go to the lowest bin index, except under worst fit, where they go to the
+/// highest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FitPolicy {
     /// Keep one open bin; start a new bin when the next item does not fit.
@@ -58,13 +61,48 @@ impl FitPolicy {
     }
 }
 
+/// Item ids sorted by weight descending, ties by ascending id: the order the
+/// decreasing policies pack in.
+///
+/// It is always a permutation of `0..len`, so packing in it places every
+/// item exactly once whatever weights it was sorted by. Sorting once and
+/// handing the order to [`pack_sorted`] saves the sort when one instance is
+/// packed at many capacities.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecreasingOrder(Vec<ItemId>);
+
+impl DecreasingOrder {
+    /// Sorts the ids of `weights`.
+    pub fn of(weights: &[u64]) -> Self {
+        let mut ids: Vec<ItemId> = (0..weights.len() as ItemId).collect();
+        ids.sort_unstable_by(|&a, &b| {
+            weights[b as usize]
+                .cmp(&weights[a as usize])
+                .then(a.cmp(&b))
+        });
+        DecreasingOrder(ids)
+    }
+
+    /// The ids, heaviest first.
+    pub fn ids(&self) -> &[ItemId] {
+        &self.0
+    }
+}
+
 /// Packs `weights` into bins of `capacity` using `policy`.
 ///
 /// Item ids in the resulting [`Packing`] are indices into `weights`. Fails
 /// with [`PackError::ItemTooLarge`] if any single weight exceeds `capacity`
 /// (no packing exists) and [`PackError::ZeroCapacity`] if `capacity == 0`.
 ///
-/// Zero-weight items are legal and are placed like any other item.
+/// Zero-weight items are legal and are placed like any other item. The
+/// decreasing policies sort the items first and then run as
+/// [`pack_sorted`]; callers packing one instance at many capacities should
+/// sort once with [`DecreasingOrder::of`] and call that instead.
+///
+/// First fit finds each item's bin in `O(log k)` for `k` open bins, and
+/// best and worst fit in `O(log k)` through an ordered set, so a pack costs
+/// `O(n log k)` after the sort.
 ///
 /// # Example
 ///
@@ -74,131 +112,148 @@ impl FitPolicy {
 /// assert_eq!(p.bin_count(), 2);
 /// ```
 pub fn pack(weights: &[u64], capacity: u64, policy: FitPolicy) -> Result<Packing, PackError> {
-    if capacity == 0 {
-        return Err(PackError::ZeroCapacity);
-    }
-    for (idx, &w) in weights.iter().enumerate() {
-        if w > capacity {
-            return Err(PackError::ItemTooLarge {
-                id: idx as ItemId,
-                weight: w,
-                capacity,
-            });
-        }
-    }
-
-    let mut order: Vec<u32> = (0..weights.len() as u32).collect();
     if policy.is_decreasing() {
-        // Sort by weight descending; ties by id ascending for determinism.
-        order.sort_by(|&a, &b| {
-            weights[b as usize]
-                .cmp(&weights[a as usize])
-                .then(a.cmp(&b))
-        });
+        pack_sorted(weights, capacity, policy, &DecreasingOrder::of(weights))
+    } else {
+        fit(weights, capacity, policy, 0..weights.len() as ItemId)
     }
-
-    let packing = match policy {
-        FitPolicy::NextFit => next_fit(weights, capacity, &order),
-        FitPolicy::FirstFit | FitPolicy::FirstFitDecreasing => first_fit(weights, capacity, &order),
-        FitPolicy::BestFit | FitPolicy::BestFitDecreasing => {
-            best_or_worst_fit(weights, capacity, &order, true)
-        }
-        FitPolicy::WorstFit => best_or_worst_fit(weights, capacity, &order, false),
-    };
-    Ok(packing)
 }
 
-/// Packs `weights` and returns only the bin membership lists, a convenience
-/// for callers (like the mapping-schema algorithms) that immediately convert
-/// bins into input groups.
+/// [`pack`] with the decreasing order of `weights` sorted by the caller: the
+/// decreasing policies pack in `order`, and the online policies ignore it.
+///
+/// With `order == DecreasingOrder::of(weights)` this returns exactly what
+/// [`pack`] returns; an order sorted by other weights still yields a valid
+/// packing, since every order is a permutation of the item ids.
+///
+/// # Panics
+///
+/// If `order` does not rank exactly `weights.len()` items.
+pub fn pack_sorted(
+    weights: &[u64],
+    capacity: u64,
+    policy: FitPolicy,
+    order: &DecreasingOrder,
+) -> Result<Packing, PackError> {
+    assert_eq!(
+        order.ids().len(),
+        weights.len(),
+        "a decreasing order ranks every weight exactly once"
+    );
+    if policy.is_decreasing() {
+        fit(weights, capacity, policy, order.ids().iter().copied())
+    } else {
+        fit(weights, capacity, policy, 0..weights.len() as ItemId)
+    }
+}
+
+/// Packs `weights` as [`pack`] does and returns only the bin membership
+/// lists, moved out of the packing; a convenience for callers (like the
+/// mapping-schema algorithms) that immediately convert bins into input
+/// groups.
 pub fn pack_into_bins(
     weights: &[u64],
     capacity: u64,
     policy: FitPolicy,
 ) -> Result<Vec<Vec<ItemId>>, PackError> {
-    let packing = pack(weights, capacity, policy)?;
-    Ok(packing
-        .bins()
-        .iter()
-        .map(|bin| bin.items().to_vec())
-        .collect())
+    pack(weights, capacity, policy).map(Packing::into_item_lists)
 }
 
-fn next_fit(weights: &[u64], capacity: u64, order: &[u32]) -> Packing {
+/// Runs `policy`'s online rule over the items in `order`, after checking
+/// that every item fits in a bin.
+fn fit(
+    weights: &[u64],
+    capacity: u64,
+    policy: FitPolicy,
+    order: impl Iterator<Item = ItemId>,
+) -> Result<Packing, PackError> {
+    if capacity == 0 {
+        return Err(PackError::ZeroCapacity);
+    }
+    if let Some((idx, &w)) = weights.iter().enumerate().find(|&(_, &w)| w > capacity) {
+        return Err(PackError::ItemTooLarge {
+            id: idx as ItemId,
+            weight: w,
+            capacity,
+        });
+    }
+    Ok(match policy {
+        FitPolicy::NextFit => next_fit(weights, capacity, order),
+        FitPolicy::FirstFit | FitPolicy::FirstFitDecreasing => first_fit(weights, capacity, order),
+        FitPolicy::BestFit | FitPolicy::BestFitDecreasing => {
+            best_or_worst_fit(weights, capacity, order, true)
+        }
+        FitPolicy::WorstFit => best_or_worst_fit(weights, capacity, order, false),
+    })
+}
+
+fn next_fit(weights: &[u64], capacity: u64, order: impl Iterator<Item = ItemId>) -> Packing {
     let mut packing = Packing::new(capacity);
     let mut current = Bin::new();
-    for &id in order {
+    for id in order {
         let w = weights[id as usize];
-        if current.load() + w > capacity {
+        // Compare with the residual: `load + w` can wrap near `u64::MAX`.
+        if w > capacity - current.load() {
             packing.push_bin(std::mem::replace(&mut current, Bin::new()));
         }
         current.push(id, w);
     }
-    if !current.is_empty() || !order.is_empty() {
-        // Push the final bin; for a nonempty instance it always holds items.
-        if !current.is_empty() {
-            packing.push_bin(current);
-        }
+    if !current.is_empty() {
+        packing.push_bin(current);
     }
     packing
 }
 
-fn first_fit(weights: &[u64], capacity: u64, order: &[u32]) -> Packing {
+fn first_fit(weights: &[u64], capacity: u64, order: impl Iterator<Item = ItemId>) -> Packing {
     let mut packing = Packing::new(capacity);
-    // One potential bin per item; leaf value = residual capacity.
-    let mut tree = MaxSegTree::new(weights.len().max(1));
-    let mut residuals: Vec<u64> = Vec::new();
-    for &id in order {
+    // One leaf per open bin; leaf value = residual capacity.
+    let mut residuals = MaxSegTree::new();
+    for id in order {
         let w = weights[id as usize];
-        let bin_idx = match tree.leftmost_at_least(w) {
-            Some(b) if b < residuals.len() => b,
-            _ => {
-                let b = residuals.len();
-                residuals.push(capacity);
-                packing.push_bin(Bin::new());
-                tree.set(b, capacity);
+        let bin_idx = match residuals.leftmost_at_least(w) {
+            Some(b) => {
+                residuals.set(b, residuals.get(b) - w);
                 b
             }
+            None => {
+                packing.push_bin(Bin::new());
+                residuals.push(capacity - w)
+            }
         };
-        residuals[bin_idx] -= w;
-        tree.set(bin_idx, residuals[bin_idx]);
         packing.bin_mut(bin_idx).push(id, w);
     }
     packing
 }
 
-fn best_or_worst_fit(weights: &[u64], capacity: u64, order: &[u32], best: bool) -> Packing {
+fn best_or_worst_fit(
+    weights: &[u64],
+    capacity: u64,
+    order: impl Iterator<Item = ItemId>,
+    best: bool,
+) -> Packing {
     let mut packing = Packing::new(capacity);
     // Ordered set of (residual, bin index): range queries pick the tightest
-    // (best-fit) or loosest (worst-fit) feasible bin in O(log n).
+    // (best-fit) or loosest (worst-fit) feasible bin in O(log k).
     let mut by_residual: BTreeSet<(u64, usize)> = BTreeSet::new();
-    let mut residuals: Vec<u64> = Vec::new();
-    for &id in order {
+    for id in order {
         let w = weights[id as usize];
         let chosen = if best {
             by_residual.range((w, 0)..).next().copied()
         } else {
             // Worst fit: the largest residual, provided it fits.
-            by_residual
-                .iter()
-                .next_back()
-                .copied()
-                .filter(|&(r, _)| r >= w)
+            by_residual.last().copied().filter(|&(r, _)| r >= w)
         };
-        let bin_idx = match chosen {
-            Some((r, b)) => {
-                by_residual.remove(&(r, b));
-                b
+        let (residual, bin_idx) = match chosen {
+            Some(entry) => {
+                by_residual.remove(&entry);
+                entry
             }
             None => {
-                let b = residuals.len();
-                residuals.push(capacity);
                 packing.push_bin(Bin::new());
-                b
+                (capacity, packing.bin_count() - 1)
             }
         };
-        residuals[bin_idx] -= w;
-        by_residual.insert((residuals[bin_idx], bin_idx));
+        by_residual.insert((residual - w, bin_idx));
         packing.bin_mut(bin_idx).push(id, w);
     }
     packing
@@ -251,6 +306,17 @@ mod tests {
         let p = pack(&[6, 5, 4], 10, FitPolicy::NextFit).unwrap();
         assert_eq!(p.bin_count(), 2);
         assert_eq!(p.bins()[1].items(), &[1, 2]);
+    }
+
+    /// `load + w` wraps near `u64::MAX`, so next fit compares `w` with the
+    /// residual; the wrapped sum would put both items in one bin of load 3.
+    #[test]
+    fn next_fit_compares_with_the_residual_not_a_wrapping_sum() {
+        let weights = [u64::MAX - 1, 5];
+        let p = pack(&weights, u64::MAX, FitPolicy::NextFit).unwrap();
+        assert_eq!(p.bin_count(), 2);
+        assert_eq!(p.bins()[0].load(), u64::MAX - 1);
+        p.validate(&weights).unwrap();
     }
 
     #[test]

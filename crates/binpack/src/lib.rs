@@ -8,7 +8,9 @@
 //! into reducers. This crate provides everything those algorithms need:
 //!
 //! * the classic online fit heuristics ([`FitPolicy`]: next-fit, first-fit,
-//!   best-fit, worst-fit) and their *decreasing* (sorted) variants,
+//!   best-fit, worst-fit) and their *decreasing* (sorted) variants, which
+//!   [`pack_sorted`] runs from a [`DecreasingOrder`] sorted once per
+//!   instance when one instance is packed at many capacities,
 //! * lower bounds on the optimal bin count ([`bounds::l1`] — the ceiling
 //!   bound — and [`bounds::l2`] — the Martello–Toth bound), used to report
 //!   approximation ratios,
@@ -42,7 +44,7 @@ pub mod exact;
 pub mod search;
 
 pub use error::PackError;
-pub use fit::{pack, pack_into_bins, FitPolicy};
+pub use fit::{pack, pack_into_bins, pack_sorted, DecreasingOrder, FitPolicy};
 pub use packing::{Bin, ItemId, Packing};
 pub use search::{BoundedMemo, BudgetMeter, SearchBudget, SearchStats};
 

@@ -95,6 +95,11 @@ impl Packing {
         &self.bins
     }
 
+    /// The bins' item lists, in creation order, moved out of the packing.
+    pub fn into_item_lists(self) -> Vec<Vec<ItemId>> {
+        self.bins.into_iter().map(|bin| bin.items).collect()
+    }
+
     /// Iterates over `(bin index, item id)` placements.
     pub fn placements(&self) -> impl Iterator<Item = (usize, ItemId)> + '_ {
         self.bins
@@ -103,9 +108,9 @@ impl Packing {
             .flat_map(|(b, bin)| bin.items().iter().map(move |&id| (b, id)))
     }
 
-    /// Total weight across all bins.
+    /// Total weight across all bins, saturating at `u64::MAX`.
     pub fn total_load(&self) -> u64 {
-        self.bins.iter().map(Bin::load).sum()
+        self.bins.iter().map(Bin::load).fold(0, u64::saturating_add)
     }
 
     /// The largest bin load, or 0 for an empty packing.
@@ -137,12 +142,13 @@ impl Packing {
 
     /// Independently verifies the packing invariants against `weights`:
     /// every item placed exactly once, recorded loads correct, no bin over
-    /// capacity. Returns the first violation found.
+    /// capacity. Returns the first violation found; a bin whose weights sum
+    /// past `u64::MAX` overflows with its load saturated there.
     pub fn validate(&self, weights: &[u64]) -> Result<(), PackError> {
         let mut seen = vec![false; weights.len()];
         let mut placed = 0usize;
         for (b, bin) in self.bins.iter().enumerate() {
-            let mut actual = 0u64;
+            let mut actual = Some(0u64);
             for &id in bin.items() {
                 let idx = id as usize;
                 if idx >= weights.len() || seen[idx] {
@@ -150,8 +156,15 @@ impl Packing {
                 }
                 seen[idx] = true;
                 placed += 1;
-                actual += weights[idx];
+                actual = actual.and_then(|load| load.checked_add(weights[idx]));
             }
+            let Some(actual) = actual else {
+                return Err(PackError::BinOverflow {
+                    bin: b,
+                    load: u64::MAX,
+                    capacity: self.capacity,
+                });
+            };
             if actual != bin.load() {
                 return Err(PackError::LoadMismatch {
                     bin: b,
@@ -265,6 +278,45 @@ mod tests {
                 capacity: 5
             })
         );
+    }
+
+    /// A bin's weights can sum past `u64::MAX`: this one's true load is
+    /// `u64::MAX + 4`, which a wrapping sum would read as the recorded 3.
+    #[test]
+    fn validate_rejects_a_load_that_overflows() {
+        let p = Packing::from_bins(
+            u64::MAX,
+            vec![Bin {
+                items: vec![0, 1],
+                load: 3,
+            }],
+        );
+        assert_eq!(
+            p.validate(&[u64::MAX - 1, 5]),
+            Err(PackError::BinOverflow {
+                bin: 0,
+                load: u64::MAX,
+                capacity: u64::MAX
+            })
+        );
+    }
+
+    #[test]
+    fn total_load_saturates() {
+        let p = Packing::from_bins(
+            u64::MAX,
+            vec![
+                Bin {
+                    items: vec![0],
+                    load: u64::MAX,
+                },
+                Bin {
+                    items: vec![1],
+                    load: 1,
+                },
+            ],
+        );
+        assert_eq!(p.total_load(), u64::MAX);
     }
 
     #[test]

@@ -1,8 +1,13 @@
 //! Property-based tests for the bin-packing substrate: for arbitrary
 //! feasible instances, every heuristic produces a valid packing whose size
-//! respects the lower bounds and known worst-case guarantees.
+//! respects the lower bounds and known worst-case guarantees, and picks
+//! exactly the bins a naive reference of its rule picks.
 
-use mrassign_binpack::{bounds, exact::pack_exact, pack, FitPolicy, PackError};
+use std::cmp::Reverse;
+
+use mrassign_binpack::{
+    bounds, exact::pack_exact, pack, pack_sorted, DecreasingOrder, FitPolicy, PackError,
+};
 use proptest::prelude::*;
 
 /// Instances whose items all fit individually: weights in [0, cap].
@@ -109,6 +114,109 @@ proptest! {
         let l1 = bounds::l1(&weights, cap);
         if l1 > 0 {
             prop_assert!(nf.bin_count() <= 2 * l1);
+        }
+    }
+}
+
+/// The bins `policy` builds, as `(items, load)` in creation order, computed
+/// from each rule's definition: the decreasing policies stable-sort the ids
+/// by weight (heaviest first, so ties keep ascending id), and every rule
+/// scans the open bins linearly. Ties between equally good bins go to the
+/// lowest index, except under worst fit, where they go to the highest.
+fn reference(weights: &[u64], cap: u64, policy: FitPolicy) -> Vec<(Vec<u32>, u64)> {
+    let mut order: Vec<u32> = (0..weights.len() as u32).collect();
+    if matches!(
+        policy,
+        FitPolicy::FirstFitDecreasing | FitPolicy::BestFitDecreasing
+    ) {
+        order.sort_by_key(|&id| Reverse(weights[id as usize]));
+    }
+    let mut bins: Vec<Vec<u32>> = Vec::new();
+    let mut residuals: Vec<u64> = Vec::new();
+    for id in order {
+        let w = weights[id as usize];
+        let feasible = || (0..residuals.len()).filter(|&b| residuals[b] >= w);
+        let chosen = match policy {
+            FitPolicy::NextFit => residuals
+                .len()
+                .checked_sub(1)
+                .filter(|&b| residuals[b] >= w),
+            FitPolicy::FirstFit | FitPolicy::FirstFitDecreasing => {
+                residuals.iter().position(|&r| r >= w)
+            }
+            // `min_by_key` keeps the first minimum, `max_by_key` the last
+            // maximum.
+            FitPolicy::BestFit | FitPolicy::BestFitDecreasing => {
+                feasible().min_by_key(|&b| residuals[b])
+            }
+            FitPolicy::WorstFit => feasible().max_by_key(|&b| residuals[b]),
+        };
+        let b = chosen.unwrap_or_else(|| {
+            bins.push(Vec::new());
+            residuals.push(cap);
+            bins.len() - 1
+        });
+        bins[b].push(id);
+        residuals[b] -= w;
+    }
+    bins.into_iter()
+        .zip(residuals)
+        .map(|(items, residual)| (items, cap - residual))
+        .collect()
+}
+
+/// Instances for the referee, each with every item ≤ the capacity: random
+/// weights with zeros, tie-heavy weights from five values, weights all above
+/// capacity/2 (one bin per item, up to ~5,000 bins), and capacities near
+/// `u64::MAX`, where a sum of two weights can wrap.
+fn referee_instance() -> impl Strategy<Value = (Vec<u64>, u64)> {
+    (0u8..5, 1u64..=1_000).prop_flat_map(|(shape, cap)| {
+        let weights = match shape {
+            0 => proptest::collection::vec(0..=cap, 0..60).boxed(),
+            1 => proptest::collection::vec(0..=cap, 0..2_000).boxed(),
+            2 => {
+                let values = [0, cap / 4, cap / 3, cap / 2, cap];
+                proptest::collection::vec((0usize..5).prop_map(move |v| values[v]), 0..600).boxed()
+            }
+            3 => proptest::collection::vec(cap / 2 + 1..=cap, 0..5_000).boxed(),
+            _ => {
+                let values = [
+                    0,
+                    1,
+                    5,
+                    u64::MAX / 2,
+                    u64::MAX / 2 + 1,
+                    u64::MAX - 1,
+                    u64::MAX,
+                ];
+                proptest::collection::vec((0usize..7).prop_map(move |v| values[v]), 0..40).boxed()
+            }
+        };
+        let cap = if shape == 4 { u64::MAX } else { cap };
+        (weights, Just(cap))
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn every_policy_packs_exactly_the_reference_bins((weights, cap) in referee_instance()) {
+        let order = DecreasingOrder::of(&weights);
+        for policy in FitPolicy::ALL {
+            let packing = pack(&weights, cap, policy).unwrap();
+            let bins: Vec<(Vec<u32>, u64)> = packing
+                .bins()
+                .iter()
+                .map(|bin| (bin.items().to_vec(), bin.load()))
+                .collect();
+            prop_assert!(
+                bins == reference(&weights, cap, policy),
+                "policy {} on {} items at capacity {cap}",
+                policy.name(),
+                weights.len()
+            );
+            prop_assert_eq!(pack_sorted(&weights, cap, policy, &order), Ok(packing));
         }
     }
 }

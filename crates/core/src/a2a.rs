@@ -209,7 +209,8 @@ pub fn bin_pack_pairing(
             limit: half,
         });
     }
-    let bins = mrassign_binpack::pack_into_bins(inputs.weights(), half, policy)
+    let bins = inputs
+        .pack_into_bins(half, policy)
         .expect("regime checked: every weight ≤ ⌊q/2⌋ and ⌊q/2⌋ ≥ 1");
     Ok(pair_groups(&bins))
 }
@@ -251,8 +252,9 @@ pub fn big_small(
     );
 
     let w_big = inputs.weight(big);
-    let smalls: Vec<InputId> = (0..inputs.len() as InputId).filter(|&i| i != big).collect();
-    let small_weights: Vec<Weight> = smalls.iter().map(|&i| inputs.weight(i)).collect();
+    // The one big input is the only one above ⌊q/2⌋. Both phases pack this
+    // sub-instance of the smalls, sorted once.
+    let (small_inputs, smalls) = inputs.at_most(half);
     let cap_big = q - w_big;
 
     // Degenerate corner: w_big == q forces every other input to weigh 0
@@ -265,11 +267,13 @@ pub fn big_small(
 
     // Phase 1: big × smalls. Each (q − w_big)-bin of smalls shares a
     // reducer with the big input.
-    let big_bins = mrassign_binpack::pack_into_bins(&small_weights, cap_big, policy)
+    let big_bins = small_inputs
+        .pack_into_bins(cap_big, policy)
         .expect("feasibility: every small ≤ q − w_big");
     let mut schema = MappingSchema::new();
     for bin in &big_bins {
-        let mut members = vec![big];
+        let mut members = Vec::with_capacity(bin.len() + 1);
+        members.push(big);
         members.extend(bin.iter().map(|&local| smalls[local as usize]));
         schema.push_reducer(members);
     }
@@ -293,13 +297,9 @@ pub fn big_small(
         }
     } else {
         // Independent schema over the smalls (recursing into the small-only
-        // regime), remapped to original ids.
-        let sub_inputs = InputSet::from_weights(small_weights);
-        let sub_schema = if sub_inputs.total_weight() <= q as u128 {
-            one_reducer(&sub_inputs, q)?
-        } else {
-            bin_pack_pairing(&sub_inputs, q, policy)?
-        };
+        // regime, which is one reducer when they fit in one), remapped to
+        // original ids.
+        let sub_schema = bin_pack_pairing(&small_inputs, q, policy)?;
         for r in sub_schema.reducers() {
             schema.push_reducer(r.iter().map(|&local| smalls[local as usize]).collect());
         }
@@ -317,9 +317,7 @@ fn pair_groups(groups: &[Vec<InputId>]) -> MappingSchema {
         k => {
             for i in 0..k {
                 for j in i + 1..k {
-                    let mut members = groups[i].clone();
-                    members.extend_from_slice(&groups[j]);
-                    schema.push_reducer(members);
+                    schema.push_reducer([&groups[i][..], &groups[j][..]].concat());
                 }
             }
         }

@@ -20,24 +20,11 @@ pub fn a2a_feasible(inputs: &InputSet, q: Weight) -> Result<(), SchemaError> {
     if q == 0 {
         return Err(SchemaError::ZeroCapacity);
     }
-    if inputs.len() < 2 {
+    // The two heaviest inputs (ties to the lower ids), named in the error.
+    let &[a, b, ..] = inputs.decreasing().ids() else {
         return Ok(());
-    }
-    // Locate the two heaviest inputs to name them in the error.
-    let (mut a, mut b) = (0usize, 1usize);
-    if inputs.weight(1) > inputs.weight(0) {
-        std::mem::swap(&mut a, &mut b);
-    }
-    for i in 2..inputs.len() {
-        let w = inputs.weight(i as InputId);
-        if w > inputs.weight(a as InputId) {
-            b = a;
-            a = i;
-        } else if w > inputs.weight(b as InputId) {
-            b = i;
-        }
-    }
-    let (a, b) = (a.min(b) as InputId, a.max(b) as InputId);
+    };
+    let (a, b) = (a.min(b), a.max(b));
     pair_fits((a, inputs.weight(a)), (b, inputs.weight(b)), q)
 }
 
@@ -66,19 +53,9 @@ pub fn x2y_feasible(inst: &X2yInstance, q: Weight) -> Result<(), SchemaError> {
     if inst.x.is_empty() || inst.y.is_empty() {
         return Ok(());
     }
-    let (ax, _) = max_with_id(&inst.x);
-    let (ay, _) = max_with_id(&inst.y);
+    // The heaviest input of each side (ties to the lowest id).
+    let (ax, ay) = (inst.x.decreasing().ids()[0], inst.y.decreasing().ids()[0]);
     pair_fits((ax, inst.x.weight(ax)), (ay, inst.y.weight(ay)), q)
-}
-
-fn max_with_id(set: &InputSet) -> (InputId, Weight) {
-    let mut best = (0u32, 0u64);
-    for (i, &w) in set.weights().iter().enumerate() {
-        if w > best.1 {
-            best = (i as InputId, w);
-        }
-    }
-    best
 }
 
 /// Lower bound on the replication of input `i` in any A2A schema.

@@ -1,6 +1,8 @@
 //! The weighted-input model: input sets for A2A and two-sided instances for
 //! X2Y.
 
+use mrassign_binpack::{DecreasingOrder, FitPolicy, PackError, Packing};
+
 /// Identifier of an input: its index in the instance's weight list.
 pub type InputId = u32;
 
@@ -10,17 +12,27 @@ pub type Weight = u64;
 
 /// A set of sized inputs — one instance of the A2A mapping-schema problem
 /// (together with a capacity `q`).
+///
+/// The inputs are sorted by decreasing weight once, at construction: the
+/// order statistics read that order, and the decreasing fit policies pack
+/// in it at every capacity instead of sorting again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InputSet {
     weights: Vec<Weight>,
     total: u128,
+    order: DecreasingOrder,
 }
 
 impl InputSet {
     /// Builds an input set from its weights; ids are the indices.
     pub fn from_weights(weights: Vec<Weight>) -> Self {
         let total = weights.iter().map(|&w| w as u128).sum();
-        InputSet { weights, total }
+        let order = DecreasingOrder::of(&weights);
+        InputSet {
+            weights,
+            total,
+            order,
+        }
     }
 
     /// Number of inputs `m`.
@@ -48,34 +60,33 @@ impl InputSet {
         self.total
     }
 
+    /// The ids sorted by weight descending, ties by ascending id.
+    pub fn decreasing(&self) -> &DecreasingOrder {
+        &self.order
+    }
+
     /// The largest weight, or 0 for an empty set.
     pub fn max_weight(&self) -> Weight {
-        self.weights.iter().copied().max().unwrap_or(0)
+        self.order.ids().first().map_or(0, |&id| self.weight(id))
     }
 
     /// The two largest weights `(w₍₁₎, w₍₂₎)`, or `None` if fewer than two
     /// inputs exist. Drives the A2A feasibility test: a schema exists iff
     /// `w₍₁₎ + w₍₂₎ ≤ q`.
     pub fn two_largest(&self) -> Option<(Weight, Weight)> {
-        if self.weights.len() < 2 {
-            return None;
+        match self.order.ids() {
+            [first, second, ..] => Some((self.weight(*first), self.weight(*second))),
+            _ => None,
         }
-        let (mut first, mut second) = (0, 0);
-        for &w in &self.weights {
-            if w >= first {
-                second = first;
-                first = w;
-            } else if w > second {
-                second = w;
-            }
-        }
-        Some((first, second))
     }
 
     /// Whether all inputs share one weight (the paper's "equal-sized"
     /// special case, where the grouping algorithm of Afrati–Ullman applies).
     pub fn all_equal(&self) -> bool {
-        self.weights.windows(2).all(|w| w[0] == w[1])
+        match self.order.ids() {
+            [heaviest, .., lightest] => self.weight(*heaviest) == self.weight(*lightest),
+            _ => true,
+        }
     }
 
     /// Sum of products over unordered pairs, `P = Σ_{i<j} w_i·w_j`,
@@ -95,14 +106,34 @@ impl InputSet {
     }
 
     /// Ids of inputs strictly heavier than `threshold` — the paper's "big"
-    /// inputs for threshold `⌊q/2⌋`.
+    /// inputs for threshold `⌊q/2⌋` — in ascending order.
     pub fn heavier_than(&self, threshold: Weight) -> Vec<InputId> {
-        self.weights
-            .iter()
-            .enumerate()
-            .filter(|&(_, &w)| w > threshold)
-            .map(|(i, _)| i as InputId)
-            .collect()
+        let ids = self.order.ids();
+        let mut heavier = ids[..ids.partition_point(|&id| self.weight(id) > threshold)].to_vec();
+        heavier.sort_unstable();
+        heavier
+    }
+
+    /// The inputs weighing at most `threshold` (the complement of
+    /// [`InputSet::heavier_than`]) as an instance of their own, renumbered
+    /// in ascending id order, together with each one's id in `self`.
+    pub fn at_most(&self, threshold: Weight) -> (InputSet, Vec<InputId>) {
+        let ids: Vec<InputId> = (0..self.len() as InputId)
+            .filter(|&id| self.weight(id) <= threshold)
+            .collect();
+        let weights = ids.iter().map(|&id| self.weight(id)).collect();
+        (InputSet::from_weights(weights), ids)
+    }
+
+    /// Packs the inputs into bins of `capacity` with `policy`, as lists of
+    /// input ids; the decreasing policies pack in the stored order.
+    pub fn pack_into_bins(
+        &self,
+        capacity: Weight,
+        policy: FitPolicy,
+    ) -> Result<Vec<Vec<InputId>>, PackError> {
+        mrassign_binpack::pack_sorted(&self.weights, capacity, policy, &self.order)
+            .map(Packing::into_item_lists)
     }
 }
 

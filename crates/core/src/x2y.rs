@@ -19,7 +19,7 @@ use mrassign_binpack::FitPolicy;
 use crate::bounds::x2y_feasible;
 use crate::error::SchemaError;
 use crate::exact::SearchBudget;
-use crate::input::{InputId, InputSet, Weight, X2yInstance};
+use crate::input::{InputId, Weight, X2yInstance};
 use crate::schema::{X2yReducer, X2ySchema};
 
 /// Strategy selector for [`solve`].
@@ -147,9 +147,13 @@ pub fn grid(
             limit: cy,
         });
     }
-    let x_bins = mrassign_binpack::pack_into_bins(inst.x.weights(), cx, policy)
+    let x_bins = inst
+        .x
+        .pack_into_bins(cx, policy)
         .expect("regime checked: every X weight ≤ cx");
-    let y_bins = mrassign_binpack::pack_into_bins(inst.y.weights(), cy, policy)
+    let y_bins = inst
+        .y
+        .pack_into_bins(cy, policy)
         .expect("regime checked: every Y weight ≤ cy");
     let mut schema = X2ySchema::new();
     for xb in &x_bins {
@@ -257,7 +261,9 @@ pub fn big_handling(
             schema.push_reducer(vec![bx], (0..inst.y.len() as InputId).collect());
             continue;
         }
-        let y_bins = mrassign_binpack::pack_into_bins(inst.y.weights(), cap, policy)
+        let y_bins = inst
+            .y
+            .pack_into_bins(cap, policy)
             .expect("feasibility: every y ≤ q − w_x");
         for yb in y_bins {
             schema.push_reducer(vec![bx], yb);
@@ -265,12 +271,10 @@ pub fn big_handling(
     }
 
     // Smalls: grid over the small X subset and all of Y.
-    let smalls: Vec<InputId> = (0..inst.x.len() as InputId)
-        .filter(|i| !bigs_x.contains(i))
-        .collect();
+    let (small_x, smalls) = inst.x.at_most(half);
     if !smalls.is_empty() {
         let sub = X2yInstance {
-            x: InputSet::from_weights(smalls.iter().map(|&i| inst.x.weight(i)).collect()),
+            x: small_x,
             y: inst.y.clone(),
         };
         let sub_schema = if sub.x.total_weight() + sub.y.total_weight() <= q as u128 {

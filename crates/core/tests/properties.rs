@@ -297,3 +297,77 @@ proptest! {
         }
     }
 }
+
+/// Weight sets for the order statistics: random, tie-heavy (three distinct
+/// weights), empty, and one-element.
+fn weight_set() -> impl Strategy<Value = Vec<u64>> {
+    (0u8..4).prop_flat_map(|shape| match shape {
+        0 => proptest::collection::vec(0u64..1_000, 0..80).boxed(),
+        1 => proptest::collection::vec(0u64..3, 0..80).boxed(),
+        2 => Just(Vec::new()).boxed(),
+        _ => proptest::collection::vec(any::<u64>(), 1).boxed(),
+    })
+}
+
+/// Ids heaviest first, ties by ascending id, by a stable sort.
+fn sorted_ids(weights: &[u64]) -> Vec<u32> {
+    let mut ids: Vec<u32> = (0..weights.len() as u32).collect();
+    ids.sort_by_key(|&id| std::cmp::Reverse(weights[id as usize]));
+    ids
+}
+
+/// Every threshold at which `heavier_than` changes on `weights`, plus the
+/// extremes.
+fn thresholds(weights: &[u64]) -> Vec<u64> {
+    let mut thresholds: Vec<u64> = weights
+        .iter()
+        .flat_map(|&w| [w.saturating_sub(1), w])
+        .chain([0, u64::MAX])
+        .collect();
+    thresholds.sort_unstable();
+    thresholds.dedup();
+    thresholds
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn order_statistics_match_their_linear_definitions(weights in weight_set()) {
+        let inputs = InputSet::from_weights(weights.clone());
+        let mut descending = weights.clone();
+        descending.sort_unstable_by(|a, b| b.cmp(a));
+        prop_assert_eq!(
+            inputs.two_largest(),
+            (weights.len() >= 2).then(|| (descending[0], descending[1]))
+        );
+        prop_assert_eq!(inputs.max_weight(), weights.iter().copied().max().unwrap_or(0));
+        prop_assert_eq!(inputs.all_equal(), weights.windows(2).all(|w| w[0] == w[1]));
+        for threshold in thresholds(&weights) {
+            // Ascending ids: `.first()` names the input in regime errors.
+            let heavier: Vec<u32> = (0..weights.len() as u32)
+                .filter(|&id| weights[id as usize] > threshold)
+                .collect();
+            prop_assert_eq!(inputs.heavier_than(threshold), heavier);
+        }
+    }
+
+    #[test]
+    fn stored_order_is_a_fresh_sort(weights in weight_set()) {
+        let inputs = InputSet::from_weights(weights.clone());
+        prop_assert_eq!(inputs.decreasing().ids(), &sorted_ids(&weights)[..]);
+        prop_assert_eq!(inputs.clone().decreasing().ids(), &sorted_ids(&weights)[..]);
+        // `big_small` and `big_handling` pack their smalls (the inputs at
+        // most ⌊q/2⌋) as this sub-instance.
+        for threshold in thresholds(&weights) {
+            let (smalls, ids) = inputs.at_most(threshold);
+            let expected: Vec<u32> = (0..weights.len() as u32)
+                .filter(|&id| weights[id as usize] <= threshold)
+                .collect();
+            prop_assert_eq!(&ids, &expected);
+            let small_weights: Vec<u64> = ids.iter().map(|&id| weights[id as usize]).collect();
+            prop_assert_eq!(smalls.weights(), &small_weights[..]);
+            prop_assert_eq!(smalls.decreasing().ids(), &sorted_ids(&small_weights)[..]);
+        }
+    }
+}

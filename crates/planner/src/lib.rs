@@ -15,11 +15,15 @@
 //! by record, and scores exactly what
 //! [`Job::run`](mrassign_simmr::Job::run) reports for the schema's job.
 //!
-//! The candidates are independent, so the sweep fans out across OS threads
-//! ([`PlannerConfig::threads`], defaulting to the machine's available
-//! parallelism). Results are re-slotted by candidate index before selection,
-//! so the [`Plan`] — frontier order included — is byte-identical to a
-//! sequential sweep regardless of thread count.
+//! The capacity-independent work is done once per plan call: the instance
+//! sorts its inputs by decreasing weight once, and every candidate's
+//! first-fit-decreasing packing reads that order; the map phase is
+//! scheduled once. The candidates are independent, so the sweep runs them
+//! on [`PlannerConfig::threads`] workers (defaulting to the machine's
+//! available parallelism), the calling thread among them. Results are
+//! re-slotted by candidate index before selection, so the [`Plan`] —
+//! frontier order included — is byte-identical to a sequential sweep
+//! regardless of thread count.
 //!
 //! Algorithms are selected through the
 //! [`AssignmentSolver`](mrassign_core::solver) registry:
@@ -87,9 +91,10 @@ pub struct PlannerConfig {
     pub q_max: Option<Weight>,
     /// Selection objective.
     pub objective: Objective,
-    /// OS threads the q-frontier sweep fans out over; `0` and `1` both mean
-    /// sequential. The default is the machine's available parallelism.
-    /// Results are independent of this knob — only wall-clock time changes.
+    /// Concurrent workers the q-frontier sweep runs on, the calling thread
+    /// included; `0` and `1` both mean sequential. The default is the
+    /// machine's available parallelism. Results are independent of this
+    /// knob — only wall-clock time changes.
     pub threads: usize,
 }
 
@@ -174,7 +179,7 @@ where
                 .reducers()
                 .iter()
                 .map(|r| r.iter().map(|&i| weights[i as usize]));
-            Ok(model.score(q, reducers, schema.communication_cost(&inputs)))
+            Ok(model.score(q, reducers))
         },
     )?;
     select(frontier, config.objective)
@@ -222,22 +227,23 @@ where
                 let x = r.x.iter().map(|&i| x_weights[i as usize]);
                 x.chain(r.y.iter().map(|&i| y_weights[i as usize]))
             });
-            Ok(model.score(q, reducers, schema.communication_cost(&inst)))
+            Ok(model.score(q, reducers))
         },
     )?;
     select(frontier, config.objective)
 }
 
-/// Evaluates every candidate capacity, fanning out over `threads` scoped
-/// worker threads pulling from a shared work queue (candidate costs are
-/// heavily skewed toward small `q`, so dynamic assignment beats chunking).
+/// Evaluates every candidate capacity on `threads` workers pulling from a
+/// shared work queue (candidate costs are heavily skewed toward small `q`,
+/// so dynamic assignment beats chunking). The calling thread is one of the
+/// workers; the other `threads − 1` are scoped threads.
 ///
 /// Results are re-slotted by candidate index, so the returned frontier is
-/// byte-identical to the sequential path; on failure the error reported is
-/// the one the sequential sweep would have hit first. Once a candidate
-/// fails, workers stop evaluating higher-indexed candidates (lower indices
-/// still run, so the first-error guarantee holds without wasting the rest
-/// of the sweep).
+/// byte-identical for every thread count; on failure the error reported is
+/// the one a sequential sweep would have hit first. Once a candidate fails,
+/// workers stop evaluating higher-indexed candidates (lower indices still
+/// run, so the first-error guarantee holds without wasting the rest of the
+/// sweep).
 fn evaluate_candidates<F>(
     qs: &[Weight],
     threads: usize,
@@ -247,31 +253,29 @@ where
     F: Fn(Weight) -> Result<CandidatePlan, SchemaError> + Sync,
 {
     let threads = threads.clamp(1, qs.len().max(1));
-    if threads == 1 {
-        return qs.iter().map(|&q| eval(q)).collect();
-    }
-
     let next = AtomicUsize::new(0);
     let first_failure = AtomicUsize::new(usize::MAX);
     let slots: Vec<Mutex<Option<Result<CandidatePlan, SchemaError>>>> =
         qs.iter().map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&q) = qs.get(i) else { break };
-                if i > first_failure.load(Ordering::Relaxed) {
-                    // A lower-indexed candidate already failed; this slot's
-                    // result could never be observed.
-                    continue;
-                }
-                let result = eval(q);
-                if result.is_err() {
-                    first_failure.fetch_min(i, Ordering::Relaxed);
-                }
-                *slots[i].lock().expect("candidate slot poisoned") = Some(result);
-            });
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        let Some(&q) = qs.get(i) else { break };
+        if i > first_failure.load(Ordering::Relaxed) {
+            // A lower-indexed candidate already failed; this slot's result
+            // could never be observed.
+            continue;
         }
+        let result = eval(q);
+        if result.is_err() {
+            first_failure.fetch_min(i, Ordering::Relaxed);
+        }
+        *slots[i].lock().expect("candidate slot poisoned") = Some(result);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..threads {
+            scope.spawn(work);
+        }
+        work();
     });
     // Walk slots in index order: every index below the smallest failure was
     // evaluated, so the first error (or the complete frontier) comes out
@@ -366,18 +370,19 @@ impl<'a> CostModel<'a> {
     }
 
     /// Scores the schema at capacity `q` whose reducers, in schema order,
-    /// hold the member weights `reducers` yields. An empty schema runs no
-    /// job and keeps [`JobMetrics::default`]. Byte totals saturate where
-    /// the engine's `u64` counters would overflow. Panics, as the engine
-    /// fails under `CapacityPolicy::Enforce(q)`, if a load exceeds `q`.
+    /// hold the member weights `reducers` yields; its communication is the
+    /// sum of the reducer loads. An empty schema runs no job and keeps
+    /// [`JobMetrics::default`]. Byte totals saturate where the engine's
+    /// `u64` counters would overflow. Panics, as the engine fails under
+    /// `CapacityPolicy::Enforce(q)`, if a load exceeds `q`.
     fn score(
         &self,
         q: Weight,
         reducers: impl Iterator<Item = impl Iterator<Item = Weight>>,
-        communication: u128,
     ) -> CandidatePlan {
         let mut metrics = JobMetrics::default();
         let mut reduce_costs = Vec::new();
+        let mut communication = 0u128;
         for (r, members) in reducers.enumerate() {
             let mut copies = 0u64;
             let load = members
@@ -386,6 +391,7 @@ impl<'a> CostModel<'a> {
             let load = load.filter(|&l| l <= q).unwrap_or_else(|| {
                 panic!("valid schemas cannot violate capacity: reducer {r} exceeds q = {q}")
             });
+            communication += u128::from(load);
             if copies > 0 {
                 let total = load.saturating_add(copies.saturating_mul(KEY_BYTES));
                 metrics.bytes_shuffled = metrics.bytes_shuffled.saturating_add(total);
@@ -720,11 +726,7 @@ mod tests {
     fn score_rejects_an_overloaded_reducer() {
         let cluster = ClusterConfig::default();
         let model = CostModel::new(&cluster, &[6, 4, 5]);
-        model.score(
-            10,
-            [vec![6, 4], vec![6, 5]].into_iter().map(Vec::into_iter),
-            0,
-        );
+        model.score(10, [vec![6, 4], vec![6, 5]].into_iter().map(Vec::into_iter));
     }
 
     #[test]
@@ -735,7 +737,6 @@ mod tests {
         model.score(
             u64::MAX,
             [vec![u64::MAX, 1]].into_iter().map(Vec::into_iter),
-            0,
         );
     }
 

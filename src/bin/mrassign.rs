@@ -21,8 +21,8 @@
 //! with the node/prune/memo statistics and whether optimality was
 //! certified. `plan` scores each candidate capacity's schema through the
 //! `--workers` cluster's cost model without running the engine, so it
-//! takes no engine knobs; `--threads` fans its q-frontier sweep across OS
-//! threads without changing the plan.
+//! takes no engine knobs; `--threads` sets how many threads its q-frontier
+//! sweep runs on, the calling one included, without changing the plan.
 //!
 //! The engine knobs belong to `dag`, which runs the engine for every
 //! stage. `--threads` sets the engine's map threads, `--shuffle` picks
