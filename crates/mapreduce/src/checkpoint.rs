@@ -1,12 +1,17 @@
 //! Checkpoint/resume for finalized reducer partitions.
 //!
 //! When [`ClusterConfig::checkpoint_dir`](crate::ClusterConfig::checkpoint_dir)
-//! is set, the engine persists every successfully finalized partition's
-//! outputs under `<dir>/job-<fingerprint>/` and records it in a small
-//! versioned, checksummed manifest. A later run of the *same job* (same
+//! is set, the engine persists the map side's accounting once, at the map
+//! barrier, and every successfully finalized partition's outputs under
+//! `<dir>/job-<fingerprint>/`, recording each file in a small versioned,
+//! checksummed manifest. A later run of the *same job* (same
 //! output-affecting config, same workload signature — see
-//! [`Fingerprint`]) finds the manifest, verifies it, and replays only the
-//! partitions that are missing; checkpointed partitions are merged back
+//! [`Fingerprint`]) finds the manifest and verifies every committed file
+//! up front. If the map record and every nonempty partition verify, the
+//! job is served from disk without running a map task, the shuffle or a
+//! reduce. Otherwise the engine reruns the map phase, counts every routed
+//! copy, ships only the copies bound for partitions it must reduce again,
+//! and serves the verified ones. Either way the outputs come back
 //! bit-identically, in the same (partition, key, arrival) order a fresh
 //! run produces.
 //!
@@ -15,7 +20,8 @@
 //! directory, opening the manifest) can fail the job — everything after
 //! that degrades: a torn or bit-flipped manifest keeps its valid prefix
 //! and re-executes the rest with a named warning; a corrupt partition
-//! file is re-executed and rewritten; a failed checkpoint write warns and
+//! file is re-executed and rewritten; a corrupt map record makes the
+//! rerun map again and rewrite it; a failed checkpoint write warns and
 //! continues. Every degradation is counted in
 //! [`PipelineMetrics::checkpoint_invalid`](crate::PipelineMetrics::checkpoint_invalid)
 //! so it is observable, and all checkpoint counters are masked from
@@ -27,40 +33,51 @@
 //! ```text
 //! <checkpoint_dir>/job-<fingerprint:016x>/
 //!   manifest.bin               header + fixed-size checksummed entries
+//!   map.ckpt                   the map record (manifest index n_reducers)
 //!   part-<partition>.ckpt      one file per finalized partition
-//!   part-<p>.ckpt.tmp-<pid>-<seq>   in-flight writes (renamed on commit)
+//!   <file>.tmp-<pid>-<seq>     in-flight writes (renamed on commit)
 //! ```
 //!
-//! The write protocol per partition is: encode → write tmp → fsync →
-//! rename over the final name → append + flush the manifest entry. A
-//! crash at any point leaves either no entry (the partition re-executes)
-//! or a committed file + entry (the partition is skipped) — never a
-//! half-trusted state, because the manifest entry carries the file's
-//! length and FNV-64 content hash and both are re-verified at load.
+//! The write protocol per file is: encode → write tmp → fsync → rename
+//! over the final name → append + sync the manifest entry. A crash at any
+//! point leaves either no entry (the work re-executes) or a committed file
+//! and entry (the work is skipped) — never a half-trusted state, because
+//! the manifest entry carries the file's length and FNV-64 content hash
+//! and both are re-verified at open. The map record is committed after the
+//! last map task resolves and before any partition of that run commits,
+//! so it precedes them in the manifest.
+//!
+//! ## Locking
+//!
+//! Every manifest mutation — `open`'s heal and each entry append — runs
+//! under an exclusive advisory lock on the manifest handle itself
+//! ([`File::try_lock`]). The OS drops the lock when the handle closes or
+//! its process dies, so a killed writer leaves nothing to clean up. There
+//! is no lock file.
 
-use std::collections::HashMap;
-use std::fs::{self, File, OpenOptions};
+use std::fs::{self, File, OpenOptions, TryLockError};
 use std::hash::{Hash, Hasher};
-use std::io::{ErrorKind, Write};
-use std::marker::PhantomData;
+use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::{Duration, Instant, SystemTime};
 
-use crate::cluster::{CheckpointRetain, ClusterConfig};
+use crate::cluster::{CheckpointRetain, ClusterConfig, FaultStage};
 use crate::error::SimError;
-use crate::job::CapacityPolicy;
+use crate::job::{CapacityPolicy, DlqEntry, MapSummary, PartitionLoad};
 use crate::metrics::PipelineMetrics;
 use crate::record::ByteSized;
 use crate::sink::{decode_partition, encode_partition};
 use crate::spill::SpillCodec;
 
 const MANIFEST_MAGIC: [u8; 8] = *b"MRCKPT\0\0";
-const MANIFEST_VERSION: u32 = 1;
+const MANIFEST_VERSION: u32 = 2;
 /// magic (8) + version (4) + fingerprint (8).
 const HEADER_LEN: usize = 20;
 /// partition, records, distinct_keys, file_bytes, file_hash (5 × u64),
-/// then the FNV-64 of those 40 bytes.
+/// then the FNV-64 of those 40 bytes. Index `n_reducers` is the map
+/// record, with zero records and distinct keys.
 const ENTRY_LEN: usize = 48;
 
 /// Monotonic discriminator for in-flight checkpoint tmp files, so
@@ -280,110 +297,231 @@ fn warn(path: &Path, what: &str) {
     );
 }
 
-/// Cross-process (and cross-session-in-process) mutual exclusion for one
-/// job directory's manifest, via an atomically-created `manifest.lock`
-/// holding the owner's PID.
+/// How long a writer waits for a live holder of the manifest lock before
+/// giving up on it. Generous next to real commit latency (microseconds),
+/// small enough that a wedged holder cannot wedge a job.
+const LOCK_WAIT: Duration = Duration::from_secs(10);
+
+/// Takes the exclusive advisory lock on an open manifest handle, held
+/// until the handle closes — the OS drops it then, and when its process
+/// dies, so a killed writer never leaves a stale lock behind.
 ///
 /// Two same-fingerprint writers used to interleave appends through
 /// independent seek-to-end handles — each handle's cursor was positioned
 /// before the other's appends landed, so the second writer silently
 /// overwrote the first's entries (healed only later, by valid-prefix
 /// truncation, losing committed work). The lock serializes every
-/// manifest mutation: `open`'s heal/truncate and each entry append.
+/// manifest mutation: `open`'s heal and each entry append.
 ///
 /// Failure philosophy matches the rest of the module: the lock is an
-/// integrity aid, not a correctness dependency. A lock held by a dead
-/// PID is stolen; a lock held live for longer than [`LOCK_WAIT`] (or a
-/// filesystem that cannot create the file) degrades to proceeding
-/// unlocked with a named warning — the manifest checksums still bound
-/// the damage to re-execution.
-struct SessionLock {
-    path: PathBuf,
-}
-
-/// How long a writer waits for a live holder before giving up on the
-/// lock. Generous next to real commit latency (microseconds), small
-/// enough that a leaked-but-live holder cannot wedge a job.
-const LOCK_WAIT: Duration = Duration::from_secs(10);
-
-impl SessionLock {
-    fn acquire(dir: &Path) -> Option<SessionLock> {
-        let path = dir.join("manifest.lock");
-        let deadline = Instant::now() + LOCK_WAIT;
-        loop {
-            match OpenOptions::new().write(true).create_new(true).open(&path) {
-                Ok(mut file) => {
-                    // Best-effort PID stamp; an unreadable stamp just
-                    // means no one can steal this lock early.
-                    let _ = file.write_all(std::process::id().to_string().as_bytes());
-                    let _ = file.sync_all();
-                    return Some(SessionLock { path });
-                }
-                Err(e) if e.kind() == ErrorKind::AlreadyExists => {
-                    let holder: Option<u32> = fs::read_to_string(&path)
-                        .ok()
-                        .and_then(|s| s.trim().parse().ok());
-                    if let Some(pid) = holder.filter(|&pid| pid != std::process::id()) {
-                        if !pid_alive(pid) {
-                            // Stale lock from a killed writer: steal it.
-                            // The remove can race another stealer; the
-                            // next create_new round decides the winner.
-                            let _ = fs::remove_file(&path);
-                            continue;
-                        }
-                    }
-                    if Instant::now() >= deadline {
-                        warn(&path, "manifest lock held too long; proceeding unlocked");
-                        return None;
-                    }
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                Err(_) => {
-                    // Cannot create lock files here at all (read-only
-                    // dir raced with removal, exotic fs): degrade.
-                    warn(&path, "manifest lock unavailable; proceeding unlocked");
-                    return None;
-                }
+/// integrity aid, not a correctness dependency. A lock held for longer
+/// than [`LOCK_WAIT`], or a filesystem that cannot lock, degrades to
+/// proceeding unlocked with a named warning — the manifest checksums
+/// still bound the damage to re-execution.
+fn lock_manifest(manifest: &File, path: &Path) {
+    let deadline = Instant::now() + LOCK_WAIT;
+    loop {
+        match manifest.try_lock() {
+            Ok(()) => return,
+            Err(TryLockError::WouldBlock) if Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(TryLockError::WouldBlock) => {
+                warn(path, "manifest lock held too long; proceeding unlocked");
+                return;
+            }
+            Err(TryLockError::Error(_)) => {
+                warn(path, "manifest lock unavailable; proceeding unlocked");
+                return;
             }
         }
     }
 }
 
-impl Drop for SessionLock {
-    fn drop(&mut self) {
-        let _ = fs::remove_file(&self.path);
+/// Where a session directory keeps `partition`'s committed outputs.
+fn partition_path(dir: &Path, partition: usize) -> PathBuf {
+    dir.join(format!("part-{partition}.ckpt"))
+}
+
+/// Checks a committed file's bytes against the length and content hash
+/// its manifest entry recorded.
+fn check_committed(bytes: &[u8], entry: &ManifestEntry, what: &str) -> Result<(), String> {
+    if bytes.len() as u64 != entry.file_bytes {
+        return Err(format!(
+            "{what} is {} bytes, manifest committed {}",
+            bytes.len(),
+            entry.file_bytes
+        ));
+    }
+    if fnv1a(bytes) != entry.file_hash {
+        return Err(format!("{what} content hash mismatch"));
+    }
+    Ok(())
+}
+
+/// Loads a committed partition, fully verified against its manifest
+/// entry: length, content hash, a clean decode, and the record and
+/// distinct-key counts.
+fn load_partition<Out: SpillCodec>(
+    path: &Path,
+    entry: &ManifestEntry,
+) -> Result<ServedPartition<Out>, String> {
+    let what = "checkpointed partition";
+    let bytes = fs::read(path).map_err(|e| format!("{what} unreadable: {e}"))?;
+    check_committed(&bytes, entry, what)?;
+    let (outputs, distinct_keys) =
+        decode_partition::<Out>(&bytes).map_err(|reason| format!("{what} {reason}"))?;
+    if outputs.len() as u64 != entry.records {
+        return Err(format!("{what} record count mismatch"));
+    }
+    if distinct_keys != entry.distinct_keys {
+        return Err(format!("{what} distinct-key count mismatch"));
+    }
+    Ok((outputs, distinct_keys))
+}
+
+/// Loads the committed map record, verified against its manifest entry
+/// and decoded for `n_reducers` partitions.
+fn load_map_record(
+    path: &Path,
+    entry: &ManifestEntry,
+    n_reducers: usize,
+) -> Result<MapSummary, String> {
+    let what = "checkpointed map record";
+    let bytes = fs::read(path).map_err(|e| format!("{what} unreadable: {e}"))?;
+    check_committed(&bytes, entry, what)?;
+    MapSummary::decode(&bytes, n_reducers).map_err(|reason| format!("{what} {reason}"))
+}
+
+impl MapSummary {
+    /// The map record's byte format: records emitted and map retries, the
+    /// map DLQ (count, then each entry's task index and attempts), then
+    /// the partition count and each partition's routed records, value
+    /// bytes and total bytes. All integers little-endian.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(32 + 12 * self.dlq.len() + 24 * self.loads.len());
+        self.records_emitted.encode(&mut out);
+        self.map_retries.encode(&mut out);
+        self.dlq.len().encode(&mut out);
+        for entry in &self.dlq {
+            entry.index.encode(&mut out);
+            entry.attempts.encode(&mut out);
+        }
+        self.loads.len().encode(&mut out);
+        for load in &self.loads {
+            load.records.encode(&mut out);
+            load.value_bytes.encode(&mut out);
+            load.total_bytes.encode(&mut out);
+        }
+        out
+    }
+
+    /// Decodes a record written by [`MapSummary::encode`] for a job of
+    /// `n_reducers` partitions. Rejects truncation, trailing bytes, a
+    /// partition count other than `n_reducers`, and loads whose sums
+    /// overflow `u64`. Counts are bounded by the bytes that remain before
+    /// anything is allocated for them.
+    pub(crate) fn decode(bytes: &[u8], n_reducers: usize) -> Result<MapSummary, String> {
+        let mut cursor = bytes;
+        let mut u64_field =
+            |what: &str| u64::decode(&mut cursor).ok_or_else(|| format!("truncated in its {what}"));
+        let records_emitted = u64_field("records emitted")?;
+        let map_retries = u64_field("map retries")?;
+        let dlq_len = u64_field("dead-letter count")?;
+        // An entry is a u64 index plus a u32 attempt count.
+        if dlq_len > (cursor.len() / 12) as u64 {
+            return Err(format!(
+                "dead-letter count {dlq_len} exceeds what {} bytes hold",
+                cursor.len()
+            ));
+        }
+        let mut dlq = Vec::with_capacity(dlq_len as usize);
+        for _ in 0..dlq_len {
+            let index = usize::decode(&mut cursor);
+            let attempts = u32::decode(&mut cursor);
+            let (Some(index), Some(attempts)) = (index, attempts) else {
+                return Err("dead-letter entry truncated".to_string());
+            };
+            dlq.push(DlqEntry {
+                stage: FaultStage::Map,
+                index,
+                attempts,
+            });
+        }
+        let partitions = u64::decode(&mut cursor)
+            .ok_or_else(|| "truncated in its partition count".to_string())?;
+        // Each partition is three u64s, and nothing may follow them.
+        if partitions != n_reducers as u64 || cursor.len() as u64 != partitions.saturating_mul(24) {
+            return Err(format!(
+                "holds {partitions} partitions in {} bytes; the job has {n_reducers}",
+                cursor.len()
+            ));
+        }
+        let mut loads = Vec::with_capacity(n_reducers);
+        let mut sums = [0u64; 3];
+        for _ in 0..n_reducers {
+            let mut field = [0u64; 3];
+            for (value, sum) in field.iter_mut().zip(&mut sums) {
+                *value = u64::decode(&mut cursor).ok_or_else(|| "load truncated".to_string())?;
+                *sum = sum
+                    .checked_add(*value)
+                    .ok_or_else(|| "partition loads overflow".to_string())?;
+            }
+            let [records, value_bytes, total_bytes] = field;
+            loads.push(PartitionLoad {
+                records,
+                value_bytes,
+                total_bytes,
+            });
+        }
+        Ok(MapSummary {
+            records_emitted,
+            map_retries,
+            dlq,
+            loads,
+        })
     }
 }
 
-/// One job's live checkpoint state: the verified manifest loaded at
-/// open. Commits reopen the manifest in append mode under the session
-/// lock, so concurrent same-fingerprint sessions (same process or not)
-/// interleave whole entries instead of clobbering each other's bytes.
-/// Shared by reference across consumer threads; `lookup` and `record`
-/// are thread-safe.
+/// A verified partition's outputs and distinct-key count.
+type ServedPartition<Out> = (Vec<Out>, u64);
+
+/// One job's live checkpoint state: the manifest loaded and every
+/// committed file verified at open. Commits reopen the manifest in append
+/// mode under its lock, so concurrent same-fingerprint sessions (same
+/// process or not) interleave whole entries instead of clobbering each
+/// other's bytes. Shared by reference across consumer threads; `lookup`,
+/// `record` and `record_map` are thread-safe.
 #[derive(Debug)]
 pub(crate) struct CheckpointSession<Out> {
     dir: PathBuf,
     manifest_path: PathBuf,
-    /// Partitions the manifest's valid prefix committed, keyed by
-    /// partition index (a later duplicate entry wins — that is how a
-    /// re-executed partition's rewrite supersedes a corrupt file).
-    completed: HashMap<usize, ManifestEntry>,
+    /// Partitions the manifest's valid prefix committed, verified or not.
+    committed: usize,
+    /// Per partition: whether open verified its committed file. Only a
+    /// verified partition may be skipped.
+    verified: Vec<bool>,
+    /// The verified partitions' outputs and distinct-key counts, each
+    /// taken once by `lookup`.
+    served: Mutex<Vec<Option<ServedPartition<Out>>>>,
+    /// The committed map record, if it verified.
+    map: Option<MapSummary>,
     hits: AtomicU64,
     misses: AtomicU64,
     invalid: AtomicU64,
-    _out: PhantomData<fn() -> Out>,
 }
 
 impl<Out: SpillCodec> CheckpointSession<Out> {
-    /// Opens (or creates) the session for `fingerprint` under `base`.
+    /// Opens (or creates) the session for `fingerprint` under `base`, and
+    /// verifies every file the manifest committed.
     ///
     /// Any defect in an existing manifest — truncated or wrong-magic
     /// header, unsupported version, fingerprint mismatch, torn tail,
     /// bit-flipped entry — is counted, warned about by name, and healed
     /// by truncating back to the longest valid prefix (possibly nothing).
-    /// Only a real I/O failure creating the directory or opening the
-    /// manifest is an error.
+    /// A committed file that fails verification is counted and warned
+    /// about too, and its work re-executes. Only a real I/O failure
+    /// creating the directory or opening the manifest is an error.
     pub(crate) fn open(
         base: &Path,
         fingerprint: Fingerprint,
@@ -399,58 +537,6 @@ impl<Out: SpillCodec> CheckpointSession<Out> {
         };
         fs::create_dir_all(&dir).map_err(io(&dir))?;
         let manifest_path = dir.join("manifest.bin");
-        // Healing truncates; without the lock it could shear off an
-        // entry a concurrent same-fingerprint session just appended.
-        let _lock = SessionLock::acquire(&dir);
-
-        let mut completed = HashMap::new();
-        let mut invalid = 0u64;
-        // Byte offset up to which the existing manifest is trustworthy;
-        // everything past it is truncated away before appending.
-        let mut valid_len = 0usize;
-        let mut header_ok = false;
-        if let Ok(bytes) = fs::read(&manifest_path) {
-            if bytes.len() < HEADER_LEN {
-                if !bytes.is_empty() {
-                    warn(&manifest_path, "manifest header truncated");
-                    invalid += 1;
-                }
-            } else if bytes[..8] != MANIFEST_MAGIC {
-                warn(
-                    &manifest_path,
-                    "manifest magic mismatch (not a checkpoint manifest)",
-                );
-                invalid += 1;
-            } else if bytes[8..12] != MANIFEST_VERSION.to_le_bytes() {
-                warn(&manifest_path, "manifest version unsupported");
-                invalid += 1;
-            } else if bytes[12..20] != fingerprint.0.to_le_bytes() {
-                warn(
-                    &manifest_path,
-                    "manifest fingerprint mismatch (different job or corrupted header)",
-                );
-                invalid += 1;
-            } else {
-                header_ok = true;
-                valid_len = HEADER_LEN;
-                let body = &bytes[HEADER_LEN..];
-                for chunk in body.chunks(ENTRY_LEN) {
-                    let whole: Option<&[u8; ENTRY_LEN]> = chunk.try_into().ok();
-                    let entry = whole.and_then(ManifestEntry::decode);
-                    let Some(entry) = entry.filter(|e| e.partition < n_reducers as u64) else {
-                        // First bad entry: a torn tail (short chunk), a
-                        // flipped bit (checksum), or an out-of-range
-                        // partition. Keep the valid prefix, drop the rest.
-                        warn(&manifest_path, "manifest entry corrupt or torn");
-                        invalid += 1;
-                        break;
-                    };
-                    completed.insert(entry.partition as usize, entry);
-                    valid_len += ENTRY_LEN;
-                }
-            }
-        }
-
         let mut manifest = OpenOptions::new()
             .create(true)
             .read(true)
@@ -458,124 +544,224 @@ impl<Out: SpillCodec> CheckpointSession<Out> {
             .truncate(false)
             .open(&manifest_path)
             .map_err(io(&manifest_path))?;
-        if header_ok {
-            manifest
-                .set_len(valid_len as u64)
-                .map_err(io(&manifest_path))?;
+        // Healing truncates; without the lock it could shear off an
+        // entry a concurrent same-fingerprint session just appended. The
+        // lock lasts until `manifest` closes below.
+        lock_manifest(&manifest, &manifest_path);
+        let mut bytes = Vec::new();
+        manifest
+            .read_to_end(&mut bytes)
+            .map_err(io(&manifest_path))?;
+
+        // Indexed by partition, plus the map record at `n_reducers`; a
+        // later duplicate entry wins — that is how a re-executed
+        // partition's rewrite supersedes a corrupt file.
+        let mut entries: Vec<Option<ManifestEntry>> = vec![None; n_reducers + 1];
+        let mut invalid = 0u64;
+        // Byte offset up to which the existing manifest is trustworthy;
+        // everything past it is truncated away before appending.
+        let mut valid_len = 0usize;
+        let mut header_ok = false;
+        if bytes.len() < HEADER_LEN {
+            if !bytes.is_empty() {
+                warn(&manifest_path, "manifest header truncated");
+                invalid += 1;
+            }
+        } else if bytes[..8] != MANIFEST_MAGIC {
+            warn(
+                &manifest_path,
+                "manifest magic mismatch (not a checkpoint manifest)",
+            );
+            invalid += 1;
+        } else if bytes[8..12] != MANIFEST_VERSION.to_le_bytes() {
+            warn(&manifest_path, "manifest version unsupported");
+            invalid += 1;
+        } else if bytes[12..20] != fingerprint.0.to_le_bytes() {
+            warn(
+                &manifest_path,
+                "manifest fingerprint mismatch (different job or corrupted header)",
+            );
+            invalid += 1;
         } else {
+            header_ok = true;
+            valid_len = HEADER_LEN;
+            for chunk in bytes[HEADER_LEN..].chunks(ENTRY_LEN) {
+                let whole: Option<&[u8; ENTRY_LEN]> = chunk.try_into().ok();
+                let entry = whole.and_then(ManifestEntry::decode);
+                let Some(entry) = entry.filter(|e| e.partition <= n_reducers as u64) else {
+                    // First bad entry: a torn tail (short chunk), a
+                    // flipped bit (checksum), or an out-of-range index.
+                    // Keep the valid prefix, drop the rest.
+                    warn(&manifest_path, "manifest entry corrupt or torn");
+                    invalid += 1;
+                    break;
+                };
+                entries[entry.partition as usize] = Some(entry);
+                valid_len += ENTRY_LEN;
+            }
+        }
+
+        if !header_ok {
             manifest.set_len(0).map_err(io(&manifest_path))?;
+            manifest.rewind().map_err(io(&manifest_path))?;
             let mut header = Vec::with_capacity(HEADER_LEN);
             header.extend_from_slice(&MANIFEST_MAGIC);
             header.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
             header.extend_from_slice(&fingerprint.0.to_le_bytes());
             manifest.write_all(&header).map_err(io(&manifest_path))?;
+        } else if valid_len < bytes.len() {
+            manifest
+                .set_len(valid_len as u64)
+                .map_err(io(&manifest_path))?;
         }
+        // `prune_sessions` ranks sessions by the manifest's mtime, so an
+        // open that appends nothing (a full replay) must still mark the
+        // session as recently used. Best-effort: a stale mtime only
+        // risks an early prune, which costs re-execution.
+        let _ = manifest.set_modified(SystemTime::now());
         // No append handle survives `open`: commits reopen in append
         // mode under the lock, so the cursor can never go stale.
         drop(manifest);
 
+        let map_entry = entries.pop().flatten();
+        let committed = entries.iter().flatten().count();
+        let mut reject = |path: PathBuf, reason: String| {
+            warn(&path, &reason);
+            invalid += 1;
+        };
+        let served: Vec<Option<ServedPartition<Out>>> = entries
+            .iter()
+            .enumerate()
+            .map(|(partition, entry)| {
+                let path = partition_path(&dir, partition);
+                let entry = entry.as_ref()?;
+                load_partition(&path, entry)
+                    .map_err(|reason| reject(path, reason))
+                    .ok()
+            })
+            .collect();
+        let map = map_entry.and_then(|entry| {
+            let path = dir.join("map.ckpt");
+            load_map_record(&path, &entry, n_reducers)
+                .map_err(|reason| reject(path, reason))
+                .ok()
+        });
+
         Ok(CheckpointSession {
             dir,
             manifest_path,
-            completed,
+            committed,
+            verified: served.iter().map(Option::is_some).collect(),
+            served: Mutex::new(served),
+            map,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             invalid: AtomicU64::new(invalid),
-            _out: PhantomData,
         })
     }
 
-    fn partition_path(&self, partition: usize) -> PathBuf {
-        self.dir.join(format!("part-{partition}.ckpt"))
+    /// Which partitions open verified: the ones a run serves from the
+    /// checkpoint instead of shipping and reducing them.
+    pub(crate) fn verified(&self) -> &[bool] {
+        &self.verified
     }
 
-    /// Fetches `partition`'s checkpointed outputs, fully re-verified
-    /// (length, content hash, record count, clean decode) against the
-    /// manifest entry. A missing entry is a miss; a present-but-corrupt
-    /// file is a named warning plus a miss, never an error — the caller
-    /// re-executes the partition either way.
-    pub(crate) fn lookup(&self, partition: usize) -> Option<(Vec<Out>, u64)> {
-        let Some(entry) = self.completed.get(&partition) else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return None;
+    /// The map record, when it verified and so did every partition it
+    /// lists as nonempty: then the checkpoint serves the whole job.
+    pub(crate) fn replayable(&self) -> Option<&MapSummary> {
+        let map = self.map.as_ref()?;
+        let whole = map
+            .loads
+            .iter()
+            .zip(&self.verified)
+            .all(|(load, &verified)| load.records == 0 || verified);
+        whole.then_some(map)
+    }
+
+    /// Takes `partition`'s verified outputs and distinct-key count,
+    /// counting a hit — or, when open did not verify it, counts a miss.
+    /// The engines look each nonempty partition up once, where they
+    /// accept it, so a run's hits and misses sum to its nonempty
+    /// partitions.
+    pub(crate) fn lookup(&self, partition: usize) -> Option<ServedPartition<Out>> {
+        let served = self
+            .served
+            .lock()
+            .expect("no thread panics while holding the served slots")
+            .get_mut(partition)
+            .and_then(Option::take);
+        let counter = if served.is_some() {
+            &self.hits
+        } else {
+            &self.misses
         };
-        match self.load(partition, entry) {
-            Ok(loaded) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(loaded)
-            }
-            Err(reason) => {
-                warn(&self.partition_path(partition), &reason);
-                self.invalid.fetch_add(1, Ordering::Relaxed);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        counter.fetch_add(1, Ordering::Relaxed);
+        served
     }
 
-    fn load(&self, partition: usize, entry: &ManifestEntry) -> Result<(Vec<Out>, u64), String> {
-        let bytes = fs::read(self.partition_path(partition))
-            .map_err(|e| format!("checkpointed partition unreadable: {e}"))?;
-        if bytes.len() as u64 != entry.file_bytes {
-            return Err(format!(
-                "checkpointed partition is {} bytes, manifest committed {}",
-                bytes.len(),
-                entry.file_bytes
-            ));
-        }
-        if fnv1a(&bytes) != entry.file_hash {
-            return Err("checkpointed partition content hash mismatch".to_string());
-        }
-        let (outputs, distinct_keys) = decode_partition::<Out>(&bytes)
-            .map_err(|reason| format!("checkpointed partition {reason}"))?;
-        if outputs.len() as u64 != entry.records {
-            return Err("checkpointed partition record count mismatch".to_string());
-        }
-        if distinct_keys != entry.distinct_keys {
-            return Err("checkpointed partition distinct-key count mismatch".to_string());
-        }
-        Ok((outputs, distinct_keys))
-    }
-
-    /// Commits `partition`'s finalized outputs: tmp write → fsync →
-    /// rename → manifest append. Best-effort by contract — a failure
-    /// warns and returns, leaving the partition to re-execute next run.
+    /// Commits `partition`'s finalized outputs. Best-effort by contract —
+    /// a failure warns and returns, leaving the partition to re-execute
+    /// next run.
     pub(crate) fn record(&self, partition: usize, outputs: &[Out], distinct_keys: u64) {
-        if let Err(reason) = self.try_record(partition, outputs, distinct_keys) {
+        let path = partition_path(&self.dir, partition);
+        let committed = encode_partition(outputs, distinct_keys).and_then(|body| {
+            self.commit(partition, &path, &body, outputs.len() as u64, distinct_keys)
+        });
+        if let Err(reason) = committed {
             warn(
-                &self.partition_path(partition),
+                &path,
                 &format!("checkpoint write failed ({reason}); continuing without"),
             );
         }
     }
 
-    fn try_record(
+    /// Commits the map side's accounting as the map record, unless the
+    /// session already holds a valid one. Best-effort, like `record`.
+    pub(crate) fn record_map(&self, summary: &MapSummary) {
+        if self.map.is_some() {
+            return;
+        }
+        let path = self.dir.join("map.ckpt");
+        // The map record's manifest index is the one past the partitions.
+        let index = self.verified.len();
+        if let Err(reason) = self.commit(index, &path, &summary.encode(), 0, 0) {
+            warn(
+                &path,
+                &format!("checkpoint write failed ({reason}); continuing without"),
+            );
+        }
+    }
+
+    /// The commit protocol: write `body` to a pid-tagged tmp sibling of
+    /// `path` → fsync → rename over `path` → append and sync its manifest
+    /// entry under the manifest lock.
+    fn commit(
         &self,
-        partition: usize,
-        outputs: &[Out],
+        index: usize,
+        path: &Path,
+        body: &[u8],
+        records: u64,
         distinct_keys: u64,
     ) -> Result<(), String> {
-        // The shared sink encoding: what goes to disk here is the same
-        // byte stream a streaming edge would hand downstream.
-        let body = encode_partition(outputs, distinct_keys)?;
         let entry = ManifestEntry {
-            partition: partition as u64,
-            records: outputs.len() as u64,
+            partition: index as u64,
+            records,
             distinct_keys,
             file_bytes: body.len() as u64,
-            file_hash: fnv1a(&body),
+            file_hash: fnv1a(body),
         };
-
-        let tmp = self.dir.join(format!(
-            "part-{partition}.ckpt.tmp-{}-{}",
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(format!(
+            ".tmp-{}-{}",
             std::process::id(),
             CKPT_SEQ.fetch_add(1, Ordering::Relaxed)
         ));
+        let tmp = PathBuf::from(tmp);
         let write = || -> std::io::Result<()> {
             let mut file = File::create(&tmp)?;
-            file.write_all(&body)?;
+            file.write_all(body)?;
             file.sync_all()?;
-            fs::rename(&tmp, self.partition_path(partition))
+            fs::rename(&tmp, path)
         };
         if let Err(e) = write() {
             // The tmp file may linger; the orphan sweep reclaims it.
@@ -587,11 +773,11 @@ impl<Out: SpillCodec> CheckpointSession<Out> {
         // session's sibling threads and concurrent same-fingerprint
         // sessions alike — and open at the *real* end of the file, so a
         // peer's entries committed since `open` are never overwritten.
-        let _lock = SessionLock::acquire(&self.dir);
         let mut manifest = OpenOptions::new()
             .append(true)
             .open(&self.manifest_path)
             .map_err(|e| format!("manifest reopen failed: {e}"))?;
+        lock_manifest(&manifest, &self.manifest_path);
         manifest
             .write_all(&entry.encode())
             .and_then(|()| manifest.sync_data())
@@ -603,10 +789,10 @@ impl<Out: SpillCodec> CheckpointSession<Out> {
             })
     }
 
-    /// Number of partitions the verified manifest had committed when the
-    /// session opened — what a resume run can skip.
+    /// Number of partitions the manifest had committed when the session
+    /// opened — what a resume run can skip, if they verify.
     pub(crate) fn committed(&self) -> usize {
-        self.completed.len()
+        self.committed
     }
 
     /// Folds the session's counters into the job's pipeline metrics
@@ -1080,5 +1266,168 @@ mod tests {
         assert_eq!(orphan_owner("part-9.ckpt"), None);
         assert_eq!(orphan_owner("manifest.bin"), None);
         assert_eq!(orphan_owner("mrassign-spill-x-7.run"), None);
+    }
+
+    /// A map record over 5 partitions: partition 0 empty, two map tasks
+    /// dead-lettered.
+    fn sample_map_record() -> MapSummary {
+        MapSummary {
+            records_emitted: 1234,
+            map_retries: 5,
+            dlq: [3, 9]
+                .into_iter()
+                .map(|index| DlqEntry {
+                    stage: FaultStage::Map,
+                    index,
+                    attempts: 2,
+                })
+                .collect(),
+            loads: (0..5u64)
+                .map(|p| PartitionLoad {
+                    records: p * 10,
+                    value_bytes: p * 100,
+                    total_bytes: p * 150,
+                })
+                .collect(),
+        }
+    }
+
+    /// The map record is a persistence boundary: every truncation, every
+    /// single-bit flip (against its committed length and hash) and every
+    /// hostile count is an error, never a panic or an allocation sized
+    /// by the count.
+    #[test]
+    fn map_record_decoder_rejects_truncation_bit_flips_and_hostile_counts() {
+        let record = sample_map_record();
+        let bytes = record.encode();
+        assert_eq!(MapSummary::decode(&bytes, 5), Ok(record.clone()));
+        for len in 0..bytes.len() {
+            assert!(
+                MapSummary::decode(&bytes[..len], 5).is_err(),
+                "truncated to {len} bytes"
+            );
+        }
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(MapSummary::decode(&trailing, 5).is_err(), "trailing byte");
+
+        // A flipped count can still decode on its own, but never panics;
+        // the manifest entry's length and content hash reject every flip.
+        let entry = ManifestEntry {
+            partition: 5,
+            records: 0,
+            distinct_keys: 0,
+            file_bytes: bytes.len() as u64,
+            file_hash: fnv1a(&bytes),
+        };
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            let _ = MapSummary::decode(&flipped, 5);
+            let verified = check_committed(&flipped, &entry, "map record")
+                .and_then(|()| MapSummary::decode(&flipped, 5));
+            assert!(verified.is_err(), "bit {bit} flipped");
+        }
+
+        // Hostile counts behind intact framing. The DLQ count sits after
+        // two u64s; the partition count after the two DLQ entries.
+        let with_u64_at = |offset: usize, value: u64| {
+            let mut hostile = bytes.clone();
+            hostile[offset..offset + 8].copy_from_slice(&value.to_le_bytes());
+            hostile
+        };
+        let partitions_at = 24 + 12 * record.dlq.len();
+        for (what, hostile) in [
+            ("DLQ count u64::MAX", with_u64_at(16, u64::MAX)),
+            ("DLQ count one too many", with_u64_at(16, 3)),
+            (
+                "partition count u64::MAX",
+                with_u64_at(partitions_at, u64::MAX),
+            ),
+            ("partition count 4", with_u64_at(partitions_at, 4)),
+        ] {
+            assert!(MapSummary::decode(&hostile, 5).is_err(), "{what}");
+        }
+        assert!(MapSummary::decode(&bytes, 4).is_err(), "fewer reducers");
+        assert!(MapSummary::decode(&bytes, 6).is_err(), "more reducers");
+        let overflowing = MapSummary {
+            loads: vec![
+                PartitionLoad {
+                    records: u64::MAX,
+                    ..PartitionLoad::default()
+                },
+                PartitionLoad {
+                    records: 1,
+                    ..PartitionLoad::default()
+                },
+            ],
+            ..record
+        };
+        assert!(
+            MapSummary::decode(&overflowing.encode(), 2).is_err(),
+            "loads whose sum overflows"
+        );
+    }
+
+    /// The session serves the job whole only while the map record and
+    /// every nonempty partition verify. A corrupt record is counted and
+    /// written again; a valid one is kept as it is.
+    #[test]
+    fn map_record_gates_a_full_replay_and_heals() {
+        let base = unique_dir("map-record");
+        let record = sample_map_record();
+        let session: CheckpointSession<u64> = CheckpointSession::open(&base, fp(8), 5).unwrap();
+        assert_eq!(session.replayable(), None, "a cold session has no record");
+        session.record_map(&record);
+        for p in 1..5 {
+            session.record(p, &[p as u64], 1);
+        }
+        drop(session);
+
+        let dir = base.join(format!("job-{:016x}", 8));
+        let open = || CheckpointSession::<u64>::open(&base, fp(8), 5).unwrap();
+        let whole = open();
+        assert_eq!(whole.committed(), 4, "the record is not a partition");
+        assert_eq!(whole.replayable(), Some(&record));
+        assert_eq!(whole.verified(), [false, true, true, true, true]);
+        drop(whole);
+
+        let map_path = dir.join("map.ckpt");
+        let mut damaged = fs::read(&map_path).unwrap();
+        let last = damaged.len() - 1;
+        damaged[last] ^= 0x01;
+        fs::write(&map_path, &damaged).unwrap();
+        let reopened = open();
+        assert_eq!(
+            reopened.replayable(),
+            None,
+            "a corrupt record is not served"
+        );
+        assert_eq!(reopened.invalid.load(Ordering::Relaxed), 1);
+        reopened.record_map(&record);
+        drop(reopened);
+
+        let healed = open();
+        assert_eq!(healed.replayable(), Some(&record), "the rerun rewrote it");
+        assert_eq!(healed.invalid.load(Ordering::Relaxed), 0);
+        let manifest = dir.join("manifest.bin");
+        let committed_len = fs::metadata(&manifest).unwrap().len();
+        healed.record_map(&record);
+        assert_eq!(
+            fs::metadata(&manifest).unwrap().len(),
+            committed_len,
+            "a valid record is kept, not appended again"
+        );
+        drop(healed);
+
+        fs::remove_file(dir.join("part-3.ckpt")).unwrap();
+        let partial = open();
+        assert_eq!(
+            partial.replayable(),
+            None,
+            "a missing nonempty partition forces a partial resume"
+        );
+        assert_eq!(partial.invalid.load(Ordering::Relaxed), 1);
+        fs::remove_dir_all(&base).unwrap();
     }
 }

@@ -15,8 +15,8 @@ use crate::traits::{Emitter, Mapper, Reducer};
 /// Key-value pairs produced by one map invocation.
 pub(crate) type MapOutput<M> = Vec<(<M as Mapper>::Key, <M as Mapper>::Value)>;
 
-/// What both shuffle modes' reduce phases hand back, built one partition
-/// at a time by [`Job::accept_partition`] in ascending partition order:
+/// What every path's reduce side hands back, built one partition at a
+/// time by [`Job::accept_partitions`] in ascending partition order:
 /// outputs in (partition, key, arrival) order, per-nonempty-partition
 /// reduce costs, and the dead-letter queue.
 pub(crate) struct Reduced<Out> {
@@ -25,16 +25,49 @@ pub(crate) struct Reduced<Out> {
     pub(crate) dlq: Vec<DlqEntry>,
 }
 
-impl<Out> Reduced<Out> {
-    /// A reduce phase with nothing accepted yet, starting from the map
-    /// stage's dead-letter entries.
-    pub(crate) fn new(dlq: Vec<DlqEntry>) -> Self {
-        Reduced {
-            outputs: Vec::new(),
-            costs: Vec::new(),
-            dlq,
-        }
+/// One reducer partition's load as the map side routed it: the copies,
+/// their value bytes (the paper's reducer load) and their key + value
+/// bytes (what the shuffle moves and the reduce task's cost is billed
+/// on). Copies the checkpoint makes unnecessary to ship still count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct PartitionLoad {
+    pub(crate) records: u64,
+    pub(crate) value_bytes: u64,
+    pub(crate) total_bytes: u64,
+}
+
+impl PartitionLoad {
+    /// Counts one routed copy.
+    pub(crate) fn add(&mut self, key_bytes: u64, value_bytes: u64) {
+        self.records += 1;
+        self.value_bytes += value_bytes;
+        self.total_bytes += key_bytes + value_bytes;
     }
+
+    /// Folds in another share of the same partition's load.
+    pub(crate) fn merge(&mut self, other: &PartitionLoad) {
+        self.records += other.records;
+        self.value_bytes += other.value_bytes;
+        self.total_bytes += other.total_bytes;
+    }
+}
+
+/// The map side's deterministic accounting, complete at the map barrier:
+/// everything the metrics, the capacity policy and the reduce side need
+/// from the map phase. Both engines build one. A checkpointed run commits
+/// it once as the map record, and a rerun whose every nonempty partition
+/// is committed replays the job from it without running a map task. It
+/// holds no simulated time: [`JobMetrics::simulate`] derives those from
+/// these counts and the cluster config, as a fresh run does.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct MapSummary {
+    pub(crate) records_emitted: u64,
+    pub(crate) map_retries: u64,
+    /// Map-stage dead-letter entries, sorted by task index.
+    pub(crate) dlq: Vec<DlqEntry>,
+    /// One load per reducer partition. Records and bytes shuffled are
+    /// their sums.
+    pub(crate) loads: Vec<PartitionLoad>,
 }
 
 /// One reducer partition's finished reduce task, as [`Job::reduce_task`]
@@ -54,6 +87,21 @@ pub(crate) struct FinalizedPartition<Out> {
     pub(crate) failed: Option<SimError>,
     /// Injected faults this partition's task absorbed.
     pub(crate) retries: u64,
+}
+
+impl<Out> FinalizedPartition<Out> {
+    /// A partition with known outputs and no fault disposition: one
+    /// served from the checkpoint, or a task before it runs.
+    pub(crate) fn new(partition: usize, outputs: Vec<Out>, distinct_keys: u64) -> Self {
+        FinalizedPartition {
+            partition,
+            distinct_keys,
+            outputs,
+            dlq_attempts: None,
+            failed: None,
+            retries: 0,
+        }
+    }
 }
 
 /// One dead-lettered task: a unit of work that exhausted its retry budget
@@ -247,9 +295,22 @@ where
             .map(|input| TaskCost(self.config.map_task_seconds(self.mapper.cost_bytes(input))))
             .collect();
 
-        let mut reduced = match self.config.shuffle {
-            ShuffleMode::Materialized => self.run_materialized(inputs, &mut metrics, ckpt, sink)?,
-            ShuffleMode::Pipelined => self.run_pipelined(inputs, &mut metrics, ckpt, sink)?,
+        let mut reduced = match ckpt.and_then(CheckpointSession::replayable) {
+            // The checkpoint holds the map record and every nonempty
+            // partition, all verified: serve the job from it without
+            // running a map task, the shuffle or a reduce.
+            Some(summary) => {
+                self.apply_map_summary(summary, &mut metrics)?;
+                self.accept_partitions(summary, ckpt, &mut metrics, sink, |p| {
+                    unreachable!("a replayable checkpoint verified nonempty partition {p}")
+                })?
+            }
+            None => match self.config.shuffle {
+                ShuffleMode::Materialized => {
+                    self.run_materialized(inputs, &mut metrics, ckpt, sink)?
+                }
+                ShuffleMode::Pipelined => self.run_pipelined(inputs, &mut metrics, ckpt, sink)?,
+            },
         };
         // Folded after the dispatch because the pipelined engine rebuilds
         // `metrics.pipeline` wholesale.
@@ -364,14 +425,16 @@ where
         sink: &dyn PartitionSink<R::Out>,
     ) -> Result<Reduced<R::Out>, SimError> {
         let (map_results, map_retries) = self.run_map_phase(inputs);
-        metrics.faults.map_retries = map_retries;
-
+        let served = self.served_mask(ckpt);
+        let mut summary = MapSummary {
+            records_emitted: 0,
+            map_retries,
+            dlq: Vec::new(),
+            loads: vec![PartitionLoad::default(); self.n_reducers],
+        };
         let mut partitions: Vec<Vec<(M::Key, M::Value)>> =
             (0..self.n_reducers).map(|_| Vec::new()).collect();
-        let mut reducer_value_bytes = vec![0u64; self.n_reducers];
-        let mut reducer_total_bytes = vec![0u64; self.n_reducers];
         let mut targets: Vec<usize> = Vec::new();
-        let mut reduced = Reduced::new(Vec::new());
 
         // Walking resolutions in task order keeps error precedence
         // identical across modes: the lowest task with either an exhausted
@@ -380,7 +443,7 @@ where
             let pairs = match resolution {
                 MapResolution::Done(pairs) => pairs,
                 MapResolution::Dropped { attempts } => {
-                    reduced.dlq.push(DlqEntry {
+                    summary.dlq.push(DlqEntry {
                         stage: FaultStage::Map,
                         index,
                         attempts,
@@ -389,46 +452,47 @@ where
                 }
                 MapResolution::Failed(error) => return Err(error),
             };
+            summary.records_emitted += pairs.len() as u64;
             for (key, value) in pairs {
-                metrics.records_emitted += 1;
                 self.route_into(&key, &mut targets)?;
                 let key_bytes = key.size_bytes();
                 let value_bytes = value.size_bytes();
                 for &t in &targets {
-                    metrics.records_shuffled += 1;
-                    metrics.bytes_shuffled += key_bytes + value_bytes;
-                    reducer_value_bytes[t] += value_bytes;
-                    reducer_total_bytes[t] += key_bytes + value_bytes;
-                    partitions[t].push((key.clone(), value.clone()));
+                    summary.loads[t].add(key_bytes, value_bytes);
+                    if !served[t] {
+                        partitions[t].push((key.clone(), value.clone()));
+                    }
                 }
             }
         }
-
-        self.account_capacity(metrics, &reducer_value_bytes)?;
+        if let Some(session) = ckpt {
+            session.record_map(&summary);
+        }
+        self.apply_map_summary(&summary, metrics)?;
 
         // Each partition is accepted (and so reaches the sink) the moment
         // its task finishes, so a kill at partition k lands after every
         // nonempty partition below k has committed.
-        for (r, partition) in partitions.into_iter().enumerate() {
-            if partition.is_empty() {
-                continue;
-            }
-            let mut part = self
-                .reduce_task(r, false, None, ckpt, || Ok(partition))
-                .expect("a task without a resolution slot always resolves");
-            metrics.faults.reduce_retries += part.retries;
-            if let Some(error) = part.failed.take() {
-                return Err(error);
-            }
-            self.accept_partition(part, reducer_total_bytes[r], metrics, &mut reduced, sink);
-        }
-        metrics.reducer_value_bytes = reducer_value_bytes;
-        Ok(reduced)
+        self.accept_partitions(&summary, ckpt, metrics, sink, |r| {
+            let records = std::mem::take(&mut partitions[r]);
+            self.reduce_task(r, false, None, ckpt, || Ok(records))
+                .expect("a task without a resolution slot always resolves")
+        })
+    }
+
+    /// Which partitions `ckpt` verified. The engines count the copies
+    /// routed to them but never ship them, and accept their committed
+    /// outputs instead of reducing them.
+    pub(crate) fn served_mask(&self, ckpt: Option<&CheckpointSession<R::Out>>) -> Vec<bool> {
+        ckpt.map_or_else(
+            || vec![false; self.n_reducers],
+            |session| session.verified().to_vec(),
+        )
     }
 
     /// One reducer partition's reduce task, shared by both engines:
-    /// checkpoint lookup → reduce fault verdict → reduce → checkpoint
-    /// commit.
+    /// reduce fault verdict → reduce → checkpoint commit. A partition the
+    /// checkpoint serves never gets here, so no verdict fires for it.
     ///
     /// `records` supplies the partition's records in arrival order and is
     /// called only when the task really runs; an error from it fails the
@@ -446,43 +510,26 @@ where
         ckpt: Option<&CheckpointSession<R::Out>>,
         records: impl FnOnce() -> Result<Vec<(M::Key, M::Value)>, SimError>,
     ) -> Option<FinalizedPartition<R::Out>> {
-        let mut part = FinalizedPartition {
-            partition,
-            distinct_keys: 0,
-            outputs: Vec::new(),
-            dlq_attempts: None,
-            failed: None,
-            retries: 0,
-        };
+        let mut part = FinalizedPartition::new(partition, Vec::new(), 0);
         let mut fresh = false;
-        // Checkpoint hit: an earlier run of this fingerprint finalized the
-        // partition. Checked before the fault verdict so an injected kill
-        // never re-fires for finished work; the persisted outputs splice
-        // in exactly where a fresh reduce would have put them.
-        if let Some((outputs, distinct_keys)) = ckpt.and_then(|s| s.lookup(partition)) {
-            part.outputs = outputs;
-            part.distinct_keys = distinct_keys;
-        } else {
-            match self.fault_verdict(FaultStage::Reduce, partition, speculative) {
-                TaskVerdict::Run { retries } => {
-                    part.retries = u64::from(retries);
-                    match records() {
-                        Ok(mut records) => {
-                            part.distinct_keys =
-                                self.reduce_partition(&mut records, &mut part.outputs);
-                            fresh = true;
-                        }
-                        Err(error) => part.failed = Some(error),
+        match self.fault_verdict(FaultStage::Reduce, partition, speculative) {
+            TaskVerdict::Run { retries } => {
+                part.retries = u64::from(retries);
+                match records() {
+                    Ok(mut records) => {
+                        part.distinct_keys = self.reduce_partition(&mut records, &mut part.outputs);
+                        fresh = true;
                     }
+                    Err(error) => part.failed = Some(error),
                 }
-                TaskVerdict::Dropped { retries, attempts } => {
-                    part.retries = u64::from(retries);
-                    part.dlq_attempts = Some(attempts);
-                }
-                TaskVerdict::Failed { error, retries } => {
-                    part.retries = u64::from(retries);
-                    part.failed = Some(error);
-                }
+            }
+            TaskVerdict::Dropped { retries, attempts } => {
+                part.retries = u64::from(retries);
+                part.dlq_attempts = Some(attempts);
+            }
+            TaskVerdict::Failed { error, retries } => {
+                part.retries = u64::from(retries);
+                part.failed = Some(error);
             }
         }
         let won = resolved.is_none_or(|slot| {
@@ -492,43 +539,69 @@ where
         if !won {
             return None;
         }
-        // Only fresh work is persisted: dead-lettered, failed, and
-        // already-checkpointed partitions are not (re)committed.
+        // Only fresh work is persisted: dead-lettered and failed
+        // partitions are not committed.
         if let Some(session) = ckpt.filter(|_| fresh) {
             session.record(partition, &part.outputs, part.distinct_keys);
         }
         Some(part)
     }
 
-    /// Accepts one nonempty partition's finished task into the job — the
-    /// in-order step both engines share. A dead-lettered partition counts
-    /// as nonempty (data reached it) but adds only its DLQ entry; any
-    /// other adds its reduce cost and distinct keys, goes to the sink,
-    /// and appends its outputs. Callers accept partitions in ascending
-    /// order, which is the sink's ordering contract.
-    pub(crate) fn accept_partition(
+    /// Accepts every nonempty partition into the job in ascending order —
+    /// the step both engines and a checkpoint replay share, and the sink's
+    /// ordering contract. A partition the checkpoint verified is served
+    /// from it and counts as a hit; any other comes from `execute`, the
+    /// engine's own task for it, and counts as a miss. Each partition is
+    /// counted once, however many copies of its task ran.
+    ///
+    /// A failed partition returns its error. A dead-lettered one counts as
+    /// nonempty (data reached it) but adds only its DLQ entry; any other
+    /// adds its reduce cost and distinct keys, goes to the sink, and
+    /// appends its outputs.
+    pub(crate) fn accept_partitions(
         &self,
-        part: FinalizedPartition<R::Out>,
-        total_bytes: u64,
+        summary: &MapSummary,
+        ckpt: Option<&CheckpointSession<R::Out>>,
         metrics: &mut JobMetrics,
-        reduced: &mut Reduced<R::Out>,
         sink: &dyn PartitionSink<R::Out>,
-    ) {
-        metrics.nonempty_reducers += 1;
-        if let Some(attempts) = part.dlq_attempts {
-            reduced.dlq.push(DlqEntry {
-                stage: FaultStage::Reduce,
-                index: part.partition,
-                attempts,
-            });
-            return;
+        mut execute: impl FnMut(usize) -> FinalizedPartition<R::Out>,
+    ) -> Result<Reduced<R::Out>, SimError> {
+        let mut reduced = Reduced {
+            outputs: Vec::new(),
+            costs: Vec::new(),
+            dlq: summary.dlq.clone(),
+        };
+        for (p, load) in summary.loads.iter().enumerate() {
+            if load.records == 0 {
+                continue;
+            }
+            let part = match ckpt.and_then(|session| session.lookup(p)) {
+                Some((outputs, distinct_keys)) => {
+                    FinalizedPartition::new(p, outputs, distinct_keys)
+                }
+                None => execute(p),
+            };
+            metrics.faults.reduce_retries += part.retries;
+            if let Some(error) = part.failed {
+                return Err(error);
+            }
+            metrics.nonempty_reducers += 1;
+            if let Some(attempts) = part.dlq_attempts {
+                reduced.dlq.push(DlqEntry {
+                    stage: FaultStage::Reduce,
+                    index: p,
+                    attempts,
+                });
+                continue;
+            }
+            metrics.distinct_keys += part.distinct_keys;
+            reduced
+                .costs
+                .push(TaskCost(self.config.reduce_task_seconds(load.total_bytes)));
+            sink.partition(p, &part.outputs, part.distinct_keys);
+            reduced.outputs.extend(part.outputs);
         }
-        metrics.distinct_keys += part.distinct_keys;
-        reduced
-            .costs
-            .push(TaskCost(self.config.reduce_task_seconds(total_bytes)));
-        sink.partition(part.partition, &part.outputs, part.distinct_keys);
-        reduced.outputs.extend(part.outputs);
+        Ok(reduced)
     }
 
     /// Routes `key`, leaving the sorted, deduplicated, range-checked target
@@ -553,16 +626,23 @@ where
         Ok(())
     }
 
-    /// Applies the capacity policy to the final per-reducer loads.
-    pub(crate) fn account_capacity(
+    /// Books the map side's accounting into `metrics` and applies the
+    /// capacity policy to the per-reducer loads — one step whether the
+    /// map phase just ran or a checkpoint replays its record.
+    pub(crate) fn apply_map_summary(
         &self,
+        summary: &MapSummary,
         metrics: &mut JobMetrics,
-        reducer_value_bytes: &[u64],
     ) -> Result<(), SimError> {
+        metrics.records_emitted = summary.records_emitted;
+        metrics.records_shuffled = summary.loads.iter().map(|l| l.records).sum();
+        metrics.bytes_shuffled = summary.loads.iter().map(|l| l.total_bytes).sum();
+        metrics.faults.map_retries = summary.map_retries;
+        metrics.reducer_value_bytes = summary.loads.iter().map(|l| l.value_bytes).collect();
         match self.capacity {
             CapacityPolicy::Unlimited => {}
             CapacityPolicy::Enforce(q) => {
-                for (r, &load) in reducer_value_bytes.iter().enumerate() {
+                for (r, &load) in metrics.reducer_value_bytes.iter().enumerate() {
                     if load > q {
                         return Err(SimError::CapacityExceeded {
                             reducer: r,
@@ -573,7 +653,8 @@ where
                 }
             }
             CapacityPolicy::Record(q) => {
-                metrics.capacity_violations = reducer_value_bytes
+                metrics.capacity_violations = metrics
+                    .reducer_value_bytes
                     .iter()
                     .enumerate()
                     .filter(|&(_, &load)| load > q)

@@ -20,8 +20,9 @@
 //!   be *measured* rather than argued,
 //! * optional real parallelism for the map phase (std scoped threads)
 //!   that never changes results or metrics, only wall-clock time,
-//! * two shuffle engines sharing one reduce-task path (checkpoint
-//!   lookup, fault verdict, reduce, checkpoint commit, sink hand-off):
+//! * two shuffle engines sharing one reduce-task path (fault verdict,
+//!   reduce, checkpoint commit) and one in-order accept step (checkpoint
+//!   serve, sink hand-off):
 //!   the default [`ShuffleMode::Materialized`] reference, and an
 //!   overlapped [`ShuffleMode::Pipelined`] engine (see [`pipeline`])
 //!   whose mapper and consumer stages run concurrently over bounded
@@ -42,13 +43,16 @@
 //!   ([`JobOutput::dlq`]) under [`DlqMode::Capture`] instead of failing
 //!   the job,
 //! * checkpoint/resume: under a validated
-//!   [`ClusterConfig::checkpoint_dir`] every finalized partition's
-//!   outputs are persisted (tmp write → fsync → rename → checksummed
-//!   manifest append) keyed by a deterministic job fingerprint, and a
-//!   restarted job — including one killed mid-run by the [`FaultPlan`]'s
-//!   process-level `kill-map:`/`kill-reduce:` verdicts — verifies the
-//!   manifest and replays only the missing partitions, merging
-//!   checkpointed outputs back bit-identically
+//!   [`ClusterConfig::checkpoint_dir`] the map side's accounting (once,
+//!   at the map barrier) and every finalized partition's outputs are
+//!   persisted (tmp write → fsync → rename → checksummed manifest append,
+//!   under a lock on the manifest itself) keyed by a deterministic job
+//!   fingerprint. A restarted job — including one killed mid-run by the
+//!   [`FaultPlan`]'s process-level `kill-map:`/`kill-reduce:` verdicts —
+//!   verifies every committed file up front. With everything committed
+//!   it is served from disk without running the engine; otherwise it
+//!   maps again, ships only the copies bound for missing partitions, and
+//!   merges the checkpointed outputs back bit-identically
 //!   ([`PipelineMetrics::checkpoint_hits`] counts the skips).
 //!
 //! Everything is deterministic: same inputs, same config ⇒ bit-identical

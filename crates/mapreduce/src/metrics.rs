@@ -63,19 +63,25 @@ pub struct PipelineMetrics {
     /// Largest number of runs (in-memory + spilled) any single
     /// partition's finalize merged — the external merge's fan-in.
     pub merge_fanin: u64,
-    /// Reducer partitions whose finalize was *skipped* because a valid
-    /// checkpoint from an earlier run of the same job supplied their
-    /// outputs (see
-    /// [`ClusterConfig::checkpoint_dir`](crate::ClusterConfig::checkpoint_dir)).
-    /// Zero when checkpointing is off or the run started cold.
+    /// Nonempty reducer partitions served from a verified checkpoint an
+    /// earlier run of the same job committed (see
+    /// [`ClusterConfig::checkpoint_dir`](crate::ClusterConfig::checkpoint_dir)):
+    /// no copy was shipped to them and no reduce ran for them. Zero when
+    /// checkpointing is off or the run started cold.
     pub checkpoint_hits: u64,
-    /// Reducer partitions executed (and persisted) while checkpointing
-    /// was enabled — the work a crash right now would *not* lose again.
+    /// Nonempty reducer partitions executed while checkpointing was
+    /// enabled, and committed unless dead-lettered — the work a crash
+    /// right now would *not* lose again. Each nonempty partition counts
+    /// once, as a hit or a miss, however many copies of its task ran, so
+    /// with checkpointing on `checkpoint_hits + checkpoint_misses ==
+    /// nonempty_reducers`.
     pub checkpoint_misses: u64,
-    /// Checkpoint manifests found but rejected (truncated, bit-flipped,
-    /// version- or fingerprint-mismatched). Each rejection falls back to
-    /// a fresh run with a warning on stderr; this counter makes the
-    /// fallback observable to tests and dashboards.
+    /// Checkpoint state found but rejected: a manifest prefix (truncated,
+    /// bit-flipped, version- or fingerprint-mismatched), or a committed
+    /// partition file or map record that fails verification. Each
+    /// rejection falls back to re-execution with a warning on stderr;
+    /// this counter makes the fallback observable to tests and
+    /// dashboards.
     pub checkpoint_invalid: u64,
     /// Spill/checkpoint temp files whose RAII delete failed (the engine
     /// keeps going — a vanished temp dir must not turn cleanup into a

@@ -14,14 +14,15 @@
 //!      ┌─────────┼─────────┐
 //!   mapper 1  mapper 2 … mapper T          T = map_threads
 //!      │  map_one → route → partition-tagged Block { seq, records }
-//!      │  (emission/byte accounting into shared atomics)
+//!      │  (per-partition loads of every copy, folded in at retirement;
+//!      │   the last mapper out commits a checkpoint's map record)
 //!      └───┬────────┬──────┘
 //!     bounded channel per consumer group (buffer = pipeline_depth − 1)
 //!          │        │        ◄── back-pressure: a full channel blocks
 //!          ▼        ▼            the sender until the consumer drains
 //!   consumer 1 … consumer G               G = min(T, n_reducers)
-//!      │  per-partition byte accounting + incremental reassembly into
-//!      │  seq-ordered runs (overlaps live map tasks — the pipelining)
+//!      │  incremental reassembly into seq-ordered runs (overlaps live
+//!      │  map tasks — the pipelining)
 //!      │  … channels close when every mapper drops its senders …
 //!      │  finalize: k-way merge each partition's runs, group, reduce
 //!      │  (static: own range only; stealing: shared LPT finalize queue)
@@ -30,13 +31,13 @@
 //! ```
 //!
 //! **Overlap.** While mapper threads are still producing, consumer threads
-//! already drain blocks, account bytes per reducer, and reassemble
-//! partitions — the shuffle and the reduce-side merge overlap the map
-//! phase exactly the way a real MapReduce copy/merge phase shadows its
-//! mappers. `reduce()` itself must still wait for its partition to be
-//! complete (any map task may yet route a record anywhere — that barrier
-//! is inherent to correct MapReduce semantics), but it runs concurrently
-//! across consumer groups the moment the channels close.
+//! already drain blocks and reassemble partitions — the shuffle and the
+//! reduce-side merge overlap the map phase exactly the way a real
+//! MapReduce copy/merge phase shadows its mappers. `reduce()` itself must
+//! still wait for its partition to be complete (any map task may yet
+//! route a record anywhere — that barrier is inherent to correct
+//! MapReduce semantics), but it runs concurrently across consumer groups
+//! the moment the channels close.
 //! [`PipelineMetrics`] reports how much overlap a run actually achieved.
 //!
 //! **Back-pressure.** Every channel buffers
@@ -61,8 +62,8 @@
 //! finalize step then restores exact (task, emission) order with a k-way
 //! merge instead of one big sort — the sort work happens inside the
 //! overlap window the engine exists to create. Combined with commutative
-//! atomic byte accounting, the engine produces outputs and a
-//! deterministic metrics subset bit-identical to
+//! per-partition load accounting on the map side, the engine produces
+//! outputs and a deterministic metrics subset bit-identical to
 //! [`ShuffleMode::Materialized`], for every thread count, pipeline depth,
 //! and [`FinalizeMode`]; only [`PipelineMetrics`] varies run to run.
 //!
@@ -100,6 +101,15 @@
 //! `Err` and the mapper drops the block. The scope join then re-raises
 //! the panic, exactly as the materialized mode does.
 //!
+//! **Checkpoint resume.** With a checkpoint session, mappers still count
+//! every routed copy in the per-partition loads, so every deterministic
+//! metric is recomputed, but they never clone or send a copy bound for a
+//! partition the session verified. Such a partition is never finalized;
+//! reassembly accepts its committed outputs in its place. The last mapper
+//! thread to retire from a map phase without error commits the map
+//! record before its senders drop, so the record precedes every partition
+//! commit of the run.
+//!
 //! **Fault tolerance.** With a [`crate::FaultPlan`] configured, every map
 //! task and finalize runs the fault-layer attempt loop first
 //! (`Job::fault_verdict`): injected faults are *check-first* — they
@@ -125,7 +135,9 @@ use std::time::Instant;
 use crate::checkpoint::CheckpointSession;
 use crate::cluster::{FaultStage, FinalizeMode, Schedule, TaskCost};
 use crate::error::SimError;
-use crate::job::{DlqEntry, FinalizedPartition, Job, Reduced, TaskVerdict};
+use crate::job::{
+    DlqEntry, FinalizedPartition, Job, MapSummary, PartitionLoad, Reduced, TaskVerdict,
+};
 use crate::metrics::{JobMetrics, PipelineMetrics};
 use crate::record::ByteSized;
 use crate::router::Router;
@@ -361,16 +373,26 @@ struct PartitionBuffer<M: Mapper> {
     spilled: Vec<SpilledRun>,
 }
 
-/// Everything one consumer hands back: per owned partition (indexed from
-/// `first_partition`) the byte/record accounting, the partitions this
-/// *thread* finalized (its own under static finalize; whatever it stole
-/// under stealing), plus the group's overlap observation and finalize
+impl<M: Mapper> PartitionBuffer<M> {
+    /// Whether any record reached this partition. Copies for a partition
+    /// the checkpoint serves are never shipped, so such a partition stays
+    /// empty here and is never finalized.
+    fn is_empty(&self) -> bool {
+        self.runs.is_empty() && self.spilled.is_empty()
+    }
+
+    /// Key + value bytes buffered here, resident or spilled — the LPT
+    /// priority of the partition's finalize.
+    fn bytes(&self) -> u64 {
+        self.run_bytes.iter().sum::<u64>() + self.spilled.iter().map(|run| run.bytes).sum::<u64>()
+    }
+}
+
+/// Everything one consumer hands back: the partitions this *thread*
+/// finalized (its own under static finalize; whatever it stole under
+/// stealing), plus the group's overlap observation and finalize
 /// wall-clock span.
 struct GroupResult<Out> {
-    first_partition: usize,
-    records: Vec<u64>,
-    value_bytes: Vec<u64>,
-    total_bytes: Vec<u64>,
     finalized: Vec<FinalizedPartition<Out>>,
     overlap_blocks: u64,
     stolen: u64,
@@ -478,16 +500,19 @@ struct Coordination {
     /// same precedence the sequential pass applies.
     reduce_error: Mutex<Option<(usize, SimError)>>,
     records_emitted: AtomicU64,
-    records_shuffled: AtomicU64,
-    bytes_shuffled: AtomicU64,
     blocks_sent: AtomicU64,
     map_retries: AtomicU64,
-    reduce_retries: AtomicU64,
     spec_launches: AtomicU64,
     spec_wins: AtomicU64,
     /// Map-stage dead-letter entries (reduce-stage ones travel through
     /// [`FinalizedPartition`] so they stay slotted by partition).
     dlq: Mutex<Vec<DlqEntry>>,
+    /// Per-partition loads of every resolved map task, shipped copies or
+    /// not; each mapper thread folds its share in as it retires.
+    loads: Mutex<Vec<PartitionLoad>>,
+    /// Mapper threads still running. The one that retires it to zero
+    /// observes every map task resolved.
+    mappers_left: AtomicUsize,
     /// Per-map-task `TASK_*` resolution slots; the winner of the
     /// compare-and-swap to `TASK_RESOLVED` is the only copy that counts
     /// metrics, sends blocks, or records errors for its task.
@@ -500,7 +525,7 @@ struct Coordination {
 }
 
 impl Coordination {
-    fn new(n_inputs: usize, n_reducers: usize) -> Self {
+    fn new(n_inputs: usize, n_reducers: usize, n_mappers: usize) -> Self {
         Coordination {
             next_task: AtomicUsize::new(0),
             tasks_done: AtomicUsize::new(0),
@@ -508,17 +533,29 @@ impl Coordination {
             first_error: Mutex::new(None),
             reduce_error: Mutex::new(None),
             records_emitted: AtomicU64::new(0),
-            records_shuffled: AtomicU64::new(0),
-            bytes_shuffled: AtomicU64::new(0),
             blocks_sent: AtomicU64::new(0),
             map_retries: AtomicU64::new(0),
-            reduce_retries: AtomicU64::new(0),
             spec_launches: AtomicU64::new(0),
             spec_wins: AtomicU64::new(0),
             dlq: Mutex::new(Vec::new()),
+            loads: Mutex::new(vec![PartitionLoad::default(); n_reducers]),
+            mappers_left: AtomicUsize::new(n_mappers),
             task_state: (0..n_inputs).map(|_| AtomicU8::new(TASK_PENDING)).collect(),
             finalize_resolved: (0..n_reducers).map(|_| AtomicBool::new(false)).collect(),
             gauge: InflightGauge::default(),
+        }
+    }
+
+    /// The map side's accounting so far — complete once every mapper
+    /// thread retired.
+    fn map_summary(&self) -> MapSummary {
+        let mut dlq = self.dlq.lock().expect("dlq slot poisoned").clone();
+        dlq.sort();
+        MapSummary {
+            records_emitted: self.records_emitted.load(Ordering::Relaxed),
+            map_retries: self.map_retries.load(Ordering::Relaxed),
+            dlq,
+            loads: self.loads.lock().expect("load totals poisoned").clone(),
         }
     }
 
@@ -546,6 +583,19 @@ impl Coordination {
             _ => *slot = Some((partition, error)),
         }
     }
+}
+
+/// One mapper thread's side of the stage graph: what it reads, its sender
+/// into every consumer group, and its share of the per-partition loads
+/// (only the map tasks this thread resolved count).
+struct MapWorker<'a, M: Mapper> {
+    inputs: &'a [M::In],
+    per_group: usize,
+    /// Partitions the checkpoint serves: their copies are counted in
+    /// `loads` but never shipped.
+    served: &'a [bool],
+    channels: Vec<SyncSender<Block<M::Key, M::Value>>>,
+    loads: Vec<PartitionLoad>,
 }
 
 impl<M, R, Rt> Job<M, R, Rt>
@@ -576,6 +626,7 @@ where
         let per_group = self.n_reducers.div_ceil(group_target);
         let n_groups = self.n_reducers.div_ceil(per_group);
         let depth = self.config.pipeline_depth;
+        let served = self.served_mask(ckpt);
 
         // A buffer of `depth − 1` blocks (a rendezvous at depth 1) plus the
         // block a consumer has just received keeps at most `depth` blocks
@@ -585,7 +636,7 @@ where
             .unzip();
         let finalize_queue: FinalizeQueue<Arc<FinalizeItem<M>>> =
             FinalizeQueue::new(n_groups, self.config.speculation);
-        let coord = Coordination::new(n_inputs, self.n_reducers);
+        let coord = Coordination::new(n_inputs, self.n_reducers, n_mappers);
         // Spill temp files report failed RAII deletes here; sampled into
         // `PipelineMetrics::spill_delete_errors` once every run (and its
         // readers) has dropped — which the scope join guarantees.
@@ -622,12 +673,20 @@ where
             // mapper exits or unwinds.
             let mapper_handles: Vec<_> = (0..n_mappers)
                 .map(|_| {
-                    let channels = senders.clone();
+                    let mut worker = MapWorker {
+                        inputs,
+                        per_group,
+                        served: &served,
+                        channels: senders.clone(),
+                        loads: vec![PartitionLoad::default(); self.n_reducers],
+                    };
                     let coord = &coord;
                     let job = self;
                     scope.spawn(move || {
-                        job.map_stage(inputs, per_group, &channels, coord);
-                        epoch.elapsed().as_secs_f64()
+                        job.map_stage(&mut worker, coord);
+                        let map_end = epoch.elapsed().as_secs_f64();
+                        job.retire_mapper(worker, coord, ckpt);
+                        map_end
                     })
                 })
                 .collect();
@@ -652,19 +711,25 @@ where
         {
             return Err(error);
         }
+        let summary = coord.map_summary();
+        self.apply_map_summary(&summary, metrics)?;
 
-        metrics.records_emitted = coord.records_emitted.load(Ordering::Relaxed);
-        metrics.records_shuffled = coord.records_shuffled.load(Ordering::Relaxed);
-        metrics.bytes_shuffled = coord.bytes_shuffled.load(Ordering::Relaxed);
+        // Reduce-stage exhaustion under `Fail` mode: checked after the map
+        // error and capacity, lowest partition first — the precedence the
+        // sequential pass applies by construction.
+        if let Some((_, error)) = coord
+            .reduce_error
+            .lock()
+            .expect("reduce error slot poisoned")
+            .take()
+        {
+            return Err(error);
+        }
 
-        // Reassemble the per-partition results in partition order, exactly
-        // like the materialized pass walks its partitions. Accounting is
-        // slotted by each group's contiguous drain range; finalized
-        // partitions carry their own index because under stealing any
-        // thread may have finalized any partition.
-        let mut reducer_value_bytes = vec![0u64; self.n_reducers];
-        let mut reducer_total_bytes = vec![0u64; self.n_reducers];
-        let mut reducer_records = vec![0u64; self.n_reducers];
+        // Finalized partitions carry their own index because under
+        // stealing any thread may have finalized any partition; they are
+        // accepted in partition order, exactly like the materialized pass
+        // walks its partitions.
         let mut slotted: Vec<Option<FinalizedPartition<R::Out>>> =
             (0..self.n_reducers).map(|_| None).collect();
         let mut overlap_blocks = 0u64;
@@ -688,48 +753,22 @@ where
             spilled_bytes += group.spilled_bytes;
             peak_buffered_bytes = peak_buffered_bytes.max(group.peak_buffered);
             merge_fanin = merge_fanin.max(group.merge_fanin);
-            for local in 0..group.records.len() {
-                let p = group.first_partition + local;
-                reducer_value_bytes[p] = group.value_bytes[local];
-                reducer_total_bytes[p] = group.total_bytes[local];
-                reducer_records[p] = group.records[local];
-            }
             for part in group.finalized {
                 let p = part.partition;
                 slotted[p] = Some(part);
             }
         }
-
-        self.account_capacity(metrics, &reducer_value_bytes)?;
-
-        // Reduce-stage exhaustion under `Fail` mode: checked after the map
-        // error and capacity, lowest partition first — the precedence the
-        // sequential pass applies by construction.
-        if let Some((_, error)) = coord
-            .reduce_error
-            .lock()
-            .expect("reduce error slot poisoned")
-            .take()
-        {
-            return Err(error);
-        }
-
-        let map_dlq = std::mem::take(&mut *coord.dlq.lock().expect("dlq slot poisoned"));
-        let mut reduced = Reduced::new(map_dlq);
-        for (p, slot) in slotted.into_iter().enumerate() {
-            if reducer_records[p] == 0 {
-                continue;
-            }
-            let part = slot.expect("every nonempty partition finalized");
-            // The sink contract promises ascending partition order, so
-            // acceptance happens here — during deterministic reassembly —
-            // not at the consumer threads' out-of-order finalize times.
-            self.accept_partition(part, reducer_total_bytes[p], metrics, &mut reduced, sink);
-        }
+        // The sink contract promises ascending partition order, so
+        // acceptance happens here — during deterministic reassembly — not
+        // at the consumer threads' out-of-order finalize times.
+        let reduced = self.accept_partitions(&summary, ckpt, metrics, sink, |p| {
+            slotted[p]
+                .take()
+                .expect("every nonempty partition the checkpoint does not serve finalized")
+        })?;
         let max_span = finalize_group_seconds.iter().cloned().fold(0.0, f64::max);
         let mean_span =
             finalize_group_seconds.iter().sum::<f64>() / finalize_group_seconds.len().max(1) as f64;
-        metrics.reducer_value_bytes = reducer_value_bytes;
         metrics.pipeline = PipelineMetrics {
             map_reduce_overlap_blocks: overlap_blocks,
             peak_inflight_blocks: u64::try_from(coord.gauge.peak.load(Ordering::Relaxed))
@@ -759,8 +798,6 @@ where
             orphans_reclaimed: 0,
             checkpoint_pruned: 0,
         };
-        metrics.faults.map_retries = coord.map_retries.load(Ordering::Relaxed);
-        metrics.faults.reduce_retries = coord.reduce_retries.load(Ordering::Relaxed);
         metrics.faults.speculative_launches = coord.spec_launches.load(Ordering::Relaxed);
         metrics.faults.speculative_wins = coord.spec_wins.load(Ordering::Relaxed);
         Ok(reduced)
@@ -768,16 +805,10 @@ where
 
     /// One mapper worker: pull tasks from the shared cursor, map and route
     /// them, and push partition-tagged blocks into the group channels.
-    fn map_stage(
-        &self,
-        inputs: &[M::In],
-        per_group: usize,
-        channels: &[SyncSender<Block<M::Key, M::Value>>],
-        coord: &Coordination,
-    ) {
+    fn map_stage(&self, worker: &mut MapWorker<'_, M>, coord: &Coordination) {
         loop {
             let task = coord.next_task.fetch_add(1, Ordering::Relaxed);
-            if task >= inputs.len() {
+            if task >= worker.inputs.len() {
                 break;
             }
             // A lower task already failed: its error wins whatever this
@@ -787,13 +818,38 @@ where
                 continue;
             }
             coord.task_state[task].store(TASK_CLAIMED, Ordering::Release);
-            self.execute_map_task(task, inputs, per_group, channels, coord, false);
+            self.execute_map_task(task, worker, coord, false);
         }
         // Cursor exhausted: this mapper is idle while peers may still be
         // stuck on stragglers. With speculation on, help them —
         // re-executing the largest claimed-but-unresolved tasks.
         if self.config.speculation {
-            self.speculate_map_stragglers(inputs, per_group, channels, coord);
+            self.speculate_map_stragglers(worker, coord);
+        }
+    }
+
+    /// Retires a mapper thread once it runs out of tasks: folds its loads
+    /// into the totals and, if it is the last one out of a map phase
+    /// without error, commits the map record. The record thus lands after
+    /// every map task resolved and before the worker's senders drop —
+    /// before any consumer can finalize, let alone commit, a partition.
+    fn retire_mapper(
+        &self,
+        worker: MapWorker<'_, M>,
+        coord: &Coordination,
+        ckpt: Option<&CheckpointSession<R::Out>>,
+    ) {
+        let mut totals = coord.loads.lock().expect("load totals poisoned");
+        for (total, load) in totals.iter_mut().zip(&worker.loads) {
+            total.merge(load);
+        }
+        drop(totals);
+        // AcqRel: the last mapper acquires every peer's release, so it
+        // sees their loads, counters and any recorded error.
+        let last = coord.mappers_left.fetch_sub(1, Ordering::AcqRel) == 1;
+        let clean = coord.error_seq.load(Ordering::Relaxed) == usize::MAX;
+        if let Some(session) = ckpt.filter(|_| last && clean) {
+            session.record_map(&coord.map_summary());
         }
     }
 
@@ -803,15 +859,9 @@ where
     /// or the primary's finish), so the loop terminates once every task
     /// is resolved; mappers and speculators compute identical results, so
     /// whoever wins the resolution race publishes the same blocks.
-    fn speculate_map_stragglers(
-        &self,
-        inputs: &[M::In],
-        per_group: usize,
-        channels: &[SyncSender<Block<M::Key, M::Value>>],
-        coord: &Coordination,
-    ) {
+    fn speculate_map_stragglers(&self, worker: &mut MapWorker<'_, M>, coord: &Coordination) {
         loop {
-            let claimed: Vec<usize> = (0..inputs.len())
+            let claimed: Vec<usize> = (0..worker.inputs.len())
                 .filter(|&t| coord.task_state[t].load(Ordering::Acquire) == TASK_CLAIMED)
                 .collect();
             if claimed.is_empty() {
@@ -822,13 +872,13 @@ where
                 .map(|&t| {
                     TaskCost(
                         self.config
-                            .map_task_seconds(self.mapper.cost_bytes(&inputs[t])),
+                            .map_task_seconds(self.mapper.cost_bytes(&worker.inputs[t])),
                     )
                 })
                 .collect();
             let task = claimed[Schedule::lpt_order(&costs)[0]];
             coord.spec_launches.fetch_add(1, Ordering::Relaxed);
-            self.execute_map_task(task, inputs, per_group, channels, coord, true);
+            self.execute_map_task(task, worker, coord, true);
         }
     }
 
@@ -836,14 +886,12 @@ where
     /// (if an attempt survives) map + route. Both a primary and a
     /// speculative copy may execute concurrently; the compare-and-swap to
     /// `TASK_RESOLVED` picks exactly one winner, and only the winner
-    /// counts metrics, records errors, dead-letters the task, or sends
-    /// blocks — the loser discards everything it computed.
+    /// routes, counts metrics and loads, records errors, dead-letters the
+    /// task, or sends blocks — the loser discards what it mapped.
     fn execute_map_task(
         &self,
         task: usize,
-        inputs: &[M::In],
-        per_group: usize,
-        channels: &[SyncSender<Block<M::Key, M::Value>>],
+        worker: &mut MapWorker<'_, M>,
         coord: &Coordination,
         speculative: bool,
     ) {
@@ -863,62 +911,56 @@ where
         };
         match self.fault_verdict(FaultStage::Map, task, speculative) {
             TaskVerdict::Run { retries } => {
-                let pairs = self.map_one(&inputs[task]);
-                let mut targets: Vec<usize> = Vec::new();
-                let mut per_group_records: Vec<Vec<Tagged<M>>> =
-                    (0..channels.len()).map(|_| Vec::new()).collect();
-                let mut emitted = 0u64;
-                let mut shuffled = 0u64;
-                let mut bytes = 0u64;
-                let mut route_error: Option<SimError> = None;
-                for (key, value) in pairs {
-                    emitted += 1;
-                    if let Err(error) = self.route_into(&key, &mut targets) {
-                        route_error = Some(error);
-                        break;
-                    }
-                    let key_bytes = key.size_bytes();
-                    let value_bytes = value.size_bytes();
-                    for &t in &targets {
-                        shuffled += 1;
-                        bytes += key_bytes + value_bytes;
-                        per_group_records[t / per_group].push((t, key.clone(), value.clone()));
-                    }
-                }
+                let pairs = self.map_one(&worker.inputs[task]);
                 if !resolve() {
                     return;
                 }
                 coord
                     .map_retries
                     .fetch_add(u64::from(retries), Ordering::Relaxed);
-                coord.records_emitted.fetch_add(emitted, Ordering::Relaxed);
                 coord
-                    .records_shuffled
-                    .fetch_add(shuffled, Ordering::Relaxed);
-                coord.bytes_shuffled.fetch_add(bytes, Ordering::Relaxed);
-                let failed = if let Some(error) = route_error {
-                    coord.record_error(task, error);
-                    true
-                } else {
-                    false
-                };
+                    .records_emitted
+                    .fetch_add(pairs.len() as u64, Ordering::Relaxed);
+                let mut targets: Vec<usize> = Vec::new();
+                let mut per_group_records: Vec<Vec<Tagged<M>>> =
+                    (0..worker.channels.len()).map(|_| Vec::new()).collect();
+                for (key, value) in pairs {
+                    if let Err(error) = self.route_into(&key, &mut targets) {
+                        coord.record_error(task, error);
+                        coord.tasks_done.fetch_add(1, Ordering::Relaxed);
+                        return;
+                    }
+                    let key_bytes = key.size_bytes();
+                    let value_bytes = value.size_bytes();
+                    for &t in &targets {
+                        worker.loads[t].add(key_bytes, value_bytes);
+                        if !worker.served[t] {
+                            per_group_records[t / worker.per_group].push((
+                                t,
+                                key.clone(),
+                                value.clone(),
+                            ));
+                        }
+                    }
+                }
                 // This task's *map* work (map + route) is finished; only
                 // the shuffle hand-off remains. Count it done before the
                 // sends so the consumers' overlap sampling stays honest —
                 // a block from the final map task must never count as
                 // overlap when no map work remains.
                 coord.tasks_done.fetch_add(1, Ordering::Relaxed);
-                if !failed {
-                    for (g, records) in per_group_records.into_iter().enumerate() {
-                        if records.is_empty() {
-                            continue;
-                        }
-                        coord.blocks_sent.fetch_add(1, Ordering::Relaxed);
-                        // A failed send means the consumer died; its panic
-                        // re-raises at the scope join, so drop the block.
-                        if channels[g].send(Block { seq: task, records }).is_ok() {
-                            coord.gauge.raise();
-                        }
+                for (g, records) in per_group_records.into_iter().enumerate() {
+                    if records.is_empty() {
+                        continue;
+                    }
+                    coord.blocks_sent.fetch_add(1, Ordering::Relaxed);
+                    // A failed send means the consumer died; its panic
+                    // re-raises at the scope join, so drop the block.
+                    if worker.channels[g]
+                        .send(Block { seq: task, records })
+                        .is_ok()
+                    {
+                        coord.gauge.raise();
                     }
                 }
             }
@@ -985,9 +1027,6 @@ where
                 spilled: Vec::new(),
             })
             .collect();
-        let mut records = vec![0u64; n_local];
-        let mut value_bytes = vec![0u64; n_local];
-        let mut total_bytes = vec![0u64; n_local];
         let mut overlap_blocks = 0u64;
         // Out-of-core accounting: `buffered` is the group's resident run
         // bytes (`ByteSized`, the budget's unit), enforced at block
@@ -1010,19 +1049,14 @@ where
             }
             let seq = block.seq;
             for (p, key, value) in block.records {
-                let local = p - lo;
-                records[local] += 1;
-                let kb = key.size_bytes();
-                let vb = value.size_bytes();
-                value_bytes[local] += vb;
-                total_bytes[local] += kb + vb;
-                buffered += kb + vb;
+                let bytes = key.size_bytes() + value.size_bytes();
+                buffered += bytes;
                 // Incremental reassembly: mappers hand out tasks in
                 // increasing order, so most blocks extend the tail run in
                 // place; an out-of-order arrival opens a new run. The
                 // sorting effort thus happens here, inside the overlap
                 // window, leaving only a k-way merge for finalize.
-                let buf = &mut parts[local];
+                let buf = &mut parts[p - lo];
                 let extends_tail = buf
                     .runs
                     .last()
@@ -1036,7 +1070,7 @@ where
                     .last_mut()
                     .expect("a tail run exists")
                     .push((seq, key, value));
-                *buf.run_bytes.last_mut().expect("a tail run exists") += kb + vb;
+                *buf.run_bytes.last_mut().expect("a tail run exists") += bytes;
             }
             // Seal-and-spill: largest resident run first (fewest files
             // for the most relief), repeating until back under budget.
@@ -1090,7 +1124,8 @@ where
         // and discards everything, so reducing would be wasted work;
         // draining above still happened, which is what keeps blocked
         // mappers from deadlocking). Empty partitions never finalize:
-        // they produce no outputs and no reduce task in any mode.
+        // they produce no outputs and no reduce task in any mode. Nor do
+        // partitions the checkpoint serves: no copy was shipped to them.
         let finalize_start = epoch.elapsed().as_secs_f64();
         let mut finalized: Vec<FinalizedPartition<R::Out>> = Vec::new();
         let mut stolen = 0u64;
@@ -1101,15 +1136,16 @@ where
         let items: Vec<(u64, Arc<FinalizeItem<M>>)> = parts
             .into_iter()
             .enumerate()
-            .filter(|&(local, _)| clean && records[local] > 0)
+            .filter(|(_, buf)| clean && !buf.is_empty())
             .map(|(local, buf)| {
+                let priority = buf.bytes();
                 let item = FinalizeItem {
                     partition: lo + local,
                     owner: group,
                     runs: buf.runs,
                     spilled: buf.spilled,
                 };
-                (total_bytes[local], Arc::new(item))
+                (priority, Arc::new(item))
             })
             .collect();
         let mut finalize = |item: Arc<FinalizeItem<M>>, speculative: bool| {
@@ -1165,10 +1201,6 @@ where
             }
         }
         GroupResult {
-            first_partition: lo,
-            records,
-            value_bytes,
-            total_bytes,
             finalized,
             overlap_blocks,
             stolen,
@@ -1223,9 +1255,6 @@ where
                 source: error.source,
             })
         })?;
-        coord
-            .reduce_retries
-            .fetch_add(part.retries, Ordering::Relaxed);
         if let Some(error) = part.failed.clone() {
             coord.record_reduce_error(partition, error);
         }
@@ -1826,6 +1855,51 @@ mod tests {
             out.metrics.faults.speculative_wins >= 1,
             "the non-stalled finalize copy must resolve partition 0 first"
         );
+    }
+
+    /// A checkpointed run counts each nonempty partition once, as a hit or
+    /// a miss, where it is accepted. The speculative copy of a straggling
+    /// finalize used to count a second miss, so 4 partitions reported 5.
+    #[test]
+    fn speculative_finalize_counts_one_checkpoint_miss_per_partition() {
+        let dir = std::env::temp_dir().join(format!(
+            "mrassign-pipeline-spec-ckpt-{}",
+            std::process::id()
+        ));
+        let out = Job::new(
+            IdentityMapper,
+            ConcatReducer,
+            HashRouter::new(),
+            4,
+            ClusterConfig {
+                shuffle: ShuffleMode::Pipelined,
+                map_threads: 2,
+                pipeline_depth: 4,
+                finalize_mode: FinalizeMode::Stealing,
+                speculation: true,
+                checkpoint_dir: Some(dir.clone()),
+                fault_plan: Some(FaultPlan {
+                    straggle_reduce_tasks: vec![0],
+                    straggle_millis: 200,
+                    ..FaultPlan::default()
+                }),
+                ..ClusterConfig::default()
+            },
+        )
+        .run(&inputs(300))
+        .unwrap();
+        let m = &out.metrics;
+        assert!(
+            m.faults.speculative_launches >= 1,
+            "the straggling finalize must draw a speculative copy"
+        );
+        assert_eq!(m.nonempty_reducers, 4);
+        assert_eq!(m.pipeline.checkpoint_hits, 0);
+        assert_eq!(
+            m.pipeline.checkpoint_misses, 4,
+            "one miss per nonempty partition, however many copies ran"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Poisoned tasks land in the dead-letter queue under

@@ -22,10 +22,13 @@
 
 use mrassign_core::{a2a, InputSet};
 use mrassign_simmr::{
-    ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, FaultPlan, FinalizeMode,
-    HashRouter, Job, JobOutput, Mapper, Reducer, Router, ShuffleMode, SimError, SpillCodec,
+    ByteSized, CapacityPolicy, CheckpointRetain, ClusterConfig, DirectRouter, Emitter, FaultPlan,
+    FinalizeMode, HashRouter, Job, JobOutput, Mapper, Reducer, Router, ShuffleMode, SimError,
+    SpillCodec,
 };
 use mrassign_workloads::SizeDistribution;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Every engine cell: the materialized shuffle (for which the finalize
 /// mode is inert) plus the pipelined engine under both finalize
@@ -958,6 +961,69 @@ fn wc_job(config: ClusterConfig) -> Job<Tokenize, Count, HashRouter> {
     )
 }
 
+/// [`Tokenize`] that counts its calls, so a test can tell whether a run
+/// mapped anything at all.
+struct CountedTokenize(Arc<AtomicU64>);
+impl Mapper for CountedTokenize {
+    type In = String;
+    type Key = String;
+    type Value = u64;
+    fn map(&self, line: &String, emit: &mut Emitter<String, u64>) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Tokenize.map(line, emit);
+    }
+    fn combine(&self, key: &String, values: &[u64]) -> Option<u64> {
+        Tokenize.combine(key, values)
+    }
+}
+
+/// Word count whose mapper calls land in `calls`.
+fn counted_wc_job(
+    config: ClusterConfig,
+    calls: &Arc<AtomicU64>,
+) -> Job<CountedTokenize, Count, HashRouter> {
+    Job::new(
+        CountedTokenize(Arc::clone(calls)),
+        Count,
+        HashRouter::new(),
+        WC_PARTITIONS as usize,
+        config,
+    )
+}
+
+/// Key + value bytes word count routes to `partition`: one combined
+/// record per distinct word of each line, as the map side builds them.
+fn wc_partition_bytes(lines: &[String], partition: usize) -> u64 {
+    let router = HashRouter::new();
+    let mut targets = Vec::new();
+    let mut bytes = 0;
+    for line in lines {
+        let words: std::collections::BTreeSet<&str> = line.split_whitespace().collect();
+        for word in words {
+            let key = word.to_string();
+            targets.clear();
+            router.route(&key, WC_PARTITIONS as usize, &mut targets);
+            if targets.contains(&partition) {
+                bytes += key.size_bytes() + 1u64.size_bytes();
+            }
+        }
+    }
+    bytes
+}
+
+/// The one `job-*` session directory a test's checkpoint base holds.
+fn job_dir(base: &std::path::Path) -> std::path::PathBuf {
+    std::fs::read_dir(base)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .find(|p| {
+            p.file_name()
+                .is_some_and(|n| n.to_string_lossy().starts_with("job-"))
+        })
+        .expect("a checkpointed run committed a job directory")
+}
+
 /// Cold + resumed checkpointed runs across shuffle × finalize × threads ×
 /// {unbudgeted, tight-budget} × {fault-free, seeded-fault} cells, all
 /// pinned to the uncheckpointed materialized reference.
@@ -988,8 +1054,14 @@ fn checkpointed_rerun_is_bit_identical_across_the_matrix() {
                         fault_plan: plan.clone(),
                         ..cluster(mode, finalize, threads)
                     };
+                    let calls = Arc::new(AtomicU64::new(0));
 
-                    let cold = wc_job(config.clone()).run(&lines).unwrap();
+                    let cold = counted_wc_job(config.clone(), &calls).run(&lines).unwrap();
+                    assert_eq!(
+                        calls.swap(0, Ordering::Relaxed),
+                        lines.len() as u64,
+                        "{label}: cold maps every input once"
+                    );
                     assert_eq!(reference.outputs, cold.outputs, "{label}: cold outputs");
                     assert_eq!(
                         reference.metrics.deterministic(),
@@ -1002,7 +1074,12 @@ fn checkpointed_rerun_is_bit_identical_across_the_matrix() {
                     let executed = cold.metrics.pipeline.checkpoint_misses;
                     assert!(executed > 0, "{label}: cold misses every partition");
 
-                    let resumed = wc_job(config).run(&lines).unwrap();
+                    let resumed = counted_wc_job(config, &calls).run(&lines).unwrap();
+                    assert_eq!(
+                        calls.load(Ordering::Relaxed),
+                        0,
+                        "{label}: a full replay runs no map task"
+                    );
                     assert_eq!(
                         reference.outputs, resumed.outputs,
                         "{label}: resumed outputs"
@@ -1039,6 +1116,10 @@ fn killed_job_resumes_reexecuting_strictly_fewer_partitions() {
     let reference = wc_job(cluster(ShuffleMode::Materialized, FinalizeMode::Static, 1))
         .run(&lines)
         .unwrap();
+    // The killed partition is a thin one, so a resume that ships only its
+    // copies buffers a small slice of the shuffle.
+    let killed_bytes = wc_partition_bytes(&lines, WC_PARTITIONS as usize - 1);
+    assert!(killed_bytes > 0);
     for (mode, finalize) in CELLS {
         // How many partitions the job actually executes (empty ones run
         // no reduce task): a throwaway checkpointed run, with the same
@@ -1107,6 +1188,14 @@ fn killed_job_resumes_reexecuting_strictly_fewer_partitions() {
                 resumed.metrics.pipeline.checkpoint_misses, 1,
                 "{label}: only the killed partition re-executes"
             );
+            if mode == ShuffleMode::Pipelined {
+                assert!(
+                    resumed.metrics.pipeline.peak_buffered_bytes <= killed_bytes,
+                    "{label}: buffered {} bytes, but only the killed partition's {killed_bytes} \
+                     are shipped",
+                    resumed.metrics.pipeline.peak_buffered_bytes
+                );
+            }
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }
@@ -1190,6 +1279,186 @@ fn corrupt_checkpoints_fall_back_to_fresh_execution() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// A corrupt map record costs only the map phase: the rerun maps again
+/// but ships nothing, because every partition is still committed and
+/// verified, so it serves them all. It counts the damage and writes the
+/// record again, so the run after it is a full replay again.
+#[test]
+fn corrupt_map_record_remaps_and_still_serves_every_partition() {
+    let lines = word_lines();
+    let reference = wc_job(cluster(ShuffleMode::Materialized, FinalizeMode::Static, 1))
+        .run(&lines)
+        .unwrap();
+    for (mode, finalize) in CELLS {
+        let label = format!("{mode:?}/{finalize:?}");
+        let dir = ckpt_dir("map-record");
+        let config = ClusterConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..cluster(mode, finalize, 2)
+        };
+        let calls = Arc::new(AtomicU64::new(0));
+        let cold = counted_wc_job(config.clone(), &calls).run(&lines).unwrap();
+        let executed = cold.metrics.pipeline.checkpoint_misses;
+        let record = job_dir(&dir).join("map.ckpt");
+        let mut bytes = std::fs::read(&record).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x10;
+        std::fs::write(&record, bytes).unwrap();
+
+        calls.store(0, Ordering::Relaxed);
+        let rerun = counted_wc_job(config.clone(), &calls).run(&lines).unwrap();
+        assert_eq!(reference.outputs, rerun.outputs, "{label}: outputs");
+        assert_eq!(
+            reference.metrics.deterministic(),
+            rerun.metrics.deterministic(),
+            "{label}: deterministic metrics"
+        );
+        let p = &rerun.metrics.pipeline;
+        assert_eq!(p.checkpoint_invalid, 1, "{label}: the damage is counted");
+        assert_eq!(
+            (p.checkpoint_hits, p.checkpoint_misses),
+            (executed, 0),
+            "{label}: every partition is still served"
+        );
+        assert_eq!(
+            calls.swap(0, Ordering::Relaxed),
+            lines.len() as u64,
+            "{label}: the map phase runs again"
+        );
+        assert_eq!(p.blocks_sent, 0, "{label}: no copy is shipped");
+
+        let replay = counted_wc_job(config, &calls).run(&lines).unwrap();
+        assert_eq!(reference.outputs, replay.outputs, "{label}: replay outputs");
+        assert_eq!(
+            calls.load(Ordering::Relaxed),
+            0,
+            "{label}: the rewritten record serves a full replay"
+        );
+        let p = &replay.metrics.pipeline;
+        assert_eq!(
+            (p.checkpoint_hits, p.checkpoint_misses, p.checkpoint_invalid),
+            (executed, 0, 0),
+            "{label}: replay"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A full replay restores what the map side decided without running it:
+/// the capacity policy's verdict over the stored loads, the map-stage
+/// dead letters and the map retries, bit-identical to the run that
+/// committed them.
+#[test]
+fn full_replay_restores_capacity_violations_and_the_map_dlq() {
+    use mrassign_simmr::DlqMode;
+    let lines = word_lines();
+    let faulted = |mode, finalize| ClusterConfig {
+        retry_budget: 1,
+        dlq_mode: DlqMode::Capture,
+        fault_plan: Some(FaultPlan {
+            poison_map_tasks: vec![3, 17],
+            ..FaultPlan::default()
+        }),
+        ..cluster(mode, finalize, 2)
+    };
+    let reference_config = faulted(ShuffleMode::Materialized, FinalizeMode::Static);
+    let q = wc_job(reference_config.clone())
+        .run(&lines)
+        .unwrap()
+        .metrics
+        .max_reducer_load()
+        - 1;
+    let reference = wc_job(reference_config)
+        .capacity(CapacityPolicy::Record(q))
+        .run(&lines)
+        .unwrap();
+    assert!(!reference.metrics.capacity_violations.is_empty());
+    assert_eq!(reference.dlq.len(), 2, "both poisoned map tasks");
+    for (mode, finalize) in CELLS {
+        let label = format!("{mode:?}/{finalize:?}");
+        let dir = ckpt_dir("replay-map-side");
+        let config = ClusterConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..faulted(mode, finalize)
+        };
+        let calls = Arc::new(AtomicU64::new(0));
+        let run = || {
+            counted_wc_job(config.clone(), &calls)
+                .capacity(CapacityPolicy::Record(q))
+                .run(&lines)
+                .unwrap()
+        };
+        let cold = run();
+        calls.store(0, Ordering::Relaxed);
+        let replay = run();
+        assert_eq!(calls.load(Ordering::Relaxed), 0, "{label}: a full replay");
+        assert_eq!(reference.outputs, replay.outputs, "{label}: outputs");
+        assert_eq!(
+            reference.metrics.deterministic(),
+            replay.metrics.deterministic(),
+            "{label}: deterministic metrics, capacity violations included"
+        );
+        assert_eq!(reference.dlq, replay.dlq, "{label}: map dead letters");
+        assert_eq!(
+            cold.metrics.faults.map_retries, replay.metrics.faults.map_retries,
+            "{label}: map retries"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// A session that is only replayed stays recent: its open marks the
+/// manifest as used although nothing is appended, so another job's
+/// count-based retention prunes an older session instead of it.
+#[test]
+fn replayed_session_survives_count_based_retention() {
+    let lines = word_lines();
+    let dir = ckpt_dir("recency");
+    let config = ClusterConfig {
+        checkpoint_dir: Some(dir.clone()),
+        ..cluster(ShuffleMode::Pipelined, FinalizeMode::Static, 2)
+    };
+    let sessions = || -> std::collections::BTreeSet<std::path::PathBuf> {
+        std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .collect()
+    };
+    // Distinct inputs make distinct sessions; the pauses keep their
+    // manifest mtimes apart.
+    let pause = || std::thread::sleep(std::time::Duration::from_millis(20));
+    wc_job(config.clone()).run(&lines[..80]).unwrap();
+    let replayed = sessions();
+    pause();
+    wc_job(config.clone()).run(&lines[80..160]).unwrap();
+    let older: Vec<_> = sessions().difference(&replayed).cloned().collect();
+    assert_eq!(older.len(), 1);
+    pause();
+    let replay = wc_job(config.clone()).run(&lines[..80]).unwrap();
+    assert_eq!(
+        replay.metrics.pipeline.checkpoint_misses, 0,
+        "a full replay appends nothing"
+    );
+    pause();
+    let pruning = wc_job(ClusterConfig {
+        checkpoint_retain: Some(CheckpointRetain {
+            max_sessions: Some(2),
+            max_age: None,
+        }),
+        ..config
+    })
+    .run(&lines[160..])
+    .unwrap();
+    assert_eq!(pruning.metrics.pipeline.checkpoint_pruned, 1);
+    assert!(
+        replayed.iter().all(|session| session.exists()),
+        "the replayed session is the newest other one"
+    );
+    assert!(!older[0].exists(), "the session left alone is pruned");
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The startup sweep reclaims temp files a killed process left behind: a

@@ -38,11 +38,12 @@
 //! sorted run data each pipelined consumer group may buffer before
 //! sealing runs to disk (the out-of-core shuffle path); like every engine
 //! knob it trades memory for I/O without changing a single output byte.
-//! `--checkpoint-dir` makes the engine persist every finalized reduce
-//! partition under the given directory, keyed by a fingerprint of the
-//! job's semantic configuration and workload; re-running the same
-//! command against the same directory resumes, replaying committed
-//! partitions from disk bit-identically and re-executing only the
+//! `--checkpoint-dir` makes the engine persist the map side's accounting
+//! and every finalized reduce partition under the given directory, keyed
+//! by a fingerprint of the job's semantic configuration and workload;
+//! re-running the same command against the same directory resumes,
+//! replaying committed partitions from disk bit-identically (a fully
+//! committed round runs no map task at all) and re-executing only the
 //! rest — the recovery path for `--faults` kill lists (`kill-map:`,
 //! `kill-reduce:`), which panic a worker mid-task.
 //!
