@@ -19,7 +19,7 @@
 //!
 //! Every engine knob applies *per stage*: each `run_job` call carries its
 //! own [`mrassign_simmr::ClusterConfig`] (shuffle mode, finalize mode,
-//! memory budget, fault plan, retries, speculation, DLQ), and the stage's
+//! memory budget, fault plan, retries, DLQ), and the stage's
 //! engine metrics and dead-letter entries are recorded under the stage's
 //! name in [`DagMetrics`] / [`StageDlqEntry`].
 

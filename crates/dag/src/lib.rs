@@ -8,7 +8,7 @@
 //! * [`StageGraph`] — typed stage edges over materialized intermediate
 //!   sets; each task stage wraps engine rounds via [`StageCtx::run_job`],
 //!   so every engine knob (shuffle mode, finalize mode, memory budget,
-//!   fault plan, retries, speculation, DLQ) applies **per stage**;
+//!   fault plan, retries, DLQ) applies **per stage**;
 //! * a topological scheduler — stages dispatch exactly when every
 //!   dependency output is materialized, onto a shared worker pool;
 //! * [`JobServer`] — an admission queue accepting concurrent jobs from

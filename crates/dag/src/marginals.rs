@@ -34,7 +34,7 @@
 //! only re-runs `collect`.
 //!
 //! Each round carries its own [`ClusterConfig`], so shuffle mode, memory
-//! budget, fault plan, retries, speculation, and DLQ mode are all
+//! budget, fault plan, retries, and DLQ mode are all
 //! **per-stage** knobs. [`run_marginals_chained`] is the hand-chained
 //! referee: the same two `Job::run` calls without the DAG machinery,
 //! wrapped under the same stage names — the differential harness pins the

@@ -143,7 +143,7 @@ struct PlanOut {
 
 /// Configuration of the two-round skew-join DAG. Each round carries its
 /// own [`ClusterConfig`], so shuffle mode, memory budget, faults, retries,
-/// speculation, and DLQ mode are per-stage knobs.
+/// and DLQ mode are per-stage knobs.
 #[derive(Debug, Clone)]
 pub struct SkewDagConfig {
     /// Reducer capacity `q` in bytes (join round runs under `Enforce(q)`).

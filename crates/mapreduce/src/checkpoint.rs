@@ -61,9 +61,9 @@ use std::io::{Read, Seek, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant, SystemTime};
+use std::time::{Duration, Instant};
 
-use crate::cluster::{CheckpointRetain, ClusterConfig, FaultStage};
+use crate::cluster::{ClusterConfig, FaultStage};
 use crate::error::SimError;
 use crate::job::{CapacityPolicy, DlqEntry, MapSummary, PartitionLoad};
 use crate::metrics::PipelineMetrics;
@@ -138,12 +138,12 @@ impl Hasher for FnvHasher {
 ///
 /// Deliberately **excluded**: execution-only knobs that the differential
 /// suite proves never change outputs (workers, threads, shuffle mode,
-/// finalize mode, pipeline depth, memory budget, speculation, rates and
-/// overheads that only shape simulated time) — and the fault plan's
-/// *kill* and *straggle* lists, which affect whether a run survives, not
-/// what it outputs. Excluding the kill list is what lets a resume run
-/// drop `kill-reduce:…` from its fault spec and still match the
-/// checkpoints the killed run left behind.
+/// finalize mode, pipeline depth, memory budget, rates and overheads
+/// that only shape simulated time) — and the fault plan's *kill* lists,
+/// which affect whether a run survives, not what it outputs. Excluding
+/// the kill list is what lets a resume run drop `kill-reduce:…` from its
+/// fault spec and still match the checkpoints the killed run left
+/// behind.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Fingerprint(pub(crate) u64);
 
@@ -169,10 +169,10 @@ impl Fingerprint {
 /// names, reducer count, capacity policy, retry budget, DLQ mode, and
 /// the fault plan's seed/rates/poison lists; excludes every
 /// execution-only knob (workers, threads, shuffle/finalize mode, depth,
-/// memory budget, speculation, checkpoint and retention paths) and the
-/// fault plan's kill/straggle lists. Two configs with equal semantic
-/// hashes over identical inputs produce bit-identical outputs, which is
-/// exactly what makes a cached stage safe to serve across engine modes.
+/// memory budget, checkpoint and spill paths) and the fault plan's kill
+/// lists. Two configs with equal semantic hashes over identical inputs
+/// produce bit-identical outputs, which is exactly what makes a cached
+/// stage safe to serve across engine modes.
 pub fn job_semantic_hash(
     config: &ClusterConfig,
     n_reducers: usize,
@@ -614,11 +614,6 @@ impl<Out: SpillCodec> CheckpointSession<Out> {
                 .set_len(valid_len as u64)
                 .map_err(io(&manifest_path))?;
         }
-        // `prune_sessions` ranks sessions by the manifest's mtime, so an
-        // open that appends nothing (a full replay) must still mark the
-        // session as recently used. Best-effort: a stale mtime only
-        // risks an early prune, which costs re-execution.
-        let _ = manifest.set_modified(SystemTime::now());
         // No append handle survives `open`: commits reopen in append
         // mode under the lock, so the cursor can never go stale.
         drop(manifest);
@@ -889,71 +884,6 @@ fn sweep_dir(dir: &Path, max_age: Duration, depth: u8, reclaimed: &mut u64) {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Session GC
-// ---------------------------------------------------------------------------
-
-/// Prunes old `job-*` checkpoint session directories under `base`
-/// according to `retain`, never touching the directory belonging to
-/// `keep` (the job currently running). Returns the number of session
-/// directories removed; the caller surfaces it as
-/// [`PipelineMetrics::checkpoint_pruned`].
-///
-/// Two independent criteria, both best-effort:
-/// - **age**: a session whose manifest was last written more than
-///   `max_age` ago is removed;
-/// - **count**: sessions beyond the newest `max_sessions` (the current
-///   job's own directory counts toward the quota) are removed,
-///   oldest-first.
-///
-/// Recency is the manifest's mtime — every commit touches it, so an
-/// actively-resumed session stays young even if it was created long
-/// ago. A dir without a readable manifest mtime falls back to the dir's
-/// own mtime, and failing that is treated as oldest (epoch), since an
-/// unreadable session cannot be resumed anyway.
-pub(crate) fn prune_sessions(base: &Path, retain: &CheckpointRetain, keep: Fingerprint) -> u64 {
-    let keep_name = format!("job-{:016x}", keep.0);
-    let Ok(entries) = fs::read_dir(base) else {
-        return 0;
-    };
-    let mut sessions: Vec<(PathBuf, SystemTime)> = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if !name.starts_with("job-") || name == keep_name {
-            continue;
-        }
-        if !entry.file_type().map(|t| t.is_dir()).unwrap_or(false) {
-            continue;
-        }
-        let path = entry.path();
-        let mtime = fs::metadata(path.join("manifest.bin"))
-            .and_then(|m| m.modified())
-            .or_else(|_| entry.metadata().and_then(|m| m.modified()))
-            .unwrap_or(SystemTime::UNIX_EPOCH);
-        sessions.push((path, mtime));
-    }
-    // Newest first, path as a deterministic tiebreak for equal mtimes.
-    sessions.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-
-    let now = SystemTime::now();
-    let mut pruned = 0u64;
-    for (rank, (path, mtime)) in sessions.iter().enumerate() {
-        let too_old = retain
-            .max_age
-            .is_some_and(|max_age| now.duration_since(*mtime).is_ok_and(|age| age > max_age));
-        // The current job's directory occupies one quota slot, so only
-        // `max_sessions - 1` *other* sessions survive the count check.
-        let over_count = retain
-            .max_sessions
-            .is_some_and(|max| rank + 1 >= max.max(1));
-        if (too_old || over_count) && fs::remove_dir_all(path).is_ok() {
-            pruned += 1;
-        }
-    }
-    pruned
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1215,47 +1145,6 @@ mod tests {
         drop(session);
         let resumed: CheckpointSession<u64> = CheckpointSession::open(&base, fp(6), 4).unwrap();
         assert_eq!(resumed.lookup(0), Some((vec![1], 1)));
-        fs::remove_dir_all(&base).unwrap();
-    }
-
-    #[test]
-    fn prune_sessions_enforces_count_and_age_but_spares_current() {
-        let base = unique_dir("prune");
-        let mk = |seed: u64| {
-            let session: CheckpointSession<u64> =
-                CheckpointSession::open(&base, fp(seed), 4).unwrap();
-            session.record(0, &[seed], 1);
-            // Distinct manifest mtimes so recency ordering is stable.
-            std::thread::sleep(Duration::from_millis(10));
-        };
-        mk(1);
-        mk(2);
-        mk(3);
-        mk(4); // fingerprint 4 plays the currently-running job
-
-        // Count: quota 3 total = current + the 2 newest others.
-        let retain = CheckpointRetain {
-            max_sessions: Some(3),
-            max_age: None,
-        };
-        assert_eq!(prune_sessions(&base, &retain, fp(4)), 1);
-        assert!(!base.join(format!("job-{:016x}", 1)).exists());
-        for survivor in [2u64, 3, 4] {
-            assert!(base.join(format!("job-{:016x}", survivor)).exists());
-        }
-
-        // Age: with a zero window every other session is stale, but the
-        // current job's directory is never touched.
-        std::thread::sleep(Duration::from_millis(10));
-        let retain = CheckpointRetain {
-            max_sessions: None,
-            max_age: Some(Duration::ZERO),
-        };
-        assert_eq!(prune_sessions(&base, &retain, fp(4)), 2);
-        assert!(
-            base.join(format!("job-{:016x}", 4)).exists(),
-            "current session is never pruned"
-        );
         fs::remove_dir_all(&base).unwrap();
     }
 

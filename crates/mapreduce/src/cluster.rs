@@ -63,9 +63,8 @@ pub enum DlqMode {
 ///
 /// Beyond the rate-based transient faults, a plan can name *poisoned*
 /// tasks (fail on every attempt — the dead-letter-queue workload) and
-/// *straggler* tasks (their primary execution is delayed by
-/// [`FaultPlan::straggle_millis`], giving speculative re-execution
-/// something to win against).
+/// *killed* tasks (their attempt takes the worker down — the
+/// kill-and-resume workload).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Seed of the per-(stage, task, attempt) failure schedule.
@@ -80,15 +79,6 @@ pub struct FaultPlan {
     pub poison_map_tasks: Vec<usize>,
     /// Reducer partitions whose reduce fails on every attempt.
     pub poison_reduce_tasks: Vec<usize>,
-    /// Map tasks whose primary (non-speculative) execution sleeps for
-    /// [`FaultPlan::straggle_millis`] — simulated slow machines.
-    pub straggle_map_tasks: Vec<usize>,
-    /// Reducer partitions whose primary finalize sleeps.
-    pub straggle_reduce_tasks: Vec<usize>,
-    /// Wall-clock delay (milliseconds) applied to straggled primaries.
-    /// Speculative re-executions model a re-run on a healthy machine and
-    /// never sleep.
-    pub straggle_millis: u64,
     /// Map task indices whose first attempt *kills the worker process
     /// model*: the verdict path panics instead of returning, simulating a
     /// machine death mid-task. The panic unwinds through the engine's RAII
@@ -120,18 +110,8 @@ impl FaultPlan {
         }
     }
 
-    /// Whether `stage`/`index` is a designated straggler (primary
-    /// executions sleep [`FaultPlan::straggle_millis`]).
-    pub fn straggles(&self, stage: FaultStage, index: usize) -> bool {
-        let list = match stage {
-            FaultStage::Map => &self.straggle_map_tasks,
-            FaultStage::Reduce => &self.straggle_reduce_tasks,
-        };
-        list.contains(&index)
-    }
-
-    /// Whether `stage`/`index` is on a kill list — its next primary
-    /// attempt must take the worker down instead of failing softly.
+    /// Whether `stage`/`index` is on a kill list — its attempt must take
+    /// the worker down instead of failing softly.
     pub fn kills(&self, stage: FaultStage, index: usize) -> bool {
         let list = match stage {
             FaultStage::Map => &self.kill_map_tasks,
@@ -420,7 +400,7 @@ pub struct ClusterConfig {
     pub memory_budget: Option<u64>,
     /// Directory spill temp files are created in; `None` (the default)
     /// uses the OS temp dir. Files are named uniquely per process and
-    /// deleted when the last holder drops — on success, error, and panic
+    /// deleted when their run drops — on success, error, and panic
     /// unwinds alike.
     pub spill_dir: Option<std::path::PathBuf>,
     /// Checkpoint/resume root. `None` (the default) disables
@@ -444,50 +424,12 @@ pub struct ClusterConfig {
     /// and routers are deterministic by contract, so a retried task
     /// re-emits exactly what the never-failed run would have.
     pub retry_budget: u32,
-    /// Speculatively re-execute straggler tasks: once the pipelined
-    /// engine's task cursor (map side) or finalize queue (reduce side,
-    /// [`FinalizeMode::Stealing`] only) runs dry, idle threads re-run
-    /// still-in-flight tasks, ranked largest-first by the same LPT rule
-    /// [`Schedule::lpt`] schedules with. First completion wins via a
-    /// per-task resolution slot; since tasks are deterministic, outputs
-    /// are bit-identical whichever copy wins. Ignored by the materialized
-    /// shuffle (it has no idle threads to speculate on).
-    pub speculation: bool,
     /// What happens when a task exhausts `retry_budget`. See [`DlqMode`].
     pub dlq_mode: DlqMode,
     /// The seeded fault-injection schedule; `None` (the default) injects
     /// nothing and leaves every engine path byte-for-byte on the
     /// fault-free fast path.
     pub fault_plan: Option<FaultPlan>,
-    /// Garbage collection for old checkpoint sessions. `None` (the
-    /// default) never prunes — the pre-GC behaviour, where `job-*`
-    /// session directories accumulate under
-    /// [`checkpoint_dir`](ClusterConfig::checkpoint_dir) forever. When
-    /// set (requires a checkpoint dir), stale sibling sessions are
-    /// removed at job start, after this job's own session opens; the
-    /// running job's directory is never pruned. Prune counts surface in
-    /// [`crate::PipelineMetrics::checkpoint_pruned`]. Execution-only:
-    /// retention does not affect outputs and is excluded from the job
-    /// fingerprint.
-    pub checkpoint_retain: Option<CheckpointRetain>,
-}
-
-/// Retention policy for checkpoint session directories — see
-/// [`ClusterConfig::checkpoint_retain`]. At least one criterion must be
-/// set; [`ClusterConfig::validate`] rejects the all-`None` policy as a
-/// plumbing bug.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CheckpointRetain {
-    /// Keep at most this many sessions, *including* the currently
-    /// running job's own session; the oldest (by manifest mtime) beyond
-    /// the quota are removed. `Some(0)` is rejected by validation — it
-    /// would claim to retain nothing, yet the current session always
-    /// survives.
-    pub max_sessions: Option<usize>,
-    /// Remove sessions whose manifest was last written longer than this
-    /// ago. Resuming a session refreshes its manifest, so actively
-    /// shared checkpoints stay young.
-    pub max_age: Option<std::time::Duration>,
 }
 
 impl Default for ClusterConfig {
@@ -506,10 +448,8 @@ impl Default for ClusterConfig {
             spill_dir: None,
             checkpoint_dir: None,
             retry_budget: 0,
-            speculation: false,
             dlq_mode: DlqMode::Fail,
             fault_plan: None,
-            checkpoint_retain: None,
         }
     }
 }
@@ -526,13 +466,13 @@ impl ClusterConfig {
 
     /// Validates the configuration before a run: at least one worker, a
     /// `pipeline_depth` and any `memory_budget` of at least 1, a
-    /// non-empty `checkpoint_dir`, a satisfiable `checkpoint_retain`,
-    /// finite time/rate knobs, and fault rates in `0..=1`. The knobs are
-    /// checked regardless of the configured [`ShuffleMode`] — a zero
-    /// depth is always a misconfiguration (the pipelined engine would
-    /// build zero-capacity channels), and a NaN/infinite rate would
-    /// poison every derived task cost — catching either here names the
-    /// knob instead of failing mid-job.
+    /// non-empty `checkpoint_dir`, finite time/rate knobs, and fault
+    /// rates in `0..=1`. The knobs are checked regardless of the
+    /// configured [`ShuffleMode`] — a zero depth is always a
+    /// misconfiguration (the pipelined engine would build zero-capacity
+    /// channels), and a NaN/infinite rate would poison every derived task
+    /// cost — catching either here names the knob instead of failing
+    /// mid-job.
     pub fn validate(&self) -> Result<(), SimError> {
         if self.workers == 0 {
             return Err(SimError::NoWorkers);
@@ -559,27 +499,6 @@ impl ClusterConfig {
             return Err(SimError::InvalidKnob {
                 knob: "checkpoint_dir",
             });
-        }
-        if let Some(retain) = &self.checkpoint_retain {
-            if self.checkpoint_dir.is_none() {
-                // Retention without a checkpoint dir has nothing to
-                // prune; asking for it is a plumbing bug worth naming.
-                return Err(SimError::InvalidKnob {
-                    knob: "checkpoint_retain",
-                });
-            }
-            if retain.max_sessions == Some(0) {
-                // "Retain zero sessions" contradicts the invariant that
-                // the running job's own session always survives.
-                return Err(SimError::InvalidKnob {
-                    knob: "checkpoint_retain.max_sessions",
-                });
-            }
-            if retain.max_sessions.is_none() && retain.max_age.is_none() {
-                return Err(SimError::InvalidKnob {
-                    knob: "checkpoint_retain",
-                });
-            }
         }
         for (knob, value) in [
             ("map_rate", self.map_rate),
@@ -671,8 +590,9 @@ impl Schedule {
 
     /// Task indices in the order the LPT rule considers them: longest
     /// first, lowest index on ties (so the rank is reproducible). This is
-    /// the single ranking both [`Schedule::lpt`] and the pipelined
-    /// engine's speculative re-execution of stragglers schedule by.
+    /// the ranking [`Schedule::lpt`] schedules by. The pipelined engine's
+    /// stealing finalize pops its queue by the same rule over partition
+    /// bytes: largest first, earliest published on ties.
     /// `total_cmp` keeps it panic-free even for NaN or infinite costs
     /// (validation rejects the knobs that would produce them, but a
     /// direct caller must get an order, not a panic).
@@ -744,62 +664,6 @@ mod tests {
         };
         assert_eq!(cfg.validate(), Ok(()));
         assert_eq!(ClusterConfig::default().memory_budget, None);
-    }
-
-    /// Retention is only meaningful next to a checkpoint dir, and a
-    /// policy with no criterion (or a zero-session quota) is a plumbing
-    /// bug — each contradiction is rejected by name.
-    #[test]
-    fn checkpoint_retain_contradictions_rejected_by_name() {
-        let retain_without_dir = ClusterConfig {
-            checkpoint_retain: Some(CheckpointRetain {
-                max_sessions: Some(4),
-                max_age: None,
-            }),
-            ..ClusterConfig::default()
-        };
-        assert_eq!(
-            retain_without_dir.validate(),
-            Err(SimError::InvalidKnob {
-                knob: "checkpoint_retain"
-            })
-        );
-
-        let base = ClusterConfig {
-            checkpoint_dir: Some(std::env::temp_dir()),
-            ..ClusterConfig::default()
-        };
-        let zero_quota = ClusterConfig {
-            checkpoint_retain: Some(CheckpointRetain {
-                max_sessions: Some(0),
-                max_age: None,
-            }),
-            ..base.clone()
-        };
-        assert_eq!(
-            zero_quota.validate(),
-            Err(SimError::InvalidKnob {
-                knob: "checkpoint_retain.max_sessions"
-            })
-        );
-        let no_criterion = ClusterConfig {
-            checkpoint_retain: Some(CheckpointRetain::default()),
-            ..base.clone()
-        };
-        assert_eq!(
-            no_criterion.validate(),
-            Err(SimError::InvalidKnob {
-                knob: "checkpoint_retain"
-            })
-        );
-        let ok = ClusterConfig {
-            checkpoint_retain: Some(CheckpointRetain {
-                max_sessions: Some(2),
-                max_age: Some(std::time::Duration::from_secs(3600)),
-            }),
-            ..base
-        };
-        assert_eq!(ok.validate(), Ok(()));
     }
 
     /// The latent panic this PR closes: a NaN (or infinite) time knob used
@@ -916,12 +780,10 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_poison_and_straggle_lists() {
+    fn fault_plan_poison_lists() {
         let plan = FaultPlan {
             poison_map_tasks: vec![3],
             poison_reduce_tasks: vec![1],
-            straggle_map_tasks: vec![9],
-            straggle_millis: 5,
             ..FaultPlan::default()
         };
         // Poison beats any rate (here zero) on every attempt.
@@ -930,8 +792,6 @@ mod tests {
             assert!(plan.fires(FaultStage::Reduce, 1, attempt));
         }
         assert!(!plan.fires(FaultStage::Map, 4, 0));
-        assert!(plan.straggles(FaultStage::Map, 9));
-        assert!(!plan.straggles(FaultStage::Reduce, 9));
     }
 
     #[test]
@@ -1039,10 +899,9 @@ mod tests {
             })
         );
         mk(0.0, 1.0).validate().unwrap();
-        // The retry/speculation/dlq knobs are valid in every combination.
+        // The retry/dlq knobs are valid in every combination.
         ClusterConfig {
             retry_budget: 3,
-            speculation: true,
             dlq_mode: DlqMode::Capture,
             fault_plan: Some(FaultPlan::seeded(1, 0.5)),
             ..ClusterConfig::default()

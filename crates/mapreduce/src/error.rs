@@ -9,10 +9,8 @@ pub enum SimError {
     /// The cluster was configured with zero workers.
     NoWorkers,
     /// A knob on [`crate::ClusterConfig`] was configured to a value that
-    /// can never be meant: a zero `pipeline_depth` or `memory_budget`, an
-    /// empty `checkpoint_dir`, or a `checkpoint_retain` policy without a
-    /// checkpoint dir, without a criterion, or with a zero-session quota.
-    /// The error names the offending knob so a misconfiguration is
+    /// can never be meant: a zero `pipeline_depth` or `memory_budget`, or
+    /// an empty `checkpoint_dir`. The error names the offending knob so a misconfiguration is
     /// diagnosable without a debugger.
     InvalidKnob {
         /// The field name on `ClusterConfig`.

@@ -1,6 +1,6 @@
 //! The job runner: map → shuffle → reduce with full accounting.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::checkpoint::{self, CheckpointSession, Fingerprint};
@@ -245,7 +245,6 @@ where
         // session for this job's fingerprint. Everything output-affecting
         // goes into the fingerprint; see `checkpoint::Fingerprint`.
         let mut orphans_reclaimed = 0u64;
-        let mut checkpoint_pruned = 0u64;
         let ckpt_session: Option<CheckpointSession<R::Out>> = match &self.config.checkpoint_dir {
             Some(base) => {
                 const ORPHAN_MAX_AGE: std::time::Duration =
@@ -267,12 +266,6 @@ where
                         "mrassign: resuming from checkpoint: {} partition(s) already committed",
                         session.committed()
                     );
-                }
-                // GC stale sibling sessions *after* this job's session
-                // opens, so the freshly-touched manifest marks it newest
-                // and the retention quota counts it.
-                if let Some(retain) = &self.config.checkpoint_retain {
-                    checkpoint_pruned += checkpoint::prune_sessions(base, retain, fingerprint);
                 }
                 Some(session)
             }
@@ -318,7 +311,6 @@ where
             session.fold_into(&mut metrics.pipeline);
         }
         metrics.pipeline.orphans_reclaimed += orphans_reclaimed;
-        metrics.pipeline.checkpoint_pruned += checkpoint_pruned;
         metrics.outputs = reduced.outputs.len();
         reduced.dlq.sort();
         metrics.faults.dlq_len = reduced.dlq.len() as u64;
@@ -336,21 +328,15 @@ where
         })
     }
 
-    /// Disposes of one task under the fault plan: sleeps if the task is an
-    /// injected straggler (primaries only — the speculative copy is the
-    /// one that doesn't straggle), then walks the attempt loop until an
+    /// Disposes of one task under the fault plan: kills the worker if the
+    /// task is on a kill list, else walks the attempt loop until an
     /// attempt survives or the retry budget is gone.
     ///
     /// Check-first by design: a fault preempts the attempt *before* any
     /// user code runs, so injected failures flow through `Result` values
     /// and never unwind — the RAII abort guards in the pipelined engine
     /// stay reserved for true user-code panics.
-    pub(crate) fn fault_verdict(
-        &self,
-        stage: FaultStage,
-        index: usize,
-        speculative: bool,
-    ) -> TaskVerdict {
+    pub(crate) fn fault_verdict(&self, stage: FaultStage, index: usize) -> TaskVerdict {
         let Some(plan) = &self.config.fault_plan else {
             return TaskVerdict::Run { retries: 0 };
         };
@@ -359,18 +345,15 @@ where
         // `Result`, exactly like a real crash, and the pipelined engine's
         // unwind paths (channel endpoints dropping with their thread, the
         // finalize publisher guard) absorb it so sibling threads drain
-        // instead of deadlocking. Primaries only: the speculative copy is the one
-        // that survives. Tests kill a job mid-run, then re-run the same
-        // checkpoint dir without the kill list (the job fingerprint
-        // excludes it) to prove resume skips the completed partitions.
-        if !speculative && plan.kills(stage, index) {
+        // instead of deadlocking. Tests kill a job mid-run, then re-run
+        // the same checkpoint dir without the kill list (the job
+        // fingerprint excludes it) to prove resume skips the completed
+        // partitions.
+        if plan.kills(stage, index) {
             panic!(
                 "fault injection: worker killed during {} task {index}",
                 stage.name()
             );
-        }
-        if !speculative && plan.straggle_millis > 0 && plan.straggles(stage, index) {
-            std::thread::sleep(std::time::Duration::from_millis(plan.straggle_millis));
         }
         let budget = self.config.retry_budget;
         let mut attempt = 0u32;
@@ -402,7 +385,7 @@ where
     /// Runs the attempt loop for one map task and, if an attempt survives,
     /// the task itself. Returns the resolution plus the retries burned.
     fn resolve_map_task(&self, index: usize, input: &M::In) -> (MapResolution<M>, u64) {
-        match self.fault_verdict(FaultStage::Map, index, false) {
+        match self.fault_verdict(FaultStage::Map, index) {
             TaskVerdict::Run { retries } => {
                 (MapResolution::Done(self.map_one(input)), u64::from(retries))
             }
@@ -475,8 +458,7 @@ where
         // nonempty partition below k has committed.
         self.accept_partitions(&summary, ckpt, metrics, sink, |r| {
             let records = std::mem::take(&mut partitions[r]);
-            self.reduce_task(r, false, None, ckpt, || Ok(records))
-                .expect("a task without a resolution slot always resolves")
+            self.reduce_task(r, ckpt, || Ok(records))
         })
     }
 
@@ -496,23 +478,16 @@ where
     ///
     /// `records` supplies the partition's records in arrival order and is
     /// called only when the task really runs; an error from it fails the
-    /// partition. `resolved` is the partition's resolution slot, for
-    /// engines where copies of one task may race (the pipelined stealing
-    /// finalize under speculation): only the copy that flips it returns
-    /// `Some` and commits, so a partition is committed exactly once.
-    /// Without a slot the task always returns `Some`. Retry and error side
-    /// effects are left to the caller.
+    /// partition. Retry and error side effects are left to the caller.
     pub(crate) fn reduce_task(
         &self,
         partition: usize,
-        speculative: bool,
-        resolved: Option<&AtomicBool>,
         ckpt: Option<&CheckpointSession<R::Out>>,
         records: impl FnOnce() -> Result<Vec<(M::Key, M::Value)>, SimError>,
-    ) -> Option<FinalizedPartition<R::Out>> {
+    ) -> FinalizedPartition<R::Out> {
         let mut part = FinalizedPartition::new(partition, Vec::new(), 0);
         let mut fresh = false;
-        match self.fault_verdict(FaultStage::Reduce, partition, speculative) {
+        match self.fault_verdict(FaultStage::Reduce, partition) {
             TaskVerdict::Run { retries } => {
                 part.retries = u64::from(retries);
                 match records() {
@@ -532,27 +507,19 @@ where
                 part.failed = Some(error);
             }
         }
-        let won = resolved.is_none_or(|slot| {
-            slot.compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-                .is_ok()
-        });
-        if !won {
-            return None;
-        }
         // Only fresh work is persisted: dead-lettered and failed
         // partitions are not committed.
         if let Some(session) = ckpt.filter(|_| fresh) {
             session.record(partition, &part.outputs, part.distinct_keys);
         }
-        Some(part)
+        part
     }
 
     /// Accepts every nonempty partition into the job in ascending order —
     /// the step both engines and a checkpoint replay share, and the sink's
     /// ordering contract. A partition the checkpoint verified is served
     /// from it and counts as a hit; any other comes from `execute`, the
-    /// engine's own task for it, and counts as a miss. Each partition is
-    /// counted once, however many copies of its task ran.
+    /// engine's own task for it, and counts as a miss.
     ///
     /// A failed partition returns its error. A dead-lettered one counts as
     /// nonempty (data reached it) but adds only its DLQ entry; any other

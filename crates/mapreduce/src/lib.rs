@@ -37,9 +37,8 @@
 //!   unbounded run at any budget,
 //! * a fault-tolerance layer: a seeded, deterministic [`FaultPlan`]
 //!   injects per-(stage, task, attempt) transient failures; per-task
-//!   retry budgets replay the deterministic tasks; stragglers are
-//!   speculatively re-executed largest-first via the scheduler's own LPT
-//!   rule; and tasks that exhaust the budget land in a dead-letter queue
+//!   retry budgets replay the deterministic tasks; and tasks that exhaust
+//!   the budget land in a dead-letter queue
 //!   ([`JobOutput::dlq`]) under [`DlqMode::Capture`] instead of failing
 //!   the job,
 //! * checkpoint/resume: under a validated
@@ -112,8 +111,7 @@ mod traits;
 
 pub use checkpoint::{fnv1a, fold_hash, input_content_hash, job_semantic_hash};
 pub use cluster::{
-    CheckpointRetain, ClusterConfig, DlqMode, FaultPlan, FaultStage, FinalizeMode, Schedule,
-    ShuffleMode, TaskCost,
+    ClusterConfig, DlqMode, FaultPlan, FaultStage, FinalizeMode, Schedule, ShuffleMode, TaskCost,
 };
 pub use error::SimError;
 pub use job::{CapacityPolicy, DlqEntry, Job, JobOutput};

@@ -9,8 +9,9 @@ use crate::cluster::{ClusterConfig, Schedule};
 /// run was executed — how much reduce-side work overlapped live map tasks,
 /// how full the bounded channels got, and the real wall-clock span of each
 /// phase — and therefore legitimately vary between runs and thread counts.
-/// Apart from the checkpoint counters, they are all zero under the
-/// materialized shuffle. Differential tests that
+/// Apart from the checkpoint counters and `orphans_reclaimed`, which
+/// [`Job::run`](crate::Job::run) fills in under either engine, they are
+/// all zero under the materialized shuffle. Differential tests that
 /// assert bit-identical metrics across modes must compare
 /// [`JobMetrics::deterministic`], which masks this struct out.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -72,9 +73,8 @@ pub struct PipelineMetrics {
     /// Nonempty reducer partitions executed while checkpointing was
     /// enabled, and committed unless dead-lettered — the work a crash
     /// right now would *not* lose again. Each nonempty partition counts
-    /// once, as a hit or a miss, however many copies of its task ran, so
-    /// with checkpointing on `checkpoint_hits + checkpoint_misses ==
-    /// nonempty_reducers`.
+    /// once, as a hit or a miss, so with checkpointing on
+    /// `checkpoint_hits + checkpoint_misses == nonempty_reducers`.
     pub checkpoint_misses: u64,
     /// Checkpoint state found but rejected: a manifest prefix (truncated,
     /// bit-flipped, version- or fingerprint-mismatched), or a committed
@@ -90,37 +90,23 @@ pub struct PipelineMetrics {
     /// Orphaned spill/checkpoint temp files from dead processes reclaimed
     /// by the startup sweep of the checkpoint directory.
     pub orphans_reclaimed: u64,
-    /// Stale `job-*` checkpoint session directories removed by the
-    /// retention policy
-    /// ([`ClusterConfig::checkpoint_retain`](crate::ClusterConfig::checkpoint_retain))
-    /// at job start. Zero when retention is off or nothing was stale.
-    pub checkpoint_pruned: u64,
 }
 
-/// Fault-tolerance counters: retries burned, speculation outcomes, and
-/// dead-letter-queue size.
+/// Fault-tolerance counters: retries burned and dead-letter-queue size.
 ///
 /// Like [`PipelineMetrics`], these quantify *how* a run executed rather
-/// than *what* it computed: the whole point of the retry/speculation
-/// machinery is that a faulted run's [`JobMetrics::deterministic`] stays
-/// bit-identical to the fault-free run, so every counter here is masked
-/// out of that comparison. Across engine cells, though, a faulted run's
-/// `map_retries`, `reduce_retries` and `dlq_len` agree: both shuffle
-/// modes walk each task's attempt loop once per run (a speculative copy's
-/// retries count only if it wins), so only the speculation counters
-/// depend on how the run was scheduled.
+/// than *what* it computed: the whole point of the retry machinery is
+/// that a faulted run's [`JobMetrics::deterministic`] stays bit-identical
+/// to the fault-free run, so every counter here is masked out of that
+/// comparison. Across engine cells, though, a faulted run's counters
+/// agree: both shuffle modes walk each task's attempt loop once per
+/// run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultMetrics {
     /// Injected map-task faults that were absorbed by a retry.
     pub map_retries: u64,
     /// Injected reduce-task faults that were absorbed by a retry.
     pub reduce_retries: u64,
-    /// Speculative task copies launched against stragglers (pipelined
-    /// mode with [`crate::ClusterConfig::speculation`] enabled).
-    pub speculative_launches: u64,
-    /// Speculative copies that resolved their task before the primary —
-    /// the wins the LPT-ranked speculation exists to create.
-    pub speculative_wins: u64,
     /// Entries in the job's dead-letter queue (equals
     /// `JobOutput::dlq.len()`; only nonzero under
     /// [`crate::DlqMode::Capture`]).
@@ -185,7 +171,7 @@ pub struct JobMetrics {
     /// under the materialized shuffle; execution-dependent, see
     /// [`PipelineMetrics`]).
     pub pipeline: PipelineMetrics,
-    /// Retry/speculation/DLQ counters from the fault-tolerance layer
+    /// Retry/DLQ counters from the fault-tolerance layer
     /// (all zero without a [`crate::FaultPlan`]; execution-dependent,
     /// see [`FaultMetrics`]).
     pub faults: FaultMetrics,
@@ -336,7 +322,6 @@ mod tests {
         a.pipeline.checkpoint_invalid = 1;
         a.pipeline.spill_delete_errors = 2;
         a.pipeline.orphans_reclaimed = 1;
-        a.pipeline.checkpoint_pruned = 2;
         b.pipeline.consumer_groups = 2;
         assert_ne!(a, b);
         assert_eq!(a.deterministic(), b.deterministic());
@@ -348,8 +333,7 @@ mod tests {
     /// The cross-mode contract stays metric-stable under fault injection:
     /// every fault/retry counter is excluded from `deterministic()`, so a
     /// faulted run compares equal to the fault-free run even though it
-    /// burned retries, launched speculative copies, or dead-lettered
-    /// tasks.
+    /// burned retries or dead-lettered tasks.
     #[test]
     fn deterministic_masks_the_fault_counters() {
         let mut faulted = sample();
@@ -357,8 +341,6 @@ mod tests {
         faulted.faults = FaultMetrics {
             map_retries: 5,
             reduce_retries: 2,
-            speculative_launches: 3,
-            speculative_wins: 1,
             dlq_len: 4,
         };
         assert_eq!(faulted.faults.retries(), 7);

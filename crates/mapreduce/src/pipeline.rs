@@ -117,23 +117,18 @@
 //! `Result` values, never unwinding — so the unwind paths above stay
 //! reserved for true user-code panics. A task that exhausts its budget is
 //! dead-lettered (capture mode) or recorded as the job error keyed by the
-//! lowest task index / partition, matching the sequential pass. With
-//! [`crate::ClusterConfig::speculation`] on, idle mappers re-execute the
-//! largest claimed-but-unresolved map tasks and idle consumers re-execute
-//! the largest in-flight finalize items (both ranked by the scheduler's
-//! own LPT order); a compare-and-swap per task picks exactly one winner,
-//! and since both copies compute identical results, outputs stay
-//! bit-identical no matter who wins.
+//! lowest task index / partition, matching the sequential pass. Every map
+//! task and every partition's finalize runs exactly once, on one thread.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::checkpoint::CheckpointSession;
-use crate::cluster::{FaultStage, FinalizeMode, Schedule, TaskCost};
+use crate::cluster::{FaultStage, FinalizeMode};
 use crate::error::SimError;
 use crate::job::{
     DlqEntry, FinalizedPartition, Job, MapSummary, PartitionLoad, Reduced, TaskVerdict,
@@ -177,7 +172,10 @@ impl InflightGauge {
 /// consumers publish `(priority, item)` pairs as their channels close and
 /// every consumer thread steals the highest-priority (largest-bytes)
 /// pending item — LPT over finalize tasks, so a hot partition's neighbors
-/// migrate to idle threads instead of queueing behind it.
+/// migrate to idle threads instead of queueing behind it. Equal
+/// priorities pop in publish order, and a consumer publishes its range in
+/// ascending partition order, so within a batch ties go to the lower
+/// partition, as `Schedule::lpt_order` ranks them.
 ///
 /// `steal` blocks while the queue is empty but publishers remain, and
 /// returns `None` once every publisher finished and the queue drained —
@@ -191,23 +189,15 @@ struct FinalizeQueue<T> {
 
 struct FinalizeQueueInner<T> {
     items: Vec<(u64, T)>,
-    /// Items popped by `steal` but not yet resolved — the candidate pool
-    /// for speculative re-execution. Tracked only when the run has
-    /// speculation enabled (the items are `Arc`-shared there, so a clone
-    /// is a pointer bump); empty otherwise.
-    in_progress: Vec<(u64, T)>,
-    track_in_progress: bool,
     publishers: usize,
     aborted: bool,
 }
 
 impl<T> FinalizeQueue<T> {
-    fn new(publishers: usize, track_in_progress: bool) -> Self {
+    fn new(publishers: usize) -> Self {
         FinalizeQueue {
             state: Mutex::new(FinalizeQueueInner {
                 items: Vec::new(),
-                in_progress: Vec::new(),
-                track_in_progress,
                 publishers,
                 aborted: false,
             }),
@@ -249,9 +239,7 @@ impl<T> FinalizeQueue<T> {
         self.lock().aborted = true;
         self.work_ready.notify_all();
     }
-}
 
-impl<T: Clone> FinalizeQueue<T> {
     fn steal(&self) -> Option<T> {
         let mut state = self.lock();
         loop {
@@ -267,11 +255,9 @@ impl<T: Clone> FinalizeQueue<T> {
                 }
             }
             if let Some((idx, _)) = best {
-                let (priority, item) = state.items.swap_remove(idx);
-                if state.track_in_progress {
-                    state.in_progress.push((priority, item.clone()));
-                }
-                return Some(item);
+                // `remove`, not `swap_remove`: the items behind `idx` must
+                // keep their publish order for the tie rule above.
+                return Some(state.items.remove(idx).1);
             }
             if state.publishers == 0 {
                 return None;
@@ -281,17 +267,6 @@ impl<T: Clone> FinalizeQueue<T> {
                 .wait(state)
                 .unwrap_or_else(PoisonError::into_inner);
         }
-    }
-
-    /// Snapshot of the in-flight items, largest priority first — the LPT
-    /// rank a consumer speculates in once the queue itself is dry. The
-    /// caller filters out items whose partition has already resolved.
-    fn speculation_candidates(&self) -> Vec<T> {
-        let state = self.lock();
-        let mut entries: Vec<(u64, T)> = state.in_progress.to_vec();
-        drop(state);
-        entries.sort_by_key(|entry| std::cmp::Reverse(entry.0));
-        entries.into_iter().map(|(_, item)| item).collect()
     }
 }
 
@@ -350,9 +325,9 @@ type Run<M> = Vec<Seqed<M>>;
 /// One completed partition's drained runs, queued for a (possibly stolen)
 /// finalize. `owner` is the consumer group that drained it, which is what
 /// `stolen_partitions` is counted against. Under a memory budget some of
-/// the partition's runs live on disk: the [`SpilledRun`] handles travel
-/// with the item (cloning one is an `Arc` bump), so stolen and
-/// speculative finalizes stream the same temp files the owner sealed.
+/// the partition's runs live on disk: the item owns their [`SpilledRun`]s,
+/// so whichever thread finalizes it streams the temp files the owner
+/// sealed and deletes them when it is done.
 struct FinalizeItem<M: Mapper> {
     partition: usize,
     owner: usize,
@@ -412,12 +387,12 @@ struct GroupResult<Out> {
 /// streaming reader over a spilled temp file. Disk sources yield the
 /// records the owner sealed, in the same seq order, so the merge cannot
 /// tell (and the output cannot reflect) where a run lived.
-enum RunSource<K, V> {
+enum RunSource<'a, K, V> {
     Mem(std::vec::IntoIter<(usize, K, V)>),
-    Disk(SpillReader<K, V>),
+    Disk(SpillReader<'a, K, V>),
 }
 
-impl<K: SpillCodec, V: SpillCodec> RunSource<K, V> {
+impl<K: SpillCodec, V: SpillCodec> RunSource<'_, K, V> {
     fn next_record(&mut self) -> Result<Option<(usize, K, V)>, SpillError> {
         match self {
             RunSource::Mem(iter) => Ok(iter.next()),
@@ -471,14 +446,6 @@ fn merge_mixed<K: SpillCodec, V: SpillCodec>(
     Ok(merged)
 }
 
-/// Per-map-task resolution states for speculative re-execution: a task is
-/// `PENDING` until a primary mapper claims it, `CLAIMED` while (at least)
-/// the primary executes it, and `RESOLVED` once one copy — primary or
-/// speculative — won the compare-and-swap and published its results.
-const TASK_PENDING: u8 = 0;
-const TASK_CLAIMED: u8 = 1;
-const TASK_RESOLVED: u8 = 2;
-
 /// Shared mutable state of one pipelined run (everything the stages
 /// coordinate through besides the channels themselves).
 struct Coordination {
@@ -502,8 +469,6 @@ struct Coordination {
     records_emitted: AtomicU64,
     blocks_sent: AtomicU64,
     map_retries: AtomicU64,
-    spec_launches: AtomicU64,
-    spec_wins: AtomicU64,
     /// Map-stage dead-letter entries (reduce-stage ones travel through
     /// [`FinalizedPartition`] so they stay slotted by partition).
     dlq: Mutex<Vec<DlqEntry>>,
@@ -513,19 +478,11 @@ struct Coordination {
     /// Mapper threads still running. The one that retires it to zero
     /// observes every map task resolved.
     mappers_left: AtomicUsize,
-    /// Per-map-task `TASK_*` resolution slots; the winner of the
-    /// compare-and-swap to `TASK_RESOLVED` is the only copy that counts
-    /// metrics, sends blocks, or records errors for its task.
-    task_state: Vec<AtomicU8>,
-    /// Per-partition finalize resolution slots: every finalize flips its
-    /// partition's slot, so when the stealing finalize races a primary
-    /// and a speculative copy, exactly one result per partition counts.
-    finalize_resolved: Vec<AtomicBool>,
     gauge: InflightGauge,
 }
 
 impl Coordination {
-    fn new(n_inputs: usize, n_reducers: usize, n_mappers: usize) -> Self {
+    fn new(n_reducers: usize, n_mappers: usize) -> Self {
         Coordination {
             next_task: AtomicUsize::new(0),
             tasks_done: AtomicUsize::new(0),
@@ -535,13 +492,9 @@ impl Coordination {
             records_emitted: AtomicU64::new(0),
             blocks_sent: AtomicU64::new(0),
             map_retries: AtomicU64::new(0),
-            spec_launches: AtomicU64::new(0),
-            spec_wins: AtomicU64::new(0),
             dlq: Mutex::new(Vec::new()),
             loads: Mutex::new(vec![PartitionLoad::default(); n_reducers]),
             mappers_left: AtomicUsize::new(n_mappers),
-            task_state: (0..n_inputs).map(|_| AtomicU8::new(TASK_PENDING)).collect(),
-            finalize_resolved: (0..n_reducers).map(|_| AtomicBool::new(false)).collect(),
             gauge: InflightGauge::default(),
         }
     }
@@ -634,9 +587,8 @@ where
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_groups)
             .map(|_| sync_channel::<Block<M::Key, M::Value>>(depth - 1))
             .unzip();
-        let finalize_queue: FinalizeQueue<Arc<FinalizeItem<M>>> =
-            FinalizeQueue::new(n_groups, self.config.speculation);
-        let coord = Coordination::new(n_inputs, self.n_reducers, n_mappers);
+        let finalize_queue: FinalizeQueue<FinalizeItem<M>> = FinalizeQueue::new(n_groups);
+        let coord = Coordination::new(self.n_reducers, n_mappers);
         // Spill temp files report failed RAII deletes here; sampled into
         // `PipelineMetrics::spill_delete_errors` once every run (and its
         // readers) has dropped — which the scope join guarantees.
@@ -796,10 +748,7 @@ where
             checkpoint_invalid: 0,
             spill_delete_errors: delete_errors.load(Ordering::Relaxed),
             orphans_reclaimed: 0,
-            checkpoint_pruned: 0,
         };
-        metrics.faults.speculative_launches = coord.spec_launches.load(Ordering::Relaxed);
-        metrics.faults.speculative_wins = coord.spec_wins.load(Ordering::Relaxed);
         Ok(reduced)
     }
 
@@ -817,14 +766,7 @@ where
                 coord.tasks_done.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            coord.task_state[task].store(TASK_CLAIMED, Ordering::Release);
-            self.execute_map_task(task, worker, coord, false);
-        }
-        // Cursor exhausted: this mapper is idle while peers may still be
-        // stuck on stragglers. With speculation on, help them —
-        // re-executing the largest claimed-but-unresolved tasks.
-        if self.config.speculation {
-            self.speculate_map_stragglers(worker, coord);
+            self.execute_map_task(task, worker, coord);
         }
     }
 
@@ -853,68 +795,14 @@ where
         }
     }
 
-    /// Speculative re-execution of in-flight map tasks, ranked
-    /// largest-simulated-cost-first via the same LPT order the cluster
-    /// scheduler uses. Each pass resolves at least one claimed task (ours
-    /// or the primary's finish), so the loop terminates once every task
-    /// is resolved; mappers and speculators compute identical results, so
-    /// whoever wins the resolution race publishes the same blocks.
-    fn speculate_map_stragglers(&self, worker: &mut MapWorker<'_, M>, coord: &Coordination) {
-        loop {
-            let claimed: Vec<usize> = (0..worker.inputs.len())
-                .filter(|&t| coord.task_state[t].load(Ordering::Acquire) == TASK_CLAIMED)
-                .collect();
-            if claimed.is_empty() {
-                return;
-            }
-            let costs: Vec<TaskCost> = claimed
-                .iter()
-                .map(|&t| {
-                    TaskCost(
-                        self.config
-                            .map_task_seconds(self.mapper.cost_bytes(&worker.inputs[t])),
-                    )
-                })
-                .collect();
-            let task = claimed[Schedule::lpt_order(&costs)[0]];
-            coord.spec_launches.fetch_add(1, Ordering::Relaxed);
-            self.execute_map_task(task, worker, coord, true);
-        }
-    }
-
     /// Runs one map task end to end: the fault-layer attempt loop, then
-    /// (if an attempt survives) map + route. Both a primary and a
-    /// speculative copy may execute concurrently; the compare-and-swap to
-    /// `TASK_RESOLVED` picks exactly one winner, and only the winner
-    /// routes, counts metrics and loads, records errors, dead-letters the
-    /// task, or sends blocks — the loser discards what it mapped.
-    fn execute_map_task(
-        &self,
-        task: usize,
-        worker: &mut MapWorker<'_, M>,
-        coord: &Coordination,
-        speculative: bool,
-    ) {
-        let resolve = || {
-            let won = coord.task_state[task]
-                .compare_exchange(
-                    TASK_CLAIMED,
-                    TASK_RESOLVED,
-                    Ordering::AcqRel,
-                    Ordering::Acquire,
-                )
-                .is_ok();
-            if won && speculative {
-                coord.spec_wins.fetch_add(1, Ordering::Relaxed);
-            }
-            won
-        };
-        match self.fault_verdict(FaultStage::Map, task, speculative) {
+    /// (if an attempt survives) map + route, counting its metrics and
+    /// loads and sending its blocks — or recording its error or
+    /// dead-lettering it.
+    fn execute_map_task(&self, task: usize, worker: &mut MapWorker<'_, M>, coord: &Coordination) {
+        match self.fault_verdict(FaultStage::Map, task) {
             TaskVerdict::Run { retries } => {
                 let pairs = self.map_one(&worker.inputs[task]);
-                if !resolve() {
-                    return;
-                }
                 coord
                     .map_retries
                     .fetch_add(u64::from(retries), Ordering::Relaxed);
@@ -965,9 +853,6 @@ where
                 }
             }
             TaskVerdict::Dropped { retries, attempts } => {
-                if !resolve() {
-                    return;
-                }
                 coord
                     .map_retries
                     .fetch_add(u64::from(retries), Ordering::Relaxed);
@@ -979,9 +864,6 @@ where
                 coord.tasks_done.fetch_add(1, Ordering::Relaxed);
             }
             TaskVerdict::Failed { error, retries } => {
-                if !resolve() {
-                    return;
-                }
                 coord
                     .map_retries
                     .fetch_add(u64::from(retries), Ordering::Relaxed);
@@ -1005,7 +887,7 @@ where
         per_group: usize,
         n_inputs: usize,
         channel: Receiver<Block<M::Key, M::Value>>,
-        finalize_queue: &FinalizeQueue<Arc<FinalizeItem<M>>>,
+        finalize_queue: &FinalizeQueue<FinalizeItem<M>>,
         coord: &Coordination,
         epoch: &Instant,
         ckpt: Option<&CheckpointSession<R::Out>>,
@@ -1133,7 +1015,7 @@ where
         let clean = coord.error_seq.load(Ordering::Relaxed) == usize::MAX;
         // Both modes finalize the same items, in ascending partition
         // order; the mode only decides which thread takes each one.
-        let items: Vec<(u64, Arc<FinalizeItem<M>>)> = parts
+        let items: Vec<(u64, FinalizeItem<M>)> = parts
             .into_iter()
             .enumerate()
             .filter(|(_, buf)| clean && !buf.is_empty())
@@ -1145,20 +1027,16 @@ where
                     runs: buf.runs,
                     spilled: buf.spilled,
                 };
-                (priority, Arc::new(item))
+                (priority, item)
             })
             .collect();
-        let mut finalize = |item: Arc<FinalizeItem<M>>, speculative: bool| {
-            let owner = item.owner;
-            let Some((part, fanin)) = self.finalize_item(item, speculative, coord, ckpt) else {
-                return false;
-            };
-            if owner != group {
+        let mut finalize = |item: FinalizeItem<M>| {
+            if item.owner != group {
                 stolen += 1;
             }
+            let (part, fanin) = self.finalize_item(item, coord, ckpt);
             merge_fanin = merge_fanin.max(fanin);
             finalized.push(part);
-            true
         };
         match self.config.finalize_mode {
             // The owner never touches the shared queue, so its partitions
@@ -1166,7 +1044,7 @@ where
             // every lower partition of the group committed.
             FinalizeMode::Static => {
                 for (_, item) in items {
-                    finalize(item, false);
+                    finalize(item);
                 }
             }
             FinalizeMode::Stealing => {
@@ -1176,27 +1054,7 @@ where
                     .expect("guard registered for stealing mode before the drain")
                     .finish();
                 while let Some(item) = finalize_queue.steal() {
-                    finalize(item, false);
-                }
-                // The queue is dry but peers may still be finalizing
-                // stragglers: speculate on the largest in-flight items.
-                // Every pass resolves at least one partition (ours or the
-                // primary's finish), so this terminates.
-                if self.config.speculation && clean {
-                    loop {
-                        let candidate =
-                            finalize_queue
-                                .speculation_candidates()
-                                .into_iter()
-                                .find(|item| {
-                                    !coord.finalize_resolved[item.partition].load(Ordering::Acquire)
-                                });
-                        let Some(item) = candidate else { break };
-                        coord.spec_launches.fetch_add(1, Ordering::Relaxed);
-                        if finalize(item, true) {
-                            coord.spec_wins.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
+                    finalize(item);
                 }
             }
         }
@@ -1216,35 +1074,23 @@ where
     /// Finalizes one partition's item — the unit of work both finalize
     /// modes schedule — through the shared [`Job::reduce_task`]: the k-way
     /// merge of its in-memory and spilled runs supplies the records, so it
-    /// runs only when the task does. Copies of a partition (stolen or
-    /// speculative) race on its resolution slot: a copy returns `None`
-    /// without any work when another already resolved the partition, and
-    /// `None` after the work when another won meanwhile. The winner gets
-    /// `Some`, with its retry and error side effects applied and the
-    /// merge's fan-in (0 when nothing was merged). Under static finalize
-    /// each partition has exactly one copy, so it always wins.
+    /// runs only when the task does. Returns the partition with its error
+    /// recorded, and the merge's fan-in (0 when nothing was merged). The
+    /// item's spilled runs drop, deleting their temp files, on return.
     fn finalize_item(
         &self,
-        item: Arc<FinalizeItem<M>>,
-        speculative: bool,
+        item: FinalizeItem<M>,
         coord: &Coordination,
         ckpt: Option<&CheckpointSession<R::Out>>,
-    ) -> Option<(FinalizedPartition<R::Out>, u64)> {
-        let partition = item.partition;
-        let resolved = &coord.finalize_resolved[partition];
-        if resolved.load(Ordering::Acquire) {
-            return None;
-        }
-        // Owned when this thread holds the last reference; under
-        // speculation the item stays shared, so the runs are cloned and
-        // the spilled handles `Arc`-bumped — both finalize copies stream
-        // the same temp files through independent readers.
-        let (runs, spilled) = match Arc::try_unwrap(item) {
-            Ok(owned) => (owned.runs, owned.spilled),
-            Err(shared) => (shared.runs.clone(), shared.spilled.clone()),
-        };
+    ) -> (FinalizedPartition<R::Out>, u64) {
+        let FinalizeItem {
+            partition,
+            runs,
+            spilled,
+            ..
+        } = item;
         let mut fanin = 0;
-        let part = self.reduce_task(partition, speculative, Some(resolved), ckpt, || {
+        let part = self.reduce_task(partition, ckpt, || {
             fanin = (runs.len() + spilled.len()) as u64;
             // A disk or decode failure streaming a spilled run back is an
             // infrastructure error, not a task fault: it bypasses the DLQ
@@ -1254,11 +1100,11 @@ where
                 path: error.path,
                 source: error.source,
             })
-        })?;
+        });
         if let Some(error) = part.failed.clone() {
             coord.record_reduce_error(partition, error);
         }
-        Some((part, fanin))
+        (part, fanin)
     }
 }
 
@@ -1349,7 +1195,7 @@ mod tests {
     /// last publisher finishes, and signals end-of-work with `None`.
     #[test]
     fn finalize_queue_is_lpt_ordered_and_terminates() {
-        let queue: FinalizeQueue<&str> = FinalizeQueue::new(2, false);
+        let queue: FinalizeQueue<&str> = FinalizeQueue::new(2);
         queue.publish(vec![(5, "small"), (50, "big")]);
         queue.finish_publishing();
         let stolen = std::thread::scope(|scope| {
@@ -1368,6 +1214,18 @@ mod tests {
         });
         assert_eq!(stolen[0], "big", "largest bytes pop first");
         assert_eq!(stolen.len(), 3);
+    }
+
+    /// Equal priorities pop in publish order. A `swap_remove` pop moved
+    /// the last item into the popped slot, so a, b, c, d came out
+    /// a, d, c, b.
+    #[test]
+    fn finalize_queue_pops_equal_priorities_in_publish_order() {
+        let queue: FinalizeQueue<&str> = FinalizeQueue::new(1);
+        queue.publish(vec![(7, "a"), (7, "b"), (7, "c"), (7, "d")]);
+        queue.finish_publishing();
+        let popped: Vec<&str> = std::iter::from_fn(|| queue.steal()).collect();
+        assert_eq!(popped, ["a", "b", "c", "d"]);
     }
 
     #[test]
@@ -1777,131 +1635,6 @@ mod tests {
         }
     }
 
-    /// LPT-ranked speculation beats an injected map straggler: the primary
-    /// claims task 0 and stalls, an idle mapper re-executes it without the
-    /// stall and wins the resolution CAS. The output stays bit-identical
-    /// because both copies compute the same deterministic result — only
-    /// the masked `speculative_*` counters show the race happened.
-    #[test]
-    fn speculation_wins_against_an_injected_map_straggler() {
-        let reference = run(ShuffleMode::Materialized, 1, 4, 8);
-        let out = Job::new(
-            IdentityMapper,
-            ConcatReducer,
-            HashRouter::new(),
-            8,
-            ClusterConfig {
-                shuffle: ShuffleMode::Pipelined,
-                map_threads: 2,
-                pipeline_depth: 4,
-                speculation: true,
-                fault_plan: Some(FaultPlan {
-                    straggle_map_tasks: vec![0],
-                    straggle_millis: 200,
-                    ..FaultPlan::default()
-                }),
-                ..ClusterConfig::default()
-            },
-        )
-        .run(&inputs(300))
-        .unwrap();
-        assert_eq!(reference.outputs, out.outputs);
-        assert_eq!(
-            reference.metrics.deterministic(),
-            out.metrics.deterministic()
-        );
-        assert!(out.metrics.faults.speculative_launches >= 1);
-        assert!(
-            out.metrics.faults.speculative_wins >= 1,
-            "the non-stalled copy must resolve task 0 first"
-        );
-    }
-
-    /// Same for the reduce side under the stealing finalize: a stalled
-    /// finalize shows up in the queue's in-progress registry, an idle
-    /// consumer re-runs it from the `Arc`-shared runs without the stall,
-    /// and the winner CAS keeps outputs exactly-once and bit-identical.
-    #[test]
-    fn speculation_wins_against_an_injected_finalize_straggler() {
-        let reference = run(ShuffleMode::Materialized, 1, 4, 4);
-        let out = Job::new(
-            IdentityMapper,
-            ConcatReducer,
-            HashRouter::new(),
-            4,
-            ClusterConfig {
-                shuffle: ShuffleMode::Pipelined,
-                map_threads: 2,
-                pipeline_depth: 4,
-                finalize_mode: FinalizeMode::Stealing,
-                speculation: true,
-                fault_plan: Some(FaultPlan {
-                    straggle_reduce_tasks: vec![0],
-                    straggle_millis: 200,
-                    ..FaultPlan::default()
-                }),
-                ..ClusterConfig::default()
-            },
-        )
-        .run(&inputs(300))
-        .unwrap();
-        assert_eq!(reference.outputs, out.outputs);
-        assert_eq!(
-            reference.metrics.deterministic(),
-            out.metrics.deterministic()
-        );
-        assert!(out.metrics.faults.speculative_launches >= 1);
-        assert!(
-            out.metrics.faults.speculative_wins >= 1,
-            "the non-stalled finalize copy must resolve partition 0 first"
-        );
-    }
-
-    /// A checkpointed run counts each nonempty partition once, as a hit or
-    /// a miss, where it is accepted. The speculative copy of a straggling
-    /// finalize used to count a second miss, so 4 partitions reported 5.
-    #[test]
-    fn speculative_finalize_counts_one_checkpoint_miss_per_partition() {
-        let dir = std::env::temp_dir().join(format!(
-            "mrassign-pipeline-spec-ckpt-{}",
-            std::process::id()
-        ));
-        let out = Job::new(
-            IdentityMapper,
-            ConcatReducer,
-            HashRouter::new(),
-            4,
-            ClusterConfig {
-                shuffle: ShuffleMode::Pipelined,
-                map_threads: 2,
-                pipeline_depth: 4,
-                finalize_mode: FinalizeMode::Stealing,
-                speculation: true,
-                checkpoint_dir: Some(dir.clone()),
-                fault_plan: Some(FaultPlan {
-                    straggle_reduce_tasks: vec![0],
-                    straggle_millis: 200,
-                    ..FaultPlan::default()
-                }),
-                ..ClusterConfig::default()
-            },
-        )
-        .run(&inputs(300))
-        .unwrap();
-        let m = &out.metrics;
-        assert!(
-            m.faults.speculative_launches >= 1,
-            "the straggling finalize must draw a speculative copy"
-        );
-        assert_eq!(m.nonempty_reducers, 4);
-        assert_eq!(m.pipeline.checkpoint_hits, 0);
-        assert_eq!(
-            m.pipeline.checkpoint_misses, 4,
-            "one miss per nonempty partition, however many copies ran"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
     /// Poisoned tasks land in the dead-letter queue under
     /// [`DlqMode::Capture`] — exactly the poisoned tasks, in every mode,
     /// with the same sorted entries — and the rest of the job completes.
@@ -1971,48 +1704,44 @@ mod tests {
     /// The tentpole contract: a tight memory budget forces runs to disk
     /// (`spilled_runs > 0`, residency capped at the budget) yet outputs
     /// and deterministic metrics stay bit-identical to the unbounded
-    /// materialized pass — for every finalize mode and thread count, and
-    /// with speculation racing two readers over the same spilled files.
+    /// materialized pass — for every finalize mode and thread count.
     #[test]
     fn tight_budget_spills_and_stays_bit_identical() {
         let reference = run(ShuffleMode::Materialized, 1, 4, 8);
         for finalize_mode in FinalizeMode::ALL {
             for threads in [1, 2, 4] {
-                for speculation in [false, true] {
-                    let out = Job::new(
-                        IdentityMapper,
-                        ConcatReducer,
-                        HashRouter::new(),
-                        8,
-                        ClusterConfig {
-                            shuffle: ShuffleMode::Pipelined,
-                            map_threads: threads,
-                            pipeline_depth: 4,
-                            finalize_mode,
-                            speculation,
-                            memory_budget: Some(64),
-                            ..ClusterConfig::default()
-                        },
-                    )
-                    .run(&inputs(300))
-                    .unwrap();
-                    let label = format!("{finalize_mode:?} t={threads} spec={speculation}");
-                    assert_eq!(reference.outputs, out.outputs, "{label}");
-                    assert_eq!(
-                        reference.metrics.deterministic(),
-                        out.metrics.deterministic(),
-                        "{label}"
-                    );
-                    let p = &out.metrics.pipeline;
-                    assert!(p.spilled_runs > 0, "{label}: 64 bytes must force spills");
-                    assert!(p.spilled_bytes > 0, "{label}");
-                    assert!(
-                        p.peak_buffered_bytes <= 64,
-                        "{label}: residency {} exceeds the budget",
-                        p.peak_buffered_bytes
-                    );
-                    assert!(p.merge_fanin >= 1, "{label}");
-                }
+                let out = Job::new(
+                    IdentityMapper,
+                    ConcatReducer,
+                    HashRouter::new(),
+                    8,
+                    ClusterConfig {
+                        shuffle: ShuffleMode::Pipelined,
+                        map_threads: threads,
+                        pipeline_depth: 4,
+                        finalize_mode,
+                        memory_budget: Some(64),
+                        ..ClusterConfig::default()
+                    },
+                )
+                .run(&inputs(300))
+                .unwrap();
+                let label = format!("{finalize_mode:?} t={threads}");
+                assert_eq!(reference.outputs, out.outputs, "{label}");
+                assert_eq!(
+                    reference.metrics.deterministic(),
+                    out.metrics.deterministic(),
+                    "{label}"
+                );
+                let p = &out.metrics.pipeline;
+                assert!(p.spilled_runs > 0, "{label}: 64 bytes must force spills");
+                assert!(p.spilled_bytes > 0, "{label}");
+                assert!(
+                    p.peak_buffered_bytes <= 64,
+                    "{label}: residency {} exceeds the budget",
+                    p.peak_buffered_bytes
+                );
+                assert!(p.merge_fanin >= 1, "{label}");
             }
         }
     }

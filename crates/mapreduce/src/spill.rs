@@ -25,12 +25,13 @@
 //! at a time — the external merge holds one head record per run, not the
 //! run itself.
 //!
-//! **Lifecycle.** A [`SpillFile`] deletes its temp file on drop; runs are
-//! shared as [`SpilledRun`]s holding an `Arc<SpillFile>`, so the stealing
-//! finalize and speculative re-execution clone a pointer, every reader
-//! opens its own file handle, and the file disappears exactly when the
-//! last holder drops it — on success, on error, and during a user-panic
-//! unwind alike (the engine's threads are scoped, so locals always drop).
+//! **Lifecycle.** A [`SpillFile`] deletes its temp file on drop, and each
+//! [`SpilledRun`] owns its file. The run moves with its partition to
+//! whichever consumer finalizes it; a reader borrows the run, so the
+//! borrow checker keeps the file alive while it is read. The file
+//! disappears when the run drops — on success, on error, and during a
+//! user-panic unwind alike (the engine's threads are scoped, so locals
+//! always drop).
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -227,13 +228,9 @@ impl<A: SpillCodec, B: SpillCodec, C: SpillCodec> SpillCodec for (A, B, C) {
     }
 }
 
-/// Owns one spill temp file and deletes it on drop.
-///
-/// Shared behind an `Arc` by [`SpilledRun`]: however many finalize copies
-/// (primary, stolen, speculative) hold the run, the file is removed
-/// exactly once, when the last holder drops — including mid-unwind, since
-/// the engine's scoped threads drop their locals before the panic
-/// propagates.
+/// Owns one spill temp file and deletes it on drop — including
+/// mid-unwind, since the engine's scoped threads drop their locals before
+/// the panic propagates.
 #[derive(Debug)]
 pub struct SpillFile {
     path: PathBuf,
@@ -276,14 +273,11 @@ impl Drop for SpillFile {
     }
 }
 
-/// One sealed, spilled run: a handle to its temp file plus the accounting
-/// the engine tracked while the run was resident. Cloning is a pointer
-/// bump — the stealing finalize and speculation share spilled state this
-/// way — and every reader opens its own handle, so concurrent finalize
-/// copies never contend on a shared cursor.
-#[derive(Debug, Clone)]
+/// One sealed, spilled run: its temp file plus the accounting the engine
+/// tracked while the run was resident. Dropping the run deletes the file.
+#[derive(Debug)]
 pub struct SpilledRun {
-    file: Arc<SpillFile>,
+    file: SpillFile,
     /// Records in the run.
     pub records: u64,
     /// `ByteSized` bytes the run occupied while buffered (key + value per
@@ -361,7 +355,7 @@ pub(crate) fn write_run<K: SpillCodec, V: SpillCodec>(
     };
     write().map_err(fail)?;
     Ok(SpilledRun {
-        file: Arc::new(guard),
+        file: guard,
         records: run.len() as u64,
         bytes,
     })
@@ -369,22 +363,21 @@ pub(crate) fn write_run<K: SpillCodec, V: SpillCodec>(
 
 /// Streams one spilled run back in write order, one length-prefixed
 /// record per [`SpillReader::next_record`] call — the external merge
-/// keeps exactly one head record per run resident.
-pub(crate) struct SpillReader<K, V> {
+/// keeps exactly one head record per run resident. It borrows the run,
+/// so the temp file outlives the read.
+pub(crate) struct SpillReader<'a, K, V> {
     reader: BufReader<File>,
     remaining: u64,
     /// File bytes not yet read — the bound an untrusted record length is
     /// checked against before any buffer grows to hold it.
     unread: u64,
-    /// Keeps the temp file alive for the duration of the read even if
-    /// every other holder of the run drops meanwhile.
-    file: Arc<SpillFile>,
+    file: &'a SpillFile,
     record: Vec<u8>,
     _types: PhantomData<fn() -> (K, V)>,
 }
 
-impl<K: SpillCodec, V: SpillCodec> SpillReader<K, V> {
-    pub(crate) fn open(run: &SpilledRun) -> Result<Self, SpillError> {
+impl<'a, K: SpillCodec, V: SpillCodec> SpillReader<'a, K, V> {
+    pub(crate) fn open(run: &'a SpilledRun) -> Result<Self, SpillError> {
         let fail = |source: String| SpillError {
             path: run.path().display().to_string(),
             source,
@@ -410,7 +403,7 @@ impl<K: SpillCodec, V: SpillCodec> SpillReader<K, V> {
             reader,
             remaining,
             unread: file_len.saturating_sub(header.len() as u64),
-            file: Arc::clone(&run.file),
+            file: &run.file,
             record: Vec::new(),
             _types: PhantomData,
         })
@@ -542,14 +535,15 @@ mod tests {
         assert_eq!(a.next_record().unwrap().unwrap(), run[0]);
         assert_eq!(b.next_record().unwrap().unwrap(), run[0]);
 
+        // Readers borrow the run, so they drop first; then the run
+        // deletes its file.
         let path = spilled.path().to_path_buf();
         drop(reader);
-        drop(spilled);
-        // Readers hold the file alive until they finish.
-        assert!(path.exists(), "live readers keep the temp file");
         drop(a);
         drop(b);
-        assert!(!path.exists(), "last holder deletes the temp file");
+        assert!(path.exists(), "the run still owns its temp file");
+        drop(spilled);
+        assert!(!path.exists(), "dropping the run deletes the temp file");
         std::fs::remove_dir(&dir).expect("test dir is empty again");
     }
 

@@ -45,16 +45,16 @@ pub trait Mapper: Sync {
     /// folds input *content* into the job identity — equal sizes with
     /// different contents must not share a checkpoint session.
     type In: ByteSized + Hash + Sync;
-    /// Intermediate key. `Send + Sync` because the pipelined engine moves
-    /// records across stage threads and `Arc`-shares completed partitions
-    /// between a primary and a speculative finalize; [`SpillCodec`]
-    /// because under a [`memory_budget`](crate::ClusterConfig::memory_budget)
-    /// the engine seals runs of `(key, value)` records to temp files and
-    /// streams them back through the finalize merge.
-    type Key: Ord + Hash + Clone + Send + Sync + ByteSized + SpillCodec;
-    /// Intermediate value. `Send + Sync + SpillCodec` for the same
-    /// reasons as the key.
-    type Value: Clone + Send + Sync + ByteSized + SpillCodec;
+    /// Intermediate key. `Send` because the engines move records across
+    /// threads: map output to the shuffle, and a completed partition to
+    /// the consumer that finalizes it; [`SpillCodec`] because under a
+    /// [`memory_budget`](crate::ClusterConfig::memory_budget) the engine
+    /// seals runs of `(key, value)` records to temp files and streams
+    /// them back through the finalize merge.
+    type Key: Ord + Hash + Clone + Send + ByteSized + SpillCodec;
+    /// Intermediate value. `Send + SpillCodec` for the same reasons as
+    /// the key.
+    type Value: Clone + Send + ByteSized + SpillCodec;
 
     /// Produces intermediate pairs for `input`.
     fn map(&self, input: &Self::In, emit: &mut Emitter<Self::Key, Self::Value>);

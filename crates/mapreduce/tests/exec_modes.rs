@@ -22,9 +22,8 @@
 
 use mrassign_core::{a2a, InputSet};
 use mrassign_simmr::{
-    ByteSized, CapacityPolicy, CheckpointRetain, ClusterConfig, DirectRouter, Emitter, FaultPlan,
-    FinalizeMode, HashRouter, Job, JobOutput, Mapper, Reducer, Router, ShuffleMode, SimError,
-    SpillCodec,
+    ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, FaultPlan, FinalizeMode,
+    HashRouter, Job, JobOutput, Mapper, Reducer, Router, ShuffleMode, SimError, SpillCodec,
 };
 use mrassign_workloads::SizeDistribution;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -622,46 +621,6 @@ fn hot_reducer_survives_the_fault_sweep_bit_identically() {
     });
 }
 
-/// Speculation layered on top of the fault sweep stays bit-identical too:
-/// the LPT-ranked speculative copies compute the same deterministic
-/// results as the primaries they race, so turning speculation on is
-/// invisible to everything but the masked counters.
-#[test]
-fn hot_reducer_fault_sweep_with_speculation_stays_bit_identical() {
-    let records = hot_records(600);
-    let reference = Job::new(
-        HotMapper,
-        HotConcat,
-        HotRouter,
-        8,
-        cluster(ShuffleMode::Materialized, FinalizeMode::Static, 1),
-    )
-    .run(&records)
-    .unwrap();
-    for finalize in [FinalizeMode::Static, FinalizeMode::Stealing] {
-        for threads in THREADS {
-            let mut config = faulted_cluster(
-                ShuffleMode::Pipelined,
-                finalize,
-                threads,
-                Some(sweep_fault_plan()),
-            );
-            config.speculation = true;
-            let out = Job::new(HotMapper, HotConcat, HotRouter, 8, config)
-                .run(&records)
-                .unwrap();
-            let label = format!("speculative {finalize:?} × threads={threads}");
-            assert_eq!(reference.outputs, out.outputs, "{label}");
-            assert_eq!(
-                reference.metrics.deterministic(),
-                out.metrics.deterministic(),
-                "{label}"
-            );
-            assert!(out.metrics.faults.retries() > 0, "{label}");
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Budgeted cells: the out-of-core spill path must be invisible to the
 // determinism contract. A per-group memory budget tight enough that every
@@ -759,9 +718,7 @@ fn word_count_budgeted_cells_spill_and_stay_bit_identical() {
 }
 
 /// The same budgeted sweep on the hot-reducer workload — the one whose
-/// single hot partition most exceeds the budget — with speculation layered
-/// on for the stealing cells, so spilled runs provably survive the
-/// `Arc`-shared finalize copies racing each other.
+/// single hot partition most exceeds the budget.
 #[test]
 fn hot_reducer_budgeted_cells_spill_and_stay_bit_identical() {
     let records = hot_records(600);
@@ -781,11 +738,15 @@ fn hot_reducer_budgeted_cells_spill_and_stay_bit_identical() {
                     "budgeted hot {finalize:?} × threads={threads} × faulted={}",
                     plan.is_some()
                 );
-                let mut config = budgeted_cluster(finalize, threads, plan.clone());
-                config.speculation = finalize == FinalizeMode::Stealing;
-                let cell = Job::new(HotMapper, HotConcat, HotRouter, 8, config)
-                    .run(&records)
-                    .unwrap();
+                let cell = Job::new(
+                    HotMapper,
+                    HotConcat,
+                    HotRouter,
+                    8,
+                    budgeted_cluster(finalize, threads, plan.clone()),
+                )
+                .run(&records)
+                .unwrap();
                 assert_budgeted_cell(&reference, cell, &label);
             }
         }
@@ -961,15 +922,22 @@ fn wc_job(config: ClusterConfig) -> Job<Tokenize, Count, HashRouter> {
     )
 }
 
-/// [`Tokenize`] that counts its calls, so a test can tell whether a run
-/// mapped anything at all.
-struct CountedTokenize(Arc<AtomicU64>);
+/// Mapper and reducer calls of a counted word count, so a test can tell
+/// how much map and reduce work a run really did.
+#[derive(Default)]
+struct Calls {
+    map: AtomicU64,
+    reduce: AtomicU64,
+}
+
+/// [`Tokenize`] that counts its calls.
+struct CountedTokenize(Arc<Calls>);
 impl Mapper for CountedTokenize {
     type In = String;
     type Key = String;
     type Value = u64;
     fn map(&self, line: &String, emit: &mut Emitter<String, u64>) {
-        self.0.fetch_add(1, Ordering::Relaxed);
+        self.0.map.fetch_add(1, Ordering::Relaxed);
         Tokenize.map(line, emit);
     }
     fn combine(&self, key: &String, values: &[u64]) -> Option<u64> {
@@ -977,14 +945,26 @@ impl Mapper for CountedTokenize {
     }
 }
 
-/// Word count whose mapper calls land in `calls`.
+/// [`Count`] that counts its calls: one per key it reduces.
+struct CountedCount(Arc<Calls>);
+impl Reducer for CountedCount {
+    type Key = String;
+    type Value = u64;
+    type Out = (String, u64);
+    fn reduce(&self, key: &String, values: &[u64], out: &mut Vec<(String, u64)>) {
+        self.0.reduce.fetch_add(1, Ordering::Relaxed);
+        Count.reduce(key, values, out);
+    }
+}
+
+/// Word count whose mapper and reducer calls land in `calls`.
 fn counted_wc_job(
     config: ClusterConfig,
-    calls: &Arc<AtomicU64>,
-) -> Job<CountedTokenize, Count, HashRouter> {
+    calls: &Arc<Calls>,
+) -> Job<CountedTokenize, CountedCount, HashRouter> {
     Job::new(
         CountedTokenize(Arc::clone(calls)),
-        Count,
+        CountedCount(Arc::clone(calls)),
         HashRouter::new(),
         WC_PARTITIONS as usize,
         config,
@@ -1026,7 +1006,9 @@ fn job_dir(base: &std::path::Path) -> std::path::PathBuf {
 
 /// Cold + resumed checkpointed runs across shuffle × finalize × threads ×
 /// {unbudgeted, tight-budget} × {fault-free, seeded-fault} cells, all
-/// pinned to the uncheckpointed materialized reference.
+/// pinned to the uncheckpointed materialized reference. In every cell a
+/// cold run maps every input and reduces every key exactly once, and a
+/// full replay does neither.
 #[test]
 fn checkpointed_rerun_is_bit_identical_across_the_matrix() {
     let lines = word_lines();
@@ -1054,13 +1036,18 @@ fn checkpointed_rerun_is_bit_identical_across_the_matrix() {
                         fault_plan: plan.clone(),
                         ..cluster(mode, finalize, threads)
                     };
-                    let calls = Arc::new(AtomicU64::new(0));
+                    let calls = Arc::new(Calls::default());
 
                     let cold = counted_wc_job(config.clone(), &calls).run(&lines).unwrap();
                     assert_eq!(
-                        calls.swap(0, Ordering::Relaxed),
+                        calls.map.swap(0, Ordering::Relaxed),
                         lines.len() as u64,
                         "{label}: cold maps every input once"
+                    );
+                    assert_eq!(
+                        calls.reduce.swap(0, Ordering::Relaxed),
+                        cold.metrics.distinct_keys,
+                        "{label}: cold reduces every key once"
                     );
                     assert_eq!(reference.outputs, cold.outputs, "{label}: cold outputs");
                     assert_eq!(
@@ -1073,12 +1060,22 @@ fn checkpointed_rerun_is_bit_identical_across_the_matrix() {
                     // a checkpoint lookup), so calibrate from the cold run.
                     let executed = cold.metrics.pipeline.checkpoint_misses;
                     assert!(executed > 0, "{label}: cold misses every partition");
+                    assert_eq!(
+                        cold.metrics.pipeline.checkpoint_hits + executed,
+                        cold.metrics.nonempty_reducers as u64,
+                        "{label}: hits + misses count each nonempty partition once"
+                    );
 
                     let resumed = counted_wc_job(config, &calls).run(&lines).unwrap();
                     assert_eq!(
-                        calls.load(Ordering::Relaxed),
+                        calls.map.load(Ordering::Relaxed),
                         0,
                         "{label}: a full replay runs no map task"
+                    );
+                    assert_eq!(
+                        calls.reduce.load(Ordering::Relaxed),
+                        0,
+                        "{label}: a full replay reduces nothing"
                     );
                     assert_eq!(
                         reference.outputs, resumed.outputs,
@@ -1298,7 +1295,7 @@ fn corrupt_map_record_remaps_and_still_serves_every_partition() {
             checkpoint_dir: Some(dir.clone()),
             ..cluster(mode, finalize, 2)
         };
-        let calls = Arc::new(AtomicU64::new(0));
+        let calls = Arc::new(Calls::default());
         let cold = counted_wc_job(config.clone(), &calls).run(&lines).unwrap();
         let executed = cold.metrics.pipeline.checkpoint_misses;
         let record = job_dir(&dir).join("map.ckpt");
@@ -1307,7 +1304,7 @@ fn corrupt_map_record_remaps_and_still_serves_every_partition() {
         bytes[mid] ^= 0x10;
         std::fs::write(&record, bytes).unwrap();
 
-        calls.store(0, Ordering::Relaxed);
+        calls.map.store(0, Ordering::Relaxed);
         let rerun = counted_wc_job(config.clone(), &calls).run(&lines).unwrap();
         assert_eq!(reference.outputs, rerun.outputs, "{label}: outputs");
         assert_eq!(
@@ -1323,7 +1320,7 @@ fn corrupt_map_record_remaps_and_still_serves_every_partition() {
             "{label}: every partition is still served"
         );
         assert_eq!(
-            calls.swap(0, Ordering::Relaxed),
+            calls.map.swap(0, Ordering::Relaxed),
             lines.len() as u64,
             "{label}: the map phase runs again"
         );
@@ -1332,7 +1329,7 @@ fn corrupt_map_record_remaps_and_still_serves_every_partition() {
         let replay = counted_wc_job(config, &calls).run(&lines).unwrap();
         assert_eq!(reference.outputs, replay.outputs, "{label}: replay outputs");
         assert_eq!(
-            calls.load(Ordering::Relaxed),
+            calls.map.load(Ordering::Relaxed),
             0,
             "{label}: the rewritten record serves a full replay"
         );
@@ -1383,7 +1380,7 @@ fn full_replay_restores_capacity_violations_and_the_map_dlq() {
             checkpoint_dir: Some(dir.clone()),
             ..faulted(mode, finalize)
         };
-        let calls = Arc::new(AtomicU64::new(0));
+        let calls = Arc::new(Calls::default());
         let run = || {
             counted_wc_job(config.clone(), &calls)
                 .capacity(CapacityPolicy::Record(q))
@@ -1391,9 +1388,13 @@ fn full_replay_restores_capacity_violations_and_the_map_dlq() {
                 .unwrap()
         };
         let cold = run();
-        calls.store(0, Ordering::Relaxed);
+        calls.map.store(0, Ordering::Relaxed);
         let replay = run();
-        assert_eq!(calls.load(Ordering::Relaxed), 0, "{label}: a full replay");
+        assert_eq!(
+            calls.map.load(Ordering::Relaxed),
+            0,
+            "{label}: a full replay"
+        );
         assert_eq!(reference.outputs, replay.outputs, "{label}: outputs");
         assert_eq!(
             reference.metrics.deterministic(),
@@ -1407,58 +1408,6 @@ fn full_replay_restores_capacity_violations_and_the_map_dlq() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
-}
-
-/// A session that is only replayed stays recent: its open marks the
-/// manifest as used although nothing is appended, so another job's
-/// count-based retention prunes an older session instead of it.
-#[test]
-fn replayed_session_survives_count_based_retention() {
-    let lines = word_lines();
-    let dir = ckpt_dir("recency");
-    let config = ClusterConfig {
-        checkpoint_dir: Some(dir.clone()),
-        ..cluster(ShuffleMode::Pipelined, FinalizeMode::Static, 2)
-    };
-    let sessions = || -> std::collections::BTreeSet<std::path::PathBuf> {
-        std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .map(|e| e.path())
-            .collect()
-    };
-    // Distinct inputs make distinct sessions; the pauses keep their
-    // manifest mtimes apart.
-    let pause = || std::thread::sleep(std::time::Duration::from_millis(20));
-    wc_job(config.clone()).run(&lines[..80]).unwrap();
-    let replayed = sessions();
-    pause();
-    wc_job(config.clone()).run(&lines[80..160]).unwrap();
-    let older: Vec<_> = sessions().difference(&replayed).cloned().collect();
-    assert_eq!(older.len(), 1);
-    pause();
-    let replay = wc_job(config.clone()).run(&lines[..80]).unwrap();
-    assert_eq!(
-        replay.metrics.pipeline.checkpoint_misses, 0,
-        "a full replay appends nothing"
-    );
-    pause();
-    let pruning = wc_job(ClusterConfig {
-        checkpoint_retain: Some(CheckpointRetain {
-            max_sessions: Some(2),
-            max_age: None,
-        }),
-        ..config
-    })
-    .run(&lines[160..])
-    .unwrap();
-    assert_eq!(pruning.metrics.pipeline.checkpoint_pruned, 1);
-    assert!(
-        replayed.iter().all(|session| session.exists()),
-        "the replayed session is the newest other one"
-    );
-    assert!(!older[0].exists(), "the session left alone is pruned");
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The startup sweep reclaims temp files a killed process left behind: a
