@@ -1,5 +1,6 @@
 //! The job runner: map → shuffle → reduce with full accounting.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -29,6 +30,8 @@ pub(crate) struct Reduced<Out> {
 /// their value bytes (the paper's reducer load) and their key + value
 /// bytes (what the shuffle moves and the reduce task's cost is billed
 /// on). Copies the checkpoint makes unnecessary to ship still count.
+/// Every count saturates at `u64::MAX` instead of wrapping, as the
+/// planner's cost model does.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct PartitionLoad {
     pub(crate) records: u64,
@@ -39,17 +42,51 @@ pub(crate) struct PartitionLoad {
 impl PartitionLoad {
     /// Counts one routed copy.
     pub(crate) fn add(&mut self, key_bytes: u64, value_bytes: u64) {
-        self.records += 1;
-        self.value_bytes += value_bytes;
-        self.total_bytes += key_bytes + value_bytes;
+        self.merge(&PartitionLoad {
+            records: 1,
+            value_bytes,
+            total_bytes: key_bytes.saturating_add(value_bytes),
+        });
     }
 
     /// Folds in another share of the same partition's load.
     pub(crate) fn merge(&mut self, other: &PartitionLoad) {
-        self.records += other.records;
-        self.value_bytes += other.value_bytes;
-        self.total_bytes += other.total_bytes;
+        self.records = self.records.saturating_add(other.records);
+        self.value_bytes = self.value_bytes.saturating_add(other.value_bytes);
+        self.total_bytes = self.total_bytes.saturating_add(other.total_bytes);
     }
+}
+
+/// Ships one routed record to each target in `shipped`, in order: a clone
+/// for every target but the last, which takes the record itself. A record
+/// bound for one partition is thus moved end to end, and the only copies
+/// made are the replication the router asked for.
+pub(crate) fn fan_out<K: Clone, V: Clone>(
+    key: K,
+    value: V,
+    shipped: impl Iterator<Item = usize>,
+    mut ship: impl FnMut(usize, K, V),
+) {
+    let mut shipped = shipped.peekable();
+    while let Some(target) = shipped.next() {
+        if shipped.peek().is_none() {
+            ship(target, key, value);
+            return;
+        }
+        ship(target, key.clone(), value.clone());
+    }
+}
+
+/// The index ranges of the runs of equal keys in `keys`, in order. With
+/// `keys` sorted, each run holds every copy of one key.
+fn key_runs<K: Eq>(keys: &[K]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let first = keys.get(start)?;
+        let len = keys[start..].iter().take_while(|&key| key == first).count();
+        start += len;
+        Some(start - len..start)
+    })
 }
 
 /// The map side's deterministic accounting, complete at the map barrier:
@@ -275,7 +312,10 @@ where
 
         let mut metrics = JobMetrics {
             inputs: inputs.len(),
-            input_bytes: inputs.iter().map(ByteSized::size_bytes).sum(),
+            input_bytes: inputs
+                .iter()
+                .map(ByteSized::size_bytes)
+                .fold(0, u64::saturating_add),
             reducers: self.n_reducers,
             capacity: match self.capacity {
                 CapacityPolicy::Unlimited => None,
@@ -442,10 +482,11 @@ where
                 let value_bytes = value.size_bytes();
                 for &t in &targets {
                     summary.loads[t].add(key_bytes, value_bytes);
-                    if !served[t] {
-                        partitions[t].push((key.clone(), value.clone()));
-                    }
                 }
+                let shipped = targets.iter().copied().filter(|&t| !served[t]);
+                fan_out(key, value, shipped, |t, key, value| {
+                    partitions[t].push((key, value));
+                });
             }
         }
         if let Some(session) = ckpt {
@@ -491,8 +532,8 @@ where
             TaskVerdict::Run { retries } => {
                 part.retries = u64::from(retries);
                 match records() {
-                    Ok(mut records) => {
-                        part.distinct_keys = self.reduce_partition(&mut records, &mut part.outputs);
+                    Ok(records) => {
+                        part.distinct_keys = self.reduce_partition(records, &mut part.outputs);
                         fresh = true;
                     }
                     Err(error) => part.failed = Some(error),
@@ -602,8 +643,12 @@ where
         metrics: &mut JobMetrics,
     ) -> Result<(), SimError> {
         metrics.records_emitted = summary.records_emitted;
-        metrics.records_shuffled = summary.loads.iter().map(|l| l.records).sum();
-        metrics.bytes_shuffled = summary.loads.iter().map(|l| l.total_bytes).sum();
+        let mut shuffled = PartitionLoad::default();
+        for load in &summary.loads {
+            shuffled.merge(load);
+        }
+        metrics.records_shuffled = shuffled.records;
+        metrics.bytes_shuffled = shuffled.total_bytes;
         metrics.faults.map_retries = summary.map_retries;
         metrics.reducer_value_bytes = summary.loads.iter().map(|l| l.value_bytes).collect();
         match self.capacity {
@@ -634,30 +679,22 @@ where
 
     /// Reduces one partition: group by key (stable sort keeps same-key
     /// values in arrival order, so reduce() sees a deterministic value
-    /// list). Returns the number of distinct keys reduced — callers fold
-    /// it into their metrics, which lets the pipelined engine call this
-    /// from consumer threads without sharing a `JobMetrics`.
+    /// list), then split the keys from the values, so each key's values
+    /// are a borrowed slice and no record is cloned. Returns the number
+    /// of distinct keys reduced — callers fold it into their metrics,
+    /// which lets the pipelined engine call this from consumer threads
+    /// without sharing a `JobMetrics`.
     pub(crate) fn reduce_partition(
         &self,
-        partition: &mut [(M::Key, M::Value)],
+        mut partition: Vec<(M::Key, M::Value)>,
         outputs: &mut Vec<R::Out>,
     ) -> u64 {
         partition.sort_by(|a, b| a.0.cmp(&b.0));
+        let (keys, values): (Vec<M::Key>, Vec<M::Value>) = partition.into_iter().unzip();
         let mut distinct_keys = 0;
-        let mut start = 0;
-        while start < partition.len() {
-            let mut end = start + 1;
-            while end < partition.len() && partition[end].0 == partition[start].0 {
-                end += 1;
-            }
+        for run in key_runs(&keys) {
             distinct_keys += 1;
-            let key = partition[start].0.clone();
-            let values: Vec<M::Value> = partition[start..end]
-                .iter()
-                .map(|kv| kv.1.clone())
-                .collect();
-            self.reducer.reduce(&key, &values, outputs);
-            start = end;
+            self.reducer.reduce(&keys[run.start], &values[run], outputs);
         }
         distinct_keys
     }
@@ -724,45 +761,50 @@ where
 
     /// One map task: emit, then apply the optional map-side combiner per
     /// key. Grouping is by stable sort, so combined value lists preserve
-    /// emission order and the result is deterministic.
+    /// emission order and the result is deterministic. The keys are split
+    /// from the values, so the combiner borrows each key's values as a
+    /// slice; then every pair, or a key's combined value, is moved into
+    /// the output once.
     pub(crate) fn map_one(&self, input: &M::In) -> MapOutput<M> {
         let mut emitter = Emitter::new();
         self.mapper.map(input, &mut emitter);
         let mut pairs = emitter.into_pairs();
-        if pairs.len() < 2 {
-            return pairs;
-        }
         // Group this task's emissions by key (stable: same-key values keep
         // emission order, so reducers observe identical value lists whether
         // or not a combiner is configured).
         pairs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut combined: MapOutput<M> = Vec::with_capacity(pairs.len());
-        let mut start = 0;
-        let mut any_combined = false;
-        while start < pairs.len() {
-            let mut end = start + 1;
-            while end < pairs.len() && pairs[end].0 == pairs[start].0 {
-                end += 1;
-            }
-            let key = &pairs[start].0;
-            if end - start >= 2 {
-                let values: Vec<M::Value> =
-                    pairs[start..end].iter().map(|kv| kv.1.clone()).collect();
-                if let Some(v) = self.mapper.combine(key, &values) {
-                    combined.push((key.clone(), v));
-                    any_combined = true;
-                    start = end;
-                    continue;
+        // The combiner only sees keys emitted at least twice: with no
+        // repeated key, the sorted pairs are the output.
+        if !pairs.windows(2).any(|w| w[0].0 == w[1].0) {
+            return pairs;
+        }
+        let (keys, values): (Vec<M::Key>, Vec<M::Value>) = pairs.into_iter().unzip();
+        let verdicts: Vec<(usize, Option<M::Value>)> = key_runs(&keys)
+            .map(|run| {
+                let merged = if run.len() >= 2 {
+                    self.mapper.combine(&keys[run.start], &values[run.clone()])
+                } else {
+                    None
+                };
+                (run.len(), merged)
+            })
+            .collect();
+        let mut combined: MapOutput<M> = Vec::with_capacity(keys.len());
+        let (mut keys, mut values) = (keys.into_iter(), values.into_iter());
+        for (len, merged) in verdicts {
+            let mut run_keys = keys.by_ref().take(len);
+            let run_values = values.by_ref().take(len);
+            match merged {
+                Some(value) => {
+                    let key = run_keys.next().expect("a run holds at least one key");
+                    combined.push((key, value));
+                    run_keys.for_each(drop);
+                    run_values.for_each(drop);
                 }
+                None => combined.extend(run_keys.zip(run_values)),
             }
-            combined.extend(pairs[start..end].iter().cloned());
-            start = end;
         }
-        if any_combined {
-            combined
-        } else {
-            pairs
-        }
+        combined
     }
 }
 
@@ -1142,6 +1184,41 @@ mod combiner_tests {
             with.metrics.records_shuffled, 6,
             "a in 3 tasks + b in 2 tasks + c in 1 task = 6 combined records"
         );
+    }
+
+    /// A combiner may merge some keys of a task and keep others: each
+    /// key's run comes out in key order, either as its one combined value
+    /// or as every pair in emission order.
+    #[test]
+    fn combiner_verdicts_mix_within_one_task() {
+        struct Selective;
+        impl Mapper for Selective {
+            type In = String;
+            type Key = String;
+            type Value = u64;
+            fn map(&self, line: &String, emit: &mut Emitter<String, u64>) {
+                for (position, word) in line.split_whitespace().enumerate() {
+                    emit.emit(word.to_string(), position as u64);
+                }
+            }
+            fn combine(&self, key: &String, values: &[u64]) -> Option<u64> {
+                (key != "b").then(|| values.iter().sum())
+            }
+        }
+        let job = Job::new(
+            Selective,
+            SumReducer,
+            HashRouter::new(),
+            2,
+            ClusterConfig::default(),
+        );
+        let pairs = job.map_one(&"b a c b a b d".to_string());
+        let expected = [("a", 5), ("b", 0), ("b", 3), ("b", 5), ("c", 2), ("d", 6)];
+        let expected: Vec<(String, u64)> = expected
+            .iter()
+            .map(|&(key, value)| (key.to_string(), value))
+            .collect();
+        assert_eq!(pairs, expected);
     }
 
     #[test]

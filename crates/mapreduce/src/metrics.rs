@@ -238,7 +238,8 @@ impl JobMetrics {
 
     /// Load imbalance: max reducer load over mean nonzero load (1.0 when
     /// perfectly balanced; large under skew). Returns 1.0 if no reducer
-    /// received data.
+    /// received data. The loads are summed in `u128`, so loads whose sum
+    /// exceeds `u64::MAX` still average correctly.
     pub fn load_imbalance(&self) -> f64 {
         let nonzero: Vec<u64> = self
             .reducer_value_bytes
@@ -249,7 +250,8 @@ impl JobMetrics {
         if nonzero.is_empty() {
             return 1.0;
         }
-        let mean = nonzero.iter().sum::<u64>() as f64 / nonzero.len() as f64;
+        let total: u128 = nonzero.iter().map(|&b| u128::from(b)).sum();
+        let mean = total as f64 / nonzero.len() as f64;
         self.max_reducer_load() as f64 / mean
     }
 }

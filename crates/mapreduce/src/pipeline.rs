@@ -131,7 +131,7 @@ use crate::checkpoint::CheckpointSession;
 use crate::cluster::{FaultStage, FinalizeMode};
 use crate::error::SimError;
 use crate::job::{
-    DlqEntry, FinalizedPartition, Job, MapSummary, PartitionLoad, Reduced, TaskVerdict,
+    fan_out, DlqEntry, FinalizedPartition, Job, MapSummary, PartitionLoad, Reduced, TaskVerdict,
 };
 use crate::metrics::{JobMetrics, PipelineMetrics};
 use crate::record::ByteSized;
@@ -357,9 +357,15 @@ impl<M: Mapper> PartitionBuffer<M> {
     }
 
     /// Key + value bytes buffered here, resident or spilled — the LPT
-    /// priority of the partition's finalize.
+    /// priority of the partition's finalize. Saturates like every byte
+    /// counter of the engine.
     fn bytes(&self) -> u64 {
-        self.run_bytes.iter().sum::<u64>() + self.spilled.iter().map(|run| run.bytes).sum::<u64>()
+        let spilled = self.spilled.iter().map(|run| run.bytes);
+        self.run_bytes
+            .iter()
+            .copied()
+            .chain(spilled)
+            .fold(0, u64::saturating_add)
     }
 }
 
@@ -702,7 +708,7 @@ where
             finalize_end = finalize_end.max(group.finalize_end);
             finalize_group_seconds.push((group.finalize_end - group.finalize_start).max(0.0));
             spilled_runs += group.spilled_runs;
-            spilled_bytes += group.spilled_bytes;
+            spilled_bytes = spilled_bytes.saturating_add(group.spilled_bytes);
             peak_buffered_bytes = peak_buffered_bytes.max(group.peak_buffered);
             merge_fanin = merge_fanin.max(group.merge_fanin);
             for part in group.finalized {
@@ -822,14 +828,11 @@ where
                     let value_bytes = value.size_bytes();
                     for &t in &targets {
                         worker.loads[t].add(key_bytes, value_bytes);
-                        if !worker.served[t] {
-                            per_group_records[t / worker.per_group].push((
-                                t,
-                                key.clone(),
-                                value.clone(),
-                            ));
-                        }
                     }
+                    let shipped = targets.iter().copied().filter(|&t| !worker.served[t]);
+                    fan_out(key, value, shipped, |t, key, value| {
+                        per_group_records[t / worker.per_group].push((t, key, value));
+                    });
                 }
                 // This task's *map* work (map + route) is finished; only
                 // the shuffle hand-off remains. Count it done before the
@@ -911,8 +914,9 @@ where
             .collect();
         let mut overlap_blocks = 0u64;
         // Out-of-core accounting: `buffered` is the group's resident run
-        // bytes (`ByteSized`, the budget's unit), enforced at block
-        // granularity so a `seq` is never split across runs. A spill
+        // bytes (`ByteSized`, the budget's unit, saturating like every
+        // byte counter), enforced at block granularity so a `seq` is
+        // never split across runs. A spill
         // failure records its `SpillIo` (lowest partition wins, like
         // every reduce-stage error) and falls back to unbounded buffering
         // so the pipeline still drains — the job is failing anyway.
@@ -931,8 +935,8 @@ where
             }
             let seq = block.seq;
             for (p, key, value) in block.records {
-                let bytes = key.size_bytes() + value.size_bytes();
-                buffered += bytes;
+                let bytes = key.size_bytes().saturating_add(value.size_bytes());
+                buffered = buffered.saturating_add(bytes);
                 // Incremental reassembly: mappers hand out tasks in
                 // increasing order, so most blocks extend the tail run in
                 // place; an out-of-order arrival opens a new run. The
@@ -952,7 +956,8 @@ where
                     .last_mut()
                     .expect("a tail run exists")
                     .push((seq, key, value));
-                *buf.run_bytes.last_mut().expect("a tail run exists") += bytes;
+                let run_bytes = buf.run_bytes.last_mut().expect("a tail run exists");
+                *run_bytes = run_bytes.saturating_add(bytes);
             }
             // Seal-and-spill: largest resident run first (fewest files
             // for the most relief), repeating until back under budget.
@@ -975,9 +980,9 @@ where
                     Some(Arc::clone(delete_errors)),
                 ) {
                     Ok(sealed) => {
-                        buffered -= bytes;
+                        buffered = buffered.saturating_sub(bytes);
                         spilled_runs += 1;
-                        spilled_bytes += bytes;
+                        spilled_bytes = spilled_bytes.saturating_add(bytes);
                         let buf = &mut parts[local];
                         buf.spilled.push(sealed);
                         // Plain `remove`, not `swap_remove`: the tail run

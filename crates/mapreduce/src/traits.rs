@@ -45,15 +45,19 @@ pub trait Mapper: Sync {
     /// folds input *content* into the job identity — equal sizes with
     /// different contents must not share a checkpoint session.
     type In: ByteSized + Hash + Sync;
-    /// Intermediate key. `Send` because the engines move records across
-    /// threads: map output to the shuffle, and a completed partition to
-    /// the consumer that finalizes it; [`SpillCodec`] because under a
+    /// Intermediate key. The engines move each record from emit to
+    /// reduce; `Clone` is used only to fan a record out to a router's
+    /// extra targets (the last target takes the record itself, so a
+    /// single-target route never clones). `Send` because the engines
+    /// move records across threads: map output to the shuffle, and a
+    /// completed partition to the consumer that finalizes it;
+    /// [`SpillCodec`] because under a
     /// [`memory_budget`](crate::ClusterConfig::memory_budget) the engine
     /// seals runs of `(key, value)` records to temp files and streams
     /// them back through the finalize merge.
     type Key: Ord + Hash + Clone + Send + ByteSized + SpillCodec;
-    /// Intermediate value. `Send + SpillCodec` for the same reasons as
-    /// the key.
+    /// Intermediate value. `Clone + Send + SpillCodec` for the same
+    /// reasons as the key: `Clone` only for a router's extra targets.
     type Value: Clone + Send + ByteSized + SpillCodec;
 
     /// Produces intermediate pairs for `input`.
@@ -67,9 +71,12 @@ pub trait Mapper: Sync {
     }
 
     /// Optional map-side **combiner**: called once per key on the pairs a
-    /// single map invocation emitted, before the shuffle. Returning
-    /// `Some(v)` replaces that key's values with the single combined `v`,
-    /// cutting communication; the default `None` disables combining.
+    /// single map invocation emitted, before the shuffle, for every key
+    /// emitted at least twice. `values` borrows the task's own values in
+    /// emission order; nothing is cloned to build it. Returning `Some(v)`
+    /// replaces that key's values with the single combined `v`, cutting
+    /// communication; the default `None` disables combining and ships the
+    /// values themselves.
     ///
     /// Only sound for reduce functions that are associative and
     /// commutative over their value lists (sums, mins, unions) — exactly

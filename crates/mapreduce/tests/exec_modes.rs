@@ -22,8 +22,9 @@
 
 use mrassign_core::{a2a, InputSet};
 use mrassign_simmr::{
-    ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, FaultPlan, FinalizeMode,
-    HashRouter, Job, JobOutput, Mapper, Reducer, Router, ShuffleMode, SimError, SpillCodec,
+    BroadcastRouter, ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, FaultPlan,
+    FinalizeMode, HashRouter, Job, JobOutput, Mapper, Reducer, Router, ShuffleMode, SimError,
+    SpillCodec,
 };
 use mrassign_workloads::SizeDistribution;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -423,6 +424,109 @@ fn boundary_schema_identical_across_the_matrix() {
             .run(&blobs)
         },
     );
+}
+
+/// Byte counters saturate at `u64::MAX` instead of wrapping, as the
+/// planner's cost model does. Four inputs of 2⁶² bytes at q = 2⁶³ are a
+/// valid A2A instance: every pair fits exactly, in 6 reducers of load
+/// 2⁶³. Its input bytes (2⁶⁴) and shuffled bytes (12 copies of 2⁶² + 8)
+/// overflow a `u64`. Both engines, spilling or not, report them saturated
+/// and bit-identical. A checkpointed rerun serves every partition from
+/// disk, but maps again: the map record's loads no longer sum in a `u64`,
+/// so it is rejected and counted.
+#[test]
+fn byte_counters_saturate_instead_of_wrapping() {
+    let q = 1u64 << 63;
+    let weights = vec![1u64 << 62; 4];
+    let schema = a2a::solve(
+        &InputSet::from_weights(weights.clone()),
+        q,
+        a2a::A2aAlgorithm::Auto,
+    )
+    .expect("every pair of 2^62-byte inputs fits at q = 2^63");
+    let n_reducers = schema.reducer_count();
+    assert_eq!(n_reducers, 6, "one reducer per pair");
+    let mut blobs: Vec<Blob> = weights
+        .iter()
+        .map(|&bytes| Blob {
+            bytes,
+            targets: Vec::new(),
+        })
+        .collect();
+    for (rid, r) in schema.reducers().iter().enumerate() {
+        for &id in r {
+            blobs[id as usize].targets.push(rid);
+        }
+    }
+    let run = |config: ClusterConfig| {
+        Job::new(Replicate, PairCount, DirectRouter, n_reducers, config)
+            .capacity(CapacityPolicy::Enforce(q))
+            .run(&blobs)
+            .unwrap()
+    };
+
+    let reference = run(cluster(ShuffleMode::Materialized, FinalizeMode::Static, 1));
+    let m = &reference.metrics;
+    assert_eq!(m.input_bytes, u64::MAX, "input bytes saturate");
+    assert_eq!(m.records_shuffled, 12);
+    assert_eq!(m.bytes_shuffled, u64::MAX, "shuffled bytes saturate");
+    assert_eq!(m.reducer_value_bytes, vec![q; n_reducers]);
+    assert_eq!(m.load_imbalance(), 1.0);
+    assert_eq!(
+        m.shuffle_seconds,
+        ClusterConfig::default().shuffle_seconds(u64::MAX)
+    );
+    for (mode, finalize) in CELLS {
+        for memory_budget in [None, Some(TIGHT_BUDGET)] {
+            if memory_budget.is_some() && mode != ShuffleMode::Pipelined {
+                continue;
+            }
+            let label = format!("{mode:?}/{finalize:?} × budget={memory_budget:?}");
+            let out = run(ClusterConfig {
+                memory_budget,
+                ..cluster(mode, finalize, 2)
+            });
+            assert_eq!(reference.outputs, out.outputs, "{label}: outputs");
+            assert_eq!(
+                reference.metrics.deterministic(),
+                out.metrics.deterministic(),
+                "{label}: deterministic metrics"
+            );
+            if memory_budget.is_some() {
+                assert_eq!(
+                    out.metrics.pipeline.spilled_bytes,
+                    u64::MAX,
+                    "{label}: spilled bytes saturate"
+                );
+            }
+        }
+    }
+
+    for (mode, finalize) in CELLS {
+        let label = format!("checkpointed {mode:?}/{finalize:?}");
+        let dir = ckpt_dir("saturated");
+        let config = ClusterConfig {
+            checkpoint_dir: Some(dir.clone()),
+            ..cluster(mode, finalize, 2)
+        };
+        let cold = run(config.clone());
+        let rerun = run(config);
+        for out in [&cold, &rerun] {
+            assert_eq!(reference.outputs, out.outputs, "{label}: outputs");
+            assert_eq!(
+                reference.metrics.deterministic(),
+                out.metrics.deterministic(),
+                "{label}: deterministic metrics"
+            );
+        }
+        let p = &rerun.metrics.pipeline;
+        assert_eq!(
+            (p.checkpoint_hits, p.checkpoint_misses, p.checkpoint_invalid),
+            (n_reducers as u64, 0, 1),
+            "{label}: every partition is served, and the map record is rejected"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
 
 /// Acceptance criterion in miniature: the pipelined runs in the matrix
@@ -1433,4 +1537,237 @@ fn startup_sweep_reclaims_dead_process_orphans() {
         "reclaimed orphans are counted"
     );
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+// ---------------------------------------------------------------------------
+// Record copies: the engines move every intermediate record from emit to
+// reduce. The only clones are the extra copies a router's replication asks
+// for, which is the communication cost the paper prices.
+// ---------------------------------------------------------------------------
+
+/// Clones of [`TrackedKey`]s and [`TrackedValue`]s in this process. Only
+/// `records_are_cloned_only_for_extra_targets` makes such records, and it
+/// runs its cells one after another, so no concurrent test moves these.
+static KEY_CLONES: AtomicU64 = AtomicU64::new(0);
+static VALUE_CLONES: AtomicU64 = AtomicU64::new(0);
+
+/// A key whose every clone is counted in [`KEY_CLONES`].
+#[derive(Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+struct TrackedKey(u64);
+
+impl Clone for TrackedKey {
+    fn clone(&self) -> Self {
+        KEY_CLONES.fetch_add(1, Ordering::Relaxed);
+        TrackedKey(self.0)
+    }
+}
+
+impl ByteSized for TrackedKey {
+    fn size_bytes(&self) -> u64 {
+        8
+    }
+}
+
+impl SpillCodec for TrackedKey {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+    fn decode(bytes: &mut &[u8]) -> Option<Self> {
+        u64::decode(bytes).map(TrackedKey)
+    }
+}
+
+/// A value whose every clone is counted in [`VALUE_CLONES`].
+struct TrackedValue(u64);
+
+impl Clone for TrackedValue {
+    fn clone(&self) -> Self {
+        VALUE_CLONES.fetch_add(1, Ordering::Relaxed);
+        TrackedValue(self.0)
+    }
+}
+
+impl ByteSized for TrackedValue {
+    fn size_bytes(&self) -> u64 {
+        8
+    }
+}
+
+impl SpillCodec for TrackedValue {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.0.encode(buf);
+    }
+    fn decode(bytes: &mut &[u8]) -> Option<Self> {
+        u64::decode(bytes).map(TrackedValue)
+    }
+}
+
+/// Eight pairs per input over three keys, so every map task groups
+/// repeated keys. Values are built, never cloned; with `combine` on, a
+/// key's values are summed into a new value.
+struct TrackedMapper {
+    combine: bool,
+}
+
+impl Mapper for TrackedMapper {
+    type In = u64;
+    type Key = TrackedKey;
+    type Value = TrackedValue;
+    fn map(&self, input: &u64, emit: &mut Emitter<TrackedKey, TrackedValue>) {
+        for j in 0..8 {
+            emit.emit(
+                TrackedKey((input + j % 3) % 23),
+                TrackedValue(input * 8 + j),
+            );
+        }
+    }
+    fn combine(&self, _key: &TrackedKey, values: &[TrackedValue]) -> Option<TrackedValue> {
+        self.combine
+            .then(|| TrackedValue(values.iter().map(|v| v.0).sum()))
+    }
+}
+
+/// Sums each key's values into a plain output, cloning nothing.
+struct TrackedSum;
+
+impl Reducer for TrackedSum {
+    type Key = TrackedKey;
+    type Value = TrackedValue;
+    type Out = (u64, u64);
+    fn reduce(&self, key: &TrackedKey, values: &[TrackedValue], out: &mut Vec<(u64, u64)>) {
+        out.push((key.0, values.iter().map(|v| v.0).sum()));
+    }
+}
+
+const TRACKED_INPUTS: u64 = 300;
+const TRACKED_PARTITIONS: usize = 4;
+
+fn tracked_job<Rt: Router<TrackedKey>>(
+    combine: bool,
+    router: Rt,
+    config: ClusterConfig,
+) -> Job<TrackedMapper, TrackedSum, Rt> {
+    Job::new(
+        TrackedMapper { combine },
+        TrackedSum,
+        router,
+        TRACKED_PARTITIONS,
+        config,
+    )
+}
+
+/// Key and value clones made since the last call.
+fn take_clones() -> [u64; 2] {
+    [
+        KEY_CLONES.swap(0, Ordering::Relaxed),
+        VALUE_CLONES.swap(0, Ordering::Relaxed),
+    ]
+}
+
+/// Clone-count guard over every engine cell: single-target routing clones
+/// no record, with or without a combiner, and `BroadcastRouter` over n
+/// reducers clones each record exactly n − 1 times, keys and values
+/// alike. A killed checkpointed run clones what it ships; its resume
+/// ships each record only to the one partition still missing, so it
+/// clones nothing.
+#[test]
+fn records_are_cloned_only_for_extra_targets() {
+    let inputs: Vec<u64> = (0..TRACKED_INPUTS).collect();
+    let emitted = TRACKED_INPUTS * 8;
+    let replicas = emitted * (TRACKED_PARTITIONS as u64 - 1);
+    let reference_config = cluster(ShuffleMode::Materialized, FinalizeMode::Static, 1);
+    let references = [
+        tracked_job(false, HashRouter::new(), reference_config.clone()).run(&inputs),
+        tracked_job(true, HashRouter::new(), reference_config.clone()).run(&inputs),
+    ];
+    let broadcast_reference = tracked_job(false, BroadcastRouter, reference_config).run(&inputs);
+
+    let mut cells = vec![(
+        "materialized".to_string(),
+        cluster(ShuffleMode::Materialized, FinalizeMode::Static, 2),
+    )];
+    for finalize in [FinalizeMode::Static, FinalizeMode::Stealing] {
+        for memory_budget in [None, Some(4096)] {
+            cells.push((
+                format!("pipelined/{finalize:?} × budget={memory_budget:?}"),
+                ClusterConfig {
+                    memory_budget,
+                    ..cluster(ShuffleMode::Pipelined, finalize, 2)
+                },
+            ));
+        }
+    }
+    for (label, config) in &cells {
+        for (combine, reference) in [false, true].into_iter().zip(&references) {
+            take_clones();
+            let out = tracked_job(combine, HashRouter::new(), config.clone()).run(&inputs);
+            let what = if combine {
+                "a combiner"
+            } else {
+                "single-target routing"
+            };
+            assert_eq!(take_clones(), [0, 0], "{label}: {what} clones no record");
+            assert_cell_matches(reference, out, &format!("{label}: {what}"));
+        }
+        take_clones();
+        let out = tracked_job(false, BroadcastRouter, config.clone())
+            .run(&inputs)
+            .unwrap();
+        assert_eq!(
+            take_clones(),
+            [replicas, replicas],
+            "{label}: broadcast clones each record once per extra reducer"
+        );
+        assert_eq!(out.metrics.records_emitted, emitted);
+        if config.memory_budget.is_some() {
+            assert!(
+                out.metrics.pipeline.spilled_runs > 0,
+                "{label}: the budget spills"
+            );
+        }
+        assert_cell_matches(
+            &broadcast_reference,
+            Ok(out),
+            &format!("{label}: broadcast"),
+        );
+    }
+
+    for mode in [ShuffleMode::Materialized, ShuffleMode::Pipelined] {
+        let label = format!("checkpointed {mode:?}");
+        let dir = ckpt_dir("clones");
+        let kill = ClusterConfig {
+            checkpoint_dir: Some(dir.clone()),
+            fault_plan: Some(FaultPlan {
+                kill_reduce_tasks: vec![TRACKED_PARTITIONS - 1],
+                ..FaultPlan::default()
+            }),
+            ..cluster(mode, FinalizeMode::Static, 1)
+        };
+        take_clones();
+        let killed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            tracked_job(false, BroadcastRouter, kill).run(&inputs)
+        }));
+        assert!(
+            killed.is_err(),
+            "{label}: the kill verdict must panic the run"
+        );
+        assert_eq!(
+            take_clones(),
+            [replicas, replicas],
+            "{label}: the killed run ships every copy"
+        );
+        let resume = ClusterConfig {
+            checkpoint_dir: Some(dir.clone()),
+            fault_plan: Some(FaultPlan::default()),
+            ..cluster(mode, FinalizeMode::Static, 2)
+        };
+        let resumed = tracked_job(false, BroadcastRouter, resume).run(&inputs);
+        assert_eq!(take_clones(), [0, 0], "{label}: the resume clones nothing");
+        let misses = resumed
+            .as_ref()
+            .map(|out| out.metrics.pipeline.checkpoint_misses);
+        assert_eq!(misses, Ok(1), "{label}: only the killed partition runs");
+        assert_cell_matches(&broadcast_reference, resumed, &format!("{label}: resume"));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }
