@@ -26,8 +26,8 @@
 use mrassign_binpack::FitPolicy;
 use mrassign_core::{x2y, X2yInstance};
 use mrassign_simmr::{
-    ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, Job, JobMetrics, Mapper,
-    Reducer, SpillCodec,
+    ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, HashRouter, Job, JobMetrics,
+    Mapper, Reducer, Router, SpillCodec,
 };
 use mrassign_workloads::RelationPair;
 
@@ -301,11 +301,11 @@ fn plan_hash(tagged: &[TaggedTuple], reducers: usize, q: u64) -> Result<Plan, Jo
     let routes = tagged
         .iter()
         .map(|t| {
+            let mut targets = Vec::new();
             if joinable.contains(&t.b) {
-                vec![fnv_bucket(t.b, n)]
-            } else {
-                Vec::new()
+                HashRouter::new().route(&t.b, n, &mut targets);
             }
+            targets
         })
         .collect();
     Ok((routes, n, 0, CapacityPolicy::Record(q)))
@@ -418,16 +418,6 @@ pub(crate) fn plan_from_per_key(
     }
 
     Ok((routes, next_reducer, heavy_keys, CapacityPolicy::Enforce(q)))
-}
-
-/// Same deterministic FNV bucketing the engine's `HashRouter` uses.
-fn fnv_bucket(key: u64, n: usize) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in key.to_le_bytes() {
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % n as u64) as usize
 }
 
 #[cfg(test)]

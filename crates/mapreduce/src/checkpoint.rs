@@ -65,6 +65,7 @@ use std::time::{Duration, Instant};
 
 use crate::cluster::{ClusterConfig, FaultStage};
 use crate::error::SimError;
+use crate::fnv::{fnv1a, fold_hash, Fnv1a};
 use crate::job::{CapacityPolicy, DlqEntry, MapSummary, PartitionLoad};
 use crate::metrics::PipelineMetrics;
 use crate::record::ByteSized;
@@ -84,44 +85,6 @@ const ENTRY_LEN: usize = 48;
 /// concurrent consumer threads (and concurrent tests in one process)
 /// never collide.
 static CKPT_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// FNV-1a over `bytes` — the same dependency-free 64-bit hash the rest
-/// of the crate-family uses where collision resistance is not the threat
-/// model (here: detecting torn writes and bit rot, not adversaries).
-/// Public so the DAG layer derives stage-store keys from the identical
-/// algorithm (a divergent hash would silently partition the cache).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Folds one 64-bit word into an FNV-1a chain: the primitive both the
-/// job fingerprint and the DAG stage keys are built from.
-pub fn fold_hash(h: u64, word: u64) -> u64 {
-    (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
-}
-
-/// FNV-1a as a [`std::hash::Hasher`], so input *content* (via `Hash`)
-/// folds into the job fingerprint. Std's `DefaultHasher` would work
-/// today but its algorithm is not guaranteed stable across releases,
-/// and a silent fingerprint shift orphans every existing checkpoint.
-struct FnvHasher(u64);
-
-impl Hasher for FnvHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// Deterministic identity of a job's *output-affecting* configuration
 /// plus its workload signature. Two runs with equal fingerprints produce
@@ -231,7 +194,7 @@ where
     for input in inputs {
         count += 1;
         h = fold_hash(h, input.size_bytes());
-        let mut content = FnvHasher(0xcbf2_9ce4_8422_2325);
+        let mut content = Fnv1a::default();
         input.hash(&mut content);
         h = fold_hash(h, content.finish());
     }
@@ -246,7 +209,7 @@ pub fn input_content_hash<'a, I>(inputs: impl Iterator<Item = &'a I>) -> u64
 where
     I: Hash + ByteSized + 'a,
 {
-    fold_inputs(0xcbf2_9ce4_8422_2325, inputs)
+    fold_inputs(Fnv1a::default().finish(), inputs)
 }
 
 /// One committed partition as the manifest records it.
@@ -417,10 +380,11 @@ impl MapSummary {
     }
 
     /// Decodes a record written by [`MapSummary::encode`] for a job of
-    /// `n_reducers` partitions. Rejects truncation, trailing bytes, a
-    /// partition count other than `n_reducers`, and loads whose sums
-    /// overflow `u64`. Counts are bounded by the bytes that remain before
-    /// anything is allocated for them.
+    /// `n_reducers` partitions. Rejects truncation, trailing bytes and a
+    /// partition count other than `n_reducers`. Counts are bounded by the
+    /// bytes that remain before anything is allocated for them. Loads are
+    /// taken as written: the engine saturates them at `u64::MAX`, and
+    /// their sums saturate too when the record is applied.
     pub(crate) fn decode(bytes: &[u8], n_reducers: usize) -> Result<MapSummary, String> {
         let mut cursor = bytes;
         let mut u64_field =
@@ -458,14 +422,10 @@ impl MapSummary {
             ));
         }
         let mut loads = Vec::with_capacity(n_reducers);
-        let mut sums = [0u64; 3];
         for _ in 0..n_reducers {
             let mut field = [0u64; 3];
-            for (value, sum) in field.iter_mut().zip(&mut sums) {
+            for value in &mut field {
                 *value = u64::decode(&mut cursor).ok_or_else(|| "load truncated".to_string())?;
-                *sum = sum
-                    .checked_add(*value)
-                    .ok_or_else(|| "partition loads overflow".to_string())?;
             }
             let [records, value_bytes, total_bytes] = field;
             loads.push(PartitionLoad {
@@ -1239,7 +1199,7 @@ mod tests {
         }
         assert!(MapSummary::decode(&bytes, 4).is_err(), "fewer reducers");
         assert!(MapSummary::decode(&bytes, 6).is_err(), "more reducers");
-        let overflowing = MapSummary {
+        let saturated = MapSummary {
             loads: vec![
                 PartitionLoad {
                     records: u64::MAX,
@@ -1252,9 +1212,10 @@ mod tests {
             ],
             ..record
         };
-        assert!(
-            MapSummary::decode(&overflowing.encode(), 2).is_err(),
-            "loads whose sum overflows"
+        assert_eq!(
+            MapSummary::decode(&saturated.encode(), 2),
+            Ok(saturated),
+            "saturated loads round-trip; their sums saturate when applied"
         );
     }
 

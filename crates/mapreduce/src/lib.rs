@@ -100,6 +100,7 @@
 mod checkpoint;
 mod cluster;
 mod error;
+mod fnv;
 mod job;
 mod metrics;
 pub mod pipeline;
@@ -109,11 +110,12 @@ pub mod sink;
 mod spill;
 mod traits;
 
-pub use checkpoint::{fnv1a, fold_hash, input_content_hash, job_semantic_hash};
+pub use checkpoint::{input_content_hash, job_semantic_hash};
 pub use cluster::{
     ClusterConfig, DlqMode, FaultPlan, FaultStage, FinalizeMode, Schedule, ShuffleMode, TaskCost,
 };
 pub use error::SimError;
+pub use fnv::{fnv1a, fold_hash};
 pub use job::{CapacityPolicy, DlqEntry, Job, JobOutput};
 pub use metrics::{FaultMetrics, JobMetrics, PipelineMetrics};
 pub use record::ByteSized;

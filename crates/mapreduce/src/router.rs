@@ -12,6 +12,8 @@
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 
+use crate::fnv::Fnv1a;
+
 /// Decides which reducer partition(s) receive a key.
 ///
 /// `route` appends targets to `targets` (cleared by the engine between
@@ -31,21 +33,6 @@ pub trait Router<K>: Sync {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct HashRouter;
 
-/// FNV-1a folding of a `std::hash` byte stream.
-struct Fnv(u64);
-
-impl Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
 impl HashRouter {
     /// Creates a hash router.
     pub fn new() -> Self {
@@ -53,7 +40,7 @@ impl HashRouter {
     }
 
     fn bucket<K: Hash>(&self, key: &K, n: usize) -> usize {
-        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut h = Fnv1a::default();
         key.hash(&mut h);
         (h.finish() % n as u64) as usize
     }

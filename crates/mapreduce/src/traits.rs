@@ -72,11 +72,12 @@ pub trait Mapper: Sync {
 
     /// Optional map-side **combiner**: called once per key on the pairs a
     /// single map invocation emitted, before the shuffle, for every key
-    /// emitted at least twice. `values` borrows the task's own values in
-    /// emission order; nothing is cloned to build it. Returning `Some(v)`
-    /// replaces that key's values with the single combined `v`, cutting
-    /// communication; the default `None` disables combining and ships the
-    /// values themselves.
+    /// emitted at least twice. The calls come in ascending key order, and
+    /// `key` is the first copy of the key the task emitted. `values`
+    /// borrows the task's own values in emission order; nothing is cloned
+    /// to build it. Returning `Some(v)` replaces that key's values with
+    /// the single combined `v`, cutting communication; the default `None`
+    /// disables combining and ships the values themselves.
     ///
     /// Only sound for reduce functions that are associative and
     /// commutative over their value lists (sums, mins, unions) — exactly

@@ -4,6 +4,8 @@
 //! subset — on four structurally different workloads:
 //!
 //! * **word count** — a combiner-bearing aggregation with heavy key reuse,
+//!   over short lines and a few long documents, so that map tasks are
+//!   grouped both by sort and by hash,
 //! * **skew join** — two tagged relations with zipf-ish key skew and
 //!   multi-target (replicated) routing,
 //! * **boundary schemas** — `SizeDistribution::Boundary` weights solved
@@ -195,9 +197,25 @@ fn word_lines() -> Vec<String> {
         .collect()
 }
 
+/// Word count's inputs for the suites that must reach both of the
+/// engine's grouping paths: [`word_lines`], whose tasks emit at most 11
+/// pairs and are grouped by a sort, then three long documents of 700 to
+/// 1,000 words, more than the 512 pairs from which a task's emissions are
+/// grouped by hash.
+fn wc_inputs() -> Vec<String> {
+    let mut lines = word_lines();
+    lines.extend((0..3u64).map(|d| {
+        let words: Vec<String> = (0..700 + 150 * d)
+            .map(|j| format!("w{}", (j * j + 13 * d) % 89 % 61))
+            .collect();
+        words.join(" ")
+    }));
+    lines
+}
+
 #[test]
 fn word_count_identical_across_the_matrix() {
-    let lines = word_lines();
+    let lines = wc_inputs();
     sweep_matrix(
         &[
             CapacityPolicy::Unlimited,
@@ -370,6 +388,18 @@ impl Mapper for Replicate {
     }
 }
 
+/// [`Replicate`] that counts its map calls in the shared counter.
+struct CountedReplicate(Arc<AtomicU64>);
+impl Mapper for CountedReplicate {
+    type In = Blob;
+    type Key = u64;
+    type Value = Payload;
+    fn map(&self, b: &Blob, emit: &mut Emitter<u64, Payload>) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+        Replicate.map(b, emit);
+    }
+}
+
 struct PairCount;
 impl Reducer for PairCount {
     type Key = u64;
@@ -431,9 +461,9 @@ fn boundary_schema_identical_across_the_matrix() {
 /// valid A2A instance: every pair fits exactly, in 6 reducers of load
 /// 2⁶³. Its input bytes (2⁶⁴) and shuffled bytes (12 copies of 2⁶² + 8)
 /// overflow a `u64`. Both engines, spilling or not, report them saturated
-/// and bit-identical. A checkpointed rerun serves every partition from
-/// disk, but maps again: the map record's loads no longer sum in a `u64`,
-/// so it is rejected and counted.
+/// and bit-identical. The map record keeps the saturated loads, so a
+/// checkpointed rerun replays the whole job from disk without running a
+/// map task.
 #[test]
 fn byte_counters_saturate_instead_of_wrapping() {
     let q = 1u64 << 63;
@@ -458,11 +488,18 @@ fn byte_counters_saturate_instead_of_wrapping() {
             blobs[id as usize].targets.push(rid);
         }
     }
+    let maps = Arc::new(AtomicU64::new(0));
     let run = |config: ClusterConfig| {
-        Job::new(Replicate, PairCount, DirectRouter, n_reducers, config)
-            .capacity(CapacityPolicy::Enforce(q))
-            .run(&blobs)
-            .unwrap()
+        Job::new(
+            CountedReplicate(Arc::clone(&maps)),
+            PairCount,
+            DirectRouter,
+            n_reducers,
+            config,
+        )
+        .capacity(CapacityPolicy::Enforce(q))
+        .run(&blobs)
+        .unwrap()
     };
 
     let reference = run(cluster(ShuffleMode::Materialized, FinalizeMode::Static, 1));
@@ -510,7 +547,13 @@ fn byte_counters_saturate_instead_of_wrapping() {
             ..cluster(mode, finalize, 2)
         };
         let cold = run(config.clone());
+        maps.store(0, Ordering::Relaxed);
         let rerun = run(config);
+        assert_eq!(
+            maps.load(Ordering::Relaxed),
+            0,
+            "{label}: a full replay runs no map task"
+        );
         for out in [&cold, &rerun] {
             assert_eq!(reference.outputs, out.outputs, "{label}: outputs");
             assert_eq!(
@@ -522,8 +565,8 @@ fn byte_counters_saturate_instead_of_wrapping() {
         let p = &rerun.metrics.pipeline;
         assert_eq!(
             (p.checkpoint_hits, p.checkpoint_misses, p.checkpoint_invalid),
-            (n_reducers as u64, 0, 1),
-            "{label}: every partition is served, and the map record is rejected"
+            (n_reducers as u64, 0, 0),
+            "{label}: every partition and the map record are served"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -648,7 +691,7 @@ fn faulted_cluster(
 
 #[test]
 fn word_count_survives_the_fault_sweep_bit_identically() {
-    let lines = word_lines();
+    let lines = wc_inputs();
     sweep_faulted(|mode, finalize, threads, plan| {
         Job::new(
             Tokenize,
@@ -783,7 +826,7 @@ fn assert_budgeted_cell<Out: PartialEq + std::fmt::Debug>(
 /// materialized reference in every cell, with real spill activity.
 #[test]
 fn word_count_budgeted_cells_spill_and_stay_bit_identical() {
-    let lines = word_lines();
+    let lines = wc_inputs();
     let reference = Job::new(
         Tokenize,
         Count,
@@ -1115,7 +1158,7 @@ fn job_dir(base: &std::path::Path) -> std::path::PathBuf {
 /// full replay does neither.
 #[test]
 fn checkpointed_rerun_is_bit_identical_across_the_matrix() {
-    let lines = word_lines();
+    let lines = wc_inputs();
     let reference = wc_job(cluster(ShuffleMode::Materialized, FinalizeMode::Static, 1))
         .run(&lines)
         .unwrap();
@@ -1603,8 +1646,10 @@ impl SpillCodec for TrackedValue {
 }
 
 /// Eight pairs per input over three keys, so every map task groups
-/// repeated keys. Values are built, never cloned; with `combine` on, a
-/// key's values are summed into a new value.
+/// repeated keys, except for input [`LONG_TASK`]: it emits
+/// [`LONG_TASK_PAIRS`] pairs over eleven keys, in runs of seven, enough
+/// for the engine to group them by hash. Values are built, never cloned;
+/// with `combine` on, a key's values are summed into a new value.
 struct TrackedMapper {
     combine: bool,
 }
@@ -1614,6 +1659,12 @@ impl Mapper for TrackedMapper {
     type Key = TrackedKey;
     type Value = TrackedValue;
     fn map(&self, input: &u64, emit: &mut Emitter<TrackedKey, TrackedValue>) {
+        if *input == LONG_TASK {
+            for j in 0..LONG_TASK_PAIRS {
+                emit.emit(TrackedKey(j / 7 % 11), TrackedValue(j));
+            }
+            return;
+        }
         for j in 0..8 {
             emit.emit(
                 TrackedKey((input + j % 3) % 23),
@@ -1641,6 +1692,9 @@ impl Reducer for TrackedSum {
 
 const TRACKED_INPUTS: u64 = 300;
 const TRACKED_PARTITIONS: usize = 4;
+/// The last input, the one long map task.
+const LONG_TASK: u64 = TRACKED_INPUTS - 1;
+const LONG_TASK_PAIRS: u64 = 600;
 
 fn tracked_job<Rt: Router<TrackedKey>>(
     combine: bool,
@@ -1669,11 +1723,12 @@ fn take_clones() -> [u64; 2] {
 /// reducers clones each record exactly n − 1 times, keys and values
 /// alike. A killed checkpointed run clones what it ships; its resume
 /// ships each record only to the one partition still missing, so it
-/// clones nothing.
+/// clones nothing. [`LONG_TASK`] puts the hash-grouping map path under
+/// the same count.
 #[test]
 fn records_are_cloned_only_for_extra_targets() {
     let inputs: Vec<u64> = (0..TRACKED_INPUTS).collect();
-    let emitted = TRACKED_INPUTS * 8;
+    let emitted = (TRACKED_INPUTS - 1) * 8 + LONG_TASK_PAIRS;
     let replicas = emitted * (TRACKED_PARTITIONS as u64 - 1);
     let reference_config = cluster(ShuffleMode::Materialized, FinalizeMode::Static, 1);
     let references = [
