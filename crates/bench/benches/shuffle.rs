@@ -4,10 +4,10 @@
 //! Two structurally different workloads (word count with a combiner, and
 //! a hot-reducer concatenation that funnels ~90% of all bytes into one
 //! partition), each at two sizes, each under an unbounded memory budget
-//! (never spills) and a tight one (spills every run to disk and finalizes
-//! via the external k-way merge). The unbounded/tight pairs bound the
-//! cost of going out of core; a regression in either the in-memory merge
-//! or the spill codec/reader shows up against the committed baseline via
+//! (never spills) and a tight one (spills partition buffers to disk and
+//! reads them back whole at finalize). The unbounded/tight pairs bound the
+//! cost of going out of core; a regression in either the finalize sort or
+//! the spill write/read path shows up against the committed baseline via
 //! `cargo xtask bench-check --bench shuffle`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -19,7 +19,7 @@ use std::path::{Path, PathBuf};
 
 /// Per-consumer-group budget small enough that both workloads overflow it
 /// at every benched size, so the `tight` points genuinely measure the
-/// spill write + external-merge path.
+/// spill write + read-back path.
 const TIGHT_BUDGET: u64 = 8 * 1024;
 
 /// Spill to tmpfs when the host has one. A tight budget churns one temp
@@ -116,8 +116,8 @@ impl Mapper for HotMapper {
     }
 }
 
-/// Order-sensitive concatenation: any merge drift would change the output,
-/// so the bench exercises the same path the differential suite pins.
+/// Order-sensitive concatenation: any reorder at finalize would change the
+/// output, so the bench exercises the same path the differential suite pins.
 struct HotConcat;
 impl Reducer for HotConcat {
     type Key = u64;

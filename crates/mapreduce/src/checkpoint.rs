@@ -796,7 +796,7 @@ fn pid_alive(pid: u32) -> bool {
 /// live-and-current. Files owned by *this* process are never touched.
 /// Returns the number of files reclaimed.
 ///
-/// This is the fix for the RAII gap: `SpillFile`'s delete-on-drop only
+/// This is the fix for the RAII gap: a spilled run's delete-on-drop only
 /// runs on in-process exits, so a killed worker leaked its temp files
 /// forever. The sweep runs at job start whenever a checkpoint dir is
 /// configured — exactly the setup in which kills are expected.

@@ -245,14 +245,14 @@ pub enum ShuffleMode {
     Materialized,
     /// Overlap the phases: mapper threads emit partition-tagged record
     /// blocks into bounded channels while per-reducer-group consumer
-    /// threads drain, account, and reassemble them concurrently — map,
-    /// shuffle accounting, and reduce-side merge genuinely overlap instead
-    /// of running as strict passes. Back-pressure via
-    /// [`ClusterConfig::pipeline_depth`] bounds in-flight blocks, and
-    /// [`ClusterConfig::memory_budget`] bounds buffered run bytes by
-    /// spilling to disk; determinism is preserved by sequence-numbered
-    /// block reassembly per reducer. See [`crate::pipeline`] for the
-    /// stage graph.
+    /// threads drain, account, and buffer them concurrently — map and
+    /// shuffle accounting genuinely overlap instead of running as strict
+    /// passes. Back-pressure via [`ClusterConfig::pipeline_depth`] bounds
+    /// in-flight blocks, and [`ClusterConfig::memory_budget`] bounds the
+    /// bytes buffered while draining by spilling to disk; determinism is
+    /// preserved by tagging every record with its map task and sorting
+    /// each partition by task at finalize. See [`crate::pipeline`] for
+    /// the stage graph.
     Pipelined,
 }
 
@@ -291,8 +291,8 @@ impl std::str::FromStr for ShuffleMode {
 }
 
 /// How the pipelined engine assigns partition finalization (the per
-/// partition run-merge + reduce) to consumer threads once the stage
-/// channels close.
+/// partition sort + reduce) to consumer threads once the stage channels
+/// close.
 ///
 /// Purely an execution-time choice: outputs and the deterministic metrics
 /// subset are bit-identical across modes (finalized partitions are slotted
@@ -384,18 +384,19 @@ pub struct ClusterConfig {
     /// to consumer threads for finalization. See [`FinalizeMode`].
     pub finalize_mode: FinalizeMode,
     /// [`ShuffleMode::Pipelined`]: out-of-core memory budget, in
-    /// [`ByteSized`](crate::ByteSized) bytes of buffered run data **per
-    /// consumer group** (total residency is therefore bounded by
-    /// `budget × consumer groups`). When a group's buffered runs exceed
-    /// the budget after a block lands, it seals and spills its largest
-    /// runs to length-prefixed temp files until back under budget, and
-    /// finalize streams the spilled runs through an external k-way merge.
-    /// `None` (the default) keeps every run in memory; `Some(0)` is
-    /// rejected by [`ClusterConfig::validate`]. Outputs are bit-identical
-    /// at any budget — only wall-clock and the spill counters in
-    /// [`crate::PipelineMetrics`] change. The budget is enforced at block
-    /// granularity (a block is never split across runs, which is what
-    /// keeps the merge deterministic), so a single oversized block may
+    /// [`ByteSized`](crate::ByteSized) bytes of buffered records **per
+    /// consumer group** while it drains (total drain residency is
+    /// therefore bounded by `budget × consumer groups`). When a group's
+    /// buffered records exceed the budget after a block lands, it seals
+    /// its largest partition buffers to temp files until back under
+    /// budget. Finalize reads a partition's spilled runs back whole, so it
+    /// holds one whole partition per consumer thread: the budget does not
+    /// bound that. `None` (the default) keeps every record in memory;
+    /// `Some(0)` is rejected by [`ClusterConfig::validate`]. Outputs are
+    /// bit-identical at any budget — only wall-clock and the spill
+    /// counters in [`crate::PipelineMetrics`] change. The budget is
+    /// enforced at block granularity (a map task's records for a partition
+    /// never span two spill files), so a single oversized block may
     /// transiently exceed it before being spilled whole.
     pub memory_budget: Option<u64>,
     /// Directory spill temp files are created in; `None` (the default)

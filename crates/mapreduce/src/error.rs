@@ -52,8 +52,8 @@ pub enum SimError {
         /// Total attempts made (the first run plus every retry).
         attempts: u32,
     },
-    /// Spilling a run to disk (or streaming it back during the finalize
-    /// merge) failed with an I/O or decode error while the job ran under
+    /// Spilling a partition buffer to disk (or reading it back at
+    /// finalize) failed with an I/O or decode error while the job ran under
     /// a [`crate::ClusterConfig::memory_budget`]. Keyed by the lowest
     /// affected reducer partition — the same precedence every other
     /// reduce-stage error follows — so the error is identical no matter

@@ -28,13 +28,14 @@
 //!   whose mapper and consumer stages run concurrently over bounded
 //!   channels, reporting how much map/shuffle/reduce overlap a run
 //!   achieved in [`PipelineMetrics`],
-//! * an out-of-core path for the pipelined shuffle — the way to bound
-//!   shuffle memory: under a validated
-//!   [`ClusterConfig::memory_budget`] each consumer group seals and
-//!   spills its largest sorted runs to length-prefixed temp files (see
-//!   [`SpillCodec`]) and finalize becomes an external k-way merge over
-//!   in-memory and on-disk runs — outputs stay bit-identical to the
-//!   unbounded run at any budget,
+//! * an out-of-core path for the pipelined shuffle: under a validated
+//!   [`ClusterConfig::memory_budget`] each consumer group bounds what it
+//!   holds while it drains by sealing its largest partition buffer to a
+//!   temp file in the checkpoint's partition framing (see
+//!   [`encode_partition`] and [`SpillCodec`]); finalize reads a
+//!   partition's runs back whole, so it holds one whole partition per
+//!   consumer thread, and outputs stay bit-identical to the unbounded
+//!   run at any budget,
 //! * a fault-tolerance layer: a seeded, deterministic [`FaultPlan`]
 //!   injects per-(stage, task, attempt) transient failures; per-task
 //!   retry budgets replay the deterministic tasks; and tasks that exhaust
@@ -121,5 +122,5 @@ pub use metrics::{FaultMetrics, JobMetrics, PipelineMetrics};
 pub use record::ByteSized;
 pub use router::{BroadcastRouter, DirectRouter, HashRouter, Router, TableRouter};
 pub use sink::{decode_partition, encode_partition, NullSink, PartitionSink};
-pub use spill::{SpillCodec, SpilledRun};
+pub use spill::SpillCodec;
 pub use traits::{Emitter, Mapper, Reducer};

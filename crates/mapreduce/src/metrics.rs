@@ -48,21 +48,21 @@ pub struct PipelineMetrics {
     pub finalize_imbalance: f64,
     /// Wall-clock span of the whole pipelined run.
     pub wall_seconds: f64,
-    /// Runs sealed and spilled to disk under
+    /// Partition buffers sealed and spilled to disk under
     /// [`ClusterConfig::memory_budget`](crate::ClusterConfig::memory_budget)
     /// (zero when unbudgeted or nothing exceeded the budget).
     pub spilled_runs: u64,
-    /// Total [`ByteSized`](crate::ByteSized) bytes of spilled run data —
+    /// Total [`ByteSized`](crate::ByteSized) bytes of spilled records —
     /// the budget's own accounting unit, not physical file bytes.
     pub spilled_bytes: u64,
-    /// Highest buffered run residency any single consumer group reached
-    /// *after* budget enforcement — always `≤ memory_budget` when one is
-    /// set (a block may transiently exceed the budget before being
-    /// spilled whole; this counter samples the steady state the group
-    /// settles back to).
+    /// Highest buffered residency any single consumer group reached while
+    /// draining, *after* budget enforcement — always `≤ memory_budget`
+    /// when one is set (a block may transiently exceed the budget before
+    /// being spilled whole; this counter samples the steady state the
+    /// group settles back to).
     pub peak_buffered_bytes: u64,
-    /// Largest number of runs (in-memory + spilled) any single
-    /// partition's finalize merged — the external merge's fan-in.
+    /// Most sources any single partition's finalize read: its spilled
+    /// runs, plus its resident buffer if that is nonempty.
     pub merge_fanin: u64,
     /// Nonempty reducer partitions served from a verified checkpoint an
     /// earlier run of the same job committed (see

@@ -21,23 +21,23 @@
 //!          │        │        ◄── back-pressure: a full channel blocks
 //!          ▼        ▼            the sender until the consumer drains
 //!   consumer 1 … consumer G               G = min(T, n_reducers)
-//!      │  incremental reassembly into seq-ordered runs (overlaps live
+//!      │  task-tagged records buffered per partition (overlaps live
 //!      │  map tasks — the pipelining)
 //!      │  … channels close when every mapper drops its senders …
-//!      │  finalize: k-way merge each partition's runs, group, reduce
+//!      │  finalize: one stable sort by task per partition, group, reduce
 //!      │  (static: own range only; stealing: shared LPT finalize queue)
 //!      ▼
 //!   per-partition outputs, slotted and concatenated in partition order
 //! ```
 //!
 //! **Overlap.** While mapper threads are still producing, consumer threads
-//! already drain blocks and reassemble partitions — the shuffle and the
-//! reduce-side merge overlap the map phase exactly the way a real
-//! MapReduce copy/merge phase shadows its mappers. `reduce()` itself must
-//! still wait for its partition to be complete (any map task may yet
-//! route a record anywhere — that barrier is inherent to correct
-//! MapReduce semantics), but it runs concurrently across consumer groups
-//! the moment the channels close.
+//! already drain blocks, account their bytes and buffer them per
+//! partition (spilling under a budget) — the shuffle overlaps the map
+//! phase the way a real MapReduce copy phase shadows its mappers.
+//! `reduce()` itself must still wait for its partition to be complete
+//! (any map task may yet route a record anywhere — that barrier is
+//! inherent to correct MapReduce semantics), but it runs concurrently
+//! across consumer groups the moment the channels close.
 //! [`PipelineMetrics`] reports how much overlap a run actually achieved.
 //!
 //! **Back-pressure.** Every channel buffers
@@ -48,27 +48,30 @@
 //! each channel counts at most `pipeline_depth` blocks sent and not yet
 //! taken in (its buffer plus the block its consumer just received), and
 //! the recorded `peak_inflight_blocks` is bounded by
-//! `pipeline_depth × consumer groups`. Buffered runs are bounded
-//! separately by [`ClusterConfig::memory_budget`], which spills them to
-//! disk.
+//! `pipeline_depth × consumer groups`. Buffered records are bounded
+//! separately by [`ClusterConfig::memory_budget`]: while a group drains,
+//! it seals its largest partition buffer to disk whenever its residency
+//! exceeds the budget. Finalize reads a partition's spilled runs back
+//! whole, so each consumer thread holds one whole partition while it
+//! sorts and reduces it — as a reducer in the paper's model receives
+//! every input its outputs need.
 //!
 //! **Determinism.** Mappers pull tasks dynamically, so blocks arrive at a
 //! consumer in arbitrary order — but every block carries the index of the
-//! map task that produced it, and each partition is kept as a list of
-//! **sequence-ordered runs** built incrementally while the blocks arrive:
-//! a block whose `seq` extends the tail run is appended in place, an
-//! inversion opens a new run. Since mappers hand out tasks in increasing
-//! order, arrivals are nearly sorted and the run count stays tiny; the
-//! finalize step then restores exact (task, emission) order with a k-way
-//! merge instead of one big sort — the sort work happens inside the
-//! overlap window the engine exists to create. Combined with commutative
-//! per-partition load accounting on the map side, the engine produces
-//! outputs and a deterministic metrics subset bit-identical to
+//! map task that produced it, and the consumer appends each record to its
+//! partition's buffer tagged with that index. A map task sends one block
+//! per group, so a task's records for one partition sit together in one
+//! buffer, in emission order. Finalize appends the partition's spilled
+//! runs to its resident buffer and restores exact (task, emission) order
+//! with one stable sort by task. Combined with commutative per-partition
+//! load accounting on the map side, the engine produces outputs and a
+//! deterministic metrics subset bit-identical to
 //! [`ShuffleMode::Materialized`], for every thread count, pipeline depth,
-//! and [`FinalizeMode`]; only [`PipelineMetrics`] varies run to run.
+//! budget and [`FinalizeMode`]; only [`PipelineMetrics`] varies run to
+//! run.
 //!
 //! **Finalize scheduling.** Once the channels close, each completed
-//! partition still needs its merge + reduce. Both modes wrap each one in
+//! partition still needs its sort + reduce. Both modes wrap each one in
 //! the same finalize item and run it through the same function; the mode
 //! only decides which thread takes an item. Under
 //! [`FinalizeMode::Static`] every consumer finalizes exactly the
@@ -120,8 +123,6 @@
 //! lowest task index / partition, matching the sequential pass. Every map
 //! task and every partition's finalize runs exactly once, on one thread.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -137,7 +138,7 @@ use crate::metrics::{JobMetrics, PipelineMetrics};
 use crate::record::ByteSized;
 use crate::router::Router;
 use crate::sink::PartitionSink;
-use crate::spill::{self, SpillCodec, SpillError, SpillReader, SpilledRun};
+use crate::spill::{self, SpillCodec, SpillError, SpilledRun};
 use crate::traits::{Mapper, Reducer};
 
 #[cfg(doc)]
@@ -306,7 +307,7 @@ impl<T> Drop for FinalizePublisherGuard<'_, T> {
 type Tagged<M> = (usize, <M as Mapper>::Key, <M as Mapper>::Value);
 
 /// A record tagged with the index of the map task that produced it
-/// (consumer side, awaiting sequence-ordered reassembly).
+/// (consumer side, awaiting the finalize sort).
 type Seqed<M> = (usize, <M as Mapper>::Key, <M as Mapper>::Value);
 
 /// One map task's records for one consumer group, tagged with the reducer
@@ -317,34 +318,25 @@ struct Block<K, V> {
     records: Vec<(usize, K, V)>,
 }
 
-/// A sequence-ordered run of one partition's records: `seq` never
-/// decreases within a run, and records sharing a `seq` sit contiguously
-/// in emission order (they came from the same block).
-type Run<M> = Vec<Seqed<M>>;
-
-/// One completed partition's drained runs, queued for a (possibly stolen)
+/// One completed partition's buffer, queued for a (possibly stolen)
 /// finalize. `owner` is the consumer group that drained it, which is what
-/// `stolen_partitions` is counted against. Under a memory budget some of
-/// the partition's runs live on disk: the item owns their [`SpilledRun`]s,
-/// so whichever thread finalizes it streams the temp files the owner
-/// sealed and deletes them when it is done.
+/// `stolen_partitions` is counted against. The buffer owns its
+/// [`SpilledRun`]s, so whichever thread finalizes it reads back the temp
+/// files the owner sealed, and they are deleted when it is done.
 struct FinalizeItem<M: Mapper> {
     partition: usize,
     owner: usize,
-    runs: Vec<Run<M>>,
-    spilled: Vec<SpilledRun>,
+    buffer: PartitionBuffer<M>,
 }
 
 /// One partition's buffered state while its consumer drains: the resident
-/// seq-ordered runs (with per-run `ByteSized` totals, the spill policy's
-/// ranking key) plus the runs already sealed to disk. Only resident runs
-/// grow; a spilled run is immutable — the next block for its partition
-/// simply opens (or extends) a resident run, and since every `seq` still
-/// lives in exactly one run, resident or spilled, the finalize merge stays
-/// a total order.
+/// task-tagged records in arrival order, their `ByteSized` total (the
+/// spill policy's ranking key), and the buffers already sealed to disk.
+/// Sealing moves the whole resident buffer to one file, after a whole
+/// block, so a task's records for the partition never span two sources.
 struct PartitionBuffer<M: Mapper> {
-    runs: Vec<Run<M>>,
-    run_bytes: Vec<u64>,
+    records: Vec<Seqed<M>>,
+    resident_bytes: u64,
     spilled: Vec<SpilledRun>,
 }
 
@@ -353,19 +345,17 @@ impl<M: Mapper> PartitionBuffer<M> {
     /// the checkpoint serves are never shipped, so such a partition stays
     /// empty here and is never finalized.
     fn is_empty(&self) -> bool {
-        self.runs.is_empty() && self.spilled.is_empty()
+        self.records.is_empty() && self.spilled.is_empty()
     }
 
     /// Key + value bytes buffered here, resident or spilled — the LPT
     /// priority of the partition's finalize. Saturates like every byte
     /// counter of the engine.
     fn bytes(&self) -> u64 {
-        let spilled = self.spilled.iter().map(|run| run.bytes);
-        self.run_bytes
+        self.spilled
             .iter()
-            .copied()
-            .chain(spilled)
-            .fold(0, u64::saturating_add)
+            .map(|run| run.bytes)
+            .fold(self.resident_bytes, u64::saturating_add)
     }
 }
 
@@ -384,72 +374,32 @@ struct GroupResult<Out> {
     /// Highest buffered residency this group reached after each block's
     /// budget enforcement (the per-group bound `memory_budget` states).
     peak_buffered: u64,
-    /// Most runs (in-memory + spilled) one of this thread's finalizes
-    /// merged — the external merge's fan-in.
+    /// Most sources (spilled runs, plus the resident buffer if nonempty)
+    /// one of this thread's finalizes read.
     merge_fanin: u64,
 }
 
-/// One run feeding the k-way merge: either resident records or a
-/// streaming reader over a spilled temp file. Disk sources yield the
-/// records the owner sealed, in the same seq order, so the merge cannot
-/// tell (and the output cannot reflect) where a run lived.
-enum RunSource<'a, K, V> {
-    Mem(std::vec::IntoIter<(usize, K, V)>),
-    Disk(SpillReader<'a, K, V>),
-}
-
-impl<K: SpillCodec, V: SpillCodec> RunSource<'_, K, V> {
-    fn next_record(&mut self) -> Result<Option<(usize, K, V)>, SpillError> {
-        match self {
-            RunSource::Mem(iter) => Ok(iter.next()),
-            RunSource::Disk(reader) => reader.next_record().transpose(),
-        }
-    }
-}
-
-/// K-way merges a partition's sequence-ordered runs back into exact
-/// (task, emission) arrival order — the order the materialized pass
-/// produces — and strips the sequence tags. Each `seq` lives in exactly
-/// one run (a map task emits one block per group), so a min-heap over the
-/// run heads is a total order and ties cannot occur across runs. Run
-/// heads stream from a mix of in-memory and on-disk runs — at most one
-/// resident record per spilled run — and a lone in-memory run needs no
-/// heap. Disk errors surface as values for the caller to lift into
-/// [`SimError::SpillIo`].
-fn merge_mixed<K: SpillCodec, V: SpillCodec>(
-    mut runs: Vec<Vec<(usize, K, V)>>,
-    spilled: &[SpilledRun],
+/// Restores a partition's arrival order — ascending map task, each
+/// task's records in emission order, the order the materialized pass
+/// produces — and strips the task tags. Each spilled run is read back
+/// whole and appended to the resident records, then dropped, which
+/// deletes its file; one stable sort by task then orders the lot. A
+/// task's records for the partition sit contiguously in one source, so
+/// the stable sort keeps their emission order. Disk and decode errors
+/// surface as values for the caller to lift into [`SimError::SpillIo`].
+fn restore_order<K: SpillCodec, V: SpillCodec>(
+    mut records: Vec<(usize, K, V)>,
+    spilled: Vec<SpilledRun>,
 ) -> Result<Vec<(K, V)>, SpillError> {
-    if spilled.is_empty() && runs.len() <= 1 {
-        let run = runs.pop().unwrap_or_default();
-        return Ok(run.into_iter().map(|(_, k, v)| (k, v)).collect());
-    }
-    let total: usize = runs.iter().map(Vec::len).sum::<usize>()
-        + spilled.iter().map(|s| s.records as usize).sum::<usize>();
-    let mut sources: Vec<RunSource<K, V>> = Vec::with_capacity(runs.len() + spilled.len());
-    sources.extend(runs.into_iter().map(|run| RunSource::Mem(run.into_iter())));
+    records.reserve(spilled.iter().map(|run| run.records as usize).sum());
     for run in spilled {
-        sources.push(RunSource::Disk(SpillReader::open(run)?));
+        records.append(&mut spill::read_run(&run)?);
     }
-    let mut heads: Vec<Option<(usize, K, V)>> = Vec::with_capacity(sources.len());
-    for source in &mut sources {
-        heads.push(source.next_record()?);
-    }
-    let mut heap: BinaryHeap<Reverse<(usize, usize)>> = heads
-        .iter()
-        .enumerate()
-        .filter_map(|(src, head)| head.as_ref().map(|&(seq, _, _)| Reverse((seq, src))))
-        .collect();
-    let mut merged: Vec<(K, V)> = Vec::with_capacity(total);
-    while let Some(Reverse((_, src))) = heap.pop() {
-        let (_, key, value) = heads[src].take().expect("heap entries have a live head");
-        merged.push((key, value));
-        heads[src] = sources[src].next_record()?;
-        if let Some(&(seq, _, _)) = heads[src].as_ref() {
-            heap.push(Reverse((seq, src)));
-        }
-    }
-    Ok(merged)
+    records.sort_by_key(|&(seq, _, _)| seq);
+    Ok(records
+        .into_iter()
+        .map(|(_, key, value)| (key, value))
+        .collect())
 }
 
 /// Shared mutable state of one pipelined run (everything the stages
@@ -596,8 +546,8 @@ where
         let finalize_queue: FinalizeQueue<FinalizeItem<M>> = FinalizeQueue::new(n_groups);
         let coord = Coordination::new(self.n_reducers, n_mappers);
         // Spill temp files report failed RAII deletes here; sampled into
-        // `PipelineMetrics::spill_delete_errors` once every run (and its
-        // readers) has dropped — which the scope join guarantees.
+        // `PipelineMetrics::spill_delete_errors` once every spilled run
+        // has dropped — which the scope join guarantees.
         let delete_errors = Arc::new(AtomicU64::new(0));
         let epoch = Instant::now();
 
@@ -877,10 +827,10 @@ where
     }
 
     /// One consumer worker: drain the group's channel (accounting bytes
-    /// and building seq-ordered runs per owned partition, concurrently
+    /// and buffering task-tagged records per owned partition, concurrently
     /// with live mappers), then — once every mapper is gone — finalize:
-    /// k-way merge each partition's runs and reduce it, either for the
-    /// owned range only ([`FinalizeMode::Static`]) or by stealing
+    /// sort each partition back into arrival order and reduce it, either
+    /// for the owned range only ([`FinalizeMode::Static`]) or by stealing
     /// completed partitions from the shared queue
     /// ([`FinalizeMode::Stealing`]).
     #[allow(clippy::too_many_arguments)]
@@ -907,16 +857,16 @@ where
         let n_local = hi - lo;
         let mut parts: Vec<PartitionBuffer<M>> = (0..n_local)
             .map(|_| PartitionBuffer {
-                runs: Vec::new(),
-                run_bytes: Vec::new(),
+                records: Vec::new(),
+                resident_bytes: 0,
                 spilled: Vec::new(),
             })
             .collect();
         let mut overlap_blocks = 0u64;
-        // Out-of-core accounting: `buffered` is the group's resident run
+        // Out-of-core accounting: `buffered` is the group's resident
         // bytes (`ByteSized`, the budget's unit, saturating like every
-        // byte counter), enforced at block granularity so a `seq` is
-        // never split across runs. A spill
+        // byte counter), enforced after each whole block so a task's
+        // records for a partition never span two sources. A spill
         // failure records its `SpillIo` (lowest partition wins, like
         // every reduce-stage error) and falls back to unbounded buffering
         // so the pipeline still drains — the job is failing anyway.
@@ -937,45 +887,28 @@ where
             for (p, key, value) in block.records {
                 let bytes = key.size_bytes().saturating_add(value.size_bytes());
                 buffered = buffered.saturating_add(bytes);
-                // Incremental reassembly: mappers hand out tasks in
-                // increasing order, so most blocks extend the tail run in
-                // place; an out-of-order arrival opens a new run. The
-                // sorting effort thus happens here, inside the overlap
-                // window, leaving only a k-way merge for finalize.
                 let buf = &mut parts[p - lo];
-                let extends_tail = buf
-                    .runs
-                    .last()
-                    .and_then(|run| run.last())
-                    .is_some_and(|&(tail, _, _)| tail <= seq);
-                if !extends_tail {
-                    buf.runs.push(Vec::new());
-                    buf.run_bytes.push(0);
-                }
-                buf.runs
-                    .last_mut()
-                    .expect("a tail run exists")
-                    .push((seq, key, value));
-                let run_bytes = buf.run_bytes.last_mut().expect("a tail run exists");
-                *run_bytes = run_bytes.saturating_add(bytes);
+                buf.resident_bytes = buf.resident_bytes.saturating_add(bytes);
+                buf.records.push((seq, key, value));
             }
-            // Seal-and-spill: largest resident run first (fewest files
-            // for the most relief), repeating until back under budget.
+            // Seal-and-spill: largest resident partition buffer first
+            // (fewest files for the most relief), repeating until back
+            // under budget.
             while !spill_failed && budget.is_some_and(|b| buffered > b) {
-                let mut largest: Option<(usize, usize, u64)> = None;
+                let mut largest = (0, 0);
                 for (local, buf) in parts.iter().enumerate() {
-                    for (idx, &bytes) in buf.run_bytes.iter().enumerate() {
-                        if largest.is_none_or(|(_, _, top)| bytes > top) {
-                            largest = Some((local, idx, bytes));
-                        }
+                    if buf.resident_bytes > largest.1 {
+                        largest = (local, buf.resident_bytes);
                     }
                 }
-                let Some((local, idx, bytes)) = largest.filter(|&(_, _, b)| b > 0) else {
+                let (local, bytes) = largest;
+                if bytes == 0 {
                     break;
-                };
+                }
+                let buf = &mut parts[local];
                 match spill::write_run(
                     &spill_dir,
-                    &parts[local].runs[idx],
+                    &buf.records,
                     bytes,
                     Some(Arc::clone(delete_errors)),
                 ) {
@@ -983,22 +916,12 @@ where
                         buffered = buffered.saturating_sub(bytes);
                         spilled_runs += 1;
                         spilled_bytes = spilled_bytes.saturating_add(bytes);
-                        let buf = &mut parts[local];
                         buf.spilled.push(sealed);
-                        // Plain `remove`, not `swap_remove`: the tail run
-                        // must stay last so later blocks keep extending it.
-                        buf.runs.remove(idx);
-                        buf.run_bytes.remove(idx);
+                        buf.records = Vec::new();
+                        buf.resident_bytes = 0;
                     }
                     Err(error) => {
-                        coord.record_reduce_error(
-                            lo + local,
-                            SimError::SpillIo {
-                                partition: lo + local,
-                                path: error.path,
-                                source: error.source,
-                            },
-                        );
+                        coord.record_reduce_error(lo + local, error.at(lo + local));
                         spill_failed = true;
                     }
                 }
@@ -1024,15 +947,13 @@ where
             .into_iter()
             .enumerate()
             .filter(|(_, buf)| clean && !buf.is_empty())
-            .map(|(local, buf)| {
-                let priority = buf.bytes();
+            .map(|(local, buffer)| {
                 let item = FinalizeItem {
                     partition: lo + local,
                     owner: group,
-                    runs: buf.runs,
-                    spilled: buf.spilled,
+                    buffer,
                 };
-                (priority, item)
+                (item.buffer.bytes(), item)
             })
             .collect();
         let mut finalize = |item: FinalizeItem<M>| {
@@ -1077,11 +998,12 @@ where
     }
 
     /// Finalizes one partition's item — the unit of work both finalize
-    /// modes schedule — through the shared [`Job::reduce_task`]: the k-way
-    /// merge of its in-memory and spilled runs supplies the records, so it
-    /// runs only when the task does. Returns the partition with its error
-    /// recorded, and the merge's fan-in (0 when nothing was merged). The
-    /// item's spilled runs drop, deleting their temp files, on return.
+    /// modes schedule — through the shared [`Job::reduce_task`]:
+    /// [`restore_order`] supplies the records from the resident buffer and
+    /// the spilled runs, so it runs only when the task does. Returns the
+    /// partition with its error recorded, and how many sources it read
+    /// (0 when the task did not run). Spilled runs the task did not read
+    /// drop, deleting their temp files, on return.
     fn finalize_item(
         &self,
         item: FinalizeItem<M>,
@@ -1089,22 +1011,15 @@ where
         ckpt: Option<&CheckpointSession<R::Out>>,
     ) -> (FinalizedPartition<R::Out>, u64) {
         let FinalizeItem {
-            partition,
-            runs,
-            spilled,
-            ..
+            partition, buffer, ..
         } = item;
         let mut fanin = 0;
         let part = self.reduce_task(partition, ckpt, || {
-            fanin = (runs.len() + spilled.len()) as u64;
-            // A disk or decode failure streaming a spilled run back is an
+            fanin = buffer.spilled.len() as u64 + u64::from(!buffer.records.is_empty());
+            // A disk or decode failure reading a spilled run back is an
             // infrastructure error, not a task fault: it bypasses the DLQ
             // and surfaces as the job error (lowest partition wins).
-            merge_mixed(runs, &spilled).map_err(|error| SimError::SpillIo {
-                partition,
-                path: error.path,
-                source: error.source,
-            })
+            restore_order(buffer.records, buffer.spilled).map_err(|error| error.at(partition))
         });
         if let Some(error) = part.failed.clone() {
             coord.record_reduce_error(partition, error);
@@ -1168,32 +1083,70 @@ mod tests {
         .unwrap()
     }
 
-    /// `merge_mixed` restores exact ascending-seq order over in-memory
-    /// runs (ties contiguous within a run, preserved stably) — the same
-    /// order a stable `sort_by_key(seq)` over the concatenation would
-    /// produce.
+    fn tagged(records: &[(usize, u64, &str)]) -> Vec<(usize, u64, String)> {
+        records
+            .iter()
+            .map(|&(seq, k, v)| (seq, k, v.to_string()))
+            .collect()
+    }
+
+    fn untagged(records: &[(u64, &str)]) -> Vec<(u64, String)> {
+        records.iter().map(|&(k, v)| (k, v.to_string())).collect()
+    }
+
+    /// `restore_order` returns ascending task order, each task's records
+    /// in emission order, whichever source held them and in whatever
+    /// order they arrived — and reads every spilled run back and deletes
+    /// it.
     #[test]
-    fn merge_mixed_restores_sequence_order() {
-        let run = |records: &[(usize, u64, &str)]| -> Vec<(usize, u64, String)> {
-            records
-                .iter()
-                .map(|&(seq, k, v)| (seq, k, v.to_string()))
-                .collect()
+    fn restore_order_sorts_by_task_whatever_the_arrival_order() {
+        let dir = std::env::temp_dir().join(format!(
+            "mrassign-restore-order-test-{}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("create test temp dir");
+        let spill = |records: &[(usize, u64, &str)]| {
+            spill::write_run(&dir, &tagged(records), 1, None).expect("spill writes")
         };
+        // Tasks arrive out of order within each source and across them;
+        // task 2 emitted three records here, keys unsorted, and the
+        // resident buffer holds tasks below every spilled run's.
+        let resident = tagged(&[
+            (7, 4, "d"),
+            (0, 1, "a"),
+            (2, 9, "b"),
+            (2, 3, "c"),
+            (2, 1, "x"),
+        ]);
         let runs = vec![
-            run(&[(0, 1, "a"), (2, 2, "b"), (2, 3, "c"), (7, 4, "d")]),
-            run(&[(1, 5, "e"), (5, 6, "f")]),
-            run(&[(3, 7, "g")]),
+            spill(&[(5, 6, "f"), (1, 5, "e")]),
+            spill(&[(3, 7, "g"), (6, 2, "h")]),
         ];
-        let mut expected: Vec<(usize, u64, String)> = runs.concat();
-        expected.sort_by_key(|&(seq, _, _)| seq);
-        let expected: Vec<(u64, String)> = expected.into_iter().map(|(_, k, v)| (k, v)).collect();
-        assert_eq!(merge_mixed(runs, &[]).unwrap(), expected);
-        assert_eq!(merge_mixed::<u64, String>(Vec::new(), &[]).unwrap(), vec![]);
+        let expected = untagged(&[
+            (1, "a"),
+            (5, "e"),
+            (9, "b"),
+            (3, "c"),
+            (1, "x"),
+            (7, "g"),
+            (6, "f"),
+            (2, "h"),
+            (4, "d"),
+        ]);
+        assert_eq!(restore_order(resident, runs).unwrap(), expected);
+        // A lone source, resident or spilled, and no source at all.
+        let lone = [(4, 9, "z"), (4, 7, "w"), (1, 8, "y")];
+        let expected = untagged(&[(8, "y"), (9, "z"), (7, "w")]);
+        assert_eq!(restore_order(tagged(&lone), Vec::new()).unwrap(), expected);
         assert_eq!(
-            merge_mixed(vec![run(&[(4, 9, "z")])], &[]).unwrap(),
-            vec![(9, "z".to_string())]
+            restore_order(Vec::new(), vec![spill(&lone)]).unwrap(),
+            expected
         );
+        assert_eq!(
+            restore_order::<u64, String>(Vec::new(), Vec::new()).unwrap(),
+            vec![]
+        );
+        std::fs::remove_dir(&dir).expect("no spill file outlives its run");
     }
 
     /// The finalize queue pops largest-priority first, blocks until the

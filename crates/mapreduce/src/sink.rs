@@ -16,7 +16,10 @@
 //! [`SpillCodec`] records. One format means a finalized partition is
 //! simultaneously stream-able (pushed over a channel to a downstream
 //! stage) and cache-persistable (written to a checkpoint or served from
-//! the DAG stage store) without re-encoding.
+//! the DAG stage store) without re-encoding. The same framing also frames
+//! the pipelined shuffle's spill runs: a sealed partition buffer is a
+//! partition of `(map task, key, value)` records with a distinct-key
+//! count of 0, read back through [`decode_partition`].
 //!
 //! ## Sink contract
 //!
@@ -59,7 +62,7 @@ impl<Out> PartitionSink<Out> for NullSink {
 /// `u32` length prefix plus its [`SpillCodec`] bytes.
 ///
 /// Errors only when a single record's encoding exceeds the `u32` length
-/// prefix — the same limit the spill and checkpoint layers enforce.
+/// prefix.
 pub fn encode_partition<Out: SpillCodec>(
     outputs: &[Out],
     distinct_keys: u64,

@@ -1,60 +1,50 @@
-//! Out-of-core run spilling for the pipelined shuffle.
+//! Out-of-core spilling for the pipelined shuffle, and the codec every
+//! spilled or checkpointed record is written with.
 //!
 //! When [`ClusterConfig::memory_budget`](crate::ClusterConfig::memory_budget)
-//! is set, a consumer group whose buffered run data exceeds the budget
-//! **seals** its largest sequence-ordered run and writes it to a temp file
-//! through this module; finalize later streams the run back record by
-//! record through the same k-way merge that handles in-memory runs. The
-//! run representation (records sorted by producing-task `seq`) is already
-//! an on-disk-ready unit: spilling changes *where* a run lives, never what
-//! it contains, which is what keeps `JobOutput` bit-identical across
-//! budget settings.
+//! is set, a consumer group whose buffered records exceed the budget
+//! **seals** its largest resident partition buffer and writes it to a temp
+//! file through this module. Finalize later reads each of the partition's
+//! spilled runs back whole, appends it to the records still resident, and
+//! restores arrival order with one stable sort by map task. Spilling thus
+//! changes *where* records wait, never what finalize hands the reducer,
+//! which is what keeps `JobOutput` bit-identical across budget settings.
 //!
-//! **File format.** Length-prefixed, little-endian throughout:
+//! **File format.** A spilled run is a partition of `(task, key, value)`
+//! records in the framing [`encode_partition`] writes for checkpoints,
+//! with the distinct-key count set to 0, and it is read back with
+//! [`decode_partition`]. Spill runs and checkpointed partitions thus share
+//! one framing and one hardened decoder.
 //!
-//! ```text
-//!   u64 record_count
-//!   repeat record_count times:
-//!     u32 record_len            // byte length of the payload below
-//!     u64 seq                   // producing map task index
-//!     <key bytes>  (SpillCodec)
-//!     <value bytes> (SpillCodec)
-//! ```
-//!
-//! The per-record length prefix lets the reader buffer exactly one record
-//! at a time — the external merge holds one head record per run, not the
-//! run itself.
-//!
-//! **Lifecycle.** A [`SpillFile`] deletes its temp file on drop, and each
-//! [`SpilledRun`] owns its file. The run moves with its partition to
-//! whichever consumer finalizes it; a reader borrows the run, so the
-//! borrow checker keeps the file alive while it is read. The file
-//! disappears when the run drops — on success, on error, and during a
-//! user-panic unwind alike (the engine's threads are scoped, so locals
-//! always drop).
+//! **Lifecycle.** A [`SpilledRun`] owns its temp file and deletes it on
+//! drop. The run moves with its partition to whichever consumer finalizes
+//! it, which drops it once it has been read back. The file disappears on
+//! success, on error, and during a user-panic unwind alike (the engine's
+//! threads are scoped, so locals always drop).
 
-use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
-use std::marker::PhantomData;
+use std::fs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::error::SimError;
+use crate::sink::{decode_partition, encode_partition};
 
 /// Serialization contract for spillable keys and values.
 ///
 /// Every [`Mapper::Key`](crate::Mapper::Key) and
 /// [`Mapper::Value`](crate::Mapper::Value) must encode itself into the
-/// spill file format and decode itself back, byte-identically — the
-/// out-of-core merge replays spilled records through the same reduce path
-/// as in-memory ones, so a lossy codec would silently corrupt outputs.
+/// spill file format and decode itself back, byte-identically — finalize
+/// replays spilled records through the same reduce path as resident ones,
+/// so a lossy codec would silently corrupt outputs.
 /// Implementations mirror the [`ByteSized`](crate::ByteSized) coverage:
 /// fixed-width little-endian integers, length-prefixed strings and byte
 /// slices, and structural impls for tuples, `Vec`, `Option`, and `Box`.
 ///
 /// `encode` appends to `buf`; `decode` consumes from the front of `bytes`
 /// (advancing the slice) and returns `None` on truncated or malformed
-/// input — the engine surfaces that as
-/// [`SimError::SpillIo`](crate::SimError::SpillIo) rather than panicking.
+/// input — the engine surfaces that as [`SimError::SpillIo`] rather than
+/// panicking.
 pub trait SpillCodec: Sized {
     /// Appends this value's encoding to `buf`.
     fn encode(&self, buf: &mut Vec<u8>);
@@ -228,68 +218,47 @@ impl<A: SpillCodec, B: SpillCodec, C: SpillCodec> SpillCodec for (A, B, C) {
     }
 }
 
-/// Owns one spill temp file and deletes it on drop — including
-/// mid-unwind, since the engine's scoped threads drop their locals before
-/// the panic propagates.
+/// One sealed, spilled partition buffer: the temp file it was written
+/// to, plus the accounting the engine tracked while it was resident. It
+/// owns the file and deletes it on drop — including mid-unwind, since the
+/// engine's scoped threads drop their locals before the panic propagates.
 #[derive(Debug)]
-pub struct SpillFile {
+pub(crate) struct SpilledRun {
     path: PathBuf,
     /// Shared tally of failed deletes, sampled into
     /// [`PipelineMetrics::spill_delete_errors`](crate::PipelineMetrics::spill_delete_errors)
     /// when the owning job wires one in (`None` for standalone holders).
     delete_errors: Option<Arc<AtomicU64>>,
+    /// Records in the run.
+    pub(crate) records: u64,
+    /// `ByteSized` bytes the run occupied while buffered (key + value per
+    /// record) — the unit [`crate::ClusterConfig::memory_budget`] is
+    /// stated in, *not* the physical file size.
+    pub(crate) bytes: u64,
 }
 
-impl SpillFile {
-    /// Takes ownership of `path`, deleting it on drop. Failed deletes are
-    /// counted into `delete_errors` when provided.
-    pub(crate) fn new(path: PathBuf, delete_errors: Option<Arc<AtomicU64>>) -> Self {
-        SpillFile {
-            path,
-            delete_errors,
+impl SpilledRun {
+    fn fail(&self, source: String) -> SpillError {
+        SpillError {
+            path: self.path.display().to_string(),
+            source,
         }
     }
-
-    /// The temp file's location (diagnostic; travels in
-    /// [`SimError::SpillIo`](crate::SimError::SpillIo)).
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
 }
 
-impl Drop for SpillFile {
+impl Drop for SpilledRun {
     fn drop(&mut self) {
         // Best effort: a vanished temp dir must not turn cleanup into a
         // second failure. But a *leak* must be observable — a delete that
         // fails for any reason other than the file already being gone is
         // tallied for PipelineMetrics::spill_delete_errors.
-        if let Err(error) = std::fs::remove_file(&self.path) {
+        if let Err(error) = fs::remove_file(&self.path) {
             if error.kind() != std::io::ErrorKind::NotFound {
                 if let Some(counter) = &self.delete_errors {
                     counter.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }
-    }
-}
-
-/// One sealed, spilled run: its temp file plus the accounting the engine
-/// tracked while the run was resident. Dropping the run deletes the file.
-#[derive(Debug)]
-pub struct SpilledRun {
-    file: SpillFile,
-    /// Records in the run.
-    pub records: u64,
-    /// `ByteSized` bytes the run occupied while buffered (key + value per
-    /// record) — the unit [`crate::ClusterConfig::memory_budget`] is
-    /// stated in, *not* the physical file size.
-    pub bytes: u64,
-}
-
-impl SpilledRun {
-    /// The backing temp file's location.
-    pub fn path(&self) -> &Path {
-        self.file.path()
     }
 }
 
@@ -304,19 +273,32 @@ pub(crate) fn resolve_dir(configured: Option<&Path>) -> PathBuf {
 }
 
 /// A spill write or read failure, pre-partition: the engine attaches the
-/// reducer partition when lifting this into
-/// [`SimError::SpillIo`](crate::SimError::SpillIo).
+/// reducer partition when lifting this into [`SimError::SpillIo`].
 #[derive(Debug)]
 pub(crate) struct SpillError {
     pub path: String,
     pub source: String,
 }
 
-/// Seals `run` into a fresh temp file under `dir`.
+impl SpillError {
+    /// The job error for this failure while spilling or reading back
+    /// `partition`.
+    pub(crate) fn at(self, partition: usize) -> SimError {
+        SimError::SpillIo {
+            partition,
+            path: self.path,
+            source: self.source,
+        }
+    }
+}
+
+/// Seals `run`, one partition's `(task, key, value)` records, into a
+/// fresh temp file under `dir`, framed by [`encode_partition`] with the
+/// distinct-key count set to 0.
 ///
-/// On any I/O error the partially written file is already owned by the
-/// returned-to-be [`SpillFile`] guard, so it is deleted before the error
-/// propagates; the caller keeps the in-memory run it still holds.
+/// The returned [`SpilledRun`] owns its path before a byte is written, so
+/// on any error a partially written file is deleted before the error
+/// propagates; the caller keeps the records it still holds.
 pub(crate) fn write_run<K: SpillCodec, V: SpillCodec>(
     dir: &Path,
     run: &[(usize, K, V)],
@@ -324,134 +306,39 @@ pub(crate) fn write_run<K: SpillCodec, V: SpillCodec>(
     delete_errors: Option<Arc<AtomicU64>>,
 ) -> Result<SpilledRun, SpillError> {
     let discriminator = SPILL_SEQ.fetch_add(1, Ordering::Relaxed);
-    let path = dir.join(format!(
-        "mrassign-spill-{}-{discriminator}.run",
-        std::process::id()
-    ));
-    let guard = SpillFile::new(path, delete_errors);
-    let fail = |source: std::io::Error| SpillError {
-        path: guard.path().display().to_string(),
-        source: source.to_string(),
-    };
-    let write = || -> std::io::Result<()> {
-        let mut writer = BufWriter::new(File::create(guard.path())?);
-        writer.write_all(&(run.len() as u64).to_le_bytes())?;
-        let mut record = Vec::new();
-        for (seq, key, value) in run {
-            record.clear();
-            (*seq as u64).encode(&mut record);
-            key.encode(&mut record);
-            value.encode(&mut record);
-            let len = u32::try_from(record.len()).map_err(|_| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    "spill record exceeds the u32 length prefix",
-                )
-            })?;
-            writer.write_all(&len.to_le_bytes())?;
-            writer.write_all(&record)?;
-        }
-        writer.flush()
-    };
-    write().map_err(fail)?;
-    Ok(SpilledRun {
-        file: guard,
+    let sealed = SpilledRun {
+        path: dir.join(format!(
+            "mrassign-spill-{}-{discriminator}.run",
+            std::process::id()
+        )),
+        delete_errors,
         records: run.len() as u64,
         bytes,
-    })
+    };
+    encode_partition(run, 0)
+        .and_then(|encoded| fs::write(&sealed.path, encoded).map_err(|e| e.to_string()))
+        .map_err(|source| sealed.fail(source))?;
+    Ok(sealed)
 }
 
-/// Streams one spilled run back in write order, one length-prefixed
-/// record per [`SpillReader::next_record`] call — the external merge
-/// keeps exactly one head record per run resident. It borrows the run,
-/// so the temp file outlives the read.
-pub(crate) struct SpillReader<'a, K, V> {
-    reader: BufReader<File>,
-    remaining: u64,
-    /// File bytes not yet read — the bound an untrusted record length is
-    /// checked against before any buffer grows to hold it.
-    unread: u64,
-    file: &'a SpillFile,
-    record: Vec<u8>,
-    _types: PhantomData<fn() -> (K, V)>,
-}
-
-impl<'a, K: SpillCodec, V: SpillCodec> SpillReader<'a, K, V> {
-    pub(crate) fn open(run: &'a SpilledRun) -> Result<Self, SpillError> {
-        let fail = |source: String| SpillError {
-            path: run.path().display().to_string(),
-            source,
-        };
-        let file = File::open(run.path()).map_err(|e| fail(e.to_string()))?;
-        let file_len = file
-            .metadata()
-            .map_err(|e| fail(format!("reading file size: {e}")))?
-            .len();
-        let mut reader = BufReader::new(file);
-        let mut header = [0u8; 8];
-        reader
-            .read_exact(&mut header)
-            .map_err(|e| fail(format!("reading record count: {e}")))?;
-        let remaining = u64::from_le_bytes(header);
-        if remaining != run.records {
-            return Err(fail(format!(
-                "header says {remaining} records but the run was sealed with {}",
-                run.records
-            )));
-        }
-        Ok(SpillReader {
-            reader,
-            remaining,
-            unread: file_len.saturating_sub(header.len() as u64),
-            file: &run.file,
-            record: Vec::new(),
-            _types: PhantomData,
-        })
+/// Reads a spilled run back whole, in the order it was sealed, through
+/// [`decode_partition`] — the decoder a committed checkpoint partition is
+/// read with — and checks it holds the records it was sealed with. A file
+/// that does not decode cleanly is an error naming the file, never a
+/// panic or an allocation sized by a count the bytes could not hold.
+pub(crate) fn read_run<K: SpillCodec, V: SpillCodec>(
+    run: &SpilledRun,
+) -> Result<Vec<(usize, K, V)>, SpillError> {
+    let bytes = fs::read(&run.path).map_err(|e| run.fail(e.to_string()))?;
+    let (records, _) = decode_partition::<(usize, K, V)>(&bytes).map_err(|e| run.fail(e))?;
+    if records.len() as u64 != run.records {
+        return Err(run.fail(format!(
+            "file holds {} records but the run was sealed with {}",
+            records.len(),
+            run.records
+        )));
     }
-
-    /// Reads the next `(seq, key, value)` record, or `None` at end of run.
-    pub(crate) fn next_record(&mut self) -> Option<Result<(usize, K, V), SpillError>> {
-        if self.remaining == 0 {
-            return None;
-        }
-        self.remaining -= 1;
-        Some(self.read_one())
-    }
-
-    fn read_one(&mut self) -> Result<(usize, K, V), SpillError> {
-        let fail = |source: String| SpillError {
-            path: self.file.path().display().to_string(),
-            source,
-        };
-        let mut len = [0u8; 4];
-        self.reader
-            .read_exact(&mut len)
-            .map_err(|e| fail(format!("reading record length: {e}")))?;
-        let len = u64::from(u32::from_le_bytes(len));
-        self.unread = self.unread.saturating_sub(4);
-        if len > self.unread {
-            return Err(fail(format!(
-                "record length {len} exceeds the {} bytes left in the run",
-                self.unread
-            )));
-        }
-        self.unread -= len;
-        self.record.resize(len as usize, 0);
-        self.reader
-            .read_exact(&mut self.record)
-            .map_err(|e| fail(format!("reading record body: {e}")))?;
-        let mut bytes = self.record.as_slice();
-        let decoded = (|| {
-            let seq = usize::decode(&mut bytes)?;
-            let key = K::decode(&mut bytes)?;
-            let value = V::decode(&mut bytes)?;
-            bytes.is_empty().then_some((seq, key, value))
-        })();
-        decoded.ok_or_else(|| SpillError {
-            path: self.file.path().display().to_string(),
-            source: "malformed spill record (truncated or trailing bytes)".to_string(),
-        })
-    }
+    Ok(records)
 }
 
 #[cfg(test)]
@@ -512,7 +399,7 @@ mod tests {
     }
 
     #[test]
-    fn write_then_stream_roundtrips_and_deletes_on_drop() {
+    fn write_then_read_roundtrips_and_deletes_on_drop() {
         let dir = unique_temp_dir("roundtrip");
         let run: Vec<(usize, u64, String)> = (0..100)
             .map(|i| (i, i as u64 * 3, format!("value-{i}")))
@@ -520,28 +407,19 @@ mod tests {
         let spilled = write_run(&dir, &run, 4_096, None).expect("spill writes");
         assert_eq!(spilled.records, 100);
         assert_eq!(spilled.bytes, 4_096);
-        assert!(spilled.path().exists());
+        assert!(spilled.path.exists());
 
-        let mut reader: SpillReader<u64, String> = SpillReader::open(&spilled).expect("opens");
-        let mut streamed = Vec::new();
-        while let Some(record) = reader.next_record() {
-            streamed.push(record.expect("clean read"));
-        }
-        assert_eq!(streamed, run);
+        // The file is a checkpoint-framed partition of tagged records
+        // with no distinct-key count.
+        let bytes = std::fs::read(&spilled.path).unwrap();
+        let framed = decode_partition::<(usize, u64, String)>(&bytes).expect("partition framing");
+        assert_eq!(framed, (run.clone(), 0));
 
-        // Two concurrent readers see independent cursors.
-        let mut a: SpillReader<u64, String> = SpillReader::open(&spilled).unwrap();
-        let mut b: SpillReader<u64, String> = SpillReader::open(&spilled).unwrap();
-        assert_eq!(a.next_record().unwrap().unwrap(), run[0]);
-        assert_eq!(b.next_record().unwrap().unwrap(), run[0]);
+        // Reading leaves the file in place, so a second read agrees.
+        assert_eq!(read_run::<u64, String>(&spilled).expect("clean read"), run);
+        assert_eq!(read_run::<u64, String>(&spilled).expect("reads again"), run);
 
-        // Readers borrow the run, so they drop first; then the run
-        // deletes its file.
-        let path = spilled.path().to_path_buf();
-        drop(reader);
-        drop(a);
-        drop(b);
-        assert!(path.exists(), "the run still owns its temp file");
+        let path = spilled.path.clone();
         drop(spilled);
         assert!(!path.exists(), "dropping the run deletes the temp file");
         std::fs::remove_dir(&dir).expect("test dir is empty again");
@@ -560,10 +438,9 @@ mod tests {
         assert!(!dir.exists(), "no partial file appears");
     }
 
-    /// Satellite: `SpillFile::drop` used to swallow delete errors silently.
-    /// A delete that fails (other than file-already-gone) must bump the
-    /// shared counter; a clean delete, or a file someone else already
-    /// removed, must not.
+    /// A leaked spill file must be observable: a delete that fails
+    /// (other than file-already-gone) bumps the shared counter; a clean
+    /// delete, or a file someone else already removed, does not.
     #[test]
     fn drop_counts_failed_deletes_but_not_vanished_files() {
         let dir = unique_temp_dir("delete-errors");
@@ -577,7 +454,7 @@ mod tests {
 
         // Already-gone file: NotFound is not a leak, so still no error.
         let spilled = write_run(&dir, &run, 16, Some(Arc::clone(&counter))).expect("spill writes");
-        std::fs::remove_file(spilled.path()).expect("steal the file out from under the guard");
+        std::fs::remove_file(&spilled.path).expect("steal the file out from under the guard");
         drop(spilled);
         assert_eq!(counter.load(Ordering::Relaxed), 0);
 
@@ -586,7 +463,12 @@ mod tests {
         let blocked = dir.join("blocked.run");
         std::fs::create_dir(&blocked).expect("create blocking dir");
         std::fs::write(blocked.join("occupant"), b"x").expect("occupy it");
-        drop(SpillFile::new(blocked.clone(), Some(Arc::clone(&counter))));
+        drop(SpilledRun {
+            path: blocked.clone(),
+            delete_errors: Some(Arc::clone(&counter)),
+            records: 0,
+            bytes: 0,
+        });
         assert_eq!(
             counter.load(Ordering::Relaxed),
             1,
@@ -598,26 +480,36 @@ mod tests {
         std::fs::remove_dir(&dir).expect("test dir is empty again");
     }
 
-    /// A hostile record length must be an error, not a 4 GiB buffer: the
-    /// reader bounds it by the bytes left in the file before growing its
-    /// record buffer.
-    #[test]
-    fn hostile_record_length_is_a_read_error() {
-        let dir = unique_temp_dir("hostile-len");
+    /// Spills a four-record run, lets `corrupt` rewrite the file's bytes,
+    /// and returns the error reading it back, which must name the file.
+    fn read_error_after(tag: &str, corrupt: impl FnOnce(&mut Vec<u8>)) -> SpillError {
+        let dir = unique_temp_dir(tag);
         let run: Vec<(usize, u64, u64)> = (0..4).map(|i| (i, i as u64, 0)).collect();
         let spilled = write_run(&dir, &run, 64, None).expect("spill writes");
-        let mut bytes = std::fs::read(spilled.path()).unwrap();
-        // The first record's length prefix follows the 8-byte count.
-        bytes[8..12].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
-        std::fs::write(spilled.path(), &bytes).unwrap();
-        let mut reader: SpillReader<u64, u64> = SpillReader::open(&spilled).expect("opens");
-        let Some(Err(err)) = reader.next_record() else {
-            panic!("an oversized length prefix must be a read error");
-        };
-        assert!(err.source.contains("exceeds"), "{}", err.source);
-        drop(reader);
+        let mut bytes = std::fs::read(&spilled.path).unwrap();
+        corrupt(&mut bytes);
+        std::fs::write(&spilled.path, &bytes).unwrap();
+        let err = read_run::<u64, u64>(&spilled).expect_err("a corrupt run must not read back");
+        assert_eq!(err.path, spilled.path.display().to_string());
         drop(spilled);
         std::fs::remove_dir(&dir).expect("test dir is empty again");
+        err
+    }
+
+    /// A hostile record length must be an error, not a 4 GiB buffer: the
+    /// decoder bounds it by the bytes left before taking the record.
+    #[test]
+    fn hostile_record_length_is_a_read_error() {
+        let err = read_error_after("hostile-len", |bytes| {
+            // The first record's length prefix follows the record and
+            // distinct-key counts.
+            bytes[16..20].copy_from_slice(&0xFFFF_FFFFu32.to_le_bytes());
+        });
+        assert!(
+            err.source.contains("record body truncated"),
+            "{}",
+            err.source
+        );
     }
 
     #[test]
@@ -625,12 +517,44 @@ mod tests {
         let dir = unique_temp_dir("corrupt");
         let run: Vec<(usize, u64, u64)> = (0..4).map(|i| (i, i as u64, 0)).collect();
         let mut spilled = write_run(&dir, &run, 64, None).expect("spill writes");
-        spilled.records += 1; // sealed count no longer matches the header
-        let Err(err) = SpillReader::<u64, u64>::open(&spilled) else {
+        spilled.records += 1; // sealed count no longer matches the file
+        let Err(err) = read_run::<u64, u64>(&spilled) else {
             panic!("mismatch must be detected");
         };
         assert!(err.source.contains("sealed with"), "{}", err.source);
+        assert_eq!(err.path, spilled.path.display().to_string());
         drop(spilled);
         std::fs::remove_dir(&dir).expect("test dir is empty again");
+    }
+
+    #[test]
+    fn truncated_run_is_a_read_error() {
+        let err = read_error_after("truncated", |bytes| {
+            bytes.pop();
+        });
+        assert!(err.source.contains("truncated"), "{}", err.source);
+    }
+
+    #[test]
+    fn trailing_bytes_are_a_read_error() {
+        let err = read_error_after("trailing", |bytes| bytes.push(0));
+        assert!(err.source.contains("trailing bytes"), "{}", err.source);
+    }
+
+    /// A record count the file's bytes could not hold is rejected before
+    /// anything is allocated for it: `u64::MAX` would panic with
+    /// "capacity overflow" and 2^32 would try to reserve 96 GiB.
+    #[test]
+    fn hostile_record_count_is_a_read_error_without_allocating() {
+        for count in [u64::MAX, 1 << 32] {
+            let err = read_error_after("hostile-count", |bytes| {
+                bytes[..8].copy_from_slice(&count.to_le_bytes());
+            });
+            assert!(
+                err.source.contains("record count"),
+                "{count}: {}",
+                err.source
+            );
+        }
     }
 }

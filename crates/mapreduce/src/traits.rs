@@ -53,8 +53,8 @@ pub trait Mapper: Sync {
     /// completed partition to the consumer that finalizes it;
     /// [`SpillCodec`] because under a
     /// [`memory_budget`](crate::ClusterConfig::memory_budget) the engine
-    /// seals runs of `(key, value)` records to temp files and streams
-    /// them back through the finalize merge.
+    /// seals partition buffers of `(key, value)` records to temp files
+    /// and reads them back at finalize.
     type Key: Ord + Hash + Clone + Send + ByteSized + SpillCodec;
     /// Intermediate value. `Clone + Send + SpillCodec` for the same
     /// reasons as the key: `Clone` only for a router's extra targets.
