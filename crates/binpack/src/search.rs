@@ -1,9 +1,10 @@
 //! Shared branch-and-bound search infrastructure: budgets, statistics, and
 //! a bounded memo (transposition) table.
 //!
-//! Three exact solvers in this workspace walk exponential trees —
-//! [`crate::exact::pack_exact`] here and the A2A/X2Y schema searches in
-//! `mrassign-core` — and all three need the same scaffolding:
+//! Two exact searches in this workspace walk exponential trees —
+//! [`crate::exact::pack_exact`] here and the pair-cover search behind the
+//! A2A and X2Y exact solvers in `mrassign-core` — and both need the same
+//! scaffolding:
 //!
 //! * [`SearchBudget`] caps the walk by **nodes** and optionally by **wall
 //!   time**, so NP-hard instances degrade into "best found so far" instead

@@ -54,7 +54,7 @@ pub enum A2aAlgorithm {
         /// Reuse the `(q − w_big)`-capacity bins as pairing groups.
         shared_bins: bool,
     },
-    /// The branch-and-bound exact solver ([`crate::exact::a2a_exact_with`])
+    /// The branch-and-bound exact solver ([`crate::exact::a2a_exact`])
     /// under the given [`SearchBudget`]. Returns the optimal schema when
     /// the search certifies within budget, the best heuristic schema
     /// otherwise; callers needing the certificate and
@@ -98,10 +98,7 @@ pub fn solve(
             policy,
             shared_bins,
         } => big_small(inputs, q, policy, shared_bins),
-        A2aAlgorithm::Exact(budget) => {
-            crate::exact::a2a_exact_with(inputs, q, budget, crate::exact::SearchOptions::default())
-                .map(|r| r.schema)
-        }
+        A2aAlgorithm::Exact(budget) => crate::exact::a2a_exact(inputs, q, budget).map(|r| r.schema),
     }
 }
 

@@ -29,13 +29,7 @@ impl BitSet {
         fresh
     }
 
-    /// Whether bit `idx` is set.
-    pub(crate) fn contains(&self, idx: usize) -> bool {
-        debug_assert!(idx < self.len);
-        self.words[idx / 64] & (1 << (idx % 64)) != 0
-    }
-
-    /// Clears bit `idx` (used by the exact solvers to undo coverage on
+    /// Clears bit `idx` (used by the exact search to undo coverage on
     /// backtrack).
     pub(crate) fn clear_bit(&mut self, idx: usize) {
         debug_assert!(idx < self.len);
@@ -69,7 +63,7 @@ impl BitSet {
 
     /// The packed words backing the set (trailing padding bits are zero
     /// whenever only in-range bits were inserted). Used as a memo key by
-    /// the exact searches.
+    /// the exact search.
     pub(crate) fn words(&self) -> &[u64] {
         &self.words
     }
@@ -84,8 +78,6 @@ mod tests {
         let mut s = BitSet::new(10);
         assert!(s.insert(3));
         assert!(!s.insert(3));
-        assert!(s.contains(3));
-        assert!(!s.contains(4));
         assert_eq!(s.count(), 1);
     }
 

@@ -19,9 +19,20 @@
 //!   pseudo-polynomial subset-sum DP here decides it exactly and returns a
 //!   witness schema, mirroring the NP-completeness reduction.
 //!
+//! # One search for both problems
+//!
+//! To the search, both problems are one: cover every *required pair* of
+//! inputs with the fewest reducers of capacity `q`. The required pairs are
+//! every pair for A2A and every X×Y pair for X2Y. [`a2a_exact`] and
+//! [`x2y_exact`] are adapters over a single branch-and-bound. Each supplies
+//! the weights, which pairs are required, and the most required pair
+//! weight a fresh reducer can cover (`q²/2` for A2A; `q²/4` for X2Y, since
+//! `s_x·s_y ≤ q²/4` when `s_x + s_y ≤ q`). Each maps the cover back to its
+//! schema type, and X2Y also seeds its lower bound with the two-reducer DP.
+//!
 //! # The search, and what prunes it
 //!
-//! The searches run **iterative deepening on the reducer count**: starting
+//! The search runs **iterative deepening on the reducer count**: starting
 //! from the instance lower bound, each target `z` is either refuted (no
 //! `z`-reducer schema exists) or answered with a cover — and because every
 //! smaller target was refuted first, the first cover found is provably
@@ -30,18 +41,18 @@
 //! inclusion-maximal reducer that could host it (any schema can be
 //! rewritten reducer-by-reducer into maximal form, so this loses nothing).
 //! Closed reducers never change, which makes the covered-pair bitmap the
-//! *entire* search state. On that skeleton ([`SearchOptions`] can disable
-//! each rule for ablation):
+//! *entire* search state. On that skeleton:
 //!
-//! * **Dominance / symmetry breaking** — inputs of equal weight and equal
-//!   coverage row are interchangeable (swapping them is an automorphism of
-//!   the state), so candidate reducers pick class members in canonical
-//!   prefix order and isomorphic reducers are enumerated once.
+//! * **Dominance / symmetry breaking** — inputs on the same side, of equal
+//!   weight and equal coverage row are interchangeable (swapping them is an
+//!   automorphism of the required pairs and of the state), so candidate
+//!   reducers pick class members in canonical prefix order and isomorphic
+//!   reducers are enumerated once.
 //! * **Completion lower bounds** — at every node, sound bounds on the
 //!   number of *additional* reducers are computed from the uncovered pair
-//!   weight (`⌈2U/q²⌉`), the forced per-input copies
-//!   (`⌈u_i/(q − w_i)⌉`), and the forced future communication; meeting the
-//!   deepening target kills the subtree.
+//!   weight (`⌈2U/q²⌉` for A2A, `⌈4U/q²⌉` for X2Y), the forced per-input
+//!   copies (`⌈u_i/(q − w_i)⌉`), and the forced future communication;
+//!   meeting the deepening target kills the subtree.
 //! * **Memoization** — a [`BoundedMemo`] keyed on the covered bitmap
 //!   collapses states reached along different branch orders (cleared
 //!   between deepening levels, since refutations under a tighter target
@@ -71,20 +82,20 @@ use crate::schema::{MappingSchema, X2yReducer, X2ySchema};
 use crate::solver::{AssignmentSolver, A2A_SOLVERS, X2Y_SOLVERS};
 use crate::{a2a, x2y};
 
-/// Entries the schema searches keep in their memo tables before
-/// segmented-LRU eviction starts (each entry is a short `Vec<u64>` of
-/// member bitmasks, so the table stays within tens of MB).
+/// Entries the search keeps in its memo table before segmented-LRU
+/// eviction starts (each entry is a short `Vec<u64>` of covered-pair
+/// words, so the table stays within tens of MB).
 const MEMO_CAPACITY: usize = 1 << 18;
 
 /// Largest capacity for which [`x2y_exact`] will run the pseudo-polynomial
 /// two-reducer DP to tighten its lower bound (the DP allocates `O(q)`).
 const TWO_REDUCER_DP_MAX_Q: Weight = 1 << 22;
 
-/// Largest per-input weight the searches accept: with `m ≤ 64` inputs of
-/// weight ≤ 2³², every pair-weight accumulator stays below 2⁷⁷ and the
-/// `u128` arithmetic in the completion bounds can never overflow (the
-/// bounds would silently go unsound if it wrapped). Heavier instances
-/// take the no-search fallback, exactly like `m > 64`.
+/// Largest per-input weight the search accepts: with at most 64 inputs per
+/// side of weight ≤ 2³², every pair-weight accumulator stays below 2⁷⁷ and
+/// the `u128` arithmetic in the completion bounds can never overflow (the
+/// bounds would silently go unsound if it wrapped). Heavier instances take
+/// the no-search fallback, exactly like a side of more than 64 inputs.
 const MAX_SEARCH_WEIGHT: Weight = u32::MAX as Weight;
 
 /// Hard cap on candidate-enumeration steps per node. Enumerating maximal
@@ -94,47 +105,6 @@ const MAX_SEARCH_WEIGHT: Weight = u32::MAX as Weight;
 /// Hitting the cap truncates the node (reported as exhaustion, never as a
 /// certificate). Typical nodes use a few hundred steps.
 const GEN_WORK_CAP: u64 = 4_000_000;
-
-/// Toggle switches for the search reductions — the pruned search is the
-/// default; [`SearchOptions::BASELINE`] reproduces the pre-pruning search
-/// for ablations and regression comparisons.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SearchOptions {
-    /// Enumerate interchangeable inputs (equal weight, equal coverage row)
-    /// in canonical prefix order, so isomorphic reducers are tried once.
-    pub dominance: bool,
-    /// Prune nodes whose completion lower bound meets the deepening target.
-    pub bound_pruning: bool,
-    /// Memoize fully-explored states keyed on the covered bitmap.
-    pub memo: bool,
-    /// Branch on the heaviest uncovered pair (the most capacity-
-    /// constrained) instead of the first in index order.
-    pub fail_first: bool,
-}
-
-impl SearchOptions {
-    /// Every reduction enabled (the default).
-    pub const PRUNED: SearchOptions = SearchOptions {
-        dominance: true,
-        bound_pruning: true,
-        memo: true,
-        fail_first: true,
-    };
-    /// The bare deepening skeleton with every extra reduction disabled —
-    /// the ablation baseline.
-    pub const BASELINE: SearchOptions = SearchOptions {
-        dominance: false,
-        bound_pruning: false,
-        memo: false,
-        fail_first: false,
-    };
-}
-
-impl Default for SearchOptions {
-    fn default() -> Self {
-        SearchOptions::PRUNED
-    }
-}
 
 /// Result of an exact search.
 #[derive(Debug, Clone)]
@@ -151,67 +121,231 @@ pub struct ExactSchema<S> {
     /// Time the search spent, including incumbent seeding.
     pub elapsed_us: u128,
 }
+
 // ---------------------------------------------------------------------------
-// A2A exact search
+// The pair-cover search
 // ---------------------------------------------------------------------------
 
-struct A2aSearch<'a> {
-    inputs: &'a InputSet,
+/// A reducer's members as the adapters read them: side-0 input `u` is bit
+/// `u` of word 0, side-1 input `u` is bit `u − split` of word 1. Masks
+/// compare side 0 first, which is the order ties between candidate
+/// reducers break in.
+type Mask = [u64; 2];
+
+/// An instance as the search sees it, filled in by [`a2a_exact`] or
+/// [`x2y_exact`]: cover every required pair of inputs with reducers of
+/// capacity `q`.
+struct PairCover {
+    /// Weights by input id: side 0 (every A2A input, or X2Y's X), then
+    /// side 1 (X2Y's Y).
+    weights: Vec<Weight>,
+    /// Inputs below `split` are side 0.
+    split: usize,
+    /// Whether only the pairs across the sides are required (X2Y) rather
+    /// than every pair (A2A).
+    cross_only: bool,
+    /// A fresh reducer covers required pair weight at most `q²/pair_factor`.
+    pair_factor: u128,
     q: Weight,
-    m: usize,
-    best_z: usize,
-    best: Option<Vec<Vec<InputId>>>,
+    /// A lower bound on the reducer count; deepening starts here.
+    lb: usize,
+}
+
+impl PairCover {
+    /// Finds a minimum cover, or certifies `heuristic` (which uses
+    /// `heuristic_count` reducers) as one. `schema_of` maps a cover back to
+    /// the caller's schema type.
+    ///
+    /// Seeds the incumbent with the heuristic and certifies optimality
+    /// either by exhausting the search or by matching the lower bound.
+    /// Exponential in the worst case — that is the point (see `table2`);
+    /// cap it with the [`SearchBudget`]. No search runs when no pair is
+    /// required (the heuristic is then optimal: there is nothing to
+    /// cover), nor when a side has more than 64 inputs or a weight exceeds
+    /// `u32::MAX` (which would overflow the bounds' pair-weight
+    /// arithmetic); the heuristic then comes back with `optimal: false`
+    /// unless it already matches the lower bound.
+    fn solve<S>(
+        self,
+        budget: SearchBudget,
+        start: Instant,
+        heuristic: S,
+        heuristic_count: usize,
+        schema_of: impl FnOnce(&[Mask]) -> S,
+    ) -> ExactSchema<S> {
+        let n = self.weights.len();
+        let sides = [self.split, n - self.split];
+        let no_pairs = if self.cross_only {
+            sides.contains(&0)
+        } else {
+            n < 2
+        };
+        let certified = no_pairs || heuristic_count <= self.lb;
+        if certified
+            || sides.iter().any(|&side| side > 64)
+            || self.weights.iter().any(|&w| w > MAX_SEARCH_WEIGHT)
+        {
+            // No search is attempted, so `exhausted` stays false: no
+            // budget, however large, would change the answer.
+            return ExactSchema {
+                schema: heuristic,
+                optimal: certified,
+                stats: SearchStats::default(),
+                elapsed_us: start.elapsed().as_micros(),
+            };
+        }
+        let lb = self.lb;
+        let mut search = Search::new(self, budget);
+        // Iterative deepening on the reducer count: refute every target from
+        // the lower bound upward until one admits a cover (that cover is then
+        // optimal by construction) or the heuristic count itself is reached
+        // (then the heuristic is optimal). A refutation only counts when the
+        // iteration ran to completion, so budget exhaustion never certifies.
+        let mut refuted_below = lb;
+        for target in lb..heuristic_count {
+            search.cutoff = target + 1;
+            search.memo.clear(); // entries proved under a tighter cutoff
+            search.run();
+            if search.found.is_some() || search.stats.exhausted {
+                break;
+            }
+            refuted_below = target + 1;
+        }
+        search.stats.nodes = search.meter.nodes();
+
+        let (schema, optimal) = match &search.found {
+            Some(cover) => {
+                let masks: Vec<Mask> = cover.iter().map(|&set| search.mask_of(set)).collect();
+                (schema_of(&masks), true)
+            }
+            None => (heuristic, refuted_below >= heuristic_count),
+        };
+        if optimal {
+            search.stats.exhausted = false;
+        }
+        ExactSchema {
+            schema,
+            optimal,
+            stats: search.stats,
+            elapsed_us: start.elapsed().as_micros(),
+        }
+    }
+}
+
+/// The branch-and-bound over a [`PairCover`], one deepening level per
+/// [`Search::run`] from the root. Sets of inputs are `u128` bitmasks over
+/// input ids.
+struct Search {
+    inst: PairCover,
+    /// `pair_at[a·n + b]` for a required pair `(a, b)`, `a < b`: its
+    /// position in lexicographic order, which is its bit in `covered`.
+    pair_at: Vec<u32>,
+    /// The required pairs covered so far: the memo key.
+    covered: BitSet,
+    /// Per input `a`: the inputs above `a` it must meet.
+    partners_above: Vec<u128>,
+    /// Per input: the partners it already meets in a chosen reducer.
+    met: Vec<u128>,
+    /// Covers must use fewer reducers than this (the deepening target + 1).
+    cutoff: usize,
+    /// The first cover found within the cutoff: optimal, so the search
+    /// stops.
+    found: Option<Vec<u128>>,
     meter: BudgetMeter,
     stats: SearchStats,
-    opts: SearchOptions,
-    stop: bool,
-    /// Σ w_a·w_b over currently uncovered pairs.
+    /// Σ w_a·w_b over currently uncovered required pairs.
     uncovered_pw: u128,
     /// Per input: total weight of its uncovered partners.
     unc_w: Vec<u128>,
-    /// Member bitmasks of the reducers chosen along the current path.
-    chosen: Vec<u64>,
+    /// The reducers chosen along the current path.
+    chosen: Vec<u128>,
     memo: BoundedMemo<Vec<u64>, usize>,
+    /// Enumeration steps spent on the current node's candidates.
+    gen_work: u64,
 }
 
-impl A2aSearch<'_> {
-    fn pair_idx(&self, i: usize, j: usize) -> usize {
-        debug_assert!(i < j);
-        i * self.m - i * (i + 1) / 2 + (j - i - 1)
+impl Search {
+    fn new(inst: PairCover, budget: SearchBudget) -> Self {
+        let n = inst.weights.len();
+        let mut pair_at = vec![0; n * n];
+        let mut pair_count = 0;
+        let mut partners_above = vec![0u128; n];
+        let mut uncovered_pw = 0u128;
+        let mut unc_w = vec![0u128; n];
+        for a in 0..n {
+            for b in a + 1..n {
+                if inst.cross_only && !(a < inst.split && inst.split <= b) {
+                    continue;
+                }
+                pair_at[a * n + b] = pair_count as u32;
+                pair_count += 1;
+                partners_above[a] |= 1 << b;
+                let (wa, wb) = (inst.weights[a] as u128, inst.weights[b] as u128);
+                uncovered_pw += wa * wb;
+                unc_w[a] += wb;
+                unc_w[b] += wa;
+            }
+        }
+        Search {
+            inst,
+            pair_at,
+            covered: BitSet::new(pair_count),
+            partners_above,
+            met: vec![0; n],
+            cutoff: 0,
+            found: None,
+            meter: BudgetMeter::new(budget),
+            stats: SearchStats::default(),
+            uncovered_pw,
+            unc_w,
+            chosen: Vec::new(),
+            memo: BoundedMemo::new(MEMO_CAPACITY),
+            gen_work: 0,
+        }
     }
 
-    /// Marks pair `(a, b)` covered; returns whether it was newly covered
-    /// and maintains the uncovered-weight accounting.
-    fn cover(&mut self, a: InputId, b: InputId, covered: &mut BitSet) -> bool {
-        let (i, j) = if a < b { (a, b) } else { (b, a) };
-        let idx = self.pair_idx(i as usize, j as usize);
-        if !covered.insert(idx) {
-            return false;
-        }
-        let (wa, wb) = (self.inputs.weight(a), self.inputs.weight(b));
-        self.uncovered_pw -= wa as u128 * wb as u128;
-        self.unc_w[a as usize] -= wb as u128;
-        self.unc_w[b as usize] -= wa as u128;
-        true
+    /// `set` as a [`Mask`].
+    fn mask_of(&self, set: u128) -> Mask {
+        let split = self.inst.split;
+        [(set & ((1 << split) - 1)) as u64, (set >> split) as u64]
+    }
+
+    /// The inputs above `a` that it must meet and does not yet.
+    fn unmet_above(&self, a: usize) -> u128 {
+        self.partners_above[a] & !self.met[a]
+    }
+
+    /// Marks required pair `(a, b)`, `a < b`, covered and maintains the
+    /// uncovered-weight accounting.
+    fn cover(&mut self, a: usize, b: usize) {
+        let idx = self.pair_at[a * self.inst.weights.len() + b];
+        self.covered.insert(idx as usize);
+        self.met[a] |= 1 << b;
+        self.met[b] |= 1 << a;
+        let (wa, wb) = (self.inst.weights[a] as u128, self.inst.weights[b] as u128);
+        self.uncovered_pw -= wa * wb;
+        self.unc_w[a] -= wb;
+        self.unc_w[b] -= wa;
     }
 
     /// Undoes [`Self::cover`].
-    fn uncover(&mut self, a: InputId, b: InputId, covered: &mut BitSet) {
-        let (i, j) = if a < b { (a, b) } else { (b, a) };
-        let idx = self.pair_idx(i as usize, j as usize);
-        covered.clear_bit(idx);
-        let (wa, wb) = (self.inputs.weight(a), self.inputs.weight(b));
-        self.uncovered_pw += wa as u128 * wb as u128;
-        self.unc_w[a as usize] += wb as u128;
-        self.unc_w[b as usize] += wa as u128;
+    fn uncover(&mut self, a: usize, b: usize) {
+        let idx = self.pair_at[a * self.inst.weights.len() + b];
+        self.covered.clear_bit(idx as usize);
+        self.met[a] &= !(1 << b);
+        self.met[b] &= !(1 << a);
+        let (wa, wb) = (self.inst.weights[a] as u128, self.inst.weights[b] as u128);
+        self.uncovered_pw += wa * wb;
+        self.unc_w[a] += wb;
+        self.unc_w[b] += wa;
     }
 
     /// A sound lower bound on how many *further* reducers any completion of
     /// this state needs — every reducer on the path is already complete, so
     /// the uncovered pairs must be served entirely by fresh reducers:
     ///
-    /// * **pair weight**: a fresh reducer covers pair weight at most
-    ///   `q²/2`, and `U` (uncovered pair weight) remains;
+    /// * **pair weight**: a fresh reducer covers required pair weight at
+    ///   most `q²/pair_factor`, and `U` (uncovered pair weight) remains;
     /// * **per-input copies**: input `i` with uncovered partner weight
     ///   `u_i` needs `⌈u_i/(q − w_i)⌉` fresh reducers containing it;
     /// * **communication**: each forced copy of `i` transfers `w_i`, and a
@@ -220,19 +354,18 @@ impl A2aSearch<'_> {
         if self.uncovered_pw == 0 {
             return 0;
         }
-        let q = self.q as u128;
-        let pair_extra = (2 * self.uncovered_pw).div_ceil(q * q);
+        let q = self.inst.q as u128;
+        let pair_extra = (self.inst.pair_factor * self.uncovered_pw).div_ceil(q * q);
         let mut future = 0u128;
         let mut max_copies = 0u128;
-        for i in 0..self.m {
-            if self.unc_w[i] == 0 {
+        for (&unc, &w) in self.unc_w.iter().zip(&self.inst.weights) {
+            if unc == 0 {
                 continue;
             }
-            let w = self.inputs.weight(i as InputId);
-            if w >= self.q {
+            if w >= self.inst.q {
                 return usize::MAX; // cannot host any partner: dead subtree
             }
-            let copies = self.unc_w[i].div_ceil((self.q - w) as u128);
+            let copies = unc.div_ceil((self.inst.q - w) as u128);
             max_copies = max_copies.max(copies);
             future += (w as u128) * copies;
         }
@@ -245,175 +378,122 @@ impl A2aSearch<'_> {
     }
 
     /// The uncovered pair the node branches on: the heaviest one (the most
-    /// capacity-constrained, so the fewest maximal reducers host it) under
-    /// fail-first, the first in index order otherwise.
-    fn select_pair(&self, covered: &BitSet, first_missing: usize) -> (InputId, InputId) {
-        if !self.opts.fail_first {
-            // Invert the triangular index of the first unset pair.
-            let (mut i, mut rem) = (0usize, first_missing);
-            loop {
-                let row = self.m - i - 1;
-                if rem < row {
-                    break;
-                }
-                rem -= row;
-                i += 1;
-            }
-            return (i as InputId, (i + 1 + rem) as InputId);
-        }
-        let mut best = (0u64, 0 as InputId, 0 as InputId);
-        for i in 0..self.m - 1 {
-            if self.unc_w[i] == 0 {
+    /// capacity-constrained, so the fewest maximal reducers host it), the
+    /// first in lexicographic order among equals.
+    fn select_pair(&self) -> (usize, usize) {
+        let w = &self.inst.weights;
+        let mut best = (0, 0, 0);
+        for a in 0..w.len() {
+            if self.unc_w[a] == 0 {
                 continue;
             }
-            let wi = self.inputs.weight(i as InputId);
-            for j in i + 1..self.m {
-                if covered.contains(self.pair_idx(i, j)) {
-                    continue;
-                }
-                let w = wi + self.inputs.weight(j as InputId);
-                if w > best.0 {
-                    best = (w, i as InputId, j as InputId);
+            for b in bits(self.unmet_above(a)) {
+                if w[a] + w[b] > best.0 {
+                    best = (w[a] + w[b], a, b);
                 }
             }
         }
         (best.1, best.2)
     }
 
-    /// Enumerates the candidate reducers for pair `(i, j)`: every
-    /// inclusion-maximal subset containing both whose weight fits in `q`.
-    /// Restricting to maximal subsets is sound — extending a reducer only
-    /// adds coverage — and under `opts.dominance` inputs that are
-    /// interchangeable in the current covered state (equal weight, equal
-    /// coverage rows) are taken in canonical prefix order, so isomorphic
-    /// reducers are enumerated once.
-    fn gen_subsets(&mut self, i: InputId, j: InputId, covered: &BitSet) -> Vec<(u64, Weight)> {
-        let base_mask = (1u64 << i) | (1 << j);
-        let base_w = self.inputs.weight(i) + self.inputs.weight(j);
-        let cands: Vec<InputId> = (0..self.m as InputId)
-            .filter(|&u| u != i && u != j)
-            .collect();
-        // Equivalence classes for the canonical prefix rule: u ≡ v when
-        // swapping them is an automorphism of the covered state.
-        let mut class = vec![0u32; cands.len()];
-        if self.opts.dominance {
-            let rows: Vec<u64> = (0..self.m)
-                .map(|u| {
-                    let mut row = 0u64;
-                    for v in 0..self.m {
-                        if v != u {
-                            let (a, b) = (u.min(v), u.max(v));
-                            if covered.contains(self.pair_idx(a, b)) {
-                                row |= 1 << v;
-                            }
-                        }
-                    }
-                    row
-                })
-                .collect();
-            for a in 0..cands.len() {
-                class[a] = a as u32;
-                let (u, wu) = (cands[a] as usize, self.inputs.weight(cands[a]));
-                for b in 0..a {
-                    let v = cands[b] as usize;
-                    if wu != self.inputs.weight(cands[b]) {
-                        continue;
-                    }
-                    let off = !((1u64 << u) | (1 << v));
-                    if rows[u] & off == rows[v] & off {
-                        class[a] = class[b];
-                        break;
-                    }
-                }
-            }
-        }
-
-        let mut out: Vec<(u64, Weight)> = Vec::new();
-        let mut work = 0u64;
-        self.gen_rec(&cands, &class, 0, base_mask, base_w, 0, &mut work, &mut out);
-        // Greedy set-cover order: the reducer covering the most
-        // still-uncovered pair weight first, so the witness iteration of
-        // the deepening loop walks straight toward a cover.
-        let fresh_weight = |mask: u64| -> u128 {
-            let members: Vec<InputId> = (0..self.m as InputId)
-                .filter(|&u| mask >> u & 1 != 0)
-                .collect();
-            let mut fresh = 0u128;
-            for (ai, &a) in members.iter().enumerate() {
-                for &b in &members[ai + 1..] {
-                    if !covered.contains(self.pair_idx(a as usize, b as usize)) {
-                        fresh += self.inputs.weight(a) as u128 * self.inputs.weight(b) as u128;
-                    }
-                }
-            }
-            fresh
-        };
-        let mut keyed: Vec<(u128, u64, Weight)> = out
-            .into_iter()
-            .map(|(m, w)| (fresh_weight(m), m, w))
-            .collect();
-        keyed.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        keyed.into_iter().map(|(_, m, w)| (m, w)).collect()
+    /// Σ w_a·w_b over the uncovered required pairs inside `set`.
+    fn fresh_weight(&self, set: u128) -> u128 {
+        let w = &self.inst.weights;
+        bits(set)
+            .map(|a| {
+                let partners: u128 = bits(set & self.unmet_above(a)).map(|b| w[b] as u128).sum();
+                w[a] as u128 * partners
+            })
+            .sum()
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Enumerates the candidate reducers for pair `(a, b)`: every
+    /// inclusion-maximal set of inputs holding both whose weight fits in
+    /// `q`. Restricting to maximal sets is sound — extending a reducer only
+    /// adds coverage — and inputs interchangeable in the current covered
+    /// state are taken in canonical prefix order, so isomorphic reducers
+    /// are enumerated once. Returned in greedy set-cover order: the reducer
+    /// covering the most still-uncovered pair weight first, so the witness
+    /// iteration of the deepening loop walks straight toward a cover.
+    fn gen_subsets(&mut self, a: usize, b: usize) -> Vec<u128> {
+        // u ≡ v when swapping them is an automorphism of the required pairs
+        // and of the covered state: the same side, equal weight, and the
+        // same partners met apart from each other. A class is labelled by
+        // the bit of its first member's position, so no two classes share
+        // a label.
+        let (w, split, met) = (&self.inst.weights, self.inst.split, &self.met);
+        let mut cands: Vec<(usize, u128)> = Vec::with_capacity(w.len());
+        for u in (0..w.len()).filter(|&u| u != a && u != b) {
+            let sibling = cands.iter().find(|&&(v, _)| {
+                let off = !(1u128 << u | 1 << v);
+                (u < split) == (v < split) && w[u] == w[v] && met[u] & off == met[v] & off
+            });
+            let class = sibling.map_or(1 << cands.len(), |&(_, class)| class);
+            cands.push((u, class));
+        }
+        let base_w = w[a] + w[b];
+
+        let mut out = Vec::new();
+        self.gen_work = 0;
+        self.gen_rec(&cands, 1 << a | 1 << b, base_w, 0, &mut out);
+        let mut keyed: Vec<(u128, Mask, u128)> = out
+            .into_iter()
+            .map(|set| (self.fresh_weight(set), self.mask_of(set), set))
+            .collect();
+        keyed.sort_unstable_by(|x, y| y.0.cmp(&x.0).then(x.1.cmp(&y.1)));
+        keyed.into_iter().map(|(_, _, set)| set).collect()
+    }
+
+    /// Decides the first of the candidates `rest`, each paired with its
+    /// class label: include it (when it fits and its class allows) and
+    /// skip it. Skipping bans the rest of its class in `banned`, so class
+    /// members are taken in prefix order or not at all.
     fn gen_rec(
         &mut self,
-        cands: &[InputId],
-        class: &[u32],
-        pos: usize,
-        mask: u64,
+        rest: &[(usize, u128)],
+        set: u128,
         w: Weight,
-        banned: u64,
-        work: &mut u64,
-        out: &mut Vec<(u64, Weight)>,
+        banned: u128,
+        out: &mut Vec<u128>,
     ) {
-        *work += 1;
-        if *work > GEN_WORK_CAP || (*work & 0xFFF == 0 && self.meter.time_expired()) {
+        self.gen_work += 1;
+        if self.gen_work > GEN_WORK_CAP || (self.gen_work & 0xFFF == 0 && self.meter.time_expired())
+        {
             // Truncated enumeration: the node cannot be fully explored, so
             // the whole search degrades to budget-exhausted (no memo entry,
             // no certificate) instead of burning unmetered time.
             self.stats.exhausted = true;
             return;
         }
-        if pos == cands.len() {
-            // Keep only inclusion-maximal subsets.
-            for u in 0..self.m {
-                if mask >> u & 1 == 0 && w + self.inputs.weight(u as InputId) <= self.q {
-                    return;
-                }
+        let Some((&(u, class), rest)) = rest.split_first() else {
+            // Keep only inclusion-maximal reducers.
+            let mut outside = self
+                .inst
+                .weights
+                .iter()
+                .enumerate()
+                .filter(|(v, _)| set >> v & 1 == 0);
+            if outside.all(|(_, &wv)| w + wv > self.inst.q) {
+                out.push(set);
             }
-            out.push((mask, w));
             return;
-        }
-        let u = cands[pos];
-        let cid = 1u64 << (class[pos] % 64);
-        let fits = w + self.inputs.weight(u) <= self.q;
-        let include_allowed = !self.opts.dominance || banned & cid == 0;
-        if fits && !include_allowed {
-            // A class sibling was skipped earlier: every subset taking `u`
+        };
+        let wu = self.inst.weights[u];
+        let fits = w + wu <= self.inst.q;
+        let allowed = banned & class == 0;
+        if fits && !allowed {
+            // A class sibling was skipped earlier: every reducer taking `u`
             // here is isomorphic to one already enumerated.
             self.stats.pruned_dominance += 1;
         }
-        if include_allowed && fits {
-            self.gen_rec(
-                cands,
-                class,
-                pos + 1,
-                mask | (1 << u),
-                w + self.inputs.weight(u),
-                banned,
-                work,
-                out,
-            );
+        if fits && allowed {
+            self.gen_rec(rest, set | 1 << u, w + wu, banned, out);
         }
-        // Skipping u bans the rest of its class: members are taken in
-        // prefix order or not at all.
-        self.gen_rec(cands, class, pos + 1, mask, w, banned | cid, work, out);
+        self.gen_rec(rest, set, w, banned | class, out);
     }
 
-    fn run(&mut self, covered: &mut BitSet) {
-        if self.stop || self.stats.exhausted {
+    fn run(&mut self) {
+        if self.found.is_some() || self.stats.exhausted {
             // Certified or truncated (budget, time, or a capped
             // enumeration): nothing below can change the outcome.
             return;
@@ -422,83 +502,75 @@ impl A2aSearch<'_> {
             self.stats.exhausted = true;
             return;
         }
-        if self.chosen.len() >= self.best_z {
+        if self.chosen.len() >= self.cutoff {
             return;
         }
-        let Some(first_missing) = covered.first_unset() else {
-            // All pairs covered within the target — under iterative
-            // deepening every smaller target was already refuted, so this
-            // cover is optimal and the whole search stops.
-            self.best_z = self.chosen.len();
-            self.best = Some(
-                self.chosen
-                    .iter()
-                    .map(|&mask| {
-                        (0..self.m as InputId)
-                            .filter(|&u| mask >> u & 1 != 0)
-                            .collect()
-                    })
-                    .collect(),
-            );
-            self.stop = true;
+        if self.covered.first_unset().is_none() {
+            // Every required pair covered within the cutoff — under
+            // iterative deepening every smaller target was already refuted,
+            // so this cover is optimal and the whole search stops.
+            self.found = Some(self.chosen.clone());
             return;
-        };
-
-        if self.opts.bound_pruning
-            && self.chosen.len().saturating_add(self.completion_extra()) >= self.best_z
-        {
+        }
+        if self.chosen.len().saturating_add(self.completion_extra()) >= self.cutoff {
             self.stats.pruned_bound += 1;
             return;
         }
         // The covered bitmap alone determines the rest of the search (every
         // chosen reducer is closed), so it is the entire memo key.
-        let memo_key = if self.opts.memo {
-            let key = covered.words().to_vec();
-            if let Some(seen_with) = self.memo.get(&key) {
-                if seen_with <= self.chosen.len() {
-                    // An earlier, fully explored visit reached this exact
-                    // coverage at least as cheaply; its subtree already
-                    // updated the incumbent with anything reachable here.
-                    self.stats.memo_hits += 1;
-                    return;
-                }
+        let key = self.covered.words().to_vec();
+        if let Some(seen_with) = self.memo.get(&key) {
+            if seen_with <= self.chosen.len() {
+                // An earlier, fully explored visit reached this exact
+                // coverage at least as cheaply; its subtree already
+                // updated the incumbent with anything reachable here.
+                self.stats.memo_hits += 1;
+                return;
             }
-            Some(key)
-        } else {
-            None
-        };
-        let truncated_before = self.stats.exhausted;
+        }
 
-        let (i, j) = self.select_pair(covered, first_missing);
-        for (mask, _) in self.gen_subsets(i, j, covered) {
-            let members: Vec<InputId> = (0..self.m as InputId)
-                .filter(|&u| mask >> u & 1 != 0)
-                .collect();
-            let mut newly: Vec<(InputId, InputId)> = Vec::new();
-            for (ai, &a) in members.iter().enumerate() {
-                for &b in &members[ai + 1..] {
-                    if self.cover(a, b, covered) {
-                        newly.push((a, b));
-                    }
+        let (a, b) = self.select_pair();
+        for set in self.gen_subsets(a, b) {
+            let mut newly = Vec::new();
+            for u in bits(set) {
+                for v in bits(set & self.unmet_above(u)) {
+                    self.cover(u, v);
+                    newly.push((u, v));
                 }
             }
-            self.chosen.push(mask);
-            self.run(covered);
+            self.chosen.push(set);
+            self.run();
             self.chosen.pop();
-            for &(a, b) in newly.iter().rev() {
-                self.uncover(a, b, covered);
+            for (u, v) in newly {
+                self.uncover(u, v);
             }
         }
 
         // Memoize only fully explored subtrees: a truncated visit proves
         // nothing about this state.
-        if let Some(key) = memo_key {
-            if self.stats.exhausted == truncated_before && !self.stop {
-                self.memo.insert_min(key, self.chosen.len());
-            }
+        if !self.stats.exhausted && self.found.is_none() {
+            self.memo.insert_min(key, self.chosen.len());
         }
     }
 }
+
+/// The members of `set`, ascending.
+fn bits(mut set: u128) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let bit = (set != 0).then(|| set.trailing_zeros() as usize)?;
+        set &= set - 1;
+        Some(bit)
+    })
+}
+
+/// The ids a [`Mask`] word holds, ascending.
+fn ids(word: u64) -> Vec<InputId> {
+    bits(word.into()).map(|bit| bit as InputId).collect()
+}
+
+// ---------------------------------------------------------------------------
+// The A2A and X2Y adapters
+// ---------------------------------------------------------------------------
 
 /// Picks the best incumbent among all registered A2A heuristics (they are
 /// polynomial, so trying all of them is cheap next to the search). At least
@@ -522,481 +594,36 @@ fn best_a2a_heuristic(inputs: &InputSet, q: Weight) -> Result<MappingSchema, Sch
     }
 }
 
-/// Finds the minimum-reducer A2A schema by branch and bound with every
-/// reduction enabled; see [`a2a_exact_with`]. The budget can be a plain
-/// `u64` node count.
+/// Finds the minimum-reducer A2A schema by branch and bound; the budget
+/// can be a plain `u64` node count.
+///
+/// Every pair of inputs is required. The search (see the [module
+/// docs](self)) certifies optimality by exhausting the deepening range or
+/// by matching [`bounds::a2a_reducer_lb`]; instances beyond 64 inputs, or
+/// with any weight above `u32::MAX`, skip it and return the best heuristic
+/// schema with `optimal: false` unless that already meets the bound.
 pub fn a2a_exact(
     inputs: &InputSet,
     q: Weight,
     budget: impl Into<SearchBudget>,
 ) -> Result<ExactSchema<MappingSchema>, SchemaError> {
-    a2a_exact_with(inputs, q, budget.into(), SearchOptions::default())
-}
-
-/// Finds the minimum-reducer A2A schema by branch and bound.
-///
-/// Seeds the incumbent with the best registered heuristic and certifies
-/// optimality either by exhausting the search or by matching
-/// [`bounds::a2a_reducer_lb`]. Exponential in the worst case — that is the
-/// point (see `table2`); cap it with the [`SearchBudget`]. `opts` selects
-/// the pruning rules, mainly so ablations can measure what each rule buys.
-///
-/// Instances beyond 64 inputs — or with any weight above `u32::MAX`,
-/// which would overflow the bounds' pair-weight arithmetic — skip the
-/// search entirely and return the heuristic incumbent with
-/// `optimal: false` unless it already matches the lower bound.
-pub fn a2a_exact_with(
-    inputs: &InputSet,
-    q: Weight,
-    budget: SearchBudget,
-    opts: SearchOptions,
-) -> Result<ExactSchema<MappingSchema>, SchemaError> {
     let start = Instant::now();
     let heuristic = best_a2a_heuristic(inputs, q)?;
-    let lb = bounds::a2a_reducer_lb(inputs, q);
-    let m = inputs.len();
-    if heuristic.reducer_count() <= lb || m > 64 || inputs.max_weight() > MAX_SEARCH_WEIGHT {
-        // Either the heuristic already meets the lower bound (certified
-        // without a search), or the instance exceeds the 64-input mask
-        // limit or the overflow-safe weight range — no search is
-        // attempted, so `exhausted` stays false: no budget, however
-        // large, would change the answer.
-        return Ok(ExactSchema {
-            optimal: heuristic.reducer_count() <= lb,
-            schema: heuristic,
-            stats: SearchStats::default(),
-            elapsed_us: start.elapsed().as_micros(),
-        });
-    }
-    let mut uncovered_pw = 0u128;
-    let mut unc_w = vec![0u128; m];
-    for i in 0..m {
-        let wi = inputs.weight(i as InputId) as u128;
-        for j in i + 1..m {
-            let wj = inputs.weight(j as InputId) as u128;
-            uncovered_pw += wi * wj;
-            unc_w[i] += wj;
-            unc_w[j] += wi;
-        }
-    }
-    let mut search = A2aSearch {
-        inputs,
+    let heuristic_count = heuristic.reducer_count();
+    let cover = PairCover {
+        weights: inputs.weights().to_vec(),
+        split: inputs.len(),
+        cross_only: false,
+        // A reducer of load s ≤ q covers pair weight at most s²/2.
+        pair_factor: 2,
         q,
-        m,
-        best_z: 0,
-        best: None,
-        meter: BudgetMeter::new(budget),
-        stats: SearchStats::default(),
-        opts,
-        stop: false,
-        uncovered_pw,
-        unc_w,
-        chosen: Vec::new(),
-        memo: BoundedMemo::new(MEMO_CAPACITY),
+        lb: bounds::a2a_reducer_lb(inputs, q),
     };
-    // Iterative deepening on the reducer count: refute every target from
-    // the lower bound upward until one admits a cover (that cover is then
-    // optimal by construction) or the heuristic count itself is reached
-    // (then the heuristic is optimal). A refutation only counts when the
-    // iteration ran to completion, so budget exhaustion never certifies.
-    let mut certified_unsat_below = lb;
-    for target in lb..heuristic.reducer_count() {
-        search.best_z = target + 1;
-        search.memo.clear(); // entries proved under a tighter cutoff
-        let mut covered = BitSet::new(m * (m - 1) / 2);
-        search.run(&mut covered);
-        if search.stop || search.stats.exhausted {
-            break;
-        }
-        certified_unsat_below = target + 1;
-    }
-    search.stats.nodes = search.meter.nodes();
-
-    let (schema, optimal) = match search.best {
-        Some(reducers) => (MappingSchema::from_reducers(reducers), true),
-        None => {
-            let optimal = certified_unsat_below >= heuristic.reducer_count();
-            (heuristic, optimal)
-        }
-    };
-    if optimal {
-        search.stats.exhausted = false;
-    }
-    Ok(ExactSchema {
-        schema,
-        optimal,
-        stats: search.stats,
-        elapsed_us: start.elapsed().as_micros(),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// X2Y exact search
-// ---------------------------------------------------------------------------
-
-struct X2ySearch<'a> {
-    inst: &'a X2yInstance,
-    q: Weight,
-    nx: usize,
-    ny: usize,
-    best_z: usize,
-    best: Option<Vec<X2yReducer>>,
-    meter: BudgetMeter,
-    stats: SearchStats,
-    opts: SearchOptions,
-    stop: bool,
-    /// Σ w_x·w_y over currently uncovered cross pairs.
-    uncovered_pw: u128,
-    /// Per X input: total weight of its uncovered Y partners (and
-    /// symmetrically).
-    unc_wx: Vec<u128>,
-    unc_wy: Vec<u128>,
-    /// (X-mask, Y-mask) of the reducers chosen along the current path.
-    chosen: Vec<(u64, u64)>,
-    memo: BoundedMemo<Vec<u64>, usize>,
-}
-
-impl X2ySearch<'_> {
-    fn cover(&mut self, x: InputId, y: InputId, covered: &mut BitSet) -> bool {
-        let idx = x as usize * self.ny + y as usize;
-        if !covered.insert(idx) {
-            return false;
-        }
-        let (wx, wy) = (self.inst.x.weight(x), self.inst.y.weight(y));
-        self.uncovered_pw -= wx as u128 * wy as u128;
-        self.unc_wx[x as usize] -= wy as u128;
-        self.unc_wy[y as usize] -= wx as u128;
-        true
-    }
-
-    fn uncover(&mut self, x: InputId, y: InputId, covered: &mut BitSet) {
-        let idx = x as usize * self.ny + y as usize;
-        covered.clear_bit(idx);
-        let (wx, wy) = (self.inst.x.weight(x), self.inst.y.weight(y));
-        self.uncovered_pw += wx as u128 * wy as u128;
-        self.unc_wx[x as usize] += wy as u128;
-        self.unc_wy[y as usize] += wx as u128;
-    }
-
-    /// The X2Y analogue of [`A2aSearch::completion_extra`]: a fresh reducer
-    /// covers cross weight at most `q²/4` (AM–GM under `s_x + s_y ≤ q`).
-    fn completion_extra(&self) -> usize {
-        if self.uncovered_pw == 0 {
-            return 0;
-        }
-        let q = self.q as u128;
-        let pair_extra = (4 * self.uncovered_pw).div_ceil(q * q);
-        let mut future = 0u128;
-        let mut max_copies = 0u128;
-        for x in 0..self.nx {
-            if self.unc_wx[x] == 0 {
-                continue;
-            }
-            let w = self.inst.x.weight(x as InputId);
-            if w >= self.q {
-                return usize::MAX;
-            }
-            let copies = self.unc_wx[x].div_ceil((self.q - w) as u128);
-            max_copies = max_copies.max(copies);
-            future += (w as u128) * copies;
-        }
-        for y in 0..self.ny {
-            if self.unc_wy[y] == 0 {
-                continue;
-            }
-            let w = self.inst.y.weight(y as InputId);
-            if w >= self.q {
-                return usize::MAX;
-            }
-            let copies = self.unc_wy[y].div_ceil((self.q - w) as u128);
-            max_copies = max_copies.max(copies);
-            future += (w as u128) * copies;
-        }
-        let comm_extra = future.div_ceil(q);
-        pair_extra
-            .max(comm_extra)
-            .max(max_copies)
-            .try_into()
-            .unwrap_or(usize::MAX)
-    }
-
-    /// The uncovered cross pair to branch on; see [`A2aSearch::select_pair`].
-    fn select_pair(&self, covered: &BitSet, first_missing: usize) -> (InputId, InputId) {
-        if !self.opts.fail_first {
-            return (
-                (first_missing / self.ny) as InputId,
-                (first_missing % self.ny) as InputId,
-            );
-        }
-        let mut best = (0u64, 0 as InputId, 0 as InputId);
-        for x in 0..self.nx {
-            if self.unc_wx[x] == 0 {
-                continue;
-            }
-            let wx = self.inst.x.weight(x as InputId);
-            for y in 0..self.ny {
-                if covered.contains(x * self.ny + y) {
-                    continue;
-                }
-                let w = wx + self.inst.y.weight(y as InputId);
-                if w > best.0 {
-                    best = (w, x as InputId, y as InputId);
-                }
-            }
-        }
-        (best.1, best.2)
-    }
-
-    /// Enumerates the inclusion-maximal candidate reducers for cross pair
-    /// `(x, y)`; see [`A2aSearch::gen_subsets`]. Equivalence (per side):
-    /// equal weight and equal coverage row against the opposite side.
-    fn gen_subsets(&mut self, x: InputId, y: InputId, covered: &BitSet) -> Vec<(u64, u64, Weight)> {
-        let base_w = self.inst.x.weight(x) + self.inst.y.weight(y);
-        let cands_x: Vec<InputId> = (0..self.nx as InputId).filter(|&u| u != x).collect();
-        let cands_y: Vec<InputId> = (0..self.ny as InputId).filter(|&u| u != y).collect();
-
-        let class_of = |cands: &[InputId], weight_of: &dyn Fn(InputId) -> Weight, rows: &[u64]| {
-            let mut class = vec![0u32; cands.len()];
-            for a in 0..cands.len() {
-                class[a] = a as u32;
-                for b in 0..a {
-                    if weight_of(cands[a]) == weight_of(cands[b])
-                        && rows[cands[a] as usize] == rows[cands[b] as usize]
-                    {
-                        class[a] = class[b];
-                        break;
-                    }
-                }
-            }
-            class
-        };
-        let (class_x, class_y) = if self.opts.dominance {
-            let rows_x: Vec<u64> = (0..self.nx)
-                .map(|u| {
-                    (0..self.ny).fold(0u64, |row, v| {
-                        row | ((covered.contains(u * self.ny + v) as u64) << v)
-                    })
-                })
-                .collect();
-            let rows_y: Vec<u64> = (0..self.ny)
-                .map(|v| {
-                    (0..self.nx).fold(0u64, |row, u| {
-                        row | ((covered.contains(u * self.ny + v) as u64) << u)
-                    })
-                })
-                .collect();
-            (
-                class_of(&cands_x, &|id| self.inst.x.weight(id), &rows_x),
-                class_of(&cands_y, &|id| self.inst.y.weight(id), &rows_y),
-            )
-        } else {
-            (vec![0; cands_x.len()], vec![0; cands_y.len()])
-        };
-
-        let mut out = Vec::new();
-        let mut work = 0u64;
-        self.gen_rec(
-            GenCtx {
-                cands_x: &cands_x,
-                class_x: &class_x,
-                cands_y: &cands_y,
-                class_y: &class_y,
-            },
-            0,
-            ((1u64 << x), (1u64 << y)),
-            base_w,
-            (0, 0),
-            &mut work,
-            &mut out,
-        );
-        // Greedy set-cover order (see the A2A variant).
-        let fresh_weight = |mx: u64, my: u64| -> u128 {
-            let mut fresh = 0u128;
-            for u in 0..self.nx {
-                if mx >> u & 1 == 0 {
-                    continue;
-                }
-                for v in 0..self.ny {
-                    if my >> v & 1 != 0 && !covered.contains(u * self.ny + v) {
-                        fresh += self.inst.x.weight(u as InputId) as u128
-                            * self.inst.y.weight(v as InputId) as u128;
-                    }
-                }
-            }
-            fresh
-        };
-        let mut keyed: Vec<(u128, u64, u64, Weight)> = out
-            .into_iter()
-            .map(|(mx, my, w)| (fresh_weight(mx, my), mx, my, w))
-            .collect();
-        keyed.sort_unstable_by(|a, b| b.0.cmp(&a.0).then((a.1, a.2).cmp(&(b.1, b.2))));
-        keyed
-            .into_iter()
-            .map(|(_, mx, my, w)| (mx, my, w))
-            .collect()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn gen_rec(
-        &mut self,
-        ctx: GenCtx<'_>,
-        pos: usize,
-        masks: (u64, u64),
-        w: Weight,
-        banned: (u64, u64),
-        work: &mut u64,
-        out: &mut Vec<(u64, u64, Weight)>,
-    ) {
-        *work += 1;
-        if *work > GEN_WORK_CAP || (*work & 0xFFF == 0 && self.meter.time_expired()) {
-            self.stats.exhausted = true; // see the A2A variant
-            return;
-        }
-        let nx_c = ctx.cands_x.len();
-        if pos == nx_c + ctx.cands_y.len() {
-            for u in 0..self.nx {
-                if masks.0 >> u & 1 == 0 && w + self.inst.x.weight(u as InputId) <= self.q {
-                    return; // not maximal on the X side
-                }
-            }
-            for v in 0..self.ny {
-                if masks.1 >> v & 1 == 0 && w + self.inst.y.weight(v as InputId) <= self.q {
-                    return; // not maximal on the Y side
-                }
-            }
-            out.push((masks.0, masks.1, w));
-            return;
-        }
-        let (u, cid, x_side) = if pos < nx_c {
-            (ctx.cands_x[pos], 1u64 << (ctx.class_x[pos] % 64), true)
-        } else {
-            (
-                ctx.cands_y[pos - nx_c],
-                1u64 << (ctx.class_y[pos - nx_c] % 64),
-                false,
-            )
-        };
-        let wu = if x_side {
-            self.inst.x.weight(u)
-        } else {
-            self.inst.y.weight(u)
-        };
-        let banned_side = if x_side { banned.0 } else { banned.1 };
-        let fits = w + wu <= self.q;
-        let include_allowed = !self.opts.dominance || banned_side & cid == 0;
-        if fits && !include_allowed {
-            self.stats.pruned_dominance += 1;
-        }
-        if include_allowed && fits {
-            let next_masks = if x_side {
-                (masks.0 | (1 << u), masks.1)
-            } else {
-                (masks.0, masks.1 | (1 << u))
-            };
-            self.gen_rec(ctx, pos + 1, next_masks, w + wu, banned, work, out);
-        }
-        let next_banned = if x_side {
-            (banned.0 | cid, banned.1)
-        } else {
-            (banned.0, banned.1 | cid)
-        };
-        self.gen_rec(ctx, pos + 1, masks, w, next_banned, work, out);
-    }
-
-    fn run(&mut self, covered: &mut BitSet) {
-        if self.stop || self.stats.exhausted {
-            // Certified or truncated (budget, time, or a capped
-            // enumeration): nothing below can change the outcome.
-            return;
-        }
-        if !self.meter.tick() {
-            self.stats.exhausted = true;
-            return;
-        }
-        if self.chosen.len() >= self.best_z {
-            return;
-        }
-        let Some(first_missing) = covered.first_unset() else {
-            // First cover within the target: optimal under iterative
-            // deepening, so stop outright.
-            self.best_z = self.chosen.len();
-            self.best = Some(
-                self.chosen
-                    .iter()
-                    .map(|&(mx, my)| X2yReducer {
-                        x: (0..self.nx as InputId)
-                            .filter(|&u| mx >> u & 1 != 0)
-                            .collect(),
-                        y: (0..self.ny as InputId)
-                            .filter(|&v| my >> v & 1 != 0)
-                            .collect(),
-                    })
-                    .collect(),
-            );
-            self.stop = true;
-            return;
-        };
-
-        if self.opts.bound_pruning
-            && self.chosen.len().saturating_add(self.completion_extra()) >= self.best_z
-        {
-            self.stats.pruned_bound += 1;
-            return;
-        }
-        let memo_key = if self.opts.memo {
-            let key = covered.words().to_vec();
-            if let Some(seen_with) = self.memo.get(&key) {
-                if seen_with <= self.chosen.len() {
-                    self.stats.memo_hits += 1;
-                    return;
-                }
-            }
-            Some(key)
-        } else {
-            None
-        };
-        let truncated_before = self.stats.exhausted;
-
-        let (x, y) = self.select_pair(covered, first_missing);
-        for (mx, my, _) in self.gen_subsets(x, y, covered) {
-            let xs: Vec<InputId> = (0..self.nx as InputId)
-                .filter(|&u| mx >> u & 1 != 0)
-                .collect();
-            let ys: Vec<InputId> = (0..self.ny as InputId)
-                .filter(|&v| my >> v & 1 != 0)
-                .collect();
-            let mut newly: Vec<(InputId, InputId)> = Vec::new();
-            for &a in &xs {
-                for &b in &ys {
-                    if self.cover(a, b, covered) {
-                        newly.push((a, b));
-                    }
-                }
-            }
-            self.chosen.push((mx, my));
-            self.run(covered);
-            self.chosen.pop();
-            for &(a, b) in newly.iter().rev() {
-                self.uncover(a, b, covered);
-            }
-        }
-
-        if let Some(key) = memo_key {
-            if self.stats.exhausted == truncated_before && !self.stop {
-                self.memo.insert_min(key, self.chosen.len());
-            }
-        }
-    }
-}
-
-/// Candidate lists and equivalence classes threaded through
-/// [`X2ySearch::gen_rec`].
-#[derive(Clone, Copy)]
-struct GenCtx<'a> {
-    cands_x: &'a [InputId],
-    class_x: &'a [u32],
-    cands_y: &'a [InputId],
-    class_y: &'a [u32],
+    Ok(
+        cover.solve(budget.into(), start, heuristic, heuristic_count, |masks| {
+            MappingSchema::from_reducers(masks.iter().map(|mask| ids(mask[0])).collect())
+        }),
+    )
 }
 
 /// Best incumbent among all registered X2Y heuristics; see
@@ -1019,28 +646,18 @@ fn best_x2y_heuristic(inst: &X2yInstance, q: Weight) -> Result<X2ySchema, Schema
     }
 }
 
-/// Finds the minimum-reducer X2Y schema by branch and bound with every
-/// reduction enabled; see [`x2y_exact_with`].
-pub fn x2y_exact(
-    inst: &X2yInstance,
-    q: Weight,
-    budget: impl Into<SearchBudget>,
-) -> Result<ExactSchema<X2ySchema>, SchemaError> {
-    x2y_exact_with(inst, q, budget.into(), SearchOptions::default())
-}
-
 /// Finds the minimum-reducer X2Y schema by branch and bound; see
-/// [`a2a_exact_with`] for the contract.
+/// [`a2a_exact`] for the contract. Every cross pair is required, and the
+/// search skips instances with more than 64 inputs on either side.
 ///
 /// Beyond the shared reductions, the X2Y search exploits the two-reducer
 /// structure result: when the generic lower bound allows `z ≤ 2`, the
 /// subset-sum DP of [`x2y_two_reducers`] *decides* the two-reducer case,
 /// either settling the instance outright or raising the bound to 3.
-pub fn x2y_exact_with(
+pub fn x2y_exact(
     inst: &X2yInstance,
     q: Weight,
-    budget: SearchBudget,
-    opts: SearchOptions,
+    budget: impl Into<SearchBudget>,
 ) -> Result<ExactSchema<X2ySchema>, SchemaError> {
     let start = Instant::now();
     let mut heuristic = best_x2y_heuristic(inst, q)?;
@@ -1057,82 +674,33 @@ pub fn x2y_exact_with(
             None => lb = 3,
         }
     }
-    let (nx, ny) = (inst.x.len(), inst.y.len());
-    if heuristic.reducer_count() <= lb
-        || nx > 64
-        || ny > 64
-        || inst.x.max_weight() > MAX_SEARCH_WEIGHT
-        || inst.y.max_weight() > MAX_SEARCH_WEIGHT
-    {
-        // See the matching branch in `a2a_exact_with`: no search ran, so
-        // `exhausted` stays false even when optimality is uncertified.
-        return Ok(ExactSchema {
-            optimal: heuristic.reducer_count() <= lb,
-            schema: heuristic,
-            stats: SearchStats::default(),
-            elapsed_us: start.elapsed().as_micros(),
-        });
-    }
-    let mut uncovered_pw = 0u128;
-    let mut unc_wx = vec![0u128; nx];
-    let mut unc_wy = vec![0u128; ny];
-    for (x, ux) in unc_wx.iter_mut().enumerate() {
-        let wx = inst.x.weight(x as InputId) as u128;
-        for (y, uy) in unc_wy.iter_mut().enumerate() {
-            let wy = inst.y.weight(y as InputId) as u128;
-            uncovered_pw += wx * wy;
-            *ux += wy;
-            *uy += wx;
-        }
-    }
-    let mut search = X2ySearch {
-        inst,
+    let heuristic_count = heuristic.reducer_count();
+    let cover = PairCover {
+        weights: inst
+            .x
+            .weights()
+            .iter()
+            .chain(inst.y.weights())
+            .copied()
+            .collect(),
+        split: inst.x.len(),
+        cross_only: true,
+        // s_x·s_y ≤ q²/4 when s_x + s_y ≤ q (AM–GM).
+        pair_factor: 4,
         q,
-        nx,
-        ny,
-        best_z: 0,
-        best: None,
-        meter: BudgetMeter::new(budget),
-        stats: SearchStats::default(),
-        opts,
-        stop: false,
-        uncovered_pw,
-        unc_wx,
-        unc_wy,
-        chosen: Vec::new(),
-        memo: BoundedMemo::new(MEMO_CAPACITY),
+        lb,
     };
-    // Iterative deepening on the reducer count; see [`a2a_exact_with`].
-    let mut certified_unsat_below = lb;
-    for target in lb..heuristic.reducer_count() {
-        search.best_z = target + 1;
-        search.memo.clear();
-        let mut covered = BitSet::new(nx * ny);
-        search.run(&mut covered);
-        if search.stop || search.stats.exhausted {
-            break;
-        }
-        certified_unsat_below = target + 1;
-    }
-    search.stats.nodes = search.meter.nodes();
-
-    let (schema, optimal) = match search.best {
-        Some(reducers) => (X2ySchema::from_reducers(reducers), true),
-        None => {
-            let optimal = certified_unsat_below >= heuristic.reducer_count();
-            (heuristic, optimal)
-        }
-    };
-    if optimal {
-        search.stats.exhausted = false;
-    }
-    Ok(ExactSchema {
-        schema,
-        optimal,
-        stats: search.stats,
-        elapsed_us: start.elapsed().as_micros(),
-    })
+    Ok(
+        cover.solve(budget.into(), start, heuristic, heuristic_count, |masks| {
+            let reducers = masks.iter().map(|mask| X2yReducer {
+                x: ids(mask[0]),
+                y: ids(mask[1]),
+            });
+            X2ySchema::from_reducers(reducers.collect())
+        }),
+    )
 }
+
 // ---------------------------------------------------------------------------
 // Two-reducer structure results
 // ---------------------------------------------------------------------------
@@ -1311,39 +879,58 @@ mod tests {
     }
 
     #[test]
-    fn a2a_baseline_and_pruned_agree_on_the_optimum() {
-        for (weights, q) in [
-            (vec![4, 4, 3, 3, 2, 2], 9u64),
-            (vec![5, 8, 5, 8, 5, 8, 5], 21),
-            (vec![1, 2, 3, 4, 5, 6], 11),
-        ] {
+    fn a2a_exact_matches_the_exact_solver_below_two_inputs() {
+        // No pair is required, so there is nothing to search: the exact
+        // solver returns the same trivial schema as every other path.
+        for weights in [vec![], vec![5], vec![15]] {
             let inputs = InputSet::from_weights(weights.clone());
-            let pruned = a2a_exact_with(
+            let r = a2a_exact(&inputs, 10, 1000).unwrap();
+            let via_solve = a2a::solve(
                 &inputs,
-                q,
-                SearchBudget::nodes(50_000_000),
-                SearchOptions::PRUNED,
+                10,
+                a2a::A2aAlgorithm::Exact(SearchBudget::nodes(1000)),
             )
             .unwrap();
-            let baseline = a2a_exact_with(
-                &inputs,
-                q,
-                SearchBudget::nodes(50_000_000),
-                SearchOptions::BASELINE,
-            )
-            .unwrap();
-            assert!(pruned.optimal && baseline.optimal, "{weights:?}");
-            assert_eq!(
-                pruned.schema.reducer_count(),
-                baseline.schema.reducer_count(),
-                "{weights:?} q={q}"
-            );
-            assert!(
-                pruned.stats.nodes <= baseline.stats.nodes,
-                "pruning expanded more nodes on {weights:?}: {} vs {}",
-                pruned.stats.nodes,
-                baseline.stats.nodes
-            );
+            assert_eq!(r.schema, via_solve, "{weights:?}");
+            assert!(r.optimal, "{weights:?}");
+            assert_eq!(r.stats.nodes, 0, "{weights:?}");
+        }
+    }
+
+    /// Alternating 5s and 8s; at q = 21 no heuristic meets the lower bound.
+    fn alternating(n: usize) -> Vec<Weight> {
+        (0..n as Weight).map(|i| 5 + (i * 3) % 6).collect()
+    }
+
+    #[test]
+    fn the_search_runs_up_to_64_inputs_per_side() {
+        // 64 A2A inputs fill mask word 0; 64 × 64 X2Y inputs fill both.
+        let inputs = InputSet::from_weights(alternating(64));
+        let r = a2a_exact(&inputs, 21, 2_000u64).unwrap();
+        assert_eq!(r.stats.nodes, 2_000);
+        assert!(r.stats.exhausted && !r.optimal);
+        r.schema.validate_a2a(&inputs, 21).unwrap();
+
+        let inst = X2yInstance::from_weights(alternating(64), alternating(64));
+        let r = x2y_exact(&inst, 21, 2_000u64).unwrap();
+        assert_eq!(r.stats.nodes, 2_000);
+        assert!(r.stats.exhausted && !r.optimal);
+        r.schema.validate(&inst, 21).unwrap();
+    }
+
+    #[test]
+    fn a_side_beyond_64_inputs_skips_the_search() {
+        let inputs = InputSet::from_weights(alternating(65));
+        let r = a2a_exact(&inputs, 21, 2_000u64).unwrap();
+        assert_eq!(r.stats, SearchStats::default());
+        assert!(!r.optimal);
+        r.schema.validate_a2a(&inputs, 21).unwrap();
+        for (nx, ny) in [(65, 3), (3, 65)] {
+            let inst = X2yInstance::from_weights(alternating(nx), alternating(ny));
+            let r = x2y_exact(&inst, 21, 2_000u64).unwrap();
+            assert_eq!(r.stats, SearchStats::default(), "{nx} × {ny}");
+            assert!(!r.optimal);
+            r.schema.validate(&inst, 21).unwrap();
         }
     }
 

@@ -41,7 +41,7 @@ pub enum X2yAlgorithm {
     /// Force big-input handling (falls back to the balanced grid when no
     /// big inputs exist).
     BigHandling(FitPolicy),
-    /// The branch-and-bound exact solver ([`crate::exact::x2y_exact_with`])
+    /// The branch-and-bound exact solver ([`crate::exact::x2y_exact`])
     /// under the given [`SearchBudget`]. Returns the optimal schema when
     /// the search certifies within budget, the best heuristic schema
     /// otherwise; callers needing the certificate and
@@ -82,10 +82,7 @@ pub fn solve(
         X2yAlgorithm::GridWithSplit(policy, c) => grid(inst, q, policy, Some(c)),
         X2yAlgorithm::GridOptimized(policy) => grid_optimized(inst, q, policy),
         X2yAlgorithm::BigHandling(policy) => big_handling(inst, q, policy),
-        X2yAlgorithm::Exact(budget) => {
-            crate::exact::x2y_exact_with(inst, q, budget, crate::exact::SearchOptions::default())
-                .map(|r| r.schema)
-        }
+        X2yAlgorithm::Exact(budget) => crate::exact::x2y_exact(inst, q, budget).map(|r| r.schema),
     }
 }
 

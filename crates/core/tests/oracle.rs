@@ -201,6 +201,8 @@ fn a2a_instances() -> Vec<(Vec<u64>, u64)> {
         (vec![10, 1, 1, 1, 1, 1, 1], 12),     // one big input + crumbs
         (vec![9, 9, 2, 2, 2], 18),            // two bigs that exactly pair
         (vec![4, 4, 4, 3, 3, 3, 2, 2, 2], 9), // m = 9, three weight classes
+        (vec![4, 4, 3, 3, 2, 2], 9),          // equal-weight pairs
+        (vec![1, 2, 3, 4, 5, 6], 11),         // all-distinct ladder, m = 6
     ];
     // Seeded mixed-size instances across every m ≤ 9. The capacity sits
     // just above the feasibility floor (the two heaviest inputs), which
@@ -238,6 +240,32 @@ fn x2y_instances() -> Vec<(Vec<u64>, Vec<u64>, u64)> {
             let y = mixed_weights(ny, total as u64 + 5, 1, 7);
             let q = x.iter().max().unwrap() + y.iter().max().unwrap() + 3;
             cases.push((x, y, q));
+        }
+    }
+    cases.extend(repeated_x2y_instances());
+    cases
+}
+
+/// X2Y instances whose weights repeat within a side and across the sides
+/// (3, 5 and 7), under a capacity just above the heaviest cross pair. Equal
+/// weights on both sides are what a dominance rule that ignored sides
+/// would wrongly merge; the tight capacity keeps most of these instances
+/// beyond the heuristics, the counting bounds and the two-reducer DP, so
+/// they reach the search.
+fn repeated_x2y_instances() -> Vec<(Vec<u64>, Vec<u64>, u64)> {
+    let mut cases = Vec::new();
+    for nx in 2..=5usize {
+        for ny in 2..=(9 - nx).min(5) {
+            for seed in 0..18u64 {
+                let weights = |n: usize, side: u64| -> Vec<u64> {
+                    (0..n as u64)
+                        .map(|i| 3 + 2 * ((i * (seed % 5 + 1) + side * seed + seed / 5) % 3))
+                        .collect()
+                };
+                let (x, y) = (weights(nx, 0), weights(ny, 1));
+                let q = x.iter().max().unwrap() + y.iter().max().unwrap() + 1 + seed % 3;
+                cases.push((x, y, q));
+            }
         }
     }
     cases
@@ -305,6 +333,7 @@ fn a2a_heuristics_are_never_better_than_the_oracle() {
 
 #[test]
 fn x2y_exact_matches_oracle_on_every_instance() {
+    let mut searched = 0;
     for (x, y, q) in x2y_instances() {
         let inst = X2yInstance::from_weights(x.clone(), y.clone());
         bounds::x2y_feasible(&inst, q).expect("differential instances are feasible");
@@ -323,7 +352,15 @@ fn x2y_exact_matches_oracle_on_every_instance() {
             "oracle disagrees on x={x:?} y={y:?} q={q}"
         );
         assert!(bounds::x2y_reducer_lb(&inst, q) <= opt);
+        searched += usize::from(result.stats.nodes > 0);
     }
+    // The heuristics, the bounds and the two-reducer DP settle most
+    // hand-picked instances before any search starts; this keeps the
+    // search itself under the oracle.
+    assert!(
+        searched >= 200,
+        "only {searched} X2Y instances reached the search"
+    );
 }
 
 #[test]

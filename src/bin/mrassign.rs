@@ -74,7 +74,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use mrassign::core::exact::{self, SearchBudget, SearchOptions, SearchStats};
+use mrassign::core::exact::{self, SearchBudget, SearchStats};
 use mrassign::core::solver::{a2a_solver, a2a_solver_names, x2y_solver, x2y_solver_names};
 use mrassign::core::{
     a2a, bounds, stats::SchemaStats, x2y, AssignmentSolver, InputSet, X2yInstance,
@@ -354,13 +354,8 @@ fn cmd_a2a(flags: &HashMap<String, String>) -> Result<String, String> {
     let budget = parse_budget(flags, algo.name())?;
     let inputs = InputSet::from_weights(weights);
     let (schema, search_line) = if let a2a::A2aAlgorithm::Exact(default_budget) = algo {
-        let result = exact::a2a_exact_with(
-            &inputs,
-            q,
-            budget.unwrap_or(default_budget),
-            SearchOptions::default(),
-        )
-        .map_err(|e| e.to_string())?;
+        let result = exact::a2a_exact(&inputs, q, budget.unwrap_or(default_budget))
+            .map_err(|e| e.to_string())?;
         let line = render_search_stats(&result.stats, result.optimal);
         (result.schema, Some(line))
     } else {
@@ -402,13 +397,8 @@ fn cmd_x2y(flags: &HashMap<String, String>) -> Result<String, String> {
     let budget = parse_budget(flags, algo.name())?;
     let inst = X2yInstance::from_weights(x, y);
     let (schema, search_line) = if let x2y::X2yAlgorithm::Exact(default_budget) = algo {
-        let result = exact::x2y_exact_with(
-            &inst,
-            q,
-            budget.unwrap_or(default_budget),
-            SearchOptions::default(),
-        )
-        .map_err(|e| e.to_string())?;
+        let result = exact::x2y_exact(&inst, q, budget.unwrap_or(default_budget))
+            .map_err(|e| e.to_string())?;
         let line = render_search_stats(&result.stats, result.optimal);
         (result.schema, Some(line))
     } else {
