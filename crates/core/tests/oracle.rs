@@ -15,8 +15,13 @@
 //! 2. every registered heuristic that succeeds returns a valid schema that
 //!    is never *better* than the oracle optimum;
 //! 3. infeasible instances error (checked separately below).
+//!
+//! The DP is the suite's whole cost, so each instance's optimum is
+//! computed once, into a table that the tests of properties 1 and 2 share.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 use mrassign_core::solver::{AssignmentSolver, A2A_SOLVERS, X2Y_SOLVERS};
 use mrassign_core::{bounds, exact, InputSet, SchemaError, X2yInstance};
@@ -188,8 +193,12 @@ fn mixed_weights(m: usize, seed: u64, lo: u64, hi: u64) -> Vec<u64> {
         .collect()
 }
 
+/// An A2A instance, (weights, q), and an X2Y instance, (x, y, q).
+type A2aCase = (Vec<u64>, u64);
+type X2yCase = (Vec<u64>, Vec<u64>, u64);
+
 /// Every A2A differential instance: (weights, q), all feasible.
-fn a2a_instances() -> Vec<(Vec<u64>, u64)> {
+fn a2a_instances() -> Vec<A2aCase> {
     let mut cases: Vec<(Vec<u64>, u64)> = vec![
         // Structured families.
         (vec![1; 6], 4),                 // equal weights, grouping regime
@@ -221,7 +230,7 @@ fn a2a_instances() -> Vec<(Vec<u64>, u64)> {
     cases
 }
 
-fn x2y_instances() -> Vec<(Vec<u64>, Vec<u64>, u64)> {
+fn x2y_instances() -> Vec<X2yCase> {
     let mut cases: Vec<(Vec<u64>, Vec<u64>, u64)> = vec![
         (vec![2, 2], vec![2, 2], 4),        // forced one-pair-per-reducer grid
         (vec![3, 3, 3, 3], vec![2, 2], 10), // two-reducer split exists
@@ -252,7 +261,7 @@ fn x2y_instances() -> Vec<(Vec<u64>, Vec<u64>, u64)> {
 /// would wrongly merge; the tight capacity keeps most of these instances
 /// beyond the heuristics, the counting bounds and the two-reducer DP, so
 /// they reach the search.
-fn repeated_x2y_instances() -> Vec<(Vec<u64>, Vec<u64>, u64)> {
+fn repeated_x2y_instances() -> Vec<X2yCase> {
     let mut cases = Vec::new();
     for nx in 2..=5usize {
         for ny in 2..=(9 - nx).min(5) {
@@ -271,12 +280,58 @@ fn repeated_x2y_instances() -> Vec<(Vec<u64>, Vec<u64>, u64)> {
     cases
 }
 
+/// Pairs each instance with its oracle optimum, running the DP once per
+/// instance on every available core. Both instance lists end with their
+/// largest instances, so the threads take them from the back: the
+/// costliest DPs start first instead of lengthening the tail.
+fn with_optima<I: Sync + Send>(
+    instances: Vec<I>,
+    oracle: impl Fn(&I) -> usize + Sync,
+) -> Vec<(I, usize)> {
+    let next = AtomicUsize::new(0);
+    let threads = std::thread::available_parallelism().map_or(1, usize::from);
+    let mut optima = vec![0; instances.len()];
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut found = Vec::new();
+                    loop {
+                        let taken = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(i) = instances.len().checked_sub(taken + 1) else {
+                            return found;
+                        };
+                        found.push((i, oracle(&instances[i])));
+                    }
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, opt) in worker.join().expect("the oracle never panics") {
+                optima[i] = opt;
+            }
+        }
+    });
+    instances.into_iter().zip(optima).collect()
+}
+
+/// Every A2A instance with its oracle optimum, computed once.
+fn a2a_optima() -> &'static [(A2aCase, usize)] {
+    static OPTIMA: OnceLock<Vec<(A2aCase, usize)>> = OnceLock::new();
+    OPTIMA.get_or_init(|| with_optima(a2a_instances(), |(weights, q)| oracle_a2a(weights, *q)))
+}
+
+/// Every X2Y instance with its oracle optimum, computed once.
+fn x2y_optima() -> &'static [(X2yCase, usize)] {
+    static OPTIMA: OnceLock<Vec<(X2yCase, usize)>> = OnceLock::new();
+    OPTIMA.get_or_init(|| with_optima(x2y_instances(), |(x, y, q)| oracle_x2y(x, y, *q)))
+}
+
 #[test]
 fn a2a_exact_matches_oracle_on_every_instance() {
-    for (weights, q) in a2a_instances() {
+    for &((ref weights, q), opt) in a2a_optima() {
         let inputs = InputSet::from_weights(weights.clone());
         bounds::a2a_feasible(&inputs, q).expect("differential instances are feasible");
-        let opt = oracle_a2a(&weights, q);
 
         let result = exact::a2a_exact(&inputs, q, 50_000_000u64).expect("feasible");
         assert!(
@@ -301,9 +356,8 @@ fn a2a_exact_matches_oracle_on_every_instance() {
 
 #[test]
 fn a2a_heuristics_are_never_better_than_the_oracle() {
-    for (weights, q) in a2a_instances() {
+    for &((ref weights, q), opt) in a2a_optima() {
         let inputs = InputSet::from_weights(weights.clone());
-        let opt = oracle_a2a(&weights, q);
         for solver in A2A_SOLVERS {
             match solver.solve(&inputs, q) {
                 Ok(schema) => {
@@ -334,10 +388,9 @@ fn a2a_heuristics_are_never_better_than_the_oracle() {
 #[test]
 fn x2y_exact_matches_oracle_on_every_instance() {
     let mut searched = 0;
-    for (x, y, q) in x2y_instances() {
+    for &((ref x, ref y, q), opt) in x2y_optima() {
         let inst = X2yInstance::from_weights(x.clone(), y.clone());
         bounds::x2y_feasible(&inst, q).expect("differential instances are feasible");
-        let opt = oracle_x2y(&x, &y, q);
 
         let result = exact::x2y_exact(&inst, q, 50_000_000u64).expect("feasible");
         assert!(
@@ -365,9 +418,8 @@ fn x2y_exact_matches_oracle_on_every_instance() {
 
 #[test]
 fn x2y_heuristics_are_never_better_than_the_oracle() {
-    for (x, y, q) in x2y_instances() {
+    for &((ref x, ref y, q), opt) in x2y_optima() {
         let inst = X2yInstance::from_weights(x.clone(), y.clone());
-        let opt = oracle_x2y(&x, &y, q);
         for solver in X2Y_SOLVERS {
             match solver.solve(&inst, q) {
                 Ok(schema) => {

@@ -46,7 +46,6 @@ fn cluster(
         shuffle: mode,
         map_threads: threads,
         finalize_mode: finalize,
-        pipeline_depth: 2,
         memory_budget: budget,
         ..ClusterConfig::default()
     }

@@ -101,9 +101,9 @@ static CKPT_SEQ: AtomicU64 = AtomicU64::new(0);
 ///
 /// Deliberately **excluded**: execution-only knobs that the differential
 /// suite proves never change outputs (workers, threads, shuffle mode,
-/// finalize mode, pipeline depth, memory budget, rates and overheads
-/// that only shape simulated time) — and the fault plan's *kill* lists,
-/// which affect whether a run survives, not what it outputs. Excluding
+/// finalize mode, memory budget, rates and overheads that only shape
+/// simulated time) — and the fault plan's *kill* lists, which affect
+/// whether a run survives, not what it outputs. Excluding
 /// the kill list is what lets a resume run drop `kill-reduce:…` from its
 /// fault spec and still match the checkpoints the killed run left
 /// behind.

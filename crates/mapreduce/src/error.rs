@@ -9,9 +9,9 @@ pub enum SimError {
     /// The cluster was configured with zero workers.
     NoWorkers,
     /// A knob on [`crate::ClusterConfig`] was configured to a value that
-    /// can never be meant: a zero `pipeline_depth` or `memory_budget`, or
-    /// an empty `checkpoint_dir`. The error names the offending knob so a misconfiguration is
-    /// diagnosable without a debugger.
+    /// can never be meant: a zero `memory_budget` or an empty
+    /// `checkpoint_dir`. The error names the offending knob so a
+    /// misconfiguration is diagnosable without a debugger.
     InvalidKnob {
         /// The field name on `ClusterConfig`.
         knob: &'static str,
@@ -165,9 +165,9 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("reducer 2") && s.contains("100") && s.contains("64"));
         let e = SimError::InvalidKnob {
-            knob: "pipeline_depth",
+            knob: "memory_budget",
         };
-        assert!(e.to_string().contains("pipeline_depth"));
+        assert!(e.to_string().contains("memory_budget"));
         let e = SimError::NonFiniteKnob { knob: "map_rate" };
         let s = e.to_string();
         assert!(s.contains("map_rate") && s.contains("finite"));

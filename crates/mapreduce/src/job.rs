@@ -109,6 +109,29 @@ pub(crate) struct MapSummary {
     pub(crate) loads: Vec<PartitionLoad>,
 }
 
+impl MapSummary {
+    /// The summary of no map task, over `n_reducers` partitions.
+    pub(crate) fn new(n_reducers: usize) -> Self {
+        MapSummary {
+            records_emitted: 0,
+            map_retries: 0,
+            dlq: Vec::new(),
+            loads: vec![PartitionLoad::default(); n_reducers],
+        }
+    }
+
+    /// Folds in another map thread's share of the same job's map side.
+    pub(crate) fn merge(&mut self, other: MapSummary) {
+        self.records_emitted += other.records_emitted;
+        self.map_retries += other.map_retries;
+        self.dlq.extend(other.dlq);
+        self.dlq.sort();
+        for (total, load) in self.loads.iter_mut().zip(&other.loads) {
+            total.merge(load);
+        }
+    }
+}
+
 /// One reducer partition's finished reduce task, as [`Job::reduce_task`]
 /// hands it back. Carries the fault-layer disposition too: a
 /// dead-lettered partition has `dlq_attempts` set (and no outputs), a
@@ -335,7 +358,7 @@ where
             // partition, all verified: serve the job from it without
             // running a map task, the shuffle or a reduce.
             Some(summary) => {
-                self.apply_map_summary(summary, &mut metrics)?;
+                self.apply_map_summary(summary, ckpt, &mut metrics)?;
                 self.accept_partitions(summary, ckpt, &mut metrics, sink, |p| {
                     unreachable!("a replayable checkpoint verified nonempty partition {p}")
                 })?
@@ -376,8 +399,8 @@ where
     ///
     /// Check-first by design: a fault preempts the attempt *before* any
     /// user code runs, so injected failures flow through `Result` values
-    /// and never unwind — the RAII abort guards in the pipelined engine
-    /// stay reserved for true user-code panics.
+    /// and never unwind — the pipelined engine's unwind paths stay
+    /// reserved for true user-code panics.
     pub(crate) fn fault_verdict(&self, stage: FaultStage, index: usize) -> TaskVerdict {
         let Some(plan) = &self.config.fault_plan else {
             return TaskVerdict::Run { retries: 0 };
@@ -385,12 +408,12 @@ where
         // Process-level fault injection: a kill is worker *death*, not a
         // transient task failure — it unwinds instead of flowing through
         // `Result`, exactly like a real crash, and the pipelined engine's
-        // unwind paths (channel endpoints dropping with their thread, the
-        // finalize publisher guard) absorb it so sibling threads drain
-        // instead of deadlocking. Tests kill a job mid-run, then re-run
-        // the same checkpoint dir without the kill list (the job
-        // fingerprint excludes it) to prove resume skips the completed
-        // partitions.
+        // unwind paths (channel endpoints dropping with their thread,
+        // finalize threads that share nothing but their take order) absorb
+        // it so sibling threads drain instead of deadlocking. Tests kill a
+        // job mid-run, then re-run the same checkpoint dir without the
+        // kill list (the job fingerprint excludes it) to prove resume
+        // skips the completed partitions.
         if plan.kills(stage, index) {
             panic!(
                 "fault injection: worker killed during {} task {index}",
@@ -452,10 +475,8 @@ where
         let (map_results, map_retries) = self.run_map_phase(inputs);
         let served = self.served_mask(ckpt);
         let mut summary = MapSummary {
-            records_emitted: 0,
             map_retries,
-            dlq: Vec::new(),
-            loads: vec![PartitionLoad::default(); self.n_reducers],
+            ..MapSummary::new(self.n_reducers)
         };
         let mut partitions: Vec<Vec<(M::Key, M::Value)>> =
             (0..self.n_reducers).map(|_| Vec::new()).collect();
@@ -491,10 +512,7 @@ where
                 });
             }
         }
-        if let Some(session) = ckpt {
-            session.record_map(&summary);
-        }
-        self.apply_map_summary(&summary, metrics)?;
+        self.apply_map_summary(&summary, ckpt, metrics)?;
 
         // Each partition is accepted (and so reaches the sink) the moment
         // its task finishes, so a kill at partition k lands after every
@@ -636,14 +654,21 @@ where
         Ok(())
     }
 
-    /// Books the map side's accounting into `metrics` and applies the
-    /// capacity policy to the per-reducer loads — one step whether the
-    /// map phase just ran or a checkpoint replays its record.
+    /// The map barrier, one step for both engines and a checkpoint
+    /// replay: commits the map side's accounting as the map record (a
+    /// no-op when the session already holds one), books it into
+    /// `metrics` and applies the capacity policy to the per-reducer
+    /// loads. Every caller runs it before any partition is reduced, so a
+    /// job that breaks its capacity reduces and commits nothing.
     pub(crate) fn apply_map_summary(
         &self,
         summary: &MapSummary,
+        ckpt: Option<&CheckpointSession<R::Out>>,
         metrics: &mut JobMetrics,
     ) -> Result<(), SimError> {
+        if let Some(session) = ckpt {
+            session.record_map(summary);
+        }
         metrics.records_emitted = summary.records_emitted;
         let mut shuffled = PartitionLoad::default();
         for load in &summary.loads {

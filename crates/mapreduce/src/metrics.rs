@@ -22,25 +22,27 @@ pub struct PipelineMetrics {
     pub map_reduce_overlap_blocks: u64,
     /// Highest number of blocks sent into the stage channels and not yet
     /// taken in by their consumer at one time. Back-pressure bounds this
-    /// by `pipeline_depth × consumer_groups`.
+    /// by [`CHANNEL_DEPTH`](crate::pipeline::CHANNEL_DEPTH)` ×
+    /// consumer_groups`.
     pub peak_inflight_blocks: u64,
     /// Total partition-tagged blocks that flowed mapper → consumer.
     pub blocks_sent: u64,
     /// Number of reducer-group consumer threads the run used.
     pub consumer_groups: u64,
-    /// Partitions finalized by a consumer thread that did *not* drain them
-    /// — always zero under
+    /// Partitions finalized by a finalize thread other than the one of
+    /// the consumer group that drained them — always zero under
     /// [`FinalizeMode::Static`](crate::FinalizeMode::Static); under
     /// [`FinalizeMode::Stealing`](crate::FinalizeMode::Stealing) it counts
     /// how much finalize work migrated off hot consumer groups.
     pub stolen_partitions: u64,
     /// Wall-clock span of the map stage (first task start → last task end).
     pub map_wall_seconds: f64,
-    /// Wall-clock span of the reduce finalization stage across consumers.
+    /// Wall-clock span of the reduce finalization stage across its threads.
     pub reduce_wall_seconds: f64,
-    /// Per-consumer-thread finalize span (seconds), indexed by consumer
-    /// group. Under a hot reducer with static finalize, one entry dwarfs
-    /// the rest; stealing flattens the profile.
+    /// Per-finalize-thread span (seconds), one thread per consumer group
+    /// and indexed by group. Every thread starts at the map barrier, so
+    /// under a hot reducer with static finalize one entry dwarfs the
+    /// rest; stealing flattens the profile.
     pub finalize_group_seconds: Vec<f64>,
     /// Finalize imbalance: max per-group finalize span over the mean span
     /// (≥ 1.0 for a pipelined run; 1.0 is perfectly balanced). Zero under

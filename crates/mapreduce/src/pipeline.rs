@@ -1,12 +1,13 @@
-//! The overlapped pipeline engine behind [`ShuffleMode::Pipelined`].
+//! The pipelined engine behind [`ShuffleMode::Pipelined`].
 //!
 //! The materialized mode runs map → shuffle → reduce as strict phases:
-//! the first reduce byte is processed only after the last map task
-//! finishes.
-//! This module replaces the passes with a **stage graph of scoped worker
-//! threads connected by bounded MPSC channels** (`std::sync::mpsc::
-//! sync_channel`, no external runtime — the engine stays dependency-free
-//! and offline-friendly):
+//! the first record is routed only after the last map task finishes, and
+//! partitions reduce one at a time. This module overlaps the shuffle with
+//! the map phase through a **stage graph of scoped worker threads
+//! connected by bounded MPSC channels** (`std::sync::mpsc::sync_channel`,
+//! no external runtime — the engine stays dependency-free and
+//! offline-friendly), then reduces the partitions in parallel after one
+//! barrier:
 //!
 //! ```text
 //!   inputs ──► task queue (atomic cursor)
@@ -14,45 +15,46 @@
 //!      ┌─────────┼─────────┐
 //!   mapper 1  mapper 2 … mapper T          T = map_threads
 //!      │  map_one → route → partition-tagged Block { seq, records }
-//!      │  (per-partition loads of every copy, folded in at retirement;
-//!      │   the last mapper out commits a checkpoint's map record)
+//!      │  (each thread keeps its own share of the map accounting)
 //!      └───┬────────┬──────┘
-//!     bounded channel per consumer group (buffer = pipeline_depth − 1)
+//!     bounded channel per consumer group (buffer = CHANNEL_DEPTH − 1)
 //!          │        │        ◄── back-pressure: a full channel blocks
 //!          ▼        ▼            the sender until the consumer drains
 //!   consumer 1 … consumer G               G = min(T, n_reducers)
-//!      │  task-tagged records buffered per partition (overlaps live
-//!      │  map tasks — the pipelining)
-//!      │  … channels close when every mapper drops its senders …
-//!      │  finalize: one stable sort by task per partition, group, reduce
-//!      │  (static: own range only; stealing: shared LPT finalize queue)
+//!      │  task-tagged records buffered per partition, spilled under a
+//!      │  budget (overlaps live map tasks — the pipelining)
 //!      ▼
-//!   per-partition outputs, slotted and concatenated in partition order
+//!   ══ barrier: every mapper and consumer joined ══
+//!      lowest map error → map record → capacity policy
+//!      │
+//!   finalize on G threads (the caller + G − 1 scoped threads):
+//!      one stable sort by task per partition, group, reduce
+//!      (static: thread g takes group g's range, ascending;
+//!       stealing: every thread takes the next of one LPT order)
+//!      ▼
+//!   per-partition outputs, accepted in partition order
 //! ```
 //!
 //! **Overlap.** While mapper threads are still producing, consumer threads
 //! already drain blocks, account their bytes and buffer them per
 //! partition (spilling under a budget) — the shuffle overlaps the map
 //! phase the way a real MapReduce copy phase shadows its mappers.
-//! `reduce()` itself must still wait for its partition to be complete
-//! (any map task may yet route a record anywhere — that barrier is
-//! inherent to correct MapReduce semantics), but it runs concurrently
-//! across consumer groups the moment the channels close.
-//! [`PipelineMetrics`] reports how much overlap a run actually achieved.
+//! `reduce()` itself waits for the barrier: any map task may yet route a
+//! record anywhere, and the loads the capacity policy judges are complete
+//! only there. [`PipelineMetrics`] reports how much overlap a run
+//! actually achieved.
 //!
-//! **Back-pressure.** Every channel buffers
-//! [`ClusterConfig::pipeline_depth`] − 1 blocks and a full channel blocks
-//! its sender, so depth 1 is a rendezvous: a send returns only once the
-//! consumer takes the block. A sender raises the in-flight gauge after
-//! its send returns and the consumer lowers it right after `recv`, so
-//! each channel counts at most `pipeline_depth` blocks sent and not yet
-//! taken in (its buffer plus the block its consumer just received), and
-//! the recorded `peak_inflight_blocks` is bounded by
-//! `pipeline_depth × consumer groups`. Buffered records are bounded
+//! **Back-pressure.** Every channel buffers [`CHANNEL_DEPTH`] − 1 blocks
+//! and a full channel blocks its sender. A sender raises the in-flight
+//! gauge after its send returns and the consumer lowers it right after
+//! `recv`, so each channel counts at most `CHANNEL_DEPTH` blocks sent and
+//! not yet taken in (its buffer plus the block its consumer just
+//! received), and the recorded `peak_inflight_blocks` is bounded by
+//! `CHANNEL_DEPTH × consumer groups`. Buffered records are bounded
 //! separately by [`ClusterConfig::memory_budget`]: while a group drains,
 //! it seals its largest partition buffer to disk whenever its residency
 //! exceeds the budget. Finalize reads a partition's spilled runs back
-//! whole, so each consumer thread holds one whole partition while it
+//! whole, so each finalize thread holds one whole partition while it
 //! sorts and reduces it — as a reducer in the paper's model receives
 //! every input its outputs need.
 //!
@@ -63,55 +65,56 @@
 //! per group, so a task's records for one partition sit together in one
 //! buffer, in emission order. Finalize appends the partition's spilled
 //! runs to its resident buffer and restores exact (task, emission) order
-//! with one stable sort by task. Combined with commutative per-partition
-//! load accounting on the map side, the engine produces outputs and a
-//! deterministic metrics subset bit-identical to
-//! [`ShuffleMode::Materialized`], for every thread count, pipeline depth,
-//! budget and [`FinalizeMode`]; only [`PipelineMetrics`] varies run to
-//! run.
+//! with one stable sort by task. Each mapper thread's share of the
+//! per-partition loads merges commutatively at the barrier, so the engine
+//! produces outputs and a deterministic metrics subset bit-identical to
+//! [`ShuffleMode::Materialized`], for every thread count, budget and
+//! [`FinalizeMode`]; only [`PipelineMetrics`] varies run to run.
 //!
-//! **Finalize scheduling.** Once the channels close, each completed
-//! partition still needs its sort + reduce. Both modes wrap each one in
-//! the same finalize item and run it through the same function; the mode
-//! only decides which thread takes an item. Under
-//! [`FinalizeMode::Static`] every consumer finalizes exactly the
-//! contiguous range it drained, in ascending partition order — which
-//! serializes a hot group's whole range on one thread while its peers
-//! idle, precisely the skew pathology the paper's load-balancing thesis
-//! targets. Under
-//! [`FinalizeMode::Stealing`] consumers publish their completed
-//! partitions into a shared `FinalizeQueue` (popped
-//! largest-bytes-first, the LPT rule the simulated scheduler itself
-//! uses) and then *all* consumer threads steal work from it until the
-//! queue is dry. Outputs stay slotted by partition index, so the
+//! **Finalize scheduling.** At the barrier the calling thread holds every
+//! nonempty partition buffer, and what the largest-first rule ranks by is
+//! complete. It finalizes them on one thread per consumer group: itself
+//! plus G − 1 scoped threads. Every partition's finalize is the same
+//! function; the mode only decides the order threads take partitions in
+//! (`finalize_queues`). Under [`FinalizeMode::Static`] thread g finalizes
+//! the contiguous range group g drained, in ascending partition order —
+//! which serializes a hot group's whole range on one thread while its
+//! peers idle, precisely the skew pathology the paper's load-balancing
+//! thesis targets. Under [`FinalizeMode::Stealing`] every thread takes
+//! the next partition of one order: buffered bytes descending, the lower
+//! partition first on ties — the LPT rule `Schedule::lpt_order` applies
+//! to simulated tasks. Outputs stay slotted by partition index, so the
 //! `JobOutput` is bit-identical either way; `stolen_partitions` and the
 //! per-group finalize spans in [`PipelineMetrics`] record how much work
 //! migrated.
 //!
 //! **Error paths.** A routing error does not tear the pipeline down
-//! mid-flight: the offending task records its error keyed by task index
-//! (the *lowest* index wins, matching the error the sequential pass would
-//! have hit first), mappers skip later tasks, consumers keep draining
-//! until the channels close — nobody blocks on a full channel, no thread
-//! leaks (all are scoped), and the job returns the same [`SimError`] the
-//! materialized mode returns. Capacity enforcement runs after the map stage
-//! completes, on the same totals, in the same reducer order. *Panics* in
-//! user code propagate rather than deadlock, because every channel
-//! endpoint is owned by one thread and drops as that thread unwinds: an
-//! unwinding mapper's senders drop, so `recv` still ends once every
-//! mapper is gone, and an unwinding consumer's receiver drops, so every
-//! send to it — including one blocked on its full channel — returns
-//! `Err` and the mapper drops the block. The scope join then re-raises
-//! the panic, exactly as the materialized mode does.
+//! mid-flight: the mapper thread keeps the error of its lowest failing
+//! task, mappers skip tasks above the lowest failing index, consumers
+//! keep draining until the channels close — nobody blocks on a full
+//! channel, no thread leaks (all are scoped) — and at the barrier the
+//! lowest task's error wins, the error the sequential pass would have hit
+//! first. Capacity enforcement follows on the same totals, in the same
+//! reducer order, before any partition is reduced or committed. Reduce
+//! failures then surface in ascending partition order, where a partition
+//! whose spill write failed reports that failure instead of reducing.
+//! *Panics* in user code propagate rather than deadlock, because every
+//! channel endpoint is owned by one thread and drops as that thread
+//! unwinds: an unwinding mapper's senders drop, so `recv` still ends once
+//! every mapper is gone, and an unwinding consumer's receiver drops, so
+//! every send to it — including one blocked on its full channel — returns
+//! `Err` and the mapper drops the block. Finalize threads share nothing
+//! but their take order, so a panicking reducer blocks no peer. The scope
+//! joins then re-raise the panic, exactly as the materialized mode does.
 //!
 //! **Checkpoint resume.** With a checkpoint session, mappers still count
 //! every routed copy in the per-partition loads, so every deterministic
 //! metric is recomputed, but they never clone or send a copy bound for a
 //! partition the session verified. Such a partition is never finalized;
-//! reassembly accepts its committed outputs in its place. The last mapper
-//! thread to retire from a map phase without error commits the map
-//! record before its senders drop, so the record precedes every partition
-//! commit of the run.
+//! reassembly accepts its committed outputs in its place. The calling
+//! thread commits the map record at the barrier, before any finalize
+//! thread starts, so the record precedes every partition commit of the
+//! run.
 //!
 //! **Fault tolerance.** With a [`crate::FaultPlan`] configured, every map
 //! task and finalize runs the fault-layer attempt loop first
@@ -123,17 +126,17 @@
 //! lowest task index / partition, matching the sequential pass. Every map
 //! task and every partition's finalize runs exactly once, on one thread.
 
+use std::cmp::Reverse;
+use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::checkpoint::CheckpointSession;
 use crate::cluster::{FaultStage, FinalizeMode};
 use crate::error::SimError;
-use crate::job::{
-    fan_out, DlqEntry, FinalizedPartition, Job, MapSummary, PartitionLoad, Reduced, TaskVerdict,
-};
+use crate::job::{fan_out, DlqEntry, FinalizedPartition, Job, MapSummary, Reduced, TaskVerdict};
 use crate::metrics::{JobMetrics, PipelineMetrics};
 use crate::record::ByteSized;
 use crate::router::Router;
@@ -144,13 +147,19 @@ use crate::traits::{Mapper, Reducer};
 #[cfg(doc)]
 use crate::cluster::{ClusterConfig, ShuffleMode};
 
+/// Blocks one mapper → consumer channel holds in flight: it buffers
+/// `CHANNEL_DEPTH − 1` blocks, and its consumer holds the one it just
+/// received. [`PipelineMetrics::peak_inflight_blocks`] is therefore at
+/// most `CHANNEL_DEPTH × consumer groups`.
+pub const CHANNEL_DEPTH: usize = 4;
+
 /// Gauge of blocks sent into the stage channels and not yet taken in by
 /// their consumers, with a high-water mark (see the module docs for why
-/// the count per channel is at most `pipeline_depth`). A `recv` can lower
-/// the gauge before the matching raise lands, so it is signed and may lag
-/// the true count but never exceeds it. The block a consumer takes in was
-/// itself in flight, so lowering records at least 1: a run that moved any
-/// block reports a peak of at least one.
+/// the count per channel is at most [`CHANNEL_DEPTH`]). A `recv` can
+/// lower the gauge before the matching raise lands, so it is signed and
+/// may lag the true count but never exceeds it. The block a consumer
+/// takes in was itself in flight, so lowering records at least 1: a run
+/// that moved any block reports a peak of at least one.
 #[derive(Default)]
 struct InflightGauge {
     current: AtomicI64,
@@ -169,140 +178,6 @@ impl InflightGauge {
     }
 }
 
-/// The shared work-stealing finalize queue of [`FinalizeMode::Stealing`]:
-/// consumers publish `(priority, item)` pairs as their channels close and
-/// every consumer thread steals the highest-priority (largest-bytes)
-/// pending item — LPT over finalize tasks, so a hot partition's neighbors
-/// migrate to idle threads instead of queueing behind it. Equal
-/// priorities pop in publish order, and a consumer publishes its range in
-/// ascending partition order, so within a batch ties go to the lower
-/// partition, as `Schedule::lpt_order` ranks them.
-///
-/// `steal` blocks while the queue is empty but publishers remain, and
-/// returns `None` once every publisher finished and the queue drained —
-/// or immediately after [`FinalizeQueue::abort`], which a panicking
-/// consumer's [`FinalizePublisherGuard`] triggers so its peers drain out
-/// instead of waiting forever on a publisher that will never arrive.
-struct FinalizeQueue<T> {
-    state: Mutex<FinalizeQueueInner<T>>,
-    work_ready: Condvar,
-}
-
-struct FinalizeQueueInner<T> {
-    items: Vec<(u64, T)>,
-    publishers: usize,
-    aborted: bool,
-}
-
-impl<T> FinalizeQueue<T> {
-    fn new(publishers: usize) -> Self {
-        FinalizeQueue {
-            state: Mutex::new(FinalizeQueueInner {
-                items: Vec::new(),
-                publishers,
-                aborted: false,
-            }),
-            work_ready: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FinalizeQueueInner<T>> {
-        // Tolerate poisoning: the abort path runs mid-unwind and must not
-        // double-panic; normal paths never panic while holding this lock.
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    fn publish(&self, batch: Vec<(u64, T)>) {
-        if batch.is_empty() {
-            return;
-        }
-        let mut state = self.lock();
-        state.items.extend(batch);
-        drop(state);
-        self.work_ready.notify_all();
-    }
-
-    /// Counts one publisher down; the last one wakes every stealer so it
-    /// can observe end-of-work instead of waiting forever.
-    fn finish_publishing(&self) {
-        let mut state = self.lock();
-        state.publishers -= 1;
-        let done = state.publishers == 0;
-        drop(state);
-        if done {
-            self.work_ready.notify_all();
-        }
-    }
-
-    /// Poisons the queue (a consumer is unwinding): stealers drain out
-    /// with `None` immediately. The job re-raises the panic at join.
-    fn abort(&self) {
-        self.lock().aborted = true;
-        self.work_ready.notify_all();
-    }
-
-    fn steal(&self) -> Option<T> {
-        let mut state = self.lock();
-        loop {
-            if state.aborted {
-                return None;
-            }
-            // Largest priority first; earliest-published wins ties so the
-            // pop order is reproducible for equal-sized partitions.
-            let mut best: Option<(usize, u64)> = None;
-            for (idx, &(priority, _)) in state.items.iter().enumerate() {
-                if best.is_none_or(|(_, b)| priority > b) {
-                    best = Some((idx, priority));
-                }
-            }
-            if let Some((idx, _)) = best {
-                // `remove`, not `swap_remove`: the items behind `idx` must
-                // keep their publish order for the tie rule above.
-                return Some(state.items.remove(idx).1);
-            }
-            if state.publishers == 0 {
-                return None;
-            }
-            state = self
-                .work_ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// Ties a consumer thread to the finalize queue for the duration of its
-/// finalize phase. Dropping it *without* [`FinalizePublisherGuard::finish`]
-/// means the consumer is unwinding before it could publish — the guard
-/// aborts the queue so sibling consumers blocked in `steal` drain out
-/// (as a dropped receiver does for the stage channels).
-struct FinalizePublisherGuard<'a, T> {
-    queue: &'a FinalizeQueue<T>,
-    finished: bool,
-}
-
-impl<'a, T> FinalizePublisherGuard<'a, T> {
-    fn new(queue: &'a FinalizeQueue<T>) -> Self {
-        FinalizePublisherGuard {
-            queue,
-            finished: false,
-        }
-    }
-
-    fn finish(&mut self) {
-        self.finished = true;
-        self.queue.finish_publishing();
-    }
-}
-
-impl<T> Drop for FinalizePublisherGuard<'_, T> {
-    fn drop(&mut self) {
-        if !self.finished {
-            self.queue.abort();
-        }
-    }
-}
-
 /// A record tagged with its destination reducer partition (mapper side).
 type Tagged<M> = (usize, <M as Mapper>::Key, <M as Mapper>::Value);
 
@@ -318,26 +193,21 @@ struct Block<K, V> {
     records: Vec<(usize, K, V)>,
 }
 
-/// One completed partition's buffer, queued for a (possibly stolen)
-/// finalize. `owner` is the consumer group that drained it, which is what
-/// `stolen_partitions` is counted against. The buffer owns its
-/// [`SpilledRun`]s, so whichever thread finalizes it reads back the temp
-/// files the owner sealed, and they are deleted when it is done.
-struct FinalizeItem<M: Mapper> {
-    partition: usize,
-    owner: usize,
-    buffer: PartitionBuffer<M>,
-}
-
 /// One partition's buffered state while its consumer drains: the resident
 /// task-tagged records in arrival order, their `ByteSized` total (the
 /// spill policy's ranking key), and the buffers already sealed to disk.
 /// Sealing moves the whole resident buffer to one file, after a whole
 /// block, so a task's records for the partition never span two sources.
+/// The buffer owns its [`SpilledRun`]s, so whichever thread finalizes it
+/// reads back the temp files its consumer sealed, and they are deleted
+/// when it is done.
 struct PartitionBuffer<M: Mapper> {
     records: Vec<Seqed<M>>,
     resident_bytes: u64,
     spilled: Vec<SpilledRun>,
+    /// A spill write that failed for this partition: its finalize reports
+    /// this error instead of reducing.
+    spill_error: Option<SimError>,
 }
 
 impl<M: Mapper> PartitionBuffer<M> {
@@ -359,23 +229,28 @@ impl<M: Mapper> PartitionBuffer<M> {
     }
 }
 
-/// Everything one consumer hands back: the partitions this *thread*
-/// finalized (its own under static finalize; whatever it stole under
-/// stealing), plus the group's overlap observation and finalize
-/// wall-clock span.
-struct GroupResult<Out> {
-    finalized: Vec<FinalizedPartition<Out>>,
+/// What one consumer thread hands back at the barrier: its group's
+/// nonempty partition buffers in ascending partition order, and what
+/// draining them took.
+struct Drained<M: Mapper> {
+    partitions: Vec<(usize, PartitionBuffer<M>)>,
     overlap_blocks: u64,
-    stolen: u64,
-    finalize_start: f64,
-    finalize_end: f64,
     spilled_runs: u64,
     spilled_bytes: u64,
     /// Highest buffered residency this group reached after each block's
     /// budget enforcement (the per-group bound `memory_budget` states).
     peak_buffered: u64,
-    /// Most sources (spilled runs, plus the resident buffer if nonempty)
-    /// one of this thread's finalizes read.
+}
+
+/// What one finalize thread hands back: the partitions it finalized, how
+/// many of them another group drained, its wall-clock span, and the most
+/// sources (spilled runs, plus the resident buffer if nonempty) one of
+/// its finalizes read.
+struct FinalizeSpan<Out> {
+    finalized: Vec<FinalizedPartition<Out>>,
+    stolen: u64,
+    start: f64,
+    end: f64,
     merge_fanin: u64,
 }
 
@@ -402,8 +277,35 @@ fn restore_order<K: SpillCodec, V: SpillCodec>(
         .collect())
 }
 
-/// Shared mutable state of one pipelined run (everything the stages
-/// coordinate through besides the channels themselves).
+/// The order the finalize threads take the drained partitions in. `items`
+/// come in ascending partition order, and `bytes` ranks one. Under
+/// [`FinalizeMode::Static`] there is one queue per consumer group: the
+/// group's own range, ascending. Under [`FinalizeMode::Stealing`] there
+/// is one queue that every thread takes from: bytes descending, the lower
+/// partition first on ties, as `Schedule::lpt_order` ranks tasks.
+fn finalize_queues<T>(
+    mode: FinalizeMode,
+    mut items: Vec<(usize, T)>,
+    bytes: impl Fn(&T) -> u64,
+    per_group: usize,
+    n_groups: usize,
+) -> Vec<Vec<(usize, T)>> {
+    match mode {
+        FinalizeMode::Static => {
+            let mut queues: Vec<Vec<(usize, T)>> = (0..n_groups).map(|_| Vec::new()).collect();
+            for (partition, item) in items {
+                queues[partition / per_group].push((partition, item));
+            }
+            queues
+        }
+        FinalizeMode::Stealing => {
+            items.sort_by_key(|(partition, item)| (Reverse(bytes(item)), *partition));
+            vec![items]
+        }
+    }
+}
+
+/// What the mapper and consumer threads share besides the channels.
 struct Coordination {
     /// Next input index to map — the dynamic task queue.
     next_task: AtomicUsize,
@@ -416,95 +318,38 @@ struct Coordination {
     /// budget (`usize::MAX` = none); mappers skip tasks above it so the
     /// pipeline drains fast.
     error_seq: AtomicUsize,
-    /// The error carried by `error_seq`'s task.
-    first_error: Mutex<Option<SimError>>,
-    /// Lowest reducer partition whose finalize exhausted its retry budget
-    /// under `Fail` mode — checked after the map error and capacity, the
-    /// same precedence the sequential pass applies.
-    reduce_error: Mutex<Option<(usize, SimError)>>,
-    records_emitted: AtomicU64,
-    blocks_sent: AtomicU64,
-    map_retries: AtomicU64,
-    /// Map-stage dead-letter entries (reduce-stage ones travel through
-    /// [`FinalizedPartition`] so they stay slotted by partition).
-    dlq: Mutex<Vec<DlqEntry>>,
-    /// Per-partition loads of every resolved map task, shipped copies or
-    /// not; each mapper thread folds its share in as it retires.
-    loads: Mutex<Vec<PartitionLoad>>,
-    /// Mapper threads still running. The one that retires it to zero
-    /// observes every map task resolved.
-    mappers_left: AtomicUsize,
     gauge: InflightGauge,
 }
 
-impl Coordination {
-    fn new(n_reducers: usize, n_mappers: usize) -> Self {
-        Coordination {
-            next_task: AtomicUsize::new(0),
-            tasks_done: AtomicUsize::new(0),
-            error_seq: AtomicUsize::new(usize::MAX),
-            first_error: Mutex::new(None),
-            reduce_error: Mutex::new(None),
-            records_emitted: AtomicU64::new(0),
-            blocks_sent: AtomicU64::new(0),
-            map_retries: AtomicU64::new(0),
-            dlq: Mutex::new(Vec::new()),
-            loads: Mutex::new(vec![PartitionLoad::default(); n_reducers]),
-            mappers_left: AtomicUsize::new(n_mappers),
-            gauge: InflightGauge::default(),
-        }
-    }
-
-    /// The map side's accounting so far — complete once every mapper
-    /// thread retired.
-    fn map_summary(&self) -> MapSummary {
-        let mut dlq = self.dlq.lock().expect("dlq slot poisoned").clone();
-        dlq.sort();
-        MapSummary {
-            records_emitted: self.records_emitted.load(Ordering::Relaxed),
-            map_retries: self.map_retries.load(Ordering::Relaxed),
-            dlq,
-            loads: self.loads.lock().expect("load totals poisoned").clone(),
-        }
-    }
-
-    /// Records a routing error, keeping the one from the lowest task
-    /// index — the error the sequential pass would have reported.
-    fn record_error(&self, task: usize, error: SimError) {
-        let mut slot = self.first_error.lock().expect("error slot poisoned");
-        let current = self.error_seq.load(Ordering::Relaxed);
-        if task < current || slot.is_none() {
-            *slot = Some(error);
-        }
-        self.error_seq.fetch_min(task, Ordering::Relaxed);
-    }
-
-    /// Records a reduce-stage exhaustion, keeping the lowest partition —
-    /// the error the sequential pass, walking partitions in ascending
-    /// order, would have reported first.
-    fn record_reduce_error(&self, partition: usize, error: SimError) {
-        let mut slot = self
-            .reduce_error
-            .lock()
-            .expect("reduce error slot poisoned");
-        match &*slot {
-            Some((current, _)) if *current <= partition => {}
-            _ => *slot = Some((partition, error)),
-        }
-    }
+/// What one mapper thread hands back at the barrier: its share of the map
+/// summary (only the tasks this thread resolved count), the blocks it
+/// sent, and its lowest failing task with that task's error.
+struct MapShare {
+    summary: MapSummary,
+    blocks_sent: u64,
+    error: Option<(usize, SimError)>,
 }
 
 /// One mapper thread's side of the stage graph: what it reads, its sender
-/// into every consumer group, and its share of the per-partition loads
-/// (only the map tasks this thread resolved count).
+/// into every consumer group, and its [`MapShare`].
 struct MapWorker<'a, M: Mapper> {
     inputs: &'a [M::In],
     per_group: usize,
-    /// Partitions the checkpoint serves: their copies are counted in
-    /// `loads` but never shipped.
+    /// Partitions the checkpoint serves: their copies are counted in the
+    /// loads but never shipped.
     served: &'a [bool],
     channels: Vec<SyncSender<Block<M::Key, M::Value>>>,
-    loads: Vec<PartitionLoad>,
+    share: MapShare,
+}
+
+impl<M: Mapper> MapWorker<'_, M> {
+    /// Records a failing task and lets every mapper skip the tasks above
+    /// it. A thread takes its tasks in ascending order, so its first
+    /// failure is its lowest.
+    fn fail(&mut self, task: usize, error: SimError, coord: &Coordination) {
+        self.share.error.get_or_insert((task, error));
+        coord.error_seq.fetch_min(task, Ordering::Relaxed);
+    }
 }
 
 impl<M, R, Rt> Job<M, R, Rt>
@@ -513,7 +358,7 @@ where
     R: Reducer<Key = M::Key, Value = M::Value>,
     Rt: Router<M::Key>,
 {
-    /// Runs the overlapped pipeline described in the [module docs](self).
+    /// Runs the pipelined engine described in the [module docs](self).
     ///
     /// Returns the reduce outputs in (partition, key, arrival) order and
     /// the per-nonempty-partition reduce costs in partition order —
@@ -534,44 +379,32 @@ where
         let group_target = n_mappers.min(self.n_reducers).max(1);
         let per_group = self.n_reducers.div_ceil(group_target);
         let n_groups = self.n_reducers.div_ceil(per_group);
-        let depth = self.config.pipeline_depth;
         let served = self.served_mask(ckpt);
 
-        // A buffer of `depth − 1` blocks (a rendezvous at depth 1) plus the
-        // block a consumer has just received keeps at most `depth` blocks
-        // per channel in flight — the bound the gauge reports.
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_groups)
-            .map(|_| sync_channel::<Block<M::Key, M::Value>>(depth - 1))
+            .map(|_| sync_channel::<Block<M::Key, M::Value>>(CHANNEL_DEPTH - 1))
             .unzip();
-        let finalize_queue: FinalizeQueue<FinalizeItem<M>> = FinalizeQueue::new(n_groups);
-        let coord = Coordination::new(self.n_reducers, n_mappers);
+        let coord = Coordination {
+            next_task: AtomicUsize::new(0),
+            tasks_done: AtomicUsize::new(0),
+            error_seq: AtomicUsize::new(usize::MAX),
+            gauge: InflightGauge::default(),
+        };
         // Spill temp files report failed RAII deletes here; sampled into
         // `PipelineMetrics::spill_delete_errors` once every spilled run
-        // has dropped — which the scope join guarantees.
+        // has dropped — which the finalize scope's join guarantees.
         let delete_errors = Arc::new(AtomicU64::new(0));
         let epoch = Instant::now();
 
-        let (map_wall, group_results) = std::thread::scope(|scope| {
-            let consumer_handles: Vec<_> = receivers
+        let (mut shares, drained) = std::thread::scope(|scope| {
+            let consumers: Vec<_> = receivers
                 .into_iter()
                 .enumerate()
                 .map(|(g, channel)| {
-                    let finalize_queue = &finalize_queue;
-                    let coord = &coord;
-                    let delete_errors = &delete_errors;
-                    let job = self;
+                    let partitions = g * per_group..((g + 1) * per_group).min(self.n_reducers);
+                    let (coord, delete_errors, job) = (&coord, &delete_errors, self);
                     scope.spawn(move || {
-                        job.consume_group(
-                            g,
-                            per_group,
-                            n_inputs,
-                            channel,
-                            finalize_queue,
-                            coord,
-                            &epoch,
-                            ckpt,
-                            delete_errors,
-                        )
+                        job.drain_group(partitions, n_inputs, channel, coord, delete_errors)
                     })
                 })
                 .collect();
@@ -579,59 +412,70 @@ where
             // Every mapper owns clones of the senders, so once the
             // originals drop here a consumer's `recv` ends when the last
             // mapper exits or unwinds.
-            let mapper_handles: Vec<_> = (0..n_mappers)
+            let mappers: Vec<_> = (0..n_mappers)
                 .map(|_| {
-                    let mut worker = MapWorker {
+                    let worker = MapWorker {
                         inputs,
                         per_group,
                         served: &served,
                         channels: senders.clone(),
-                        loads: vec![PartitionLoad::default(); self.n_reducers],
+                        share: MapShare {
+                            summary: MapSummary::new(self.n_reducers),
+                            blocks_sent: 0,
+                            error: None,
+                        },
                     };
-                    let coord = &coord;
-                    let job = self;
+                    let (coord, job) = (&coord, self);
                     scope.spawn(move || {
-                        job.map_stage(&mut worker, coord);
-                        let map_end = epoch.elapsed().as_secs_f64();
-                        job.retire_mapper(worker, coord, ckpt);
-                        map_end
+                        let share = job.map_stage(worker, coord);
+                        (share, epoch.elapsed().as_secs_f64())
                     })
                 })
                 .collect();
             drop(senders);
 
-            let map_wall = mapper_handles
+            let shares: Vec<(MapShare, f64)> = mappers
                 .into_iter()
                 .map(|h| h.join().expect("pipeline mapper panicked"))
-                .fold(0.0f64, f64::max);
-            let group_results: Vec<GroupResult<R::Out>> = consumer_handles
+                .collect();
+            let drained: Vec<Drained<M>> = consumers
                 .into_iter()
                 .map(|h| h.join().expect("pipeline consumer panicked"))
                 .collect();
-            (map_wall, group_results)
+            (shares, drained)
         });
 
-        if let Some(error) = coord
-            .first_error
-            .lock()
-            .expect("error slot poisoned")
-            .take()
+        // The barrier: every map task is resolved and every shipped copy
+        // is buffered. The lowest failing task's error wins, then the
+        // capacity policy — both before any partition is reduced.
+        if let Some((_, error)) = shares
+            .iter_mut()
+            .filter_map(|(share, _)| share.error.take())
+            .min_by_key(|&(task, _)| task)
         {
             return Err(error);
         }
-        let summary = coord.map_summary();
-        self.apply_map_summary(&summary, metrics)?;
+        let mut summary = MapSummary::new(self.n_reducers);
+        let mut pipeline = PipelineMetrics {
+            consumer_groups: n_groups as u64,
+            ..PipelineMetrics::default()
+        };
+        for (share, map_end) in shares {
+            summary.merge(share.summary);
+            pipeline.blocks_sent += share.blocks_sent;
+            pipeline.map_wall_seconds = pipeline.map_wall_seconds.max(map_end);
+        }
+        self.apply_map_summary(&summary, ckpt, metrics)?;
 
-        // Reduce-stage exhaustion under `Fail` mode: checked after the map
-        // error and capacity, lowest partition first — the precedence the
-        // sequential pass applies by construction.
-        if let Some((_, error)) = coord
-            .reduce_error
-            .lock()
-            .expect("reduce error slot poisoned")
-            .take()
-        {
-            return Err(error);
+        let mut partitions = Vec::new();
+        for group in drained {
+            pipeline.map_reduce_overlap_blocks += group.overlap_blocks;
+            pipeline.spilled_runs += group.spilled_runs;
+            pipeline.spilled_bytes = pipeline.spilled_bytes.saturating_add(group.spilled_bytes);
+            // The budget is per consumer group, so the metric is the worst
+            // single group's residency — the value the bound is stated over.
+            pipeline.peak_buffered_bytes = pipeline.peak_buffered_bytes.max(group.peak_buffered);
+            partitions.extend(group.partitions);
         }
 
         // Finalized partitions carry their own index because under
@@ -640,81 +484,57 @@ where
         // walks its partitions.
         let mut slotted: Vec<Option<FinalizedPartition<R::Out>>> =
             (0..self.n_reducers).map(|_| None).collect();
-        let mut overlap_blocks = 0u64;
-        let mut stolen_partitions = 0u64;
-        let mut finalize_start = f64::INFINITY;
-        let mut finalize_end = 0.0f64;
-        let mut finalize_group_seconds = Vec::with_capacity(group_results.len());
-        let mut spilled_runs = 0u64;
-        let mut spilled_bytes = 0u64;
-        // The budget is per consumer group, so the metric is the worst
-        // single group's residency — the value the bound is stated over.
-        let mut peak_buffered_bytes = 0u64;
-        let mut merge_fanin = 0u64;
-        for group in group_results {
-            overlap_blocks += group.overlap_blocks;
-            stolen_partitions += group.stolen;
-            finalize_start = finalize_start.min(group.finalize_start);
-            finalize_end = finalize_end.max(group.finalize_end);
-            finalize_group_seconds.push((group.finalize_end - group.finalize_start).max(0.0));
-            spilled_runs += group.spilled_runs;
-            spilled_bytes = spilled_bytes.saturating_add(group.spilled_bytes);
-            peak_buffered_bytes = peak_buffered_bytes.max(group.peak_buffered);
-            merge_fanin = merge_fanin.max(group.merge_fanin);
-            for part in group.finalized {
+        let (mut finalize_start, mut finalize_end) = (f64::INFINITY, 0.0f64);
+        for span in self.finalize_groups(partitions, per_group, n_groups, ckpt, &epoch) {
+            pipeline.stolen_partitions += span.stolen;
+            pipeline.merge_fanin = pipeline.merge_fanin.max(span.merge_fanin);
+            pipeline
+                .finalize_group_seconds
+                .push((span.end - span.start).max(0.0));
+            finalize_start = finalize_start.min(span.start);
+            finalize_end = finalize_end.max(span.end);
+            for part in span.finalized {
                 let p = part.partition;
                 slotted[p] = Some(part);
             }
         }
         // The sink contract promises ascending partition order, so
-        // acceptance happens here — during deterministic reassembly — not
-        // at the consumer threads' out-of-order finalize times.
+        // acceptance happens here, not at the finalize threads'
+        // out-of-order finish times. The first failed partition, the
+        // lowest, is the job's error.
         let reduced = self.accept_partitions(&summary, ckpt, metrics, sink, |p| {
             slotted[p]
                 .take()
                 .expect("every nonempty partition the checkpoint does not serve finalized")
         })?;
-        let max_span = finalize_group_seconds.iter().cloned().fold(0.0, f64::max);
-        let mean_span =
-            finalize_group_seconds.iter().sum::<f64>() / finalize_group_seconds.len().max(1) as f64;
-        metrics.pipeline = PipelineMetrics {
-            map_reduce_overlap_blocks: overlap_blocks,
-            peak_inflight_blocks: u64::try_from(coord.gauge.peak.load(Ordering::Relaxed))
-                .expect("the peak starts at 0 and only rises"),
-            blocks_sent: coord.blocks_sent.load(Ordering::Relaxed),
-            consumer_groups: n_groups as u64,
-            stolen_partitions,
-            map_wall_seconds: map_wall,
-            reduce_wall_seconds: (finalize_end - finalize_start).max(0.0),
-            finalize_group_seconds,
-            finalize_imbalance: if mean_span > 0.0 {
-                max_span / mean_span
-            } else {
-                1.0
-            },
-            wall_seconds: epoch.elapsed().as_secs_f64(),
-            spilled_runs,
-            spilled_bytes,
-            peak_buffered_bytes,
-            merge_fanin,
-            // Checkpoint counters live on the session and are folded in
-            // by `Job::run` after this literal, uniformly across modes.
-            checkpoint_hits: 0,
-            checkpoint_misses: 0,
-            checkpoint_invalid: 0,
-            spill_delete_errors: delete_errors.load(Ordering::Relaxed),
-            orphans_reclaimed: 0,
+        let spans = &pipeline.finalize_group_seconds;
+        let max_span = spans.iter().cloned().fold(0.0, f64::max);
+        let mean_span = spans.iter().sum::<f64>() / spans.len().max(1) as f64;
+        pipeline.finalize_imbalance = if mean_span > 0.0 {
+            max_span / mean_span
+        } else {
+            1.0
         };
+        pipeline.reduce_wall_seconds = (finalize_end - finalize_start).max(0.0);
+        pipeline.peak_inflight_blocks = u64::try_from(coord.gauge.peak.load(Ordering::Relaxed))
+            .expect("the peak starts at 0 and only rises");
+        pipeline.spill_delete_errors = delete_errors.load(Ordering::Relaxed);
+        pipeline.wall_seconds = epoch.elapsed().as_secs_f64();
+        // Checkpoint counters live on the session and are folded in by
+        // `Job::run` after this, uniformly across modes.
+        metrics.pipeline = pipeline;
         Ok(reduced)
     }
 
-    /// One mapper worker: pull tasks from the shared cursor, map and route
+    /// One mapper thread: pull tasks from the shared cursor, map and route
     /// them, and push partition-tagged blocks into the group channels.
-    fn map_stage(&self, worker: &mut MapWorker<'_, M>, coord: &Coordination) {
+    /// Returns the thread's share once the tasks run out; its senders drop
+    /// here, so the consumers see the end of its stream.
+    fn map_stage(&self, mut worker: MapWorker<'_, M>, coord: &Coordination) -> MapShare {
         loop {
             let task = coord.next_task.fetch_add(1, Ordering::Relaxed);
             if task >= worker.inputs.len() {
-                break;
+                return worker.share;
             }
             // A lower task already failed: its error wins whatever this
             // task would do, so skip the work and let the pipeline drain.
@@ -722,32 +542,7 @@ where
                 coord.tasks_done.fetch_add(1, Ordering::Relaxed);
                 continue;
             }
-            self.execute_map_task(task, worker, coord);
-        }
-    }
-
-    /// Retires a mapper thread once it runs out of tasks: folds its loads
-    /// into the totals and, if it is the last one out of a map phase
-    /// without error, commits the map record. The record thus lands after
-    /// every map task resolved and before the worker's senders drop —
-    /// before any consumer can finalize, let alone commit, a partition.
-    fn retire_mapper(
-        &self,
-        worker: MapWorker<'_, M>,
-        coord: &Coordination,
-        ckpt: Option<&CheckpointSession<R::Out>>,
-    ) {
-        let mut totals = coord.loads.lock().expect("load totals poisoned");
-        for (total, load) in totals.iter_mut().zip(&worker.loads) {
-            total.merge(load);
-        }
-        drop(totals);
-        // AcqRel: the last mapper acquires every peer's release, so it
-        // sees their loads, counters and any recorded error.
-        let last = coord.mappers_left.fetch_sub(1, Ordering::AcqRel) == 1;
-        let clean = coord.error_seq.load(Ordering::Relaxed) == usize::MAX;
-        if let Some(session) = ckpt.filter(|_| last && clean) {
-            session.record_map(&coord.map_summary());
+            self.execute_map_task(task, &mut worker, coord);
         }
     }
 
@@ -759,25 +554,22 @@ where
         match self.fault_verdict(FaultStage::Map, task) {
             TaskVerdict::Run { retries } => {
                 let pairs = self.map_one(&worker.inputs[task]);
-                coord
-                    .map_retries
-                    .fetch_add(u64::from(retries), Ordering::Relaxed);
-                coord
-                    .records_emitted
-                    .fetch_add(pairs.len() as u64, Ordering::Relaxed);
+                let summary = &mut worker.share.summary;
+                summary.map_retries += u64::from(retries);
+                summary.records_emitted += pairs.len() as u64;
                 let mut targets: Vec<usize> = Vec::new();
                 let mut per_group_records: Vec<Vec<Tagged<M>>> =
                     (0..worker.channels.len()).map(|_| Vec::new()).collect();
                 for (key, value) in pairs {
                     if let Err(error) = self.route_into(&key, &mut targets) {
-                        coord.record_error(task, error);
+                        worker.fail(task, error, coord);
                         coord.tasks_done.fetch_add(1, Ordering::Relaxed);
                         return;
                     }
                     let key_bytes = key.size_bytes();
                     let value_bytes = value.size_bytes();
                     for &t in &targets {
-                        worker.loads[t].add(key_bytes, value_bytes);
+                        worker.share.summary.loads[t].add(key_bytes, value_bytes);
                     }
                     let shipped = targets.iter().copied().filter(|&t| !worker.served[t]);
                     fan_out(key, value, shipped, |t, key, value| {
@@ -794,7 +586,7 @@ where
                     if records.is_empty() {
                         continue;
                     }
-                    coord.blocks_sent.fetch_add(1, Ordering::Relaxed);
+                    worker.share.blocks_sent += 1;
                     // A failed send means the consumer died; its panic
                     // re-raises at the scope join, so drop the block.
                     if worker.channels[g]
@@ -806,10 +598,9 @@ where
                 }
             }
             TaskVerdict::Dropped { retries, attempts } => {
-                coord
-                    .map_retries
-                    .fetch_add(u64::from(retries), Ordering::Relaxed);
-                coord.dlq.lock().expect("dlq slot poisoned").push(DlqEntry {
+                let summary = &mut worker.share.summary;
+                summary.map_retries += u64::from(retries);
+                summary.dlq.push(DlqEntry {
                     stage: FaultStage::Map,
                     index: task,
                     attempts,
@@ -817,71 +608,58 @@ where
                 coord.tasks_done.fetch_add(1, Ordering::Relaxed);
             }
             TaskVerdict::Failed { error, retries } => {
-                coord
-                    .map_retries
-                    .fetch_add(u64::from(retries), Ordering::Relaxed);
-                coord.record_error(task, error);
+                worker.share.summary.map_retries += u64::from(retries);
+                worker.fail(task, error, coord);
                 coord.tasks_done.fetch_add(1, Ordering::Relaxed);
             }
         }
     }
 
-    /// One consumer worker: drain the group's channel (accounting bytes
-    /// and buffering task-tagged records per owned partition, concurrently
-    /// with live mappers), then — once every mapper is gone — finalize:
-    /// sort each partition back into arrival order and reduce it, either
-    /// for the owned range only ([`FinalizeMode::Static`]) or by stealing
-    /// completed partitions from the shared queue
-    /// ([`FinalizeMode::Stealing`]).
-    #[allow(clippy::too_many_arguments)]
-    fn consume_group(
+    /// One consumer thread: drains its group's channel until every mapper
+    /// is gone, concurrently with live mappers — accounting bytes,
+    /// buffering task-tagged records per partition of `partitions`, and
+    /// sealing buffers to disk under the budget. Hands the nonempty
+    /// buffers back for the finalize that follows the barrier.
+    fn drain_group(
         &self,
-        group: usize,
-        per_group: usize,
+        partitions: Range<usize>,
         n_inputs: usize,
         channel: Receiver<Block<M::Key, M::Value>>,
-        finalize_queue: &FinalizeQueue<FinalizeItem<M>>,
         coord: &Coordination,
-        epoch: &Instant,
-        ckpt: Option<&CheckpointSession<R::Out>>,
         delete_errors: &Arc<AtomicU64>,
-    ) -> GroupResult<R::Out> {
-        // Registered *before* the drain: if user code panics while this
-        // consumer is still draining (a `ByteSized` impl), the guard
-        // aborts the finalize queue so sibling consumers stealing from it
-        // drain out instead of waiting forever for this publisher.
-        let mut publisher = (self.config.finalize_mode == FinalizeMode::Stealing)
-            .then(|| FinalizePublisherGuard::new(finalize_queue));
-        let lo = group * per_group;
-        let hi = (lo + per_group).min(self.n_reducers);
-        let n_local = hi - lo;
-        let mut parts: Vec<PartitionBuffer<M>> = (0..n_local)
+    ) -> Drained<M> {
+        let lo = partitions.start;
+        let mut parts: Vec<PartitionBuffer<M>> = partitions
             .map(|_| PartitionBuffer {
                 records: Vec::new(),
                 resident_bytes: 0,
                 spilled: Vec::new(),
+                spill_error: None,
             })
             .collect();
-        let mut overlap_blocks = 0u64;
+        let mut drained = Drained {
+            partitions: Vec::new(),
+            overlap_blocks: 0,
+            spilled_runs: 0,
+            spilled_bytes: 0,
+            peak_buffered: 0,
+        };
         // Out-of-core accounting: `buffered` is the group's resident
         // bytes (`ByteSized`, the budget's unit, saturating like every
         // byte counter), enforced after each whole block so a task's
         // records for a partition never span two sources. A spill
-        // failure records its `SpillIo` (lowest partition wins, like
-        // every reduce-stage error) and falls back to unbounded buffering
-        // so the pipeline still drains — the job is failing anyway.
+        // failure fails its partition and falls back to unbounded
+        // buffering so the pipeline still drains — the job is failing
+        // anyway.
         let budget = self.config.memory_budget;
         let spill_dir = spill::resolve_dir(self.config.spill_dir.as_deref());
         let mut buffered = 0u64;
-        let mut peak_buffered = 0u64;
-        let mut spilled_runs = 0u64;
-        let mut spilled_bytes = 0u64;
         let mut spill_failed = false;
 
         while let Ok(block) = channel.recv() {
             coord.gauge.lower();
             if coord.tasks_done.load(Ordering::Relaxed) < n_inputs {
-                overlap_blocks += 1;
+                drained.overlap_blocks += 1;
             }
             let seq = block.seq;
             for (p, key, value) in block.records {
@@ -914,105 +692,116 @@ where
                 ) {
                     Ok(sealed) => {
                         buffered = buffered.saturating_sub(bytes);
-                        spilled_runs += 1;
-                        spilled_bytes = spilled_bytes.saturating_add(bytes);
+                        drained.spilled_runs += 1;
+                        drained.spilled_bytes = drained.spilled_bytes.saturating_add(bytes);
                         buf.spilled.push(sealed);
                         buf.records = Vec::new();
                         buf.resident_bytes = 0;
                     }
                     Err(error) => {
-                        coord.record_reduce_error(lo + local, error.at(lo + local));
+                        buf.spill_error = Some(error.at(lo + local));
                         spill_failed = true;
                     }
                 }
             }
-            peak_buffered = peak_buffered.max(buffered);
+            drained.peak_buffered = drained.peak_buffered.max(buffered);
         }
 
-        // End-of-stream: the map stage is complete. Finalize (skipped
-        // when a routing error is pending — the run returns that error
-        // and discards everything, so reducing would be wasted work;
-        // draining above still happened, which is what keeps blocked
-        // mappers from deadlocking). Empty partitions never finalize:
-        // they produce no outputs and no reduce task in any mode. Nor do
-        // partitions the checkpoint serves: no copy was shipped to them.
-        let finalize_start = epoch.elapsed().as_secs_f64();
-        let mut finalized: Vec<FinalizedPartition<R::Out>> = Vec::new();
-        let mut stolen = 0u64;
-        let mut merge_fanin = 0u64;
-        let clean = coord.error_seq.load(Ordering::Relaxed) == usize::MAX;
-        // Both modes finalize the same items, in ascending partition
-        // order; the mode only decides which thread takes each one.
-        let items: Vec<(u64, FinalizeItem<M>)> = parts
+        // Empty partitions never finalize: they produce no outputs and no
+        // reduce task in any mode. Nor do partitions the checkpoint
+        // serves: no copy was shipped to them.
+        drained.partitions = parts
             .into_iter()
             .enumerate()
-            .filter(|(_, buf)| clean && !buf.is_empty())
-            .map(|(local, buffer)| {
-                let item = FinalizeItem {
-                    partition: lo + local,
-                    owner: group,
-                    buffer,
-                };
-                (item.buffer.bytes(), item)
-            })
+            .filter(|(_, buf)| !buf.is_empty())
+            .map(|(local, buf)| (lo + local, buf))
             .collect();
-        let mut finalize = |item: FinalizeItem<M>| {
-            if item.owner != group {
-                stolen += 1;
-            }
-            let (part, fanin) = self.finalize_item(item, coord, ckpt);
-            merge_fanin = merge_fanin.max(fanin);
-            finalized.push(part);
-        };
-        match self.config.finalize_mode {
-            // The owner never touches the shared queue, so its partitions
-            // commit in ascending order: a kill at partition k lands after
-            // every lower partition of the group committed.
-            FinalizeMode::Static => {
-                for (_, item) in items {
-                    finalize(item);
-                }
-            }
-            FinalizeMode::Stealing => {
-                finalize_queue.publish(items);
-                publisher
-                    .as_mut()
-                    .expect("guard registered for stealing mode before the drain")
-                    .finish();
-                while let Some(item) = finalize_queue.steal() {
-                    finalize(item);
-                }
-            }
-        }
-        GroupResult {
-            finalized,
-            overlap_blocks,
-            stolen,
-            finalize_start,
-            finalize_end: epoch.elapsed().as_secs_f64(),
-            spilled_runs,
-            spilled_bytes,
-            peak_buffered,
-            merge_fanin,
-        }
+        drained
     }
 
-    /// Finalizes one partition's item — the unit of work both finalize
-    /// modes schedule — through the shared [`Job::reduce_task`]:
-    /// [`restore_order`] supplies the records from the resident buffer and
-    /// the spilled runs, so it runs only when the task does. Returns the
-    /// partition with its error recorded, and how many sources it read
-    /// (0 when the task did not run). Spilled runs the task did not read
-    /// drop, deleting their temp files, on return.
-    fn finalize_item(
+    /// Finalizes the drained partitions on one thread per consumer group:
+    /// the calling thread as group 0 plus `n_groups − 1` scoped threads,
+    /// each taking partitions in [`finalize_queues`] order until its
+    /// queue is dry. Returns one span per group, in group order.
+    fn finalize_groups(
         &self,
-        item: FinalizeItem<M>,
-        coord: &Coordination,
+        partitions: Vec<(usize, PartitionBuffer<M>)>,
+        per_group: usize,
+        n_groups: usize,
+        ckpt: Option<&CheckpointSession<R::Out>>,
+        epoch: &Instant,
+    ) -> Vec<FinalizeSpan<R::Out>> {
+        let queues: Vec<_> = finalize_queues(
+            self.config.finalize_mode,
+            partitions,
+            PartitionBuffer::bytes,
+            per_group,
+            n_groups,
+        )
+        .into_iter()
+        .map(|queue| Mutex::new(queue.into_iter()))
+        .collect();
+        let run = |group: usize| {
+            // One queue per group under static finalize, one that every
+            // group shares under stealing.
+            let queue = &queues[group % queues.len()];
+            // Taking through a closure drops the guard before the
+            // partition is finalized, so peers only wait for the take.
+            let next = || {
+                queue
+                    .lock()
+                    .expect("no thread panics holding a queue")
+                    .next()
+            };
+            let mut span = FinalizeSpan {
+                finalized: Vec::new(),
+                stolen: 0,
+                start: epoch.elapsed().as_secs_f64(),
+                end: 0.0,
+                merge_fanin: 0,
+            };
+            while let Some((partition, buffer)) = next() {
+                span.stolen += u64::from(partition / per_group != group);
+                let (part, fanin) = self.finalize_partition(partition, buffer, ckpt);
+                span.merge_fanin = span.merge_fanin.max(fanin);
+                span.finalized.push(part);
+            }
+            span.end = epoch.elapsed().as_secs_f64();
+            span
+        };
+        std::thread::scope(|scope| {
+            let run = &run;
+            let peers: Vec<_> = (1..n_groups)
+                .map(|group| scope.spawn(move || run(group)))
+                .collect();
+            let mut spans = vec![run(0)];
+            spans.extend(
+                peers
+                    .into_iter()
+                    .map(|h| h.join().expect("pipeline finalize thread panicked")),
+            );
+            spans
+        })
+    }
+
+    /// Finalizes one partition through the shared [`Job::reduce_task`]:
+    /// [`restore_order`] supplies the records from the resident buffer and
+    /// the spilled runs, so it runs only when the task does. A partition
+    /// whose spill write failed fails with that error without reducing.
+    /// Returns the partition and how many sources it read (0 when the task
+    /// did not run). Spilled runs the task did not read drop, deleting
+    /// their temp files, on return.
+    fn finalize_partition(
+        &self,
+        partition: usize,
+        buffer: PartitionBuffer<M>,
         ckpt: Option<&CheckpointSession<R::Out>>,
     ) -> (FinalizedPartition<R::Out>, u64) {
-        let FinalizeItem {
-            partition, buffer, ..
-        } = item;
+        if let Some(error) = buffer.spill_error {
+            let mut part = FinalizedPartition::new(partition, Vec::new(), 0);
+            part.failed = Some(error);
+            return (part, 0);
+        }
         let mut fanin = 0;
         let part = self.reduce_task(partition, ckpt, || {
             fanin = buffer.spilled.len() as u64 + u64::from(!buffer.records.is_empty());
@@ -1021,9 +810,6 @@ where
             // and surfaces as the job error (lowest partition wins).
             restore_order(buffer.records, buffer.spilled).map_err(|error| error.at(partition))
         });
-        if let Some(error) = part.failed.clone() {
-            coord.record_reduce_error(partition, error);
-        }
         (part, fanin)
     }
 }
@@ -1064,7 +850,6 @@ mod tests {
     fn run(
         shuffle: ShuffleMode,
         map_threads: usize,
-        depth: usize,
         n_red: usize,
     ) -> crate::JobOutput<(u64, String)> {
         Job::new(
@@ -1075,7 +860,6 @@ mod tests {
             ClusterConfig {
                 shuffle,
                 map_threads,
-                pipeline_depth: depth,
                 ..ClusterConfig::default()
             },
         )
@@ -1149,73 +933,58 @@ mod tests {
         std::fs::remove_dir(&dir).expect("no spill file outlives its run");
     }
 
-    /// The finalize queue pops largest-priority first, blocks until the
-    /// last publisher finishes, and signals end-of-work with `None`.
+    /// The finalize order, pinned: under stealing one queue ranks the
+    /// partitions by bytes descending, the lower partition first on
+    /// ties, however many groups take from it; under static each group's
+    /// thread takes its own range in ascending order.
     #[test]
-    fn finalize_queue_is_lpt_ordered_and_terminates() {
-        let queue: FinalizeQueue<&str> = FinalizeQueue::new(2);
-        queue.publish(vec![(5, "small"), (50, "big")]);
-        queue.finish_publishing();
-        let stolen = std::thread::scope(|scope| {
-            let stealer = scope.spawn(|| {
-                let mut seen = Vec::new();
-                while let Some(item) = queue.steal() {
-                    seen.push(item);
-                }
-                seen
-            });
-            // The stealer drains the first batch and then *waits* for the
-            // second publisher rather than exiting early.
-            queue.publish(vec![(20, "late")]);
-            queue.finish_publishing();
-            stealer.join().unwrap()
-        });
-        assert_eq!(stolen[0], "big", "largest bytes pop first");
-        assert_eq!(stolen.len(), 3);
-    }
-
-    /// Equal priorities pop in publish order. A `swap_remove` pop moved
-    /// the last item into the popped slot, so a, b, c, d came out
-    /// a, d, c, b.
-    #[test]
-    fn finalize_queue_pops_equal_priorities_in_publish_order() {
-        let queue: FinalizeQueue<&str> = FinalizeQueue::new(1);
-        queue.publish(vec![(7, "a"), (7, "b"), (7, "c"), (7, "d")]);
-        queue.finish_publishing();
-        let popped: Vec<&str> = std::iter::from_fn(|| queue.steal()).collect();
-        assert_eq!(popped, ["a", "b", "c", "d"]);
+    fn finalize_queues_rank_by_bytes_when_stealing_and_by_range_when_static() {
+        let order = |mode, per_group, n_groups| -> Vec<Vec<usize>> {
+            let bytes_per_partition = vec![(0, 5u64), (1, 9), (2, 9), (3, 50)];
+            finalize_queues(
+                mode,
+                bytes_per_partition,
+                |&bytes| bytes,
+                per_group,
+                n_groups,
+            )
+            .into_iter()
+            .map(|queue| queue.into_iter().map(|(partition, _)| partition).collect())
+            .collect()
+        };
+        assert_eq!(order(FinalizeMode::Stealing, 4, 1), [vec![3, 1, 2, 0]]);
+        assert_eq!(order(FinalizeMode::Static, 4, 1), [vec![0, 1, 2, 3]]);
+        assert_eq!(order(FinalizeMode::Static, 2, 2), [vec![0, 1], vec![2, 3]]);
+        assert_eq!(order(FinalizeMode::Stealing, 2, 2), [vec![3, 1, 2, 0]]);
     }
 
     #[test]
     fn pipelined_matches_materialized_bit_for_bit() {
-        let reference = run(ShuffleMode::Materialized, 1, 4, 20);
-        for (threads, depth) in [(1, 1), (2, 1), (4, 3), (3, 8)] {
-            let pipelined = run(ShuffleMode::Pipelined, threads, depth, 20);
-            assert_eq!(
-                reference.outputs, pipelined.outputs,
-                "t={threads} d={depth}"
-            );
+        let reference = run(ShuffleMode::Materialized, 1, 20);
+        for threads in [1, 2, 4, 3] {
+            let pipelined = run(ShuffleMode::Pipelined, threads, 20);
+            assert_eq!(reference.outputs, pipelined.outputs, "t={threads}");
             assert_eq!(
                 reference.metrics.deterministic(),
                 pipelined.metrics.deterministic(),
-                "t={threads} d={depth}"
+                "t={threads}"
             );
             let p = &pipelined.metrics.pipeline;
             assert!(p.consumer_groups >= 1);
             assert!(p.blocks_sent >= 1);
             assert!(p.peak_inflight_blocks >= 1);
-            assert!(p.peak_inflight_blocks <= depth as u64 * p.consumer_groups);
+            assert!(p.peak_inflight_blocks <= CHANNEL_DEPTH as u64 * p.consumer_groups);
         }
     }
 
     /// The work-stealing finalize is a pure scheduling choice: outputs
     /// and deterministic metrics stay bit-identical to the materialized
-    /// pass for every thread count and depth, and static finalize never
-    /// reports stolen partitions.
+    /// pass for every thread count, and static finalize never reports
+    /// stolen partitions.
     #[test]
     fn stealing_finalize_matches_materialized_bit_for_bit() {
-        let reference = run(ShuffleMode::Materialized, 1, 4, 20);
-        for (threads, depth) in [(1, 1), (2, 1), (4, 3), (3, 8)] {
+        let reference = run(ShuffleMode::Materialized, 1, 20);
+        for threads in [1, 2, 4, 3] {
             for finalize in FinalizeMode::ALL {
                 let pipelined = Job::new(
                     IdentityMapper,
@@ -1225,7 +994,6 @@ mod tests {
                     ClusterConfig {
                         shuffle: ShuffleMode::Pipelined,
                         map_threads: threads,
-                        pipeline_depth: depth,
                         finalize_mode: finalize,
                         ..ClusterConfig::default()
                     },
@@ -1234,12 +1002,12 @@ mod tests {
                 .unwrap();
                 assert_eq!(
                     reference.outputs, pipelined.outputs,
-                    "t={threads} d={depth} {finalize:?}"
+                    "t={threads} {finalize:?}"
                 );
                 assert_eq!(
                     reference.metrics.deterministic(),
                     pipelined.metrics.deterministic(),
-                    "t={threads} d={depth} {finalize:?}"
+                    "t={threads} {finalize:?}"
                 );
                 let p = &pipelined.metrics.pipeline;
                 if finalize == FinalizeMode::Static {
@@ -1255,11 +1023,11 @@ mod tests {
     /// map task's own blocks can never be overlap (its map work is
     /// complete before the blocks are handed to the shuffle, and no other
     /// map work exists), so the counter must read exactly zero — at every
-    /// thread count and depth. Before the fix the mapper counted the task
+    /// thread count. Before the fix the mapper counted the task
     /// done only *after* sending, so this block raced to 1.
     #[test]
     fn single_task_blocks_never_count_as_overlap() {
-        for (threads, depth) in [(1, 1), (4, 1), (2, 3)] {
+        for threads in [1, 4, 2] {
             let out = Job::new(
                 IdentityMapper,
                 ConcatReducer,
@@ -1268,7 +1036,6 @@ mod tests {
                 ClusterConfig {
                     shuffle: ShuffleMode::Pipelined,
                     map_threads: threads,
-                    pipeline_depth: depth,
                     ..ClusterConfig::default()
                 },
             )
@@ -1278,15 +1045,17 @@ mod tests {
             assert_eq!(p.blocks_sent, 1, "one task, one key, one block");
             assert_eq!(
                 p.map_reduce_overlap_blocks, 0,
-                "t={threads} d={depth}: the final (only) task's block is not overlap"
+                "t={threads}: the final (only) task's block is not overlap"
             );
         }
     }
 
+    /// One reducer is one consumer group that four mappers feed through
+    /// one channel: the most senders a channel can have in this suite.
     #[test]
     fn single_reducer_single_depth_does_not_deadlock() {
-        let reference = run(ShuffleMode::Materialized, 1, 1, 1);
-        let pipelined = run(ShuffleMode::Pipelined, 4, 1, 1);
+        let reference = run(ShuffleMode::Materialized, 1, 1);
+        let pipelined = run(ShuffleMode::Pipelined, 4, 1);
         assert_eq!(reference.outputs, pipelined.outputs);
         assert_eq!(
             reference.metrics.deterministic(),
@@ -1330,7 +1099,6 @@ mod tests {
                 ClusterConfig {
                     shuffle,
                     map_threads,
-                    pipeline_depth: 1,
                     finalize_mode,
                     ..ClusterConfig::default()
                 },
@@ -1356,8 +1124,8 @@ mod tests {
     /// A panic in user map code must propagate out of `Job::run` like the
     /// materialized mode propagates it — not deadlock the stage graph. The
     /// test completing at all is the real assertion (a regression hangs
-    /// until the harness timeout); depth 1 with several mappers maximizes
-    /// the chance that peers are blocked on full channels when the panic
+    /// until the harness timeout); several mappers over few reducers make
+    /// it likely that peers are blocked on full channels when the panic
     /// hits.
     #[test]
     fn mapper_panic_propagates_instead_of_deadlocking() {
@@ -1379,7 +1147,6 @@ mod tests {
             ClusterConfig {
                 shuffle: ShuffleMode::Pipelined,
                 map_threads: 3,
-                pipeline_depth: 1,
                 ..ClusterConfig::default()
             },
         );
@@ -1389,11 +1156,9 @@ mod tests {
     }
 
     /// Same contract for the reduce side: a panicking reducer unwinds
-    /// through the consumer thread and out of `Job::run` — under *both*
-    /// finalize modes. The stealing case is the canary for the
-    /// [`FinalizePublisherGuard`]: the panicking consumer must abort the
-    /// shared queue so its siblings drain out instead of waiting forever
-    /// for a publisher that will never finish.
+    /// through its finalize thread and out of `Job::run` — under *both*
+    /// finalize modes, whether the panic hits the calling thread or a
+    /// peer, and however many partitions the other threads still take.
     #[test]
     fn reducer_panic_propagates_instead_of_deadlocking() {
         struct ExplodingReducer;
@@ -1414,7 +1179,6 @@ mod tests {
                 ClusterConfig {
                     shuffle: ShuffleMode::Pipelined,
                     map_threads: 2,
-                    pipeline_depth: 1,
                     finalize_mode,
                     ..ClusterConfig::default()
                 },
@@ -1429,12 +1193,12 @@ mod tests {
     }
 
     /// A panic in a user `ByteSized` impl *while a consumer is still
-    /// draining* must not deadlock the stealing finalize: the panicking
-    /// consumer never publishes, so without the pre-drain
-    /// [`FinalizePublisherGuard`] its siblings would wait on the queue
-    /// forever. Every value is sized once map-side then once
-    /// consumer-side, so the 2N-th sizing call is always consumer-side —
-    /// panicking there pins the drain-phase unwind path deterministically.
+    /// draining* must surface before the stealing finalize ever starts:
+    /// the consumer's receiver drops, the mappers' sends to it fail, and
+    /// the barrier's join re-raises the panic. Every value is sized once
+    /// map-side then once consumer-side, so the 2N-th sizing call is
+    /// always consumer-side — panicking there pins the drain-phase unwind
+    /// path deterministically.
     #[test]
     fn consumer_drain_panic_aborts_the_stealing_queue() {
         const N: u64 = 120;
@@ -1482,7 +1246,6 @@ mod tests {
             ClusterConfig {
                 shuffle: ShuffleMode::Pipelined,
                 map_threads: 2,
-                pipeline_depth: 1,
                 finalize_mode: FinalizeMode::Stealing,
                 ..ClusterConfig::default()
             },
@@ -1491,17 +1254,14 @@ mod tests {
         assert!(result.is_err(), "the drain-phase panic must surface");
     }
 
-    /// Satellite-c regression: a *retryable* injected reduce fault flows
-    /// through `fault_verdict` as a value, never unwinds, and therefore
-    /// must not trip the [`FinalizePublisherGuard`] abort path the way a
-    /// true user panic does. Before the check-first design, an injected
-    /// fault that unwound through a stealing consumer aborted the shared
-    /// queue and poisoned its siblings; here the run must complete
-    /// cleanly, bit-identical to the fault-free reference, with the
-    /// retries visible only in the masked fault counters.
+    /// A *retryable* injected reduce fault flows through `fault_verdict`
+    /// as a value and never unwinds a finalize thread the way a true user
+    /// panic does: the run completes cleanly under both finalize modes,
+    /// bit-identical to the fault-free reference, with the retries
+    /// visible only in the masked fault counters.
     #[test]
-    fn injected_reduce_faults_do_not_trip_the_publisher_guard() {
-        let reference = run(ShuffleMode::Materialized, 1, 4, 8);
+    fn injected_reduce_faults_complete_bit_identically() {
+        let reference = run(ShuffleMode::Materialized, 1, 8);
         for finalize_mode in FinalizeMode::ALL {
             for threads in [1, 2, 4] {
                 let out = Job::new(
@@ -1512,7 +1272,6 @@ mod tests {
                     ClusterConfig {
                         shuffle: ShuffleMode::Pipelined,
                         map_threads: threads,
-                        pipeline_depth: 1,
                         finalize_mode,
                         retry_budget: 8,
                         fault_plan: Some(FaultPlan {
@@ -1562,7 +1321,6 @@ mod tests {
                 ClusterConfig {
                     shuffle,
                     map_threads: threads,
-                    pipeline_depth: 1,
                     finalize_mode,
                     retry_budget: 2,
                     fault_plan: Some(plan.clone()),
@@ -1612,7 +1370,6 @@ mod tests {
                 ClusterConfig {
                     shuffle,
                     map_threads: threads,
-                    pipeline_depth: 1,
                     finalize_mode,
                     retry_budget: 2,
                     dlq_mode: DlqMode::Capture,
@@ -1665,7 +1422,7 @@ mod tests {
     /// materialized pass — for every finalize mode and thread count.
     #[test]
     fn tight_budget_spills_and_stays_bit_identical() {
-        let reference = run(ShuffleMode::Materialized, 1, 4, 8);
+        let reference = run(ShuffleMode::Materialized, 1, 8);
         for finalize_mode in FinalizeMode::ALL {
             for threads in [1, 2, 4] {
                 let out = Job::new(
@@ -1676,7 +1433,6 @@ mod tests {
                     ClusterConfig {
                         shuffle: ShuffleMode::Pipelined,
                         map_threads: threads,
-                        pipeline_depth: 4,
                         finalize_mode,
                         memory_budget: Some(64),
                         ..ClusterConfig::default()
@@ -1708,7 +1464,7 @@ mod tests {
     /// and a budget larger than that residency behaves identically.
     #[test]
     fn generous_budget_never_spills() {
-        let unbounded = run(ShuffleMode::Pipelined, 2, 4, 8);
+        let unbounded = run(ShuffleMode::Pipelined, 2, 8);
         let p = &unbounded.metrics.pipeline;
         assert_eq!(p.spilled_runs, 0);
         assert_eq!(p.spilled_bytes, 0);
@@ -1721,7 +1477,6 @@ mod tests {
             ClusterConfig {
                 shuffle: ShuffleMode::Pipelined,
                 map_threads: 1,
-                pipeline_depth: 4,
                 memory_budget: Some(u64::MAX),
                 ..ClusterConfig::default()
             },
@@ -1748,7 +1503,6 @@ mod tests {
                 ClusterConfig {
                     shuffle: ShuffleMode::Pipelined,
                     map_threads: 2,
-                    pipeline_depth: 2,
                     finalize_mode,
                     memory_budget: Some(64),
                     spill_dir: Some(dir.clone()),

@@ -24,9 +24,9 @@
 
 use mrassign_core::{a2a, InputSet};
 use mrassign_simmr::{
-    BroadcastRouter, ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, FaultPlan,
-    FinalizeMode, HashRouter, Job, JobOutput, Mapper, Reducer, Router, ShuffleMode, SimError,
-    SpillCodec,
+    pipeline::CHANNEL_DEPTH, BroadcastRouter, ByteSized, CapacityPolicy, ClusterConfig,
+    DirectRouter, Emitter, FaultPlan, FinalizeMode, HashRouter, Job, JobOutput, Mapper, Reducer,
+    Router, ShuffleMode, SimError, SpillCodec,
 };
 use mrassign_workloads::SizeDistribution;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -47,9 +47,6 @@ fn cluster(shuffle: ShuffleMode, finalize: FinalizeMode, map_threads: usize) -> 
         shuffle,
         map_threads,
         finalize_mode: finalize,
-        // A small pipeline depth so back-pressure is exercised even at
-        // test sizes.
-        pipeline_depth: 2,
         ..ClusterConfig::default()
     }
 }
@@ -592,8 +589,8 @@ fn pipelined_cells_report_bounded_inflight() {
     assert!(p.blocks_sent > 0);
     assert!(p.peak_inflight_blocks >= 1);
     assert!(
-        p.peak_inflight_blocks <= 2 * p.consumer_groups,
-        "pipeline_depth = 2 bounds in-flight blocks per group"
+        p.peak_inflight_blocks <= CHANNEL_DEPTH as u64 * p.consumer_groups,
+        "CHANNEL_DEPTH bounds in-flight blocks per group"
     );
     assert!(p.wall_seconds >= 0.0);
 }
@@ -651,22 +648,24 @@ fn hot_records(n: u64) -> Vec<(u64, String)> {
 
 /// The acceptance matrix for the work-stealing finalize: on the workload
 /// it was built for, stealing ≡ static ≡ materialized bit-for-bit across
-/// threads {1,2,4} × depth {1,4}.
+/// threads {1,2,4}.
 #[test]
 fn hot_reducer_identical_across_the_matrix() {
     let records = hot_records(600);
-    for depth in [1usize, 4] {
-        sweep_matrix(
-            &[CapacityPolicy::Unlimited, CapacityPolicy::Record(4_000)],
-            |mode, finalize, threads, policy| {
-                let mut config = cluster(mode, finalize, threads);
-                config.pipeline_depth = depth;
-                Job::new(HotMapper, HotConcat, HotRouter, 8, config)
-                    .capacity(policy)
-                    .run(&records)
-            },
-        );
-    }
+    sweep_matrix(
+        &[CapacityPolicy::Unlimited, CapacityPolicy::Record(4_000)],
+        |mode, finalize, threads, policy| {
+            Job::new(
+                HotMapper,
+                HotConcat,
+                HotRouter,
+                8,
+                cluster(mode, finalize, threads),
+            )
+            .capacity(policy)
+            .run(&records)
+        },
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -772,8 +771,9 @@ fn hot_reducer_survives_the_fault_sweep_bit_identically() {
 // Budgeted cells: the out-of-core spill path must be invisible to the
 // determinism contract. A per-group memory budget tight enough that every
 // sweep workload overflows it forces consumers to seal and spill runs to
-// disk; finalize then external-merges disk and memory runs — and the
-// outputs, the deterministic metrics subset, and the DLQ must all match
+// disk; finalize then reads each partition's runs back and restores task
+// order with one stable sort — and the outputs, the deterministic metrics
+// subset, and the DLQ must all match
 // the unbudgeted materialized reference bit for bit, faults included.
 // ---------------------------------------------------------------------------
 
@@ -817,7 +817,7 @@ fn assert_budgeted_cell<Out: PartialEq + std::fmt::Debug>(
     );
     assert!(
         p.merge_fanin >= 2,
-        "{label}: spilling implies a multi-run merge"
+        "{label}: spilling implies a finalize that reads several sources"
     );
 }
 
@@ -977,7 +977,6 @@ fn stealing_redistributes_hot_reducer_finalize_work() {
             ClusterConfig {
                 shuffle: ShuffleMode::Pipelined,
                 map_threads: 4,
-                pipeline_depth: 4,
                 finalize_mode,
                 ..ClusterConfig::default()
             },
@@ -1340,6 +1339,56 @@ fn killed_job_resumes_reexecuting_strictly_fewer_partitions() {
                     resumed.metrics.pipeline.peak_buffered_bytes
                 );
             }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+}
+
+/// A job that breaks its capacity fails at the map barrier in every
+/// cell: the same `CapacityExceeded`, no reduce call, and no partition
+/// file in its checkpoint session. Only the map record, which the barrier
+/// commits before it applies the policy, may be there.
+#[test]
+fn capacity_violation_reduces_and_commits_nothing() {
+    let lines = word_lines();
+    let mut expected: Option<SimError> = None;
+    for (mode, finalize) in CELLS {
+        for threads in THREADS {
+            let label = format!("{mode:?}/{finalize:?} × threads={threads}");
+            let dir = ckpt_dir("capacity");
+            let config = ClusterConfig {
+                checkpoint_dir: Some(dir.clone()),
+                ..cluster(mode, finalize, threads)
+            };
+            let calls = Arc::new(Calls::default());
+            let error = counted_wc_job(config, &calls)
+                .capacity(CapacityPolicy::Enforce(50))
+                .run(&lines)
+                .unwrap_err();
+            assert!(
+                matches!(error, SimError::CapacityExceeded { .. }),
+                "{label}: {error:?}"
+            );
+            assert_eq!(
+                expected.get_or_insert_with(|| error.clone()),
+                &error,
+                "{label}: errors diverged"
+            );
+            assert_eq!(
+                calls.reduce.load(Ordering::Relaxed),
+                0,
+                "{label}: no reduce runs"
+            );
+            let partition_files: Vec<String> = std::fs::read_dir(job_dir(&dir))
+                .unwrap()
+                .flatten()
+                .map(|entry| entry.file_name().to_string_lossy().into_owned())
+                .filter(|name| name.starts_with("part-"))
+                .collect();
+            assert!(
+                partition_files.is_empty(),
+                "{label}: committed {partition_files:?}"
+            );
             std::fs::remove_dir_all(&dir).unwrap();
         }
     }

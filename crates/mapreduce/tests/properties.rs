@@ -3,9 +3,9 @@
 //! across thread counts, and the scheduler respects its analytical bounds.
 
 use mrassign_simmr::{
-    BroadcastRouter, CapacityPolicy, ClusterConfig, DlqEntry, DlqMode, Emitter, FaultPlan,
-    FaultStage, FinalizeMode, HashRouter, Job, Mapper, Reducer, Router, Schedule, ShuffleMode,
-    SimError, TaskCost,
+    pipeline::CHANNEL_DEPTH, BroadcastRouter, CapacityPolicy, ClusterConfig, DlqEntry, DlqMode,
+    Emitter, FaultPlan, FaultStage, FinalizeMode, HashRouter, Job, Mapper, Reducer, Router,
+    Schedule, ShuffleMode, SimError, TaskCost,
 };
 use proptest::prelude::*;
 
@@ -117,19 +117,18 @@ proptest! {
     }
 
     /// Pipeline internals under random shapes: for arbitrary inputs,
-    /// reducer counts, mapper thread counts, and `pipeline_depth` ∈ 1..=8
-    /// the engine (a) terminates — depth 1 is maximal back-pressure, so
-    /// this is the deadlock canary; (b) never reorders a reducer's blocks
+    /// reducer counts and mapper thread counts the engine (a) terminates
+    /// — several mappers feeding few consumers through bounded channels
+    /// make this the deadlock canary; (b) never reorders a reducer's blocks
     /// (the concatenating reducer output is order-sensitive and must match
     /// the materialized pass byte for byte); and (c) respects the
-    /// back-pressure bound `peak_inflight_blocks ≤ pipeline_depth ×
+    /// back-pressure bound `peak_inflight_blocks ≤ CHANNEL_DEPTH ×
     /// consumer_groups`.
     #[test]
     fn pipelined_is_deadlock_free_order_preserving_and_bounded(
         inputs in records(),
         n_red in 1usize..90,
         threads in 1usize..5,
-        depth in 1usize..9,
     ) {
         struct Concat;
         impl Reducer for Concat {
@@ -140,18 +139,17 @@ proptest! {
                 out.push((*key, values.join("|")));
             }
         }
-        let run = |shuffle, map_threads, pipeline_depth| {
+        let run = |shuffle, map_threads| {
             Job::new(KvMapper, Concat, HashRouter::new(), n_red, ClusterConfig {
                 shuffle,
                 map_threads,
-                pipeline_depth,
                 ..ClusterConfig::default()
             })
             .run(&inputs)
             .unwrap()
         };
-        let reference = run(ShuffleMode::Materialized, 1, depth);
-        let pipelined = run(ShuffleMode::Pipelined, threads, depth);
+        let reference = run(ShuffleMode::Materialized, 1);
+        let pipelined = run(ShuffleMode::Pipelined, threads);
         prop_assert_eq!(&reference.outputs, &pipelined.outputs);
         prop_assert_eq!(
             reference.metrics.deterministic(),
@@ -160,9 +158,9 @@ proptest! {
         let p = &pipelined.metrics.pipeline;
         prop_assert!(p.consumer_groups >= 1);
         prop_assert!(
-            p.peak_inflight_blocks <= depth as u64 * p.consumer_groups,
+            p.peak_inflight_blocks <= CHANNEL_DEPTH as u64 * p.consumer_groups,
             "peak {} > depth {} × groups {}",
-            p.peak_inflight_blocks, depth, p.consumer_groups
+            p.peak_inflight_blocks, CHANNEL_DEPTH, p.consumer_groups
         );
         // The default finalize mode is static: no partition may ever be
         // reported as stolen, and every group reports a finalize span.
@@ -188,7 +186,6 @@ proptest! {
         inputs in records(),
         n_red in 2usize..40,
         threads in 1usize..5,
-        depth in 1usize..5,
     ) {
         struct Concat;
         impl Reducer for Concat {
@@ -207,7 +204,6 @@ proptest! {
             Job::new(KvMapper, Concat, HashRouter::new(), n_red, ClusterConfig {
                 shuffle,
                 map_threads: threads,
-                pipeline_depth: depth,
                 finalize_mode,
                 ..ClusterConfig::default()
             })
@@ -300,11 +296,12 @@ proptest! {
     }
 
     /// Random transient-fault schedules that stay under the retry budget
-    /// are invisible: the engine never deadlocks (pipeline depth 1 is the
-    /// maximal back-pressure canary), never reorders (the concatenating
-    /// comparison in deterministic metrics + outputs), and never drops a
-    /// record — every mode matches the fault-free materialized reference
-    /// bit for bit, with the faults showing only in the masked counters.
+    /// are invisible: the engine never deadlocks (up to four mappers on
+    /// five reducers exercise back-pressure), never reorders (the
+    /// concatenating comparison in deterministic metrics + outputs), and
+    /// never drops a record — every mode matches the fault-free
+    /// materialized reference bit for bit, with the faults showing only in
+    /// the masked counters.
     /// Rates are capped at 0.3 against a budget of 12, so the chance any
     /// task exhausts the budget is ≤ 0.3¹³ ≈ 1.6·10⁻⁷ per task.
     #[test]
@@ -319,7 +316,6 @@ proptest! {
             Job::new(KvMapper, CountBytes, HashRouter::new(), 5, ClusterConfig {
                 shuffle,
                 map_threads: threads,
-                pipeline_depth: 1,
                 finalize_mode,
                 retry_budget: 12,
                 fault_plan: plan,
@@ -374,7 +370,6 @@ proptest! {
             Job::new(KvMapper, CountBytes, HashRouter::new(), 5, ClusterConfig {
                 shuffle,
                 map_threads: 2,
-                pipeline_depth: 1,
                 finalize_mode,
                 retry_budget: budget,
                 fault_plan: Some(plan.clone()),
@@ -435,7 +430,6 @@ proptest! {
             Job::new(KvMapper, CountBytes, HashRouter::new(), 5, ClusterConfig {
                 shuffle,
                 map_threads: 2,
-                pipeline_depth: 1,
                 finalize_mode,
                 retry_budget: budget,
                 dlq_mode: DlqMode::Capture,
@@ -510,7 +504,7 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // Out-of-core spill properties: for arbitrary workloads, budgets, thread
-// counts, and pipeline depths the budget is a hard bound on buffered run
+// counts and finalize modes the budget is a hard bound on buffered run
 // bytes, spilling never changes a byte of output, and the spill directory
 // is empty again after success, error, and user-panic runs alike.
 // ---------------------------------------------------------------------------
@@ -553,15 +547,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The budget is a hard bound: whatever the workload, thread count,
-    /// pipeline depth, finalize mode, and budget, the engine never reports
-    /// more buffered run bytes than it was allowed — and the output still
-    /// matches the unbudgeted materialized reference bit for bit.
+    /// finalize mode, and budget, the engine never reports more buffered
+    /// run bytes than it was allowed — and the output still matches the
+    /// unbudgeted materialized reference bit for bit.
     #[test]
     fn peak_buffered_never_exceeds_the_budget(
         inputs in records(),
         n_red in 1usize..40,
         threads in 1usize..5,
-        depth in 1usize..5,
         budget in 1u64..600,
     ) {
         let reference = Job::new(KvMapper, CountBytes, HashRouter::new(), n_red, ClusterConfig::default())
@@ -571,7 +564,6 @@ proptest! {
             let out = Job::new(KvMapper, CountBytes, HashRouter::new(), n_red, ClusterConfig {
                 shuffle: ShuffleMode::Pipelined,
                 map_threads: threads,
-                pipeline_depth: depth,
                 finalize_mode,
                 memory_budget: Some(budget),
                 ..ClusterConfig::default()
@@ -600,13 +592,11 @@ proptest! {
     fn budget_above_the_unbounded_peak_never_spills(
         inputs in records(),
         n_red in 1usize..40,
-        depth in 1usize..5,
     ) {
         let run = |memory_budget| {
             Job::new(KvMapper, CountBytes, HashRouter::new(), n_red, ClusterConfig {
                 shuffle: ShuffleMode::Pipelined,
                 map_threads: 1,
-                pipeline_depth: depth,
                 memory_budget,
                 ..ClusterConfig::default()
             })
