@@ -1,11 +1,11 @@
 //! Shared experiment infrastructure: result tables, CSV output, and the
-//! generic "execute an A2A schema on the engine" job used by several
-//! figures.
+//! generic "execute an A2A or X2Y schema on the engine" jobs used by
+//! several figures and by the cost-model referee.
 
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
-use mrassign_core::MappingSchema;
+use mrassign_core::{MappingSchema, X2ySchema};
 use mrassign_simmr::{
     ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, FaultPlan, FinalizeMode, Job,
     JobMetrics, Mapper, Reducer, ShuffleMode, SpillCodec,
@@ -366,36 +366,75 @@ impl Reducer for PairwiseWork {
 }
 
 /// Executes an A2A mapping schema on the simulated engine and returns the
-/// job metrics. Capacity is enforced: a valid schema cannot trip it.
+/// job metrics: one map task per input, in id order. Capacity is enforced:
+/// a valid schema cannot trip it.
 pub fn execute_a2a_schema(
     weights: &[u64],
     schema: &MappingSchema,
     q: u64,
     cluster: ClusterConfig,
 ) -> JobMetrics {
-    if schema.reducer_count() == 0 {
-        return JobMetrics::default();
-    }
     let mut routes: Vec<Vec<usize>> = vec![Vec::new(); weights.len()];
-    for (rid, r) in schema.reducers().iter().enumerate() {
-        for &id in r {
+    for (rid, r) in schema.reducers().enumerate() {
+        for id in r {
             routes[id as usize].push(rid);
         }
     }
+    execute_routes(weights, routes, schema.reducer_count(), q, cluster)
+}
+
+/// Executes an X2Y mapping schema on the simulated engine and returns the
+/// job metrics: one map task per input, the X inputs first and then the Y
+/// inputs, which is the order the planner's cost model schedules them in.
+/// Capacity is enforced, as for [`execute_a2a_schema`].
+pub fn execute_x2y_schema(
+    x_weights: &[u64],
+    y_weights: &[u64],
+    schema: &X2ySchema,
+    q: u64,
+    cluster: ClusterConfig,
+) -> JobMetrics {
+    let weights = [x_weights, y_weights].concat();
+    let mut routes: Vec<Vec<usize>> = vec![Vec::new(); weights.len()];
+    for (rid, r) in schema.reducers().enumerate() {
+        for &id in r.x {
+            routes[id as usize].push(rid);
+        }
+        for &id in r.y {
+            routes[x_weights.len() + id as usize].push(rid);
+        }
+    }
+    execute_routes(&weights, routes, schema.reducer_count(), q, cluster)
+}
+
+/// Runs one map task per input `i`, of `weights[i]` bytes, that sends a
+/// copy to each reducer in `routes[i]`, over `reducers` reducers under
+/// `CapacityPolicy::Enforce(q)`. No reducers means no job.
+fn execute_routes(
+    weights: &[u64],
+    routes: Vec<Vec<usize>>,
+    reducers: usize,
+    q: u64,
+    cluster: ClusterConfig,
+) -> JobMetrics {
+    if reducers == 0 {
+        return JobMetrics::default();
+    }
     let blobs: Vec<Blob> = weights
         .iter()
+        .zip(routes)
         .enumerate()
-        .map(|(i, &w)| Blob {
+        .map(|(i, (&bytes, targets))| Blob {
             id: i as u32,
-            bytes: w,
-            targets: routes[i].clone(),
+            bytes,
+            targets,
         })
         .collect();
     let job = Job::new(
         ReplicateBlobs,
         PairwiseWork,
         DirectRouter,
-        schema.reducer_count(),
+        reducers,
         cluster,
     )
     .capacity(CapacityPolicy::Enforce(q));

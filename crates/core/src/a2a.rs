@@ -21,7 +21,10 @@
 //! paper: if inputs are bundled into *groups* of weight at most `q/2`, a
 //! reducer can host any two groups, and assigning every pair of groups to
 //! a reducer covers every pair of inputs. Quality then reduces to how few
-//! groups the bundling step produces — which is bin packing.
+//! groups the bundling step produces — which is bin packing. The schema
+//! stores exactly this structure ([`MappingSchema::groups`], one or two
+//! hosted groups per reducer): each algorithm moves its bins in once and
+//! adds a pair of group indices per reducer, copying no input ids.
 
 use mrassign_binpack::FitPolicy;
 
@@ -174,7 +177,7 @@ pub fn grouping_equal(inputs: &InputSet, q: Weight) -> Result<MappingSchema, Sch
         .chunks(g)
         .map(|c| c.to_vec())
         .collect();
-    Ok(pair_groups(&groups))
+    Ok(pair_groups(groups))
 }
 
 /// The `w_i ≤ ⌊q/2⌋` regime: bin-pack all inputs into bins of capacity
@@ -209,7 +212,7 @@ pub fn bin_pack_pairing(
     let bins = inputs
         .pack_into_bins(half, policy)
         .expect("regime checked: every weight ≤ ⌊q/2⌋ and ⌊q/2⌋ ≥ 1");
-    Ok(pair_groups(&bins))
+    Ok(pair_groups(bins))
 }
 
 /// The big-input regime: at most one input can exceed `⌊q/2⌋` in a feasible
@@ -262,18 +265,21 @@ pub fn big_small(
         return Ok(MappingSchema::from_reducers(vec![all]));
     }
 
-    // Phase 1: big × smalls. Each (q − w_big)-bin of smalls shares a
-    // reducer with the big input.
+    // Phase 1: big × smalls. The big input is a group of its own, and each
+    // (q − w_big)-bin of smalls, in original ids, shares a reducer with it.
     let big_bins = small_inputs
         .pack_into_bins(cap_big, policy)
         .expect("feasibility: every small ≤ q − w_big");
+    let to_original = |local: InputId| smalls[local as usize];
     let mut schema = MappingSchema::new();
-    for bin in &big_bins {
-        let mut members = Vec::with_capacity(bin.len() + 1);
-        members.push(big);
-        members.extend(bin.iter().map(|&local| smalls[local as usize]));
-        schema.push_reducer(members);
-    }
+    let big_group = schema.add_groups([vec![big]]).start;
+    let bins = schema.add_groups(big_bins.into_iter().map(|mut bin| {
+        for id in &mut bin {
+            *id = to_original(*id);
+        }
+        bin
+    }));
+    schema.host_with(big_group, bins.clone());
 
     // Phase 2: small × small.
     if shared_bins {
@@ -282,43 +288,26 @@ pub fn big_small(
         // ⇒ 2(q − w_big) ≤ 2(q − ⌊q/2⌋ − 1) ≤ q − 1.
         // A single bin means all small pairs already met inside the
         // phase-1 reducer.
-        if big_bins.len() >= 2 {
-            let groups: Vec<Vec<InputId>> = big_bins
-                .iter()
-                .map(|bin| bin.iter().map(|&local| smalls[local as usize]).collect())
-                .collect();
-            let pairing = pair_groups(&groups);
-            for r in pairing.reducers() {
-                schema.push_reducer(r.clone());
-            }
+        if bins.len() >= 2 {
+            schema.host_pairs(bins);
         }
     } else {
         // Independent schema over the smalls (recursing into the small-only
         // regime, which is one reducer when they fit in one), remapped to
         // original ids.
         let sub_schema = bin_pack_pairing(&small_inputs, q, policy)?;
-        for r in sub_schema.reducers() {
-            schema.push_reducer(r.iter().map(|&local| smalls[local as usize]).collect());
-        }
+        schema.append(sub_schema, to_original);
     }
     Ok(schema)
 }
 
-/// Builds the pairing schema over groups: one reducer per unordered pair of
-/// groups; a single group becomes a single reducer.
-fn pair_groups(groups: &[Vec<InputId>]) -> MappingSchema {
+/// Builds the pairing schema over `groups`, which move in whole: one
+/// reducer per unordered pair of groups; a single group becomes a single
+/// reducer.
+fn pair_groups(groups: Vec<Vec<InputId>>) -> MappingSchema {
     let mut schema = MappingSchema::new();
-    match groups.len() {
-        0 => {}
-        1 => schema.push_reducer(groups[0].clone()),
-        k => {
-            for i in 0..k {
-                for j in i + 1..k {
-                    schema.push_reducer([&groups[i][..], &groups[j][..]].concat());
-                }
-            }
-        }
-    }
+    let groups = schema.add_groups(groups);
+    schema.host_pairs(groups);
     schema
 }
 
@@ -450,7 +439,7 @@ mod tests {
             );
             // Big reducers: smalls (30 weight) into cap-6 bins → 5 bins;
             // each holds 2 smalls.
-            let big_reducers = schema.reducers().iter().filter(|r| r.contains(&0)).count();
+            let big_reducers = schema.reducers().filter(|r| r.contains(0)).count();
             assert_eq!(big_reducers, 5);
         }
     }

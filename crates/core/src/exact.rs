@@ -78,7 +78,7 @@ use crate::bitset::BitSet;
 use crate::bounds;
 use crate::error::SchemaError;
 use crate::input::{InputId, InputSet, Weight, X2yInstance};
-use crate::schema::{MappingSchema, X2yReducer, X2ySchema};
+use crate::schema::{MappingSchema, X2ySchema};
 use crate::solver::{AssignmentSolver, A2A_SOLVERS, X2Y_SOLVERS};
 use crate::{a2a, x2y};
 
@@ -692,10 +692,7 @@ pub fn x2y_exact(
     };
     Ok(
         cover.solve(budget.into(), start, heuristic, heuristic_count, |masks| {
-            let reducers = masks.iter().map(|mask| X2yReducer {
-                x: ids(mask[0]),
-                y: ids(mask[1]),
-            });
+            let reducers = masks.iter().map(|mask| (ids(mask[0]), ids(mask[1])));
             X2ySchema::from_reducers(reducers.collect())
         }),
     )
@@ -774,15 +771,9 @@ fn split_one_side(
 
     let make = |part: Vec<InputId>| {
         if mirrored {
-            X2yReducer {
-                x: rep_all.clone(),
-                y: part,
-            }
+            (rep_all.clone(), part)
         } else {
-            X2yReducer {
-                x: part,
-                y: rep_all.clone(),
-            }
+            (part, rep_all.clone())
         }
     };
     Some(X2ySchema::from_reducers(vec![make(part_a), make(part_b)]))

@@ -28,6 +28,7 @@
 //! * [`InputSet`] / [`X2yInstance`] — the weighted-input model,
 //! * [`MappingSchema`] / [`X2ySchema`] — validated assignments (pair
 //!   coverage + capacity certified independently of how they were built),
+//!   stored as the paper's input groups plus the groups each reducer hosts,
 //! * [`a2a`] — the paper's A2A algorithm toolbox (one-reducer, equal-size
 //!   grouping, bin-pack-and-pair, big+small handling, dispatch),
 //! * [`x2y`] — the X2Y toolbox (two-sided grid, unbalanced splits, big
@@ -73,5 +74,5 @@ pub mod x2y;
 
 pub use error::SchemaError;
 pub use input::{InputId, InputSet, Weight, X2yInstance};
-pub use schema::{MappingSchema, X2yReducer, X2ySchema};
+pub use schema::{A2aReducer, MappingSchema, ReducerSize, X2yReducer, X2ySchema};
 pub use solver::{AssignmentSolver, SolverKind};

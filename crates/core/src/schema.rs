@@ -1,10 +1,29 @@
 //! Mapping schemas and their independent validation.
 //!
-//! A schema is just "which inputs go to which reducer"; its value lies in
-//! the certificate: [`MappingSchema::validate_a2a`] and
-//! [`X2ySchema::validate`] re-check the paper's two constraints (capacity,
-//! pair coverage) from scratch, so a schema that validates is correct no
-//! matter which algorithm produced it.
+//! Every heuristic of the paper builds its schema the same way: it bundles
+//! the inputs into *groups* (bins of weight at most `⌊q/2⌋`, or X-bins and
+//! Y-bins) and gives each reducer one or two of them. The schema types
+//! store exactly that: each group once, and per reducer the indices of the
+//! groups it hosts. A reducer's members are its first group's ids followed
+//! by its second's; [`MappingSchema::reducers`] and [`X2ySchema::reducers`]
+//! lend them as views that copy nothing. What needs weights (loads,
+//! communication, the planner's [`MappingSchema::reducer_sizes`]) sums each
+//! group once, so a pairing schema of `C(k, 2)` reducers costs `k` group
+//! sums rather than a pass over every copy. A schema built from explicit
+//! member lists ([`MappingSchema::from_reducers`],
+//! [`MappingSchema::push_reducer`]) gives each reducer a group of its own,
+//! and two schemas are equal when their reducers' member lists are,
+//! however those are grouped.
+//!
+//! A schema's value lies in the certificate: [`MappingSchema::validate_a2a`]
+//! and [`X2ySchema::validate`] re-check the paper's two constraints
+//! (capacity, pair coverage) from scratch over the member lists, so a
+//! schema that validates is correct no matter which algorithm produced it.
+
+use std::fmt;
+use std::iter::{Chain, Copied};
+use std::ops::Range;
+use std::slice;
 
 use crate::bitset::BitSet;
 use crate::error::SchemaError;
@@ -17,11 +36,132 @@ fn pair_index(i: usize, j: usize, m: usize) -> usize {
     i * m - i * (i + 1) / 2 + (j - i - 1)
 }
 
-/// An A2A mapping schema: each reducer is the set of input ids assigned to
-/// it.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// A reducer's `(load, copies)`: its members' summed weight, `None` once
+/// the sum passes `u64::MAX`, and its member count.
+pub type ReducerSize = (Option<Weight>, u64);
+
+/// Each group's [`ReducerSize`], as if it were a reducer of its own.
+fn group_sizes(groups: &[Vec<InputId>], inputs: &InputSet) -> Vec<ReducerSize> {
+    groups
+        .iter()
+        .map(|group| {
+            let load = group
+                .iter()
+                .try_fold(0, |load: Weight, &id| load.checked_add(inputs.weight(id)));
+            (load, group.len() as u64)
+        })
+        .collect()
+}
+
+/// The size of a reducer hosting two groups of sizes `a` and `b`.
+fn combine(a: ReducerSize, b: ReducerSize) -> ReducerSize {
+    let load = a.0.zip(b.0).and_then(|(x, y)| x.checked_add(y));
+    (load, a.1 + b.1)
+}
+
+/// Each group's summed weight.
+fn group_loads(groups: &[Vec<InputId>], inputs: &InputSet) -> Vec<Weight> {
+    groups
+        .iter()
+        .map(|group| group.iter().map(|&id| inputs.weight(id)).sum())
+        .collect()
+}
+
+/// `Σ count·weight` over the groups' members: the total weight of every
+/// copy when group `g` is hosted by `counts[g]` reducers.
+fn hosted_weight(groups: &[Vec<InputId>], counts: &[u32], inputs: &InputSet) -> u128 {
+    groups
+        .iter()
+        .zip(counts)
+        .map(|(group, &count)| {
+            let weight: u128 = group.iter().map(|&id| inputs.weight(id) as u128).sum();
+            weight * u128::from(count)
+        })
+        .sum()
+}
+
+/// Adds `counts[g]` to the replication of every member of group `g`,
+/// skipping ids at or above `rep.len()`.
+fn replicate(groups: &[Vec<InputId>], counts: &[u32], rep: &mut [u32]) {
+    for (group, &count) in groups.iter().zip(counts) {
+        for &id in group {
+            if let Some(r) = rep.get_mut(id as usize) {
+                *r += count;
+            }
+        }
+    }
+}
+
+/// The members of an [`A2aReducer`], first group first.
+pub type Members<'a> = Copied<Chain<slice::Iter<'a, InputId>, slice::Iter<'a, InputId>>>;
+
+/// One A2A reducer, lent by [`MappingSchema::reducers`]: the ids of the
+/// first group it hosts, then those of the second, if any. Two reducers
+/// are equal when their member lists are.
+#[derive(Clone, Copy)]
+pub struct A2aReducer<'a> {
+    first: &'a [InputId],
+    second: &'a [InputId],
+}
+
+impl<'a> A2aReducer<'a> {
+    /// The member ids in order.
+    pub fn iter(&self) -> Members<'a> {
+        self.first.iter().chain(self.second).copied()
+    }
+
+    /// Number of members: the copies routed to this reducer.
+    pub fn len(&self) -> usize {
+        self.first.len() + self.second.len()
+    }
+
+    /// Whether the reducer has no members.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether input `id` is a member.
+    pub fn contains(&self, id: InputId) -> bool {
+        self.first.contains(&id) || self.second.contains(&id)
+    }
+
+    /// The member ids as a list of their own.
+    pub fn to_vec(&self) -> Vec<InputId> {
+        [self.first, self.second].concat()
+    }
+}
+
+impl<'a> IntoIterator for A2aReducer<'a> {
+    type Item = InputId;
+    type IntoIter = Members<'a>;
+
+    fn into_iter(self) -> Members<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for A2aReducer<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for A2aReducer<'_> {}
+
+impl fmt::Debug for A2aReducer<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// An A2A mapping schema: input groups, and per reducer the one or two
+/// groups it hosts. Every group is hosted by at least one reducer.
+#[derive(Debug, Clone, Default)]
 pub struct MappingSchema {
-    reducers: Vec<Vec<InputId>>,
+    groups: Vec<Vec<InputId>>,
+    /// Per reducer, its first group and its second, if any, as indices
+    /// into `groups`.
+    hosts: Vec<(usize, Option<usize>)>,
 }
 
 impl MappingSchema {
@@ -31,31 +171,116 @@ impl MappingSchema {
         MappingSchema::default()
     }
 
-    /// Wraps explicit reducer membership lists.
+    /// Wraps explicit reducer membership lists, one group per reducer.
     pub fn from_reducers(reducers: Vec<Vec<InputId>>) -> Self {
-        MappingSchema { reducers }
+        let hosts = (0..reducers.len()).map(|g| (g, None)).collect();
+        MappingSchema {
+            groups: reducers,
+            hosts,
+        }
     }
 
-    /// Adds a reducer holding `inputs`.
+    /// Adds a reducer holding `inputs`, as a group of its own.
     pub fn push_reducer(&mut self, inputs: Vec<InputId>) {
-        self.reducers.push(inputs);
+        let group = self.add_groups([inputs]).start;
+        self.hosts.push((group, None));
+    }
+
+    /// Adds `groups`, which the caller must then host, and returns their
+    /// index range.
+    pub(crate) fn add_groups(
+        &mut self,
+        groups: impl IntoIterator<Item = Vec<InputId>>,
+    ) -> Range<usize> {
+        let start = self.groups.len();
+        self.groups.extend(groups);
+        start..self.groups.len()
+    }
+
+    /// Adds one reducer per group `g` of `groups`, hosting `first`, then `g`.
+    pub(crate) fn host_with(&mut self, first: usize, groups: Range<usize>) {
+        self.hosts.extend(groups.map(|g| (first, Some(g))));
+    }
+
+    /// Adds one reducer per unordered pair of `groups` in lexicographic
+    /// order, or a single reducer for a lone group.
+    pub(crate) fn host_pairs(&mut self, groups: Range<usize>) {
+        let k = groups.len();
+        if k == 1 {
+            self.hosts.push((groups.start, None));
+        }
+        self.hosts.reserve(k * k.saturating_sub(1) / 2);
+        for a in groups.clone() {
+            self.hosts.extend((a + 1..groups.end).map(|b| (a, Some(b))));
+        }
+    }
+
+    /// Moves `other`'s groups and reducers in after this schema's, mapping
+    /// each of its ids through `id_of`.
+    pub(crate) fn append(&mut self, other: MappingSchema, id_of: impl Fn(InputId) -> InputId) {
+        let offset = self.groups.len();
+        for mut group in other.groups {
+            for id in &mut group {
+                *id = id_of(*id);
+            }
+            self.groups.push(group);
+        }
+        let hosts = other.hosts.into_iter();
+        self.hosts
+            .extend(hosts.map(|(a, b)| (a + offset, b.map(|b| b + offset))));
     }
 
     /// Number of reducers `z`.
     pub fn reducer_count(&self) -> usize {
-        self.reducers.len()
+        self.hosts.len()
     }
 
-    /// The reducers' membership lists.
-    pub fn reducers(&self) -> &[Vec<InputId>] {
-        &self.reducers
+    /// The input groups. A heuristic's groups are its bins in packing
+    /// order (the big input of [`crate::a2a::big_small`] is a group of its
+    /// own); a schema built from member lists has one group per reducer.
+    pub fn groups(&self) -> &[Vec<InputId>] {
+        &self.groups
+    }
+
+    /// The reducers in order, each a view of its members.
+    pub fn reducers(&self) -> impl ExactSizeIterator<Item = A2aReducer<'_>> + '_ {
+        self.hosts.iter().map(|&(a, b)| A2aReducer {
+            first: &self.groups[a],
+            second: b.map_or(&[], |b| &self.groups[b]),
+        })
+    }
+
+    /// Each reducer's `(load, copies)`, in order, from one sum per group:
+    /// what the engine's cost model needs to time the schema's job.
+    pub fn reducer_sizes(
+        &self,
+        inputs: &InputSet,
+    ) -> impl ExactSizeIterator<Item = ReducerSize> + '_ {
+        let sizes = group_sizes(&self.groups, inputs);
+        self.hosts.iter().map(move |&(a, b)| match b {
+            None => sizes[a],
+            Some(b) => combine(sizes[a], sizes[b]),
+        })
+    }
+
+    /// How many reducers host each group.
+    fn hosted_counts(&self) -> Vec<u32> {
+        let mut counts = vec![0u32; self.groups.len()];
+        for &(a, b) in &self.hosts {
+            counts[a] += 1;
+            if let Some(b) = b {
+                counts[b] += 1;
+            }
+        }
+        counts
     }
 
     /// Per-reducer summed weights.
     pub fn loads(&self, inputs: &InputSet) -> Vec<Weight> {
-        self.reducers
+        let loads = group_loads(&self.groups, inputs);
+        self.hosts
             .iter()
-            .map(|r| r.iter().map(|&id| inputs.weight(id)).sum())
+            .map(|&(a, b)| loads[a] + b.map_or(0, |b| loads[b]))
             .collect()
     }
 
@@ -63,39 +288,29 @@ impl MappingSchema {
     /// input is one transfer, so the cost is the sum of all reducer loads
     /// (in weight units).
     pub fn communication_cost(&self, inputs: &InputSet) -> u128 {
-        self.reducers
-            .iter()
-            .flat_map(|r| r.iter())
-            .map(|&id| inputs.weight(id) as u128)
-            .sum()
+        hosted_weight(&self.groups, &self.hosted_counts(), inputs)
     }
 
     /// Number of reducers each input is replicated to.
     pub fn replication(&self, n_inputs: usize) -> Vec<u32> {
         let mut rep = vec![0u32; n_inputs];
-        for r in &self.reducers {
-            for &id in r {
-                if (id as usize) < n_inputs {
-                    rep[id as usize] += 1;
-                }
-            }
-        }
+        replicate(&self.groups, &self.hosted_counts(), &mut rep);
         rep
     }
 
     /// Compiles the schema into `(input, reducer targets)` routes for the
     /// simulated engine's `TableRouter`.
     pub fn to_routes(&self) -> Vec<(InputId, Vec<usize>)> {
-        let mut max_id = 0usize;
-        for r in &self.reducers {
-            for &id in r {
-                max_id = max_id.max(id as usize + 1);
-            }
-        }
+        let max_id = self
+            .reducers()
+            .flatten()
+            .map(|id| id as usize + 1)
+            .max()
+            .unwrap_or(0);
         let mut routes: Vec<(InputId, Vec<usize>)> =
             (0..max_id).map(|id| (id as InputId, Vec::new())).collect();
-        for (rid, r) in self.reducers.iter().enumerate() {
-            for &id in r {
+        for (rid, r) in self.reducers().enumerate() {
+            for id in r {
                 routes[id as usize].1.push(rid);
             }
         }
@@ -113,10 +328,11 @@ impl MappingSchema {
         let m = inputs.len();
         let mut covered = BitSet::new(if m >= 2 { m * (m - 1) / 2 } else { 0 });
         let mut seen_in_reducer = vec![usize::MAX; m];
+        let mut members = Vec::new();
 
-        for (rid, r) in self.reducers.iter().enumerate() {
+        for (rid, r) in self.reducers().enumerate() {
             let mut load: Weight = 0;
-            for &id in r {
+            for id in r {
                 let idx = id as usize;
                 if idx >= m {
                     return Err(SchemaError::UnknownInput { id });
@@ -134,8 +350,10 @@ impl MappingSchema {
                     capacity: q,
                 });
             }
-            for (a_pos, &a) in r.iter().enumerate() {
-                for &b in &r[a_pos + 1..] {
+            members.clear();
+            members.extend(r);
+            for (a_pos, &a) in members.iter().enumerate() {
+                for &b in &members[a_pos + 1..] {
                     let (i, j) = if a < b { (a, b) } else { (b, a) };
                     covered.insert(pair_index(i as usize, j as usize, m));
                 }
@@ -164,19 +382,36 @@ impl MappingSchema {
     }
 }
 
-/// One X2Y reducer: the X inputs and Y inputs assigned to it.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct X2yReducer {
-    /// Ids into the instance's X set.
-    pub x: Vec<InputId>,
-    /// Ids into the instance's Y set.
-    pub y: Vec<InputId>,
+/// Schemas are equal when their reducers' member lists are, in order,
+/// however those are grouped.
+impl PartialEq for MappingSchema {
+    fn eq(&self, other: &Self) -> bool {
+        self.reducers().eq(other.reducers())
+    }
 }
 
-/// An X2Y mapping schema.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+impl Eq for MappingSchema {}
+
+/// One X2Y reducer, lent by [`X2ySchema::reducers`]: the X group and the
+/// Y group it hosts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct X2yReducer<'a> {
+    /// Ids into the instance's X set.
+    pub x: &'a [InputId],
+    /// Ids into the instance's Y set.
+    pub y: &'a [InputId],
+}
+
+/// An X2Y mapping schema: X groups, Y groups, and per reducer the one X
+/// group and one Y group it hosts. Every group is hosted by at least one
+/// reducer.
+#[derive(Debug, Clone, Default)]
 pub struct X2ySchema {
-    reducers: Vec<X2yReducer>,
+    x_groups: Vec<Vec<InputId>>,
+    y_groups: Vec<Vec<InputId>>,
+    /// Per reducer, its X group and its Y group, as indices into
+    /// `x_groups` and `y_groups`.
+    hosts: Vec<(usize, usize)>,
 }
 
 impl X2ySchema {
@@ -185,66 +420,150 @@ impl X2ySchema {
         X2ySchema::default()
     }
 
-    /// Wraps explicit reducers.
-    pub fn from_reducers(reducers: Vec<X2yReducer>) -> Self {
-        X2ySchema { reducers }
+    /// Wraps explicit `(X members, Y members)` reducers, each hosting an X
+    /// group and a Y group of its own.
+    pub fn from_reducers(reducers: Vec<(Vec<InputId>, Vec<InputId>)>) -> Self {
+        let hosts = (0..reducers.len()).map(|g| (g, g)).collect();
+        let (x_groups, y_groups) = reducers.into_iter().unzip();
+        X2ySchema {
+            x_groups,
+            y_groups,
+            hosts,
+        }
     }
 
-    /// Adds a reducer.
+    /// Adds a reducer holding X inputs `x` and Y inputs `y`, as groups of
+    /// its own.
     pub fn push_reducer(&mut self, x: Vec<InputId>, y: Vec<InputId>) {
-        self.reducers.push(X2yReducer { x, y });
+        let gx = self.add_x_groups([x]).start;
+        let gy = self.add_y_groups([y]).start;
+        self.hosts.push((gx, gy));
+    }
+
+    /// Adds X groups, which the caller must then host, and returns their
+    /// index range.
+    pub(crate) fn add_x_groups(
+        &mut self,
+        groups: impl IntoIterator<Item = Vec<InputId>>,
+    ) -> Range<usize> {
+        let start = self.x_groups.len();
+        self.x_groups.extend(groups);
+        start..self.x_groups.len()
+    }
+
+    /// Adds Y groups, which the caller must then host, and returns their
+    /// index range.
+    pub(crate) fn add_y_groups(
+        &mut self,
+        groups: impl IntoIterator<Item = Vec<InputId>>,
+    ) -> Range<usize> {
+        let start = self.y_groups.len();
+        self.y_groups.extend(groups);
+        start..self.y_groups.len()
+    }
+
+    /// Adds one reducer per (X group, Y group) of `xs × ys`, X major.
+    pub(crate) fn host_grid(&mut self, xs: Range<usize>, ys: Range<usize>) {
+        self.hosts.reserve(xs.len() * ys.len());
+        for gx in xs {
+            self.hosts.extend(ys.clone().map(|gy| (gx, gy)));
+        }
+    }
+
+    /// Moves `other`'s groups and reducers in after this schema's, mapping
+    /// each of its X ids through `x_id_of`.
+    pub(crate) fn append(&mut self, other: X2ySchema, x_id_of: impl Fn(InputId) -> InputId) {
+        let (x_offset, y_offset) = (self.x_groups.len(), self.y_groups.len());
+        for mut group in other.x_groups {
+            for id in &mut group {
+                *id = x_id_of(*id);
+            }
+            self.x_groups.push(group);
+        }
+        self.y_groups.extend(other.y_groups);
+        let hosts = other.hosts.into_iter();
+        self.hosts
+            .extend(hosts.map(|(gx, gy)| (gx + x_offset, gy + y_offset)));
+    }
+
+    /// The schema of the instance with its sides swapped.
+    pub(crate) fn mirrored(self) -> X2ySchema {
+        X2ySchema {
+            x_groups: self.y_groups,
+            y_groups: self.x_groups,
+            hosts: self.hosts.into_iter().map(|(gx, gy)| (gy, gx)).collect(),
+        }
     }
 
     /// Number of reducers `z`.
     pub fn reducer_count(&self) -> usize {
-        self.reducers.len()
+        self.hosts.len()
     }
 
-    /// The reducers.
-    pub fn reducers(&self) -> &[X2yReducer] {
-        &self.reducers
+    /// The X groups: a heuristic's X bins in packing order.
+    pub fn x_groups(&self) -> &[Vec<InputId>] {
+        &self.x_groups
+    }
+
+    /// The Y groups: a heuristic's Y bins in packing order.
+    pub fn y_groups(&self) -> &[Vec<InputId>] {
+        &self.y_groups
+    }
+
+    /// The reducers in order, each a view of its two groups.
+    pub fn reducers(&self) -> impl ExactSizeIterator<Item = X2yReducer<'_>> + '_ {
+        self.hosts.iter().map(|&(gx, gy)| X2yReducer {
+            x: &self.x_groups[gx],
+            y: &self.y_groups[gy],
+        })
+    }
+
+    /// Each reducer's `(load, copies)`, in order, X side then Y side, from
+    /// one sum per group; see [`MappingSchema::reducer_sizes`].
+    pub fn reducer_sizes(
+        &self,
+        inst: &X2yInstance,
+    ) -> impl ExactSizeIterator<Item = ReducerSize> + '_ {
+        let xs = group_sizes(&self.x_groups, &inst.x);
+        let ys = group_sizes(&self.y_groups, &inst.y);
+        self.hosts
+            .iter()
+            .map(move |&(gx, gy)| combine(xs[gx], ys[gy]))
+    }
+
+    /// How many reducers host each X group and each Y group.
+    fn hosted_counts(&self) -> (Vec<u32>, Vec<u32>) {
+        let mut counts = (
+            vec![0u32; self.x_groups.len()],
+            vec![0u32; self.y_groups.len()],
+        );
+        for &(gx, gy) in &self.hosts {
+            counts.0[gx] += 1;
+            counts.1[gy] += 1;
+        }
+        counts
     }
 
     /// Per-reducer summed weights (X side + Y side).
     pub fn loads(&self, inst: &X2yInstance) -> Vec<Weight> {
-        self.reducers
-            .iter()
-            .map(|r| {
-                let wx: Weight = r.x.iter().map(|&id| inst.x.weight(id)).sum();
-                let wy: Weight = r.y.iter().map(|&id| inst.y.weight(id)).sum();
-                wx + wy
-            })
-            .collect()
+        let xs = group_loads(&self.x_groups, &inst.x);
+        let ys = group_loads(&self.y_groups, &inst.y);
+        self.hosts.iter().map(|&(gx, gy)| xs[gx] + ys[gy]).collect()
     }
 
     /// Communication cost: total weight of all input copies.
     pub fn communication_cost(&self, inst: &X2yInstance) -> u128 {
-        self.reducers
-            .iter()
-            .map(|r| {
-                let wx: u128 = r.x.iter().map(|&id| inst.x.weight(id) as u128).sum();
-                let wy: u128 = r.y.iter().map(|&id| inst.y.weight(id) as u128).sum();
-                wx + wy
-            })
-            .sum()
+        let (cx, cy) = self.hosted_counts();
+        hosted_weight(&self.x_groups, &cx, &inst.x) + hosted_weight(&self.y_groups, &cy, &inst.y)
     }
 
     /// Replication counts for the X side and Y side.
     pub fn replication(&self, inst: &X2yInstance) -> (Vec<u32>, Vec<u32>) {
+        let (cx, cy) = self.hosted_counts();
         let mut rx = vec![0u32; inst.x.len()];
         let mut ry = vec![0u32; inst.y.len()];
-        for r in &self.reducers {
-            for &id in &r.x {
-                if (id as usize) < rx.len() {
-                    rx[id as usize] += 1;
-                }
-            }
-            for &id in &r.y {
-                if (id as usize) < ry.len() {
-                    ry[id as usize] += 1;
-                }
-            }
-        }
+        replicate(&self.x_groups, &cx, &mut rx);
+        replicate(&self.y_groups, &cy, &mut ry);
         (rx, ry)
     }
 
@@ -258,9 +577,9 @@ impl X2ySchema {
     pub fn covers_exactly_once(&self, inst: &X2yInstance) -> bool {
         let ny = inst.y.len();
         let mut counts = vec![0u32; inst.x.len() * ny];
-        for r in &self.reducers {
-            for &x in &r.x {
-                for &y in &r.y {
+        for r in self.reducers() {
+            for &x in r.x {
+                for &y in r.y {
                     let idx = x as usize * ny + y as usize;
                     if idx >= counts.len() {
                         return false;
@@ -282,10 +601,10 @@ impl X2ySchema {
         let (nx, ny) = (inst.x.len(), inst.y.len());
         let mut covered = BitSet::new(nx * ny);
 
-        for (rid, r) in self.reducers.iter().enumerate() {
+        for (rid, r) in self.reducers().enumerate() {
             let mut load: Weight = 0;
             let mut seen_x = std::collections::HashSet::new();
-            for &id in &r.x {
+            for &id in r.x {
                 if (id as usize) >= nx {
                     return Err(SchemaError::UnknownInput { id });
                 }
@@ -295,7 +614,7 @@ impl X2ySchema {
                 load = load.saturating_add(inst.x.weight(id));
             }
             let mut seen_y = std::collections::HashSet::new();
-            for &id in &r.y {
+            for &id in r.y {
                 if (id as usize) >= ny {
                     return Err(SchemaError::UnknownInput { id });
                 }
@@ -311,8 +630,8 @@ impl X2ySchema {
                     capacity: q,
                 });
             }
-            for &x in &r.x {
-                for &y in &r.y {
+            for &x in r.x {
+                for &y in r.y {
                     covered.insert(x as usize * ny + y as usize);
                 }
             }
@@ -327,6 +646,16 @@ impl X2ySchema {
         Ok(())
     }
 }
+
+/// Schemas are equal when their reducers' member lists are, in order,
+/// however those are grouped.
+impl PartialEq for X2ySchema {
+    fn eq(&self, other: &Self) -> bool {
+        self.reducers().eq(other.reducers())
+    }
+}
+
+impl Eq for X2ySchema {}
 
 #[cfg(test)]
 mod tests {
@@ -458,25 +787,13 @@ mod tests {
 
     #[test]
     fn valid_x2y_schema_passes() {
-        let schema = X2ySchema::from_reducers(vec![X2yReducer {
-            x: vec![0, 1],
-            y: vec![0, 1],
-        }]);
+        let schema = X2ySchema::from_reducers(vec![(vec![0, 1], vec![0, 1])]);
         schema.validate(&small_x2y(), 14).unwrap();
     }
 
     #[test]
     fn x2y_uncovered_cross_pair_reported() {
-        let schema = X2ySchema::from_reducers(vec![
-            X2yReducer {
-                x: vec![0],
-                y: vec![0, 1],
-            },
-            X2yReducer {
-                x: vec![1],
-                y: vec![0],
-            },
-        ]);
+        let schema = X2ySchema::from_reducers(vec![(vec![0], vec![0, 1]), (vec![1], vec![0])]);
         assert_eq!(
             schema.validate(&small_x2y(), 14),
             Err(SchemaError::UncoveredPair { a: 1, b: 1 })
@@ -486,25 +803,13 @@ mod tests {
     #[test]
     fn x2y_same_side_pairs_not_required() {
         // x0 and x1 never meet — that is fine for X2Y.
-        let schema = X2ySchema::from_reducers(vec![
-            X2yReducer {
-                x: vec![0],
-                y: vec![0, 1],
-            },
-            X2yReducer {
-                x: vec![1],
-                y: vec![0, 1],
-            },
-        ]);
+        let schema = X2ySchema::from_reducers(vec![(vec![0], vec![0, 1]), (vec![1], vec![0, 1])]);
         schema.validate(&small_x2y(), 14).unwrap();
     }
 
     #[test]
     fn x2y_capacity_counts_both_sides() {
-        let schema = X2ySchema::from_reducers(vec![X2yReducer {
-            x: vec![0, 1],
-            y: vec![0, 1],
-        }]);
+        let schema = X2ySchema::from_reducers(vec![(vec![0, 1], vec![0, 1])]);
         assert_eq!(
             schema.validate(&small_x2y(), 13),
             Err(SchemaError::CapacityExceeded {
@@ -524,50 +829,20 @@ mod tests {
     #[test]
     fn exactly_once_detection() {
         let inst = small_x2y();
-        let once = X2ySchema::from_reducers(vec![
-            X2yReducer {
-                x: vec![0],
-                y: vec![0, 1],
-            },
-            X2yReducer {
-                x: vec![1],
-                y: vec![0, 1],
-            },
-        ]);
+        let once = X2ySchema::from_reducers(vec![(vec![0], vec![0, 1]), (vec![1], vec![0, 1])]);
         assert!(once.covers_exactly_once(&inst));
         // Pair (0, 0) covered twice.
-        let twice = X2ySchema::from_reducers(vec![
-            X2yReducer {
-                x: vec![0, 1],
-                y: vec![0, 1],
-            },
-            X2yReducer {
-                x: vec![0],
-                y: vec![0],
-            },
-        ]);
+        let twice = X2ySchema::from_reducers(vec![(vec![0, 1], vec![0, 1]), (vec![0], vec![0])]);
         assert!(!twice.covers_exactly_once(&inst));
         // Missing pair.
-        let missing = X2ySchema::from_reducers(vec![X2yReducer {
-            x: vec![0],
-            y: vec![0, 1],
-        }]);
+        let missing = X2ySchema::from_reducers(vec![(vec![0], vec![0, 1])]);
         assert!(!missing.covers_exactly_once(&inst));
     }
 
     #[test]
     fn x2y_replication_and_cost() {
         let inst = small_x2y();
-        let schema = X2ySchema::from_reducers(vec![
-            X2yReducer {
-                x: vec![0],
-                y: vec![0, 1],
-            },
-            X2yReducer {
-                x: vec![1],
-                y: vec![0, 1],
-            },
-        ]);
+        let schema = X2ySchema::from_reducers(vec![(vec![0], vec![0, 1]), (vec![1], vec![0, 1])]);
         let (rx, ry) = schema.replication(&inst);
         assert_eq!(rx, vec![1, 1]);
         assert_eq!(ry, vec![2, 2]);

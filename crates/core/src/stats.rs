@@ -78,7 +78,6 @@ impl SchemaStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::X2yReducer;
 
     #[test]
     fn a2a_stats_from_known_schema() {
@@ -98,16 +97,7 @@ mod tests {
     #[test]
     fn x2y_stats_count_both_sides() {
         let inst = X2yInstance::from_weights(vec![2, 2], vec![3]);
-        let schema = X2ySchema::from_reducers(vec![
-            X2yReducer {
-                x: vec![0],
-                y: vec![0],
-            },
-            X2yReducer {
-                x: vec![1],
-                y: vec![0],
-            },
-        ]);
+        let schema = X2ySchema::from_reducers(vec![(vec![0], vec![0]), (vec![1], vec![0])]);
         let stats = SchemaStats::for_x2y(&schema, &inst, 5);
         assert_eq!(stats.reducers, 2);
         assert_eq!(stats.communication, 2 + 3 + 2 + 3);

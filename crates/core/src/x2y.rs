@@ -20,7 +20,7 @@ use crate::bounds::x2y_feasible;
 use crate::error::SchemaError;
 use crate::exact::SearchBudget;
 use crate::input::{InputId, Weight, X2yInstance};
-use crate::schema::{X2yReducer, X2ySchema};
+use crate::schema::X2ySchema;
 
 /// Strategy selector for [`solve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,16 +100,17 @@ pub fn one_reducer(inst: &X2yInstance, q: Weight) -> Result<X2ySchema, SchemaErr
             limit: q,
         });
     }
-    Ok(X2ySchema::from_reducers(vec![X2yReducer {
-        x: (0..inst.x.len() as InputId).collect(),
-        y: (0..inst.y.len() as InputId).collect(),
-    }]))
+    Ok(X2ySchema::from_reducers(vec![(
+        (0..inst.x.len() as InputId).collect(),
+        (0..inst.y.len() as InputId).collect(),
+    )]))
 }
 
 /// The grid algorithm: pack X into bins of capacity `c` and Y into bins of
 /// capacity `q − c`, then assign every (X-bin, Y-bin) pair to a reducer.
 /// Every cross pair meets in its bins' reducer, and every reducer's load is
-/// at most `c + (q − c) = q`.
+/// at most `c + (q − c) = q`. The bins become the schema's X and Y groups,
+/// and each reducer stores only its pair of group indices.
 ///
 /// `x_capacity = None` uses the balanced split `c = ⌊q/2⌋`. Reducer count
 /// is `k_X · k_Y`; with first-fit-decreasing both factors are within 11/9
@@ -153,11 +154,9 @@ pub fn grid(
         .pack_into_bins(cy, policy)
         .expect("regime checked: every Y weight ≤ cy");
     let mut schema = X2ySchema::new();
-    for xb in &x_bins {
-        for yb in &y_bins {
-            schema.push_reducer(xb.clone(), yb.clone());
-        }
-    }
+    let xs = schema.add_x_groups(x_bins);
+    let ys = schema.add_y_groups(y_bins);
+    schema.host_grid(xs, ys);
     Ok(schema)
 }
 
@@ -230,41 +229,31 @@ pub fn big_handling(
         return grid(inst, q, policy, None);
     }
     if !bigs_y.is_empty() {
-        // Mirror: solve with sides swapped, then swap reducers back.
+        // Mirror: solve with sides swapped, then swap the sides back.
         let mirrored = X2yInstance {
             x: inst.y.clone(),
             y: inst.x.clone(),
         };
-        let schema = big_handling(&mirrored, q, policy)?;
-        return Ok(X2ySchema::from_reducers(
-            schema
-                .reducers()
-                .iter()
-                .map(|r| X2yReducer {
-                    x: r.y.clone(),
-                    y: r.x.clone(),
-                })
-                .collect(),
-        ));
+        return Ok(big_handling(&mirrored, q, policy)?.mirrored());
     }
 
     let mut schema = X2ySchema::new();
 
-    // Bigs: one reducer per (big x, Y-bin at capacity q − w_x).
+    // Bigs: each big x is an X group of its own, with one reducer per
+    // Y-bin at capacity q − w_x.
     for &bx in &bigs_x {
+        let big = schema.add_x_groups([vec![bx]]);
         let cap = q - inst.x.weight(bx);
-        if cap == 0 {
+        let y_bins = if cap == 0 {
             // w_x == q: feasibility forces every y to weigh 0.
-            schema.push_reducer(vec![bx], (0..inst.y.len() as InputId).collect());
-            continue;
-        }
-        let y_bins = inst
-            .y
-            .pack_into_bins(cap, policy)
-            .expect("feasibility: every y ≤ q − w_x");
-        for yb in y_bins {
-            schema.push_reducer(vec![bx], yb);
-        }
+            vec![(0..inst.y.len() as InputId).collect()]
+        } else {
+            inst.y
+                .pack_into_bins(cap, policy)
+                .expect("feasibility: every y ≤ q − w_x")
+        };
+        let ys = schema.add_y_groups(y_bins);
+        schema.host_grid(big, ys);
     }
 
     // Smalls: grid over the small X subset and all of Y.
@@ -279,12 +268,7 @@ pub fn big_handling(
         } else {
             grid(&sub, q, policy, None)?
         };
-        for r in sub_schema.reducers() {
-            schema.push_reducer(
-                r.x.iter().map(|&local| smalls[local as usize]).collect(),
-                r.y.clone(),
-            );
-        }
+        schema.append(sub_schema, |local| smalls[local as usize]);
     }
     Ok(schema)
 }

@@ -371,3 +371,87 @@ proptest! {
         }
     }
 }
+
+/// Instances in the pairing regime of `bin_pack_pairing` and `grid`: every
+/// weight at most `⌊q/2⌋`, on both X2Y sides. `max_inputs` caps each side.
+fn pairing_regime(max_inputs: usize) -> impl Strategy<Value = (Vec<u64>, Vec<u64>, u64)> {
+    (4u64..=120).prop_flat_map(move |q| {
+        (
+            proptest::collection::vec(0..=q / 2, 2..=max_inputs),
+            proptest::collection::vec(0..=q / 2, 1..=max_inputs),
+            Just(q),
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The groups the solver docs describe are the schema's own: the A2A
+    /// pairing schema groups exactly the first-fit-decreasing bins at
+    /// `⌊q/2⌋` and has one reducer per pair of them (`Auto` builds it for
+    /// unequal weights), and the balanced grid groups X and Y exactly as
+    /// their FFD bins at `⌊q/2⌋` and `q − ⌊q/2⌋`, one reducer per pair.
+    #[test]
+    fn heuristics_group_their_ffd_bins((x, y, q) in pairing_regime(40)) {
+        let ffd = FitPolicy::FirstFitDecreasing;
+        let inputs = InputSet::from_weights(x.clone());
+        let bins = inputs.pack_into_bins(q / 2, ffd).unwrap();
+        let k = bins.len();
+        let mut algos = vec![a2a::A2aAlgorithm::BinPackPairing(ffd)];
+        if !inputs.all_equal() {
+            algos.push(a2a::A2aAlgorithm::Auto);
+        }
+        for algo in algos {
+            let schema = a2a::solve(&inputs, q, algo).unwrap();
+            if inputs.total_weight() > q as u128 {
+                // Two bins fit one reducer, so k ≥ 3 here.
+                prop_assert_eq!(schema.groups(), &bins[..], "{:?}", algo);
+                prop_assert_eq!(schema.reducer_count(), k * (k - 1) / 2);
+            } else {
+                // Everything fits one reducer: one group of every input.
+                prop_assert_eq!(schema.groups().len(), 1);
+                prop_assert_eq!(schema.reducer_count(), 1);
+            }
+        }
+
+        let inst = X2yInstance::from_weights(x, y);
+        let schema = x2y::solve(&inst, q, x2y::X2yAlgorithm::Grid(ffd)).unwrap();
+        let x_bins = inst.x.pack_into_bins(q / 2, ffd).unwrap();
+        let y_bins = inst.y.pack_into_bins(q - q / 2, ffd).unwrap();
+        prop_assert_eq!(schema.x_groups(), &x_bins[..]);
+        prop_assert_eq!(schema.y_groups(), &y_bins[..]);
+        prop_assert_eq!(schema.reducer_count(), x_bins.len() * y_bins.len());
+    }
+
+    /// The 11/9 claim of `bin_pack_pairing` and `grid`: first-fit-decreasing
+    /// packs into at most `11/9·OPT + 6/9` bins (Dósa's tight bound), so the
+    /// group count `k` obeys `9·k ≤ 11·OPT + 6` wherever the exact packer
+    /// certifies the optimum, for the A2A groups and both grid sides.
+    #[test]
+    fn ffd_group_counts_stay_within_eleven_ninths((x, y, q) in pairing_regime(12)) {
+        let ffd = FitPolicy::FirstFitDecreasing;
+        let inst = X2yInstance::from_weights(x, y);
+        let grid = x2y::solve(&inst, q, x2y::X2yAlgorithm::Grid(ffd)).unwrap();
+        let mut group_counts = vec![
+            (&inst.x, q / 2, grid.x_groups().len()),
+            (&inst.y, q - q / 2, grid.y_groups().len()),
+        ];
+        if inst.x.total_weight() > q as u128 {
+            let pairing = a2a::solve(&inst.x, q, a2a::A2aAlgorithm::BinPackPairing(ffd)).unwrap();
+            group_counts.push((&inst.x, q / 2, pairing.groups().len()));
+        }
+        for (side, capacity, k) in group_counts {
+            let exact = mrassign_binpack::exact::pack_exact(side.weights(), capacity, 200_000)
+                .unwrap();
+            if exact.optimal {
+                let opt = exact.packing.bin_count();
+                prop_assert!(
+                    9 * k <= 11 * opt + 6,
+                    "k = {k} bins against OPT = {opt} for {:?} at capacity {capacity}",
+                    side.weights()
+                );
+            }
+        }
+    }
+}

@@ -130,7 +130,6 @@ fn x2y_singleton_sides() {
     schema.validate(&inst, 10).unwrap();
     assert!(schema
         .reducers()
-        .iter()
         .all(|r| !r.x.is_empty() && !r.y.is_empty()));
 }
 

@@ -244,8 +244,8 @@ pub fn run_similarity_join(
 
     // Compile routes (ascending per doc, as canonical_reducer assumes).
     let mut routes: Vec<Vec<usize>> = vec![Vec::new(); docs.len()];
-    for (rid, r) in schema.reducers().iter().enumerate() {
-        for &id in r {
+    for (rid, r) in schema.reducers().enumerate() {
+        for id in r {
             routes[id as usize].push(rid);
         }
     }

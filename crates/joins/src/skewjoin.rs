@@ -388,12 +388,12 @@ pub(crate) fn plan_from_per_key(
             "grid-family schemas cover each cross pair exactly once; the \
              join reducer relies on this to emit outputs without dedup"
         );
-        for (rid, reducer) in schema.reducers().iter().enumerate() {
+        for (rid, reducer) in schema.reducers().enumerate() {
             let global = next_reducer + rid;
-            for &xi in &reducer.x {
+            for &xi in reducer.x {
                 routes[xs[xi as usize]].push(global);
             }
-            for &yi in &reducer.y {
+            for &yi in reducer.y {
                 routes[ys[yi as usize]].push(global);
             }
         }

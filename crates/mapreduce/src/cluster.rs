@@ -478,6 +478,7 @@ impl ClusterConfig {
             // can even be buffered; `None` is the way to say "unbounded".
             return Err(SimError::InvalidKnob {
                 knob: "memory_budget",
+                requirement: "must be at least 1",
             });
         }
         if self
@@ -489,6 +490,7 @@ impl ClusterConfig {
             // current directory; `None` is how "no checkpointing" is said.
             return Err(SimError::InvalidKnob {
                 knob: "checkpoint_dir",
+                requirement: "must not be empty",
             });
         }
         for (knob, value) in [
@@ -625,7 +627,8 @@ mod tests {
         assert_eq!(
             cfg.validate(),
             Err(SimError::InvalidKnob {
-                knob: "memory_budget"
+                knob: "memory_budget",
+                requirement: "must be at least 1",
             })
         );
         let cfg = ClusterConfig {
@@ -807,7 +810,8 @@ mod tests {
         assert_eq!(
             cfg.validate(),
             Err(SimError::InvalidKnob {
-                knob: "checkpoint_dir"
+                knob: "checkpoint_dir",
+                requirement: "must not be empty",
             })
         );
         let cfg = ClusterConfig {

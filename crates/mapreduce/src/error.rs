@@ -10,11 +10,13 @@ pub enum SimError {
     NoWorkers,
     /// A knob on [`crate::ClusterConfig`] was configured to a value that
     /// can never be meant: a zero `memory_budget` or an empty
-    /// `checkpoint_dir`. The error names the offending knob so a
-    /// misconfiguration is diagnosable without a debugger.
+    /// `checkpoint_dir`. The error names the offending knob and what it
+    /// requires, so a misconfiguration is diagnosable without a debugger.
     InvalidKnob {
         /// The field name on `ClusterConfig`.
         knob: &'static str,
+        /// What the knob requires, as a predicate: "must be at least 1".
+        requirement: &'static str,
     },
     /// A time/rate knob on [`crate::ClusterConfig`] was configured to a
     /// non-finite value (`map_rate`, `reduce_rate`, `network_bandwidth`,
@@ -97,8 +99,8 @@ impl fmt::Display for SimError {
         match self {
             SimError::NoReducers => write!(f, "job configured with zero reducers"),
             SimError::NoWorkers => write!(f, "cluster configured with zero workers"),
-            SimError::InvalidKnob { knob } => {
-                write!(f, "engine knob `{knob}` must be at least 1")
+            SimError::InvalidKnob { knob, requirement } => {
+                write!(f, "engine knob `{knob}` {requirement}")
             }
             SimError::NonFiniteKnob { knob } => {
                 write!(
@@ -166,8 +168,20 @@ mod tests {
         assert!(s.contains("reducer 2") && s.contains("100") && s.contains("64"));
         let e = SimError::InvalidKnob {
             knob: "memory_budget",
+            requirement: "must be at least 1",
         };
-        assert!(e.to_string().contains("memory_budget"));
+        assert_eq!(
+            e.to_string(),
+            "engine knob `memory_budget` must be at least 1"
+        );
+        let e = SimError::InvalidKnob {
+            knob: "checkpoint_dir",
+            requirement: "must not be empty",
+        };
+        assert_eq!(
+            e.to_string(),
+            "engine knob `checkpoint_dir` must not be empty"
+        );
         let e = SimError::NonFiniteKnob { knob: "map_rate" };
         let s = e.to_string();
         assert!(s.contains("map_rate") && s.contains("finite"));

@@ -418,8 +418,8 @@ fn boundary_schema_identical_across_the_matrix() {
     let schema = a2a::solve(&inputs, q, a2a::A2aAlgorithm::Auto)
         .expect("boundary seed 0 is feasible at q = 40 for m = 12");
     let mut routes: Vec<Vec<usize>> = vec![Vec::new(); weights.len()];
-    for (rid, r) in schema.reducers().iter().enumerate() {
-        for &id in r {
+    for (rid, r) in schema.reducers().enumerate() {
+        for id in r {
             routes[id as usize].push(rid);
         }
     }
@@ -480,8 +480,8 @@ fn byte_counters_saturate_instead_of_wrapping() {
             targets: Vec::new(),
         })
         .collect();
-    for (rid, r) in schema.reducers().iter().enumerate() {
-        for &id in r {
+    for (rid, r) in schema.reducers().enumerate() {
+        for id in r {
             blobs[id as usize].targets.push(rid);
         }
     }
@@ -726,8 +726,8 @@ fn boundary_schema_survives_the_fault_sweep_bit_identically() {
     let schema = a2a::solve(&inputs, q, a2a::A2aAlgorithm::Auto)
         .expect("boundary seed 0 is feasible at q = 40 for m = 12");
     let mut routes: Vec<Vec<usize>> = vec![Vec::new(); weights.len()];
-    for (rid, r) in schema.reducers().iter().enumerate() {
-        for &id in r {
+    for (rid, r) in schema.reducers().enumerate() {
+        for id in r {
             routes[id as usize].push(rid);
         }
     }

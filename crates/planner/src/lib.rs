@@ -14,6 +14,11 @@
 //! cost model, [`JobMetrics::simulate`], instead of being executed record
 //! by record, and scores exactly what
 //! [`Job::run`](mrassign_simmr::Job::run) reports for the schema's job.
+//! A schema stores its input groups once and, per reducer, the groups it
+//! hosts, so every solver's schema is scored through one method,
+//! [`MappingSchema::reducer_sizes`] or [`X2ySchema::reducer_sizes`]: it
+//! sums each group once, and a reducer's load and copy count are its
+//! groups' sums. No member list is copied or re-read.
 //!
 //! The capacity-independent work is done once per plan call: the instance
 //! sorts its inputs by decreasing weight once, and every candidate's
@@ -52,7 +57,9 @@ use std::sync::Mutex;
 use mrassign_core::a2a::A2aAlgorithm;
 use mrassign_core::solver::AssignmentSolver;
 use mrassign_core::x2y::X2yAlgorithm;
-use mrassign_core::{bounds, InputSet, MappingSchema, SchemaError, Weight, X2yInstance, X2ySchema};
+use mrassign_core::{
+    bounds, InputSet, MappingSchema, ReducerSize, SchemaError, Weight, X2yInstance, X2ySchema,
+};
 use mrassign_simmr::{ClusterConfig, JobMetrics, Schedule, TaskCost};
 
 /// What "best capacity" means.
@@ -175,11 +182,7 @@ where
         config.threads,
         |q| {
             let schema = solver.solve(&inputs, q)?;
-            let reducers = schema
-                .reducers()
-                .iter()
-                .map(|r| r.iter().map(|&i| weights[i as usize]));
-            Ok(model.score(q, reducers))
+            Ok(model.score(q, schema.reducer_sizes(&inputs)))
         },
     )?;
     select(frontier, config.objective)
@@ -223,11 +226,7 @@ where
         config.threads,
         |q| {
             let schema = solver.solve(&inst, q)?;
-            let reducers = schema.reducers().iter().map(|r| {
-                let x = r.x.iter().map(|&i| x_weights[i as usize]);
-                x.chain(r.y.iter().map(|&i| y_weights[i as usize]))
-            });
-            Ok(model.score(q, reducers))
+            Ok(model.score(q, schema.reducer_sizes(&inst)))
         },
     )?;
     select(frontier, config.objective)
@@ -370,24 +369,25 @@ impl<'a> CostModel<'a> {
     }
 
     /// Scores the schema at capacity `q` whose reducers, in schema order,
-    /// hold the member weights `reducers` yields; its communication is the
-    /// sum of the reducer loads. An empty schema runs no job and keeps
+    /// have the [`ReducerSize`]s `reducers` yields (their loads and member
+    /// counts, from [`MappingSchema::reducer_sizes`] or
+    /// [`X2ySchema::reducer_sizes`]); its communication is the sum of the
+    /// loads. An empty schema runs no job and keeps
     /// [`JobMetrics::default`]. Byte totals saturate where the engine's
     /// `u64` counters would overflow. Panics, as the engine fails under
-    /// `CapacityPolicy::Enforce(q)`, if a load exceeds `q`.
+    /// `CapacityPolicy::Enforce(q)`, if a load exceeds `q` or `u64::MAX`.
     fn score(
         &self,
         q: Weight,
-        reducers: impl Iterator<Item = impl Iterator<Item = Weight>>,
+        reducers: impl ExactSizeIterator<Item = ReducerSize>,
     ) -> CandidatePlan {
-        let mut metrics = JobMetrics::default();
-        let mut reduce_costs = Vec::new();
+        let mut metrics = JobMetrics {
+            reducer_value_bytes: Vec::with_capacity(reducers.len()),
+            ..JobMetrics::default()
+        };
+        let mut reduce_costs = Vec::with_capacity(reducers.len());
         let mut communication = 0u128;
-        for (r, members) in reducers.enumerate() {
-            let mut copies = 0u64;
-            let load = members
-                .inspect(|_| copies += 1)
-                .try_fold(0, Weight::checked_add);
+        for (r, (load, copies)) in reducers.enumerate() {
             let load = load.filter(|&l| l <= q).unwrap_or_else(|| {
                 panic!("valid schemas cannot violate capacity: reducer {r} exceeds q = {q}")
             });
@@ -726,7 +726,11 @@ mod tests {
     fn score_rejects_an_overloaded_reducer() {
         let cluster = ClusterConfig::default();
         let model = CostModel::new(&cluster, &[6, 4, 5]);
-        model.score(10, [vec![6, 4], vec![6, 5]].into_iter().map(Vec::into_iter));
+        let schema = MappingSchema::from_reducers(vec![vec![0, 1], vec![0, 2]]);
+        model.score(
+            10,
+            schema.reducer_sizes(&InputSet::from_weights(vec![6, 4, 5])),
+        );
     }
 
     #[test]
@@ -734,9 +738,10 @@ mod tests {
     fn score_rejects_an_overflowing_load() {
         let cluster = ClusterConfig::default();
         let model = CostModel::new(&cluster, &[u64::MAX, 1]);
+        let schema = MappingSchema::from_reducers(vec![vec![0, 1]]);
         model.score(
             u64::MAX,
-            [vec![u64::MAX, 1]].into_iter().map(Vec::into_iter),
+            schema.reducer_sizes(&InputSet::from_weights(vec![u64::MAX, 1])),
         );
     }
 

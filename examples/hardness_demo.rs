@@ -61,7 +61,7 @@ fn main() {
     match exact::x2y_two_reducers(&inst, q) {
         Some(schema) => {
             println!("q = {q}: 2-reducer schema exists — the subset-sum DP found a split:");
-            for (i, r) in schema.reducers().iter().enumerate() {
+            for (i, r) in schema.reducers().enumerate() {
                 let wx: u64 = r.x.iter().map(|&x| inst.x.weight(x)).sum();
                 println!("  reducer {i}: X part {:?} (weight {wx}) + all of Y", r.x);
             }

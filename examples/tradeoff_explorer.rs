@@ -115,8 +115,8 @@ fn main() {
 
         // Execute the schema on the engine to get simulated time.
         let mut routes: Vec<Vec<usize>> = vec![Vec::new(); inputs.len()];
-        for (rid, r) in schema.reducers().iter().enumerate() {
-            for &id in r {
+        for (rid, r) in schema.reducers().enumerate() {
+            for id in r {
                 routes[id as usize].push(rid);
             }
         }

@@ -77,7 +77,7 @@ use std::process::ExitCode;
 use mrassign::core::exact::{self, SearchBudget, SearchStats};
 use mrassign::core::solver::{a2a_solver, a2a_solver_names, x2y_solver, x2y_solver_names};
 use mrassign::core::{
-    a2a, bounds, stats::SchemaStats, x2y, AssignmentSolver, InputSet, X2yInstance,
+    a2a, bounds, stats::SchemaStats, x2y, A2aReducer, AssignmentSolver, InputSet, X2yInstance,
 };
 use mrassign::dag::marginals::{marginals_graph, run_marginals_chained, MarginalsConfig};
 use mrassign::dag::{DagMetrics, JobServer};
@@ -426,11 +426,11 @@ fn cmd_x2y(flags: &HashMap<String, String>) -> Result<String, String> {
     }
     if flags.contains_key("routes") {
         out.push('\n');
-        for (rid, r) in schema.reducers().iter().enumerate() {
+        for (rid, r) in schema.reducers().enumerate() {
             out.push_str(&format!(
                 "{rid}\tx:{}\ty:{}\n",
-                join_ids(&r.x),
-                join_ids(&r.y)
+                join_ids(r.x.iter().copied()),
+                join_ids(r.y.iter().copied())
             ));
         }
     }
@@ -807,16 +807,19 @@ fn cmd_dag(flags: &HashMap<String, String>) -> Result<String, String> {
     Ok(out)
 }
 
-fn render_routes(reducers: &[Vec<u32>]) -> String {
+fn render_routes<'a>(reducers: impl Iterator<Item = A2aReducer<'a>>) -> String {
     let mut out = String::new();
-    for (rid, r) in reducers.iter().enumerate() {
+    for (rid, r) in reducers.enumerate() {
         out.push_str(&format!("{rid}\t{}\n", join_ids(r)));
     }
     out
 }
 
-fn join_ids(ids: &[u32]) -> String {
-    ids.iter().map(u32::to_string).collect::<Vec<_>>().join(",")
+fn join_ids(ids: impl IntoIterator<Item = u32>) -> String {
+    ids.into_iter()
+        .map(|id| id.to_string())
+        .collect::<Vec<_>>()
+        .join(",")
 }
 
 #[cfg(test)]

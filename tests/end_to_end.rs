@@ -170,7 +170,8 @@ fn schema_loads_match_engine_loads() {
     let inputs = InputSet::from_weights(weights.clone());
     let q = 150;
     let schema = a2a::solve(&inputs, q, a2a::A2aAlgorithm::Auto).unwrap();
-    let metrics = run_schema(&weights, schema.reducers(), q);
+    let reducers: Vec<Vec<u32>> = schema.reducers().map(|r| r.to_vec()).collect();
+    let metrics = run_schema(&weights, &reducers, q);
 
     let schema_loads = schema.loads(&inputs);
     assert_eq!(metrics.reducer_value_bytes, schema_loads);
@@ -233,7 +234,7 @@ fn planner_frontier_matches_engine_execution() {
         let plan = plan_a2a(&weights, &config).unwrap();
         check(&weights, &plan, &|q| {
             let schema = a2a::solve(&inputs, q, a2a::A2aAlgorithm::Auto).unwrap();
-            schema.reducers().to_vec()
+            schema.reducers().map(|r| r.to_vec()).collect()
         });
     }
 
@@ -246,8 +247,8 @@ fn planner_frontier_matches_engine_execution() {
     let offset = x.len() as u32;
     check(&[x.clone(), y.clone()].concat(), &plan, &|q| {
         let schema = x2y::solve(&inst, q, x2y::X2yAlgorithm::Auto).unwrap();
-        let reducers = schema.reducers().iter();
-        reducers
+        schema
+            .reducers()
             .map(|r| r.x.iter().copied().chain(r.y.iter().map(|&i| offset + i)))
             .map(Iterator::collect)
             .collect()
