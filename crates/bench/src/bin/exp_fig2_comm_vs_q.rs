@@ -1,15 +1,11 @@
 //! Regenerates `results/fig2.csv`. Pass `--smoke` for a fast tiny run;
 //! unknown flags are rejected rather than silently ignored.
 
-use mrassign_bench::common::{finish, TableArgs};
+use mrassign_bench::common::{finish, ExperimentArgs};
 use mrassign_bench::fig2_comm_vs_q;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = TableArgs::from_args(&args, false).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let parsed = ExperimentArgs::from_env(&[]);
     let table_0 = fig2_comm_vs_q::run(parsed.scale);
     finish(&table_0, "fig2");
 }

@@ -1,23 +1,15 @@
 //! Regenerates `results/fig3.csv`. Pass `--smoke` for a fast tiny run,
-//! `--threads <n>` / `--shuffle materialized|pipelined` to pick
-//! the engine execution knobs (simulated columns are identical either
-//! way; the overlap_blk/peak_blk diagnostics are nonzero only under
-//! `pipelined`).
+//! and any engine knob of `ClusterConfig::KNOBS` as `--<knob> <value>`
+//! (`--threads 2`, `--shuffle pipelined`, `--checkpoint-dir <dir>`, …).
+//! The simulated columns are identical under every knob; the trailing
+//! execution diagnostics are nonzero only under the knob they report.
 
-use mrassign_bench::common::{finish, ExecKnobs};
-use mrassign_bench::{fig3_parallelism_vs_q, Scale};
+use mrassign_bench::common::{finish, ExperimentArgs};
+use mrassign_bench::fig3_parallelism_vs_q;
+use mrassign_simmr::ClusterConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--smoke") {
-        Scale::Smoke
-    } else {
-        Scale::Full
-    };
-    let knobs = ExecKnobs::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let table = fig3_parallelism_vs_q::run_with(scale, knobs);
+    let parsed = ExperimentArgs::from_env(&ClusterConfig::KNOBS);
+    let table = fig3_parallelism_vs_q::run_with(parsed.scale, &parsed.cluster);
     finish(&table, "fig3");
 }

@@ -1,21 +1,13 @@
 //! Regenerates `results/fig5.csv`. Pass `--smoke` for a fast tiny run,
-//! `--threads <n>` / `--shuffle materialized|pipelined` to pick the engine
-//! execution knobs (recorded numbers are identical either way).
+//! and any engine knob of `ClusterConfig::KNOBS` as `--<knob> <value>`
+//! (recorded numbers are identical under every knob).
 
-use mrassign_bench::common::{finish, ExecKnobs};
-use mrassign_bench::{fig5_simjoin, Scale};
+use mrassign_bench::common::{finish, ExperimentArgs};
+use mrassign_bench::fig5_simjoin;
+use mrassign_simmr::ClusterConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--smoke") {
-        Scale::Smoke
-    } else {
-        Scale::Full
-    };
-    let knobs = ExecKnobs::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let table = fig5_simjoin::run_with(scale, knobs);
+    let parsed = ExperimentArgs::from_env(&ClusterConfig::KNOBS);
+    let table = fig5_simjoin::run_with(parsed.scale, &parsed.cluster);
     finish(&table, "fig5");
 }

@@ -2,15 +2,11 @@
 //! `--smoke` for a fast tiny run and `--budget <nodes>` to override the
 //! exact search's node budget; anything else is rejected.
 
-use mrassign_bench::common::{finish, TableArgs};
+use mrassign_bench::common::{finish, ExperimentArgs};
 use mrassign_bench::table2_hardness;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let parsed = TableArgs::from_args(&args, true).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let parsed = ExperimentArgs::from_env(&["budget"]);
     let table = table2_hardness::run_with_budget(parsed.scale, parsed.budget);
     finish(&table, "table2");
     let table_b = table2_hardness::run_two_reducer(parsed.scale);

@@ -1,35 +1,27 @@
 //! Runs every experiment in `docs/EXPERIMENTS.md`'s index and writes all CSVs under
-//! `results/`. Pass `--smoke` for a fast tiny run of everything, and
-//! `--threads <n>` / `--shuffle materialized|pipelined` /
-//! `--finalize static|stealing` / `--retries <n>` /
-//! `--faults seed:7,rate:0.05` / `--memory-budget <bytes>` to pick the
-//! engine execution knobs for the job-executing figures (the recorded
-//! numbers are identical across knob settings — faults and out-of-core
-//! spilling included, since retries replay deterministic tasks and the
-//! external merge preserves run order — except fig3's trailing
-//! pipeline/fault/spill diagnostics — CI uses this to exercise every
-//! engine path).
+//! `results/`. Pass `--smoke` for a fast tiny run of everything, and any
+//! engine knob of `ClusterConfig::KNOBS` as `--<knob> <value>` (`--threads
+//! <n>`, `--shuffle materialized|pipelined`, `--finalize static|stealing`,
+//! `--retries <n>`, `--faults seed:7,rate:0.05`, `--memory-budget <bytes>`,
+//! `--checkpoint-dir <dir>`) for the job-executing figures. The recorded
+//! numbers are identical under every knob — faults, out-of-core spilling
+//! and checkpointing included, since retries replay deterministic tasks,
+//! spilled runs keep task order and a resumed run replays committed
+//! partitions — except fig3's trailing execution diagnostics; CI uses
+//! this to exercise every engine path.
 //!
 //! `cargo run --release -p mrassign-bench --bin run_all_experiments`
 
 use std::time::Instant;
 
-use mrassign_bench::common::{finish, ExecKnobs};
+use mrassign_bench::common::{finish, ExperimentArgs};
 use mrassign_bench::*;
+use mrassign_simmr::ClusterConfig;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--smoke") {
-        Scale::Smoke
-    } else {
-        Scale::Full
-    };
-    let knobs = ExecKnobs::from_args(&args).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    let ExperimentArgs { scale, cluster, .. } = ExperimentArgs::from_env(&ClusterConfig::KNOBS);
 
-    type Experiment = (&'static str, Box<dyn Fn(Scale) -> Table>);
+    type Experiment<'a> = (&'static str, Box<dyn Fn(Scale) -> Table + 'a>);
     let experiments: Vec<Experiment> = vec![
         ("table1", Box::new(table1_summary::run)),
         ("table2", Box::new(table2_hardness::run)),
@@ -39,22 +31,10 @@ fn main() {
         ("fig2", Box::new(fig2_comm_vs_q::run)),
         (
             "fig3",
-            Box::new({
-                let knobs = knobs.clone();
-                move |s| fig3_parallelism_vs_q::run_with(s, knobs.clone())
-            }),
+            Box::new(|s| fig3_parallelism_vs_q::run_with(s, &cluster)),
         ),
-        (
-            "fig4",
-            Box::new({
-                let knobs = knobs.clone();
-                move |s| fig4_skewjoin::run_with(s, knobs.clone())
-            }),
-        ),
-        (
-            "fig5",
-            Box::new(move |s| fig5_simjoin::run_with(s, knobs.clone())),
-        ),
+        ("fig4", Box::new(|s| fig4_skewjoin::run_with(s, &cluster))),
+        ("fig5", Box::new(|s| fig5_simjoin::run_with(s, &cluster))),
         ("fig6", Box::new(fig6_packing_ablation::run)),
         ("fig7a", Box::new(fig7_split_ablation::run)),
         ("fig7b", Box::new(fig7_split_ablation::run_b)),

@@ -5,10 +5,11 @@
 use std::fmt::Display;
 use std::path::{Path, PathBuf};
 
+use mrassign_core::exact::SearchBudget;
 use mrassign_core::{MappingSchema, X2ySchema};
 use mrassign_simmr::{
-    ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, FaultPlan, FinalizeMode, Job,
-    JobMetrics, Mapper, Reducer, ShuffleMode, SpillCodec,
+    ByteSized, CapacityPolicy, ClusterConfig, DirectRouter, Emitter, Job, JobMetrics, Mapper,
+    Reducer, SpillCodec,
 };
 
 /// Experiment scale: `Smoke` keeps tests fast; `Full` produces the numbers
@@ -31,152 +32,71 @@ impl Scale {
     }
 }
 
-/// Engine knobs shared by every job-executing experiment binary: how many
-/// OS threads the map phase uses, which shuffle mode the engine runs, how
-/// the pipelined engine schedules its finalize, and the fault-injection
-/// pair (retry budget + seeded fault schedule). None of them changes any
-/// recorded number — results and deterministic metrics are identical
-/// across all of them, faults included, because retries replay
-/// deterministic tasks — so they are safe to flip in CI to keep every
-/// engine path exercised.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct ExecKnobs {
-    /// OS threads for map execution (`0`/`1` = sequential).
-    pub map_threads: usize,
-    /// Shuffle execution mode.
-    pub shuffle: ShuffleMode,
-    /// Finalize scheduling for the pipelined engine (inert otherwise).
-    pub finalize: FinalizeMode,
-    /// Per-task retry budget override (`None` keeps the engine default).
-    pub retries: Option<u32>,
-    /// Seeded transient-fault schedule to inject (`None` = fault-free).
-    pub faults: Option<FaultPlan>,
-    /// Per-consumer-group byte budget for buffered shuffle runs; above it
-    /// the pipelined engine spills sorted runs to disk (`None` =
-    /// unbounded, never spills).
-    pub memory_budget: Option<u64>,
-}
-
-impl ExecKnobs {
-    /// Parses `--threads <n>`, `--shuffle
-    /// materialized|pipelined`, `--finalize static|stealing`,
-    /// `--retries <n>`, `--faults seed:7,rate:0.05`, and
-    /// `--memory-budget <bytes>` from a binary's argument list. `--smoke`
-    /// is the experiment binaries' scale flag, so it passes through; any
-    /// *other* `--flag` is rejected rather than silently ignored — a typo
-    /// must not quietly revert CI to the default engine path.
-    pub fn from_args(args: &[String]) -> Result<ExecKnobs, String> {
-        let mut knobs = ExecKnobs::default();
-        let mut it = args.iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--threads" => {
-                    let value = it.next().ok_or("--threads needs a value")?;
-                    knobs.map_threads = value
-                        .parse()
-                        .map_err(|_| format!("cannot parse `{value}` as a thread count"))?;
-                }
-                "--shuffle" => {
-                    let value = it.next().ok_or("--shuffle needs a value")?;
-                    knobs.shuffle = value.parse()?;
-                }
-                "--finalize" => {
-                    let value = it.next().ok_or("--finalize needs a value")?;
-                    knobs.finalize = value.parse()?;
-                }
-                "--retries" => {
-                    let value = it.next().ok_or("--retries needs a value")?;
-                    knobs.retries = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("cannot parse `{value}` as a retry budget"))?,
-                    );
-                }
-                "--faults" => {
-                    let value = it.next().ok_or("--faults needs a value")?;
-                    knobs.faults = Some(value.parse()?);
-                }
-                "--memory-budget" => {
-                    let value = it.next().ok_or("--memory-budget needs a value")?;
-                    knobs.memory_budget = Some(
-                        value
-                            .parse()
-                            .map_err(|_| format!("cannot parse `{value}` as a byte budget"))?,
-                    );
-                }
-                "--smoke" => {}
-                other if other.starts_with("--") => {
-                    return Err(format!(
-                        "unknown flag `{other}` (expected --smoke, --threads <n>, --shuffle materialized|pipelined, --finalize static|stealing, --retries <n>, --faults <spec>, --memory-budget <bytes>)"
-                    ));
-                }
-                _ => {}
-            }
-        }
-        Ok(knobs)
-    }
-
-    /// Applies the knobs to a cluster configuration.
-    pub fn apply(&self, mut cluster: ClusterConfig) -> ClusterConfig {
-        cluster.map_threads = self.map_threads.max(1);
-        cluster.shuffle = self.shuffle;
-        cluster.finalize_mode = self.finalize;
-        if let Some(budget) = self.retries {
-            cluster.retry_budget = budget;
-        }
-        cluster.fault_plan = self.faults.clone();
-        cluster.memory_budget = self.memory_budget;
-        cluster
-    }
-}
-
-/// Strictly parsed arguments for the experiment binaries that do not
-/// execute jobs (those take [`ExecKnobs`] instead): `--smoke` picks
-/// [`Scale::Smoke`], and — where the experiment runs an exact search —
-/// `--budget <nodes>` overrides its node budget. Unknown flags are
-/// rejected with the accepted candidates named, so a typo can never
-/// silently fall back to the default configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TableArgs {
+/// An experiment binary's arguments, strictly parsed. `--smoke` picks
+/// [`Scale::Smoke`]; each binary names the value flags it takes besides:
+/// `budget` where it runs an exact search, or the engine knobs
+/// ([`ClusterConfig::KNOBS`]) where it executes jobs. Any other argument
+/// is rejected with the accepted flags listed, so a typo can never quietly
+/// run the default configuration.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExperimentArgs {
     /// The selected experiment scale.
     pub scale: Scale,
-    /// Node-budget override for exact searches, when the binary allows it.
-    pub budget: Option<u64>,
+    /// `--budget`: the node budget of the experiment's exact searches.
+    pub budget: Option<SearchBudget>,
+    /// The default cluster with each `--<knob>` applied, validated: the
+    /// base that the job-running figures extend with their cost model.
+    /// No knob changes a recorded number.
+    pub cluster: ClusterConfig,
 }
 
-impl TableArgs {
-    /// Parses a binary's argument list. `allow_budget` says whether this
-    /// experiment accepts `--budget <nodes>`.
-    pub fn from_args(args: &[String], allow_budget: bool) -> Result<TableArgs, String> {
-        let expected = if allow_budget {
-            "--smoke, --budget <nodes>"
-        } else {
-            "--smoke"
-        };
-        let mut parsed = TableArgs {
+impl ExperimentArgs {
+    /// Parses `args`, taking `--smoke` and `--<flag> <value>` for each
+    /// flag in `accepted`.
+    pub fn parse(args: &[String], accepted: &[&str]) -> Result<ExperimentArgs, String> {
+        let mut parsed = ExperimentArgs {
             scale: Scale::Full,
             budget: None,
+            cluster: ClusterConfig::default(),
         };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--smoke" => parsed.scale = Scale::Smoke,
-                "--budget" if allow_budget => {
-                    let value = it.next().ok_or("--budget needs a value")?;
-                    let nodes: u64 = value.parse().map_err(|_| {
-                        format!("cannot parse `{value}` as a node budget (expected a positive integer, e.g. --budget 2000000)")
-                    })?;
-                    if nodes == 0 {
-                        return Err("a node budget of 0 can never certify anything".into());
-                    }
-                    parsed.budget = Some(nodes);
-                }
-                other => {
-                    return Err(format!("unknown flag `{other}` (expected {expected})"));
-                }
+            if arg == "--smoke" {
+                parsed.scale = Scale::Smoke;
+                continue;
             }
+            let Some(flag) = arg
+                .strip_prefix("--")
+                .filter(|flag| accepted.contains(flag))
+            else {
+                let expected: Vec<String> = std::iter::once(&"smoke")
+                    .chain(accepted)
+                    .map(|flag| format!("--{flag}"))
+                    .collect();
+                return Err(format!(
+                    "unknown flag `{arg}` (expected {})",
+                    expected.join(", ")
+                ));
+            };
+            let value = it.next().ok_or_else(|| format!("--{flag} needs a value"))?;
+            let set = match flag {
+                "budget" => value.parse().map(|budget| parsed.budget = Some(budget)),
+                knob => parsed.cluster.set_knob(knob, value),
+            };
+            set.map_err(|e| format!("--{flag}: {e}"))?;
         }
+        parsed.cluster.validate().map_err(|e| e.to_string())?;
         Ok(parsed)
+    }
+
+    /// Parses the process arguments as [`ExperimentArgs::parse`] does; on
+    /// an error, prints it and exits with status 1.
+    pub fn from_env(accepted: &[&str]) -> ExperimentArgs {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        ExperimentArgs::parse(&args, accepted).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        })
     }
 }
 
@@ -456,6 +376,7 @@ pub fn ratio(num: u128, den: u128) -> String {
 mod tests {
     use super::*;
     use mrassign_core::{a2a, InputSet};
+    use mrassign_simmr::{FaultPlan, FinalizeMode, ShuffleMode};
 
     #[test]
     fn table_render_aligns_and_counts() {
@@ -501,9 +422,16 @@ mod tests {
         assert!(metrics.max_reducer_load() <= q);
     }
 
+    fn to_args(xs: &[&str]) -> Vec<String> {
+        xs.iter().map(|s| s.to_string()).collect()
+    }
+
+    /// `--smoke`, `--budget` and every engine knob parse into the scale,
+    /// the budget and the base cluster; no argument means full scale and
+    /// the default cluster.
     #[test]
-    fn exec_knobs_parse_and_apply() {
-        let args: Vec<String> = [
+    fn experiment_args_parse_engine_knobs_and_budget() {
+        let args = to_args(&[
             "--smoke",
             "--threads",
             "3",
@@ -517,102 +445,125 @@ mod tests {
             "seed:7,rate:0.05",
             "--memory-budget",
             "4096",
-        ]
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-        let knobs = ExecKnobs::from_args(&args).unwrap();
-        assert_eq!(knobs.map_threads, 3);
-        assert_eq!(knobs.shuffle, ShuffleMode::Pipelined);
-        assert_eq!(knobs.finalize, FinalizeMode::Stealing);
-        assert_eq!(knobs.retries, Some(5));
-        assert_eq!(knobs.memory_budget, Some(4096));
-        let cluster = knobs.apply(ClusterConfig::default());
-        assert_eq!(cluster.map_threads, 3);
-        assert_eq!(cluster.shuffle, ShuffleMode::Pipelined);
-        assert_eq!(cluster.finalize_mode, FinalizeMode::Stealing);
-        assert_eq!(cluster.retry_budget, 5);
-        assert_eq!(cluster.memory_budget, Some(4096));
-        let plan = cluster.fault_plan.expect("--faults must apply");
-        assert_eq!(plan.seed, 7);
-        assert!((plan.map_rate - 0.05).abs() < 1e-12);
-        assert!((plan.reduce_rate - 0.05).abs() < 1e-12);
+            "--checkpoint-dir",
+            "ckpt",
+        ]);
+        let parsed = ExperimentArgs::parse(&args, &ClusterConfig::KNOBS).unwrap();
+        assert_eq!(parsed.scale, Scale::Smoke);
         assert_eq!(
-            ExecKnobs::from_args(&[]).unwrap(),
-            ExecKnobs {
-                map_threads: 0,
-                shuffle: ShuffleMode::Materialized,
-                finalize: FinalizeMode::Static,
-                retries: None,
-                faults: None,
-                memory_budget: None,
+            parsed.cluster,
+            ClusterConfig {
+                map_threads: 3,
+                shuffle: ShuffleMode::Pipelined,
+                finalize_mode: FinalizeMode::Stealing,
+                retry_budget: 5,
+                fault_plan: Some(FaultPlan::seeded(7, 0.05)),
+                memory_budget: Some(4096),
+                checkpoint_dir: Some("ckpt".into()),
+                ..ClusterConfig::default()
             }
         );
+        assert_eq!(
+            ExperimentArgs::parse(&to_args(&["--smoke", "--budget", "5000"]), &["budget"]).unwrap(),
+            ExperimentArgs {
+                scale: Scale::Smoke,
+                budget: Some(SearchBudget::nodes(5000)),
+                cluster: ClusterConfig::default(),
+            }
+        );
+        for accepted in [&[][..], &["budget"], &ClusterConfig::KNOBS] {
+            assert_eq!(
+                ExperimentArgs::parse(&[], accepted).unwrap(),
+                ExperimentArgs {
+                    scale: Scale::Full,
+                    budget: None,
+                    cluster: ClusterConfig::default(),
+                }
+            );
+        }
     }
 
+    /// A misspelled engine-knob flag, a knob without its value, and a bad
+    /// value are rejected instead of quietly running the default
+    /// configuration. A bad value's message is the parser's, prefixed with
+    /// the flag.
     #[test]
     fn exec_knobs_reject_typos_instead_of_ignoring_them() {
+        let knobs = &ClusterConfig::KNOBS[..];
         for bad in [
-            vec!["--shufle", "pipelined"],
-            vec!["--shuffle=pipelined"],
-            vec!["--shuffle", "mystery"],
-            vec!["--threads"],
-            vec!["--finalize"],
-            vec!["--finalize", "mystery"],
-            vec!["--finalise", "stealing"],
-            vec!["--retries"],
-            vec!["--retries", "many"],
-            vec!["--retrys", "3"],
-            vec!["--faults"],
-            vec!["--faults", "seed:7,rat:0.05"],
-            vec!["--fault", "seed:7,rate:0.05"],
-            vec!["--memory-budget"],
-            vec!["--memory-budget", "lots"],
-            vec!["--memory-budgets", "4096"],
+            &["--shufle", "pipelined"][..],
+            &["--shuffle=pipelined"],
+            &["--shuffle", "mystery"],
+            &["--threads"],
+            &["--finalize"],
+            &["--finalize", "mystery"],
+            &["--finalise", "stealing"],
+            &["--retries"],
+            &["--retries", "many"],
+            &["--retrys", "3"],
+            &["--faults"],
+            &["--faults", "seed:7,rat:0.05"],
+            &["--fault", "seed:7,rate:0.05"],
+            &["--memory-budget"],
+            &["--memory-budget", "lots"],
+            &["--memory-budgets", "4096"],
+            &["--memory-budget", "0"],
+            &["--checkpoint-dir", ""],
+            &["--budget", "5000"],
         ] {
-            let args: Vec<String> = bad.iter().map(|s| s.to_string()).collect();
-            assert!(ExecKnobs::from_args(&args).is_err(), "{bad:?}");
+            assert!(
+                ExperimentArgs::parse(&to_args(bad), knobs).is_err(),
+                "{bad:?}"
+            );
         }
-        // The removed streaming shuffle is rejected by name.
-        let args: Vec<String> = ["--shuffle", "streaming"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        let err = |bad: &[&str]| ExperimentArgs::parse(&to_args(bad), knobs).unwrap_err();
         assert_eq!(
-            ExecKnobs::from_args(&args).unwrap_err(),
-            "unknown shuffle mode `streaming` (expected materialized|pipelined)"
+            err(&["--shuffle", "streaming"]),
+            "--shuffle: unknown shuffle mode `streaming` (expected materialized|pipelined)"
+        );
+        assert_eq!(
+            err(&["--shufle", "pipelined"]),
+            "unknown flag `--shufle` (expected --smoke, --threads, --shuffle, --finalize, \
+             --retries, --faults, --memory-budget, --checkpoint-dir)"
         );
     }
 
+    /// A table binary's flags: `--smoke` alone parses, and a misspelled or
+    /// misplaced flag, a stray word, and a missing, malformed or zero node
+    /// budget are rejected with the accepted flags named.
     #[test]
     fn table_args_parse_and_reject() {
-        let to_args = |xs: &[&str]| -> Vec<String> { xs.iter().map(|s| s.to_string()).collect() };
         assert_eq!(
-            TableArgs::from_args(&[], true).unwrap(),
-            TableArgs {
-                scale: Scale::Full,
-                budget: None
-            }
-        );
-        assert_eq!(
-            TableArgs::from_args(&to_args(&["--smoke", "--budget", "5000"]), true).unwrap(),
-            TableArgs {
+            ExperimentArgs::parse(&to_args(&["--smoke"]), &[]).unwrap(),
+            ExperimentArgs {
                 scale: Scale::Smoke,
-                budget: Some(5000)
+                budget: None,
+                cluster: ClusterConfig::default(),
             }
         );
-        // Unknown flags and malformed budgets name the accepted candidates.
-        let err = TableArgs::from_args(&to_args(&["--smok"]), false).unwrap_err();
-        assert!(err.contains("--smoke"), "{err}");
-        let err = TableArgs::from_args(&to_args(&["--budget", "9"]), false).unwrap_err();
-        assert!(
-            err.contains("--smoke") && !err.contains("--budget <nodes>"),
-            "{err}"
+        for (accepted, bad) in [
+            (&[][..], &["--smok"][..]),
+            (&[], &["--budget", "9"]),
+            (&[], &["--threads", "2"]),
+            (&[], &["stray"]),
+            (&["budget"], &["--budget", "many"]),
+            (&["budget"], &["--budget"]),
+            (&["budget"], &["--budget", "0"]),
+        ] {
+            assert!(
+                ExperimentArgs::parse(&to_args(bad), accepted).is_err(),
+                "{bad:?}"
+            );
+        }
+        let err = |accepted: &[&str], bad: &[&str]| {
+            ExperimentArgs::parse(&to_args(bad), accepted).unwrap_err()
+        };
+        assert_eq!(
+            err(&[], &["--budget", "9"]),
+            "unknown flag `--budget` (expected --smoke)"
         );
-        let err = TableArgs::from_args(&to_args(&["--budget", "many"]), true).unwrap_err();
-        assert!(err.contains("node budget"), "{err}");
-        assert!(TableArgs::from_args(&to_args(&["--budget"]), true).is_err());
-        assert!(TableArgs::from_args(&to_args(&["--budget", "0"]), true).is_err());
+        assert!(err(&["budget"], &["--budget", "many"])
+            .starts_with("--budget: `many` is not a node budget"));
     }
 
     #[test]

@@ -13,15 +13,16 @@ use mrassign_core::{a2a, InputSet};
 use mrassign_simmr::ClusterConfig;
 use mrassign_workloads::{geometric_steps, SizeDistribution};
 
-use crate::common::{execute_a2a_schema, ExecKnobs, Scale, Table};
+use crate::common::{execute_a2a_schema, Scale, Table};
 
-/// Runs the experiment at the given scale with default engine knobs.
+/// Runs the experiment at the given scale on the default engine.
 pub fn run(scale: Scale) -> Table {
-    run_with(scale, ExecKnobs::default())
+    run_with(scale, &ClusterConfig::default())
 }
 
-/// Runs the experiment with explicit engine knobs (map threads / shuffle
-/// mode / finalize mode / fault injection / memory budget). The simulated
+/// Runs the experiment with `base`'s engine knobs (map threads / shuffle
+/// mode / finalize mode / fault injection / memory budget / checkpoint
+/// dir) under the figure's own cost model and worker counts. The simulated
 /// columns are identical across knob settings; the eight trailing columns
 /// (`overlap_blk`, `peak_blk`, `stolen`, `fin_imb`, `retries`, `dlq`,
 /// `spill`, `peak_mb`) are execution diagnostics — zero under the default
@@ -36,7 +37,7 @@ pub fn run(scale: Scale) -> Table {
 /// out-of-core pair show `spill` — how many sorted runs `--memory-budget`
 /// forced to disk — and `peak_mb`, the peak buffered run bytes in MiB
 /// (always ≤ the budget when one is set).
-pub fn run_with(scale: Scale, knobs: ExecKnobs) -> Table {
+pub fn run_with(scale: Scale, base: &ClusterConfig) -> Table {
     let m = scale.pick(60, 300);
     let steps = scale.pick(4, 12);
     let worker_counts: &[usize] = scale.pick(&[8][..], &[8, 32][..]);
@@ -74,14 +75,14 @@ pub fn run_with(scale: Scale, knobs: ExecKnobs) -> Table {
     let total: u64 = weights.iter().sum();
 
     for &workers in worker_counts {
-        let cluster = knobs.apply(ClusterConfig {
+        let cluster = ClusterConfig {
             workers,
             map_rate: 512.0 * 1024.0 * 1024.0,
             reduce_rate: 1.0 * 1024.0 * 1024.0, // 1 MiB/s: reduce dominates
             network_bandwidth: 512.0 * 1024.0 * 1024.0,
             task_overhead: 0.001,
-            ..ClusterConfig::default()
-        });
+            ..base.clone()
+        };
         for q in geometric_steps(26_000, (total + total / 10).max(27_000), steps) {
             let schema = a2a::solve(&inputs, q, a2a::A2aAlgorithm::Auto).unwrap();
             let metrics = execute_a2a_schema(&weights, &schema, q, cluster.clone());
@@ -139,18 +140,18 @@ mod tests {
         let base = run(Scale::Smoke);
         let threaded = run_with(
             Scale::Smoke,
-            ExecKnobs {
+            &ClusterConfig {
                 map_threads: 4,
-                ..ExecKnobs::default()
+                ..ClusterConfig::default()
             },
         );
         assert_eq!(base.render(), threaded.render());
         let pipelined = run_with(
             Scale::Smoke,
-            ExecKnobs {
+            &ClusterConfig {
                 map_threads: 4,
                 shuffle: ShuffleMode::Pipelined,
-                ..ExecKnobs::default()
+                ..ClusterConfig::default()
             },
         );
         assert_eq!(strip(&base), strip(&pipelined));
@@ -169,11 +170,11 @@ mod tests {
         for finalize in FinalizeMode::ALL {
             let pipelined = run_with(
                 Scale::Smoke,
-                ExecKnobs {
+                &ClusterConfig {
                     map_threads: 4,
                     shuffle: ShuffleMode::Pipelined,
-                    finalize,
-                    ..ExecKnobs::default()
+                    finalize_mode: finalize,
+                    ..ClusterConfig::default()
                 },
             );
             assert_eq!(stripped_base, strip(&pipelined), "{finalize:?}");
@@ -181,10 +182,10 @@ mod tests {
         // Injected faults burn retries without moving a recorded number.
         let faulted = run_with(
             Scale::Smoke,
-            ExecKnobs {
-                retries: Some(8),
-                faults: Some(FaultPlan::seeded(23, 0.2)),
-                ..ExecKnobs::default()
+            &ClusterConfig {
+                retry_budget: 8,
+                fault_plan: Some(FaultPlan::seeded(23, 0.2)),
+                ..ClusterConfig::default()
             },
         );
         assert_eq!(stripped_base, strip(&faulted), "faulted");
@@ -203,12 +204,12 @@ mod tests {
         // the out-of-core path actually ran.
         let budgeted = run_with(
             Scale::Smoke,
-            ExecKnobs {
+            &ClusterConfig {
                 map_threads: 4,
                 shuffle: ShuffleMode::Pipelined,
-                finalize: FinalizeMode::Stealing,
+                finalize_mode: FinalizeMode::Stealing,
                 memory_budget: Some(4096),
-                ..ExecKnobs::default()
+                ..ClusterConfig::default()
             },
         );
         assert_eq!(stripped_base, strip(&budgeted), "budgeted");

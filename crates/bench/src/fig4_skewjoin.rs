@@ -11,16 +11,16 @@ use mrassign_joins::{run_skew_join, SkewJoinConfig, SkewJoinStrategy};
 use mrassign_simmr::ClusterConfig;
 use mrassign_workloads::{generate_relation_pair, linear_steps, RelationSpec, SizeDistribution};
 
-use crate::common::{ExecKnobs, Scale, Table};
+use crate::common::{Scale, Table};
 
-/// Runs the experiment at the given scale with default engine knobs.
+/// Runs the experiment at the given scale on the default engine.
 pub fn run(scale: Scale) -> Table {
-    run_with(scale, ExecKnobs::default())
+    run_with(scale, &ClusterConfig::default())
 }
 
-/// Runs the experiment with explicit engine knobs (map threads / shuffle
-/// mode); the recorded numbers are identical across knob settings.
-pub fn run_with(scale: Scale, knobs: ExecKnobs) -> Table {
+/// Runs the experiment with `base`'s engine knobs under the figure's own
+/// cluster; the recorded numbers are identical across knob settings.
+pub fn run_with(scale: Scale, base: &ClusterConfig) -> Table {
     let tuples = scale.pick(800, 6_000);
     let skews = scale.pick(vec![0.0, 1.2], linear_steps(0.0, 1.4, 8));
     let q = 8_192u64;
@@ -40,11 +40,11 @@ pub fn run_with(scale: Scale, knobs: ExecKnobs) -> Table {
         ],
     );
 
-    let cluster = knobs.apply(ClusterConfig {
+    let cluster = ClusterConfig {
         workers: 16,
         task_overhead: 0.001,
-        ..ClusterConfig::default()
-    });
+        ..base.clone()
+    };
 
     for &skew in &skews {
         let pair = generate_relation_pair(

@@ -9,16 +9,16 @@ use mrassign_joins::{run_similarity_join, SimJoinConfig, SimJoinStrategy};
 use mrassign_simmr::ClusterConfig;
 use mrassign_workloads::{generate_documents, geometric_steps, DocumentSpec, SizeDistribution};
 
-use crate::common::{ExecKnobs, Scale, Table};
+use crate::common::{Scale, Table};
 
-/// Runs the experiment at the given scale with default engine knobs.
+/// Runs the experiment at the given scale on the default engine.
 pub fn run(scale: Scale) -> Table {
-    run_with(scale, ExecKnobs::default())
+    run_with(scale, &ClusterConfig::default())
 }
 
-/// Runs the experiment with explicit engine knobs (map threads / shuffle
-/// mode); the recorded numbers are identical across knob settings.
-pub fn run_with(scale: Scale, knobs: ExecKnobs) -> Table {
+/// Runs the experiment with `base`'s engine knobs under the figure's own
+/// cluster; the recorded numbers are identical across knob settings.
+pub fn run_with(scale: Scale, base: &ClusterConfig) -> Table {
     let n_docs = scale.pick(40, 200);
     let steps = scale.pick(3, 8);
 
@@ -33,11 +33,11 @@ pub fn run_with(scale: Scale, knobs: ExecKnobs) -> Table {
     );
     let corpus_bytes: u64 = docs.iter().map(|d| d.size_bytes()).sum();
 
-    let cluster = knobs.apply(ClusterConfig {
+    let cluster = ClusterConfig {
         workers: 16,
         task_overhead: 0.005,
-        ..ClusterConfig::default()
-    });
+        ..base.clone()
+    };
 
     let mut table = Table::new(
         "Figure 5 — similarity join: schema vs pair-per-reducer",

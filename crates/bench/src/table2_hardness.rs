@@ -46,8 +46,10 @@ pub fn run(scale: Scale) -> Table {
 
 /// Runs the experiment, optionally overriding the node budget (the
 /// `--budget` flag of `exp_table2`).
-pub fn run_with_budget(scale: Scale, budget: Option<u64>) -> Table {
-    let budget = budget.unwrap_or_else(|| scale.pick(200_000, SearchBudget::DEFAULT_NODES * 25));
+pub fn run_with_budget(scale: Scale, budget: Option<SearchBudget>) -> Table {
+    let budget = budget.unwrap_or(SearchBudget::nodes(
+        scale.pick(200_000, SearchBudget::DEFAULT_NODES * 25),
+    ));
     type Family = (&'static str, fn(usize) -> Vec<u64>, u64, (usize, usize));
     let families: &[Family] = &[
         ("mixed", mixed_weights, MIXED_Q, scale.pick((4, 9), (4, 18))),

@@ -7,6 +7,7 @@
 //! distribution now covers sizes the seed solver could not reach (its
 //! frontier was `m ≈ 8`).
 
+use mrassign_core::exact::SearchBudget;
 use mrassign_core::{a2a, bounds, exact, InputSet};
 use mrassign_workloads::SizeDistribution;
 
@@ -19,10 +20,10 @@ pub fn run(scale: Scale) -> Table {
 
 /// Runs the experiment, optionally overriding the node budget (the
 /// `--budget` flag of `exp_table3`).
-pub fn run_with_budget(scale: Scale, budget: Option<u64>) -> Table {
+pub fn run_with_budget(scale: Scale, budget: Option<SearchBudget>) -> Table {
     let instances = scale.pick(12u64, 80);
     let sizes: &[usize] = scale.pick(&[5, 6][..], &[5, 6, 7, 8, 9, 10, 11, 12][..]);
-    let budget = budget.unwrap_or_else(|| scale.pick(200_000u64, 5_000_000));
+    let budget = budget.unwrap_or(SearchBudget::nodes(scale.pick(200_000, 5_000_000)));
     let q = 20u64;
 
     let mut table = Table::new(

@@ -19,7 +19,7 @@
 //!   `(depth, multiset of residuals)`; a [`BoundedMemo`] keyed on that
 //!   state prunes re-derivations reached along a different branch order.
 //!
-//! A [`SearchBudget`] (nodes and optionally wall time) keeps worst cases
+//! A [`SearchBudget`] (a node count) keeps worst cases
 //! bounded; [`ExactResult::stats`] records whether the returned packing is
 //! certified optimal (search exhausted or matched the [`crate::bounds::l2`]
 //! lower bound) or merely the best found in budget, plus where the tree was

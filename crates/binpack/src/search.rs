@@ -6,9 +6,9 @@
 //! A2A and X2Y exact solvers in `mrassign-core` — and both need the same
 //! scaffolding:
 //!
-//! * [`SearchBudget`] caps the walk by **nodes** and optionally by **wall
-//!   time**, so NP-hard instances degrade into "best found so far" instead
-//!   of hanging a planner or a CI job;
+//! * [`SearchBudget`] caps the walk by **nodes**, so NP-hard instances
+//!   degrade into "best found so far" instead of hanging a planner or a CI
+//!   job, and a search's outcome never depends on the machine;
 //! * [`SearchStats`] reports where the tree went: nodes expanded, prunes by
 //!   dominance and by lower bound, memo hits, and whether the budget ran
 //!   out — the honest companion to any "optimal" claim;
@@ -18,22 +18,18 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::time::{Duration, Instant};
 
-/// Resource cap for an exact search.
+/// Resource cap for an exact search: a node count, so every search is
+/// deterministic.
 ///
-/// A search that exhausts either limit stops expanding and returns the best
+/// A search that exhausts it stops expanding and returns the best
 /// incumbent with [`SearchStats::exhausted`] set; it never silently claims
-/// optimality. `From<u64>` builds a nodes-only budget, which keeps call
-/// sites like `pack_exact(&w, cap, 100_000)` working and — unlike a time
-/// limit — fully deterministic.
+/// optimality. `From<u64>` keeps call sites like
+/// `pack_exact(&w, cap, 100_000)` working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SearchBudget {
     /// Maximum branch-and-bound nodes to expand.
     pub nodes: u64,
-    /// Optional wall-clock limit, checked every few thousand nodes. Time
-    /// limits make results machine-dependent; tests should budget by nodes.
-    pub time: Option<Duration>,
 }
 
 impl SearchBudget {
@@ -42,9 +38,9 @@ impl SearchBudget {
     /// planner sweep hitting a hard instance stays interactive.
     pub const DEFAULT_NODES: u64 = 2_000_000;
 
-    /// A nodes-only budget.
+    /// A budget of `nodes` nodes.
     pub const fn nodes(nodes: u64) -> Self {
-        SearchBudget { nodes, time: None }
+        SearchBudget { nodes }
     }
 }
 
@@ -57,6 +53,22 @@ impl Default for SearchBudget {
 impl From<u64> for SearchBudget {
     fn from(nodes: u64) -> Self {
         SearchBudget::nodes(nodes)
+    }
+}
+
+impl std::str::FromStr for SearchBudget {
+    type Err = String;
+
+    /// Parses the `--budget` value of every front end: a positive node
+    /// count. Zero is rejected, since it can never certify anything.
+    fn from_str(value: &str) -> Result<Self, Self::Err> {
+        match value.parse() {
+            Ok(nodes) if nodes > 0 => Ok(SearchBudget::nodes(nodes)),
+            _ => Err(format!(
+                "`{value}` is not a node budget: expected a positive count of \
+                 branch-and-bound nodes, e.g. 2000000"
+            )),
+        }
     }
 }
 
@@ -77,62 +89,29 @@ pub struct SearchStats {
     pub exhausted: bool,
 }
 
-/// Budget bookkeeping for a search loop: counts nodes and polls the clock
-/// sparsely (every 4096 nodes) so a time limit costs nothing on the hot
-/// path.
+/// Budget bookkeeping for a search loop: counts nodes against the
+/// budget.
 #[derive(Debug)]
 pub struct BudgetMeter {
     budget: SearchBudget,
-    start: Instant,
     nodes: u64,
-    out_of_time: bool,
 }
 
 impl BudgetMeter {
-    const TIME_CHECK_MASK: u64 = 0xFFF;
-
     /// Starts metering against `budget`.
     pub fn new(budget: SearchBudget) -> Self {
-        BudgetMeter {
-            budget,
-            start: Instant::now(),
-            nodes: 0,
-            out_of_time: false,
-        }
+        BudgetMeter { budget, nodes: 0 }
     }
 
     /// Accounts one node; returns `false` when the budget is spent (the
     /// caller must stop expanding and mark the search exhausted). A failing
     /// tick does not count a node.
     pub fn tick(&mut self) -> bool {
-        if self.nodes >= self.budget.nodes || self.out_of_time {
+        if self.nodes >= self.budget.nodes {
             return false;
-        }
-        if let Some(limit) = self.budget.time {
-            if (self.nodes + 1) & Self::TIME_CHECK_MASK == 0 && self.start.elapsed() >= limit {
-                self.out_of_time = true;
-                return false;
-            }
         }
         self.nodes += 1;
         true
-    }
-
-    /// Polls the wall-clock limit without accounting a node. For inner
-    /// loops (e.g. candidate enumeration) whose work is not node-shaped
-    /// but must still respect a time budget; once it returns `true`,
-    /// every subsequent [`Self::tick`] fails too.
-    pub fn time_expired(&mut self) -> bool {
-        if self.out_of_time {
-            return true;
-        }
-        if let Some(limit) = self.budget.time {
-            if self.start.elapsed() >= limit {
-                self.out_of_time = true;
-                return true;
-            }
-        }
-        false
     }
 
     /// Nodes expanded so far.
@@ -233,9 +212,24 @@ mod tests {
     #[test]
     fn budget_from_u64_is_nodes_only() {
         let b: SearchBudget = 42u64.into();
-        assert_eq!(b.nodes, 42);
-        assert_eq!(b.time, None);
+        assert_eq!(b, SearchBudget::nodes(42));
         assert_eq!(SearchBudget::default().nodes, SearchBudget::DEFAULT_NODES);
+    }
+
+    /// A budget parses from a positive node count only, with one message
+    /// for every other value.
+    #[test]
+    fn budget_parses_a_positive_node_count() {
+        assert_eq!("5000".parse(), Ok(SearchBudget::nodes(5000)));
+        for bad in ["0", "many", "-3", "", "1e6"] {
+            assert_eq!(
+                bad.parse::<SearchBudget>(),
+                Err(format!(
+                    "`{bad}` is not a node budget: expected a positive count of \
+                     branch-and-bound nodes, e.g. 2000000"
+                ))
+            );
+        }
     }
 
     #[test]
@@ -247,22 +241,6 @@ mod tests {
         assert!(!m.tick());
         assert!(!m.tick(), "stays exhausted");
         assert_eq!(m.nodes(), 3);
-    }
-
-    #[test]
-    fn meter_honors_zero_time_budget() {
-        let mut m = BudgetMeter::new(SearchBudget {
-            nodes: u64::MAX,
-            time: Some(Duration::ZERO),
-        });
-        // The clock is only polled every TIME_CHECK_MASK+1 nodes, so the
-        // first window passes and the boundary node trips the limit.
-        for _ in 0..BudgetMeter::TIME_CHECK_MASK {
-            assert!(m.tick());
-        }
-        assert!(!m.tick());
-        assert!(!m.tick());
-        assert_eq!(m.nodes(), BudgetMeter::TIME_CHECK_MASK);
     }
 
     #[test]

@@ -256,14 +256,9 @@ pub fn big_small(
     // sub-instance of the smalls, sorted once.
     let (small_inputs, smalls) = inputs.at_most(half);
     let cap_big = q - w_big;
-
-    // Degenerate corner: w_big == q forces every other input to weigh 0
-    // (feasibility), so one reducer holds everything.
-    if cap_big == 0 {
-        let mut all: Vec<InputId> = vec![big];
-        all.extend(&smalls);
-        return Ok(MappingSchema::from_reducers(vec![all]));
-    }
+    // w_big == q would force every other input to weigh 0 (feasibility),
+    // so W == q and the one-reducer return above has already been taken.
+    debug_assert!(cap_big > 0, "w_big == q implies W <= q");
 
     // Phase 1: big × smalls. The big input is a group of its own, and each
     // (q − w_big)-bin of smalls, in original ids, shares a reducer with it.
@@ -470,6 +465,9 @@ mod tests {
         assert!(two_pack.reducer_count() < shared.reducer_count());
     }
 
+    /// A big input of weight q leaves every other input at weight 0, so
+    /// the total is q and `big_small` returns `one_reducer` before it
+    /// packs anything.
     #[test]
     fn big_small_with_w_big_equal_q() {
         let inputs = InputSet::from_weights(vec![10, 0, 0, 0]);

@@ -65,7 +65,7 @@
 //! Incumbent seeding runs every registered heuristic solver up front: the
 //! best one caps the deepening range, and refuting every target below its
 //! count certifies the *heuristic* as optimal. A [`SearchBudget`] caps
-//! nodes (and optionally wall time); exhaustion is reported via
+//! nodes; exhaustion is reported via
 //! [`SearchStats::exhausted`] and `optimal: false`, never as a silent
 //! "optimal".
 
@@ -457,8 +457,7 @@ impl Search {
         out: &mut Vec<u128>,
     ) {
         self.gen_work += 1;
-        if self.gen_work > GEN_WORK_CAP || (self.gen_work & 0xFFF == 0 && self.meter.time_expired())
-        {
+        if self.gen_work > GEN_WORK_CAP {
             // Truncated enumeration: the node cannot be fully explored, so
             // the whole search degrades to budget-exhausted (no memo entry,
             // no certificate) instead of burning unmetered time.
@@ -494,8 +493,8 @@ impl Search {
 
     fn run(&mut self) {
         if self.found.is_some() || self.stats.exhausted {
-            // Certified or truncated (budget, time, or a capped
-            // enumeration): nothing below can change the outcome.
+            // Certified or truncated (budget or a capped enumeration):
+            // nothing below can change the outcome.
             return;
         }
         if !self.meter.tick() {

@@ -600,28 +600,25 @@ impl X2ySchema {
         }
         let (nx, ny) = (inst.x.len(), inst.y.len());
         let mut covered = BitSet::new(nx * ny);
+        // The last reducer each input was seen in, one slot per input per
+        // side, as in `validate_a2a`.
+        let mut seen_x = vec![usize::MAX; nx];
+        let mut seen_y = vec![usize::MAX; ny];
 
         for (rid, r) in self.reducers().enumerate() {
             let mut load: Weight = 0;
-            let mut seen_x = std::collections::HashSet::new();
-            for &id in r.x {
-                if (id as usize) >= nx {
-                    return Err(SchemaError::UnknownInput { id });
+            for (ids, side, seen) in [(r.x, &inst.x, &mut seen_x), (r.y, &inst.y, &mut seen_y)] {
+                for &id in ids {
+                    let idx = id as usize;
+                    if idx >= seen.len() {
+                        return Err(SchemaError::UnknownInput { id });
+                    }
+                    if seen[idx] == rid {
+                        return Err(SchemaError::DuplicateInput { reducer: rid, id });
+                    }
+                    seen[idx] = rid;
+                    load = load.saturating_add(side.weight(id));
                 }
-                if !seen_x.insert(id) {
-                    return Err(SchemaError::DuplicateInput { reducer: rid, id });
-                }
-                load = load.saturating_add(inst.x.weight(id));
-            }
-            let mut seen_y = std::collections::HashSet::new();
-            for &id in r.y {
-                if (id as usize) >= ny {
-                    return Err(SchemaError::UnknownInput { id });
-                }
-                if !seen_y.insert(id) {
-                    return Err(SchemaError::DuplicateInput { reducer: rid, id });
-                }
-                load = load.saturating_add(inst.y.weight(id));
             }
             if load > q {
                 return Err(SchemaError::CapacityExceeded {
@@ -818,6 +815,38 @@ mod tests {
                 capacity: 13
             })
         );
+    }
+
+    /// An id out of range or repeated within one reducer is rejected on
+    /// either side; the same id on both sides, or in two reducers, is not
+    /// a duplicate.
+    #[test]
+    fn x2y_unknown_and_duplicate_inputs_rejected() {
+        let inst = small_x2y();
+        for (reducers, err) in [
+            (
+                vec![(vec![0, 2], vec![0, 1])],
+                SchemaError::UnknownInput { id: 2 },
+            ),
+            (
+                vec![(vec![0, 1], vec![0, 7])],
+                SchemaError::UnknownInput { id: 7 },
+            ),
+            (
+                vec![(vec![1, 1], vec![0])],
+                SchemaError::DuplicateInput { reducer: 0, id: 1 },
+            ),
+            (
+                vec![(vec![0, 1], vec![0]), (vec![0, 1], vec![1, 1])],
+                SchemaError::DuplicateInput { reducer: 1, id: 1 },
+            ),
+        ] {
+            let schema = X2ySchema::from_reducers(reducers);
+            assert_eq!(schema.validate(&inst, 14), Err(err));
+        }
+        let repeats =
+            X2ySchema::from_reducers(vec![(vec![0], vec![0, 1]), (vec![1, 0], vec![0, 1])]);
+        repeats.validate(&inst, 14).unwrap();
     }
 
     #[test]

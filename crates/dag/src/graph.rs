@@ -46,9 +46,8 @@ static NEXT_GRAPH_ID: AtomicU64 = AtomicU64::new(0);
 
 /// A typed reference to one stage's output within a [`StageGraph`].
 ///
-/// Obtained from [`StageGraph::source`] / [`StageGraph::stage`] /
-/// [`StageGraph::stage2`] and consumed by later `stage*` calls or as the
-/// sink of [`StageGraph::run`]. The type parameter is compile-time only;
+/// Obtained from [`StageGraph::source`] / [`StageGraph::stage`] and
+/// consumed by later `stage*` calls or as the sink of [`StageGraph::run`]. The type parameter is compile-time only;
 /// handles are `Copy`.
 #[derive(Debug)]
 pub struct StageHandle<T> {
@@ -399,10 +398,9 @@ pub(crate) struct StageNode {
 
 /// A DAG of chained MapReduce rounds (and pure transforms between them).
 ///
-/// Build stages with [`StageGraph::source`] / [`StageGraph::stage`] /
-/// [`StageGraph::stage2`]; run the whole graph locally with
-/// [`StageGraph::run`] or submit it to a shared
-/// [`JobServer`]. Cycles are impossible by construction:
+/// Build stages with [`StageGraph::source`] / [`StageGraph::stage`]; run
+/// the whole graph locally with [`StageGraph::run`] or submit it to a
+/// shared [`JobServer`]. Cycles are impossible by construction:
 /// a stage can only depend on handles that already exist.
 pub struct StageGraph {
     pub(crate) id: u64,
@@ -432,11 +430,6 @@ impl StageGraph {
     /// Whether the graph has no stages.
     pub fn is_empty(&self) -> bool {
         self.stages.is_empty()
-    }
-
-    /// Stage names in definition (= topological) order.
-    pub fn stage_names(&self) -> Vec<String> {
-        self.stages.iter().map(|s| s.name.clone()).collect()
     }
 
     fn handle<T>(&self, index: usize) -> StageHandle<T> {
@@ -510,43 +503,6 @@ impl StageGraph {
         self.stages.push(StageNode {
             name: name.to_string(),
             deps: vec![dep.index],
-            kind: StageKind::Task(run),
-            key_seed: None,
-            cacheable: false,
-            sizer: None,
-        });
-        self.handle(self.stages.len() - 1)
-    }
-
-    /// Adds a task stage joining two dependencies (e.g. the original
-    /// tuples plus the statistics round's output).
-    pub fn stage2<A, B, O, F>(
-        &mut self,
-        name: &str,
-        dep_a: &StageHandle<A>,
-        dep_b: &StageHandle<B>,
-        f: F,
-    ) -> StageHandle<O>
-    where
-        A: Send + Sync + 'static,
-        B: Send + Sync + 'static,
-        O: Send + Sync + 'static,
-        F: Fn(&mut StageCtx, &A, &B) -> Result<O, StageFailure> + Send + Sync + 'static,
-    {
-        self.check_dep(dep_a.graph, dep_a.index);
-        self.check_dep(dep_b.graph, dep_b.index);
-        let run: StageFn = Arc::new(move |ctx, inputs| {
-            let a = inputs[0]
-                .downcast_ref::<A>()
-                .expect("typed stage handle guarantees the payload type");
-            let b = inputs[1]
-                .downcast_ref::<B>()
-                .expect("typed stage handle guarantees the payload type");
-            f(ctx, a, b).map(|out| Arc::new(out) as Payload)
-        });
-        self.stages.push(StageNode {
-            name: name.to_string(),
-            deps: vec![dep_a.index, dep_b.index],
             kind: StageKind::Task(run),
             key_seed: None,
             cacheable: false,

@@ -453,13 +453,52 @@ impl Default for ClusterConfig {
 }
 
 impl ClusterConfig {
-    /// A single-worker configuration, useful for computing serial time.
-    pub fn serial() -> Self {
-        ClusterConfig {
-            workers: 1,
-            map_threads: 1,
-            ..ClusterConfig::default()
+    /// The engine knobs, named as every front end takes them: `--<knob>`
+    /// on `mrassign dag` and the job-running experiment binaries,
+    /// `MRASSIGN_<KNOB>` (upper case, `-` → `_`) in the end-to-end suite.
+    /// None of them changes an output byte or a deterministic metric.
+    /// This list and [`ClusterConfig::set_knob`] are the whole grammar.
+    pub const KNOBS: [&'static str; 7] = [
+        "threads",
+        "shuffle",
+        "finalize",
+        "retries",
+        "faults",
+        "memory-budget",
+        "checkpoint-dir",
+    ];
+
+    /// Sets the knob `name`, one of [`ClusterConfig::KNOBS`], from its
+    /// text: `threads` sets [`ClusterConfig::map_threads`], `shuffle` and
+    /// `finalize` the two modes by name, `retries` the retry budget,
+    /// `faults` a [`FaultPlan`] spec, `memory-budget` a byte budget and
+    /// `checkpoint-dir` the checkpoint root. The error describes the
+    /// value; a front end prefixes it with its flag or variable name.
+    /// [`ClusterConfig::validate`] checks the knobs together.
+    pub fn set_knob(&mut self, name: &str, value: &str) -> Result<(), String> {
+        fn number<T: std::str::FromStr<Err = std::num::ParseIntError>>(
+            value: &str,
+        ) -> Result<T, String> {
+            value
+                .parse()
+                .map_err(|e| format!("cannot parse `{value}` as an unsigned integer: {e}"))
         }
+        match name {
+            "threads" => self.map_threads = number(value)?,
+            "shuffle" => self.shuffle = value.parse()?,
+            "finalize" => self.finalize_mode = value.parse()?,
+            "retries" => self.retry_budget = number(value)?,
+            "faults" => self.fault_plan = Some(value.parse()?),
+            "memory-budget" => self.memory_budget = Some(number(value)?),
+            "checkpoint-dir" => self.checkpoint_dir = Some(value.into()),
+            other => {
+                return Err(format!(
+                    "unknown engine knob `{other}` (expected {})",
+                    Self::KNOBS.join(", ")
+                ))
+            }
+        }
+        Ok(())
     }
 
     /// Validates the configuration before a run: at least one worker, any
@@ -603,7 +642,81 @@ mod tests {
     #[test]
     fn default_config_is_valid() {
         ClusterConfig::default().validate().unwrap();
-        ClusterConfig::serial().validate().unwrap();
+    }
+
+    /// Every knob parses through `set_knob` into its field, and a bad
+    /// value fails with one message about the value alone.
+    #[test]
+    fn set_knob_parses_every_knob_and_names_bad_values() {
+        let mut cfg = ClusterConfig::default();
+        for (knob, value) in ClusterConfig::KNOBS.into_iter().zip([
+            "3",
+            "pipelined",
+            "stealing",
+            "5",
+            "seed:7,rate:0.05",
+            "4096",
+            "ckpt",
+        ]) {
+            cfg.set_knob(knob, value).unwrap();
+        }
+        assert_eq!(
+            cfg,
+            ClusterConfig {
+                map_threads: 3,
+                shuffle: ShuffleMode::Pipelined,
+                finalize_mode: FinalizeMode::Stealing,
+                retry_budget: 5,
+                fault_plan: Some(FaultPlan::seeded(7, 0.05)),
+                memory_budget: Some(4096),
+                checkpoint_dir: Some("ckpt".into()),
+                ..ClusterConfig::default()
+            }
+        );
+        for (knob, value, message) in [
+            (
+                "retries",
+                "many",
+                "cannot parse `many` as an unsigned integer: invalid digit found in string",
+            ),
+            (
+                "shuffle",
+                "streaming",
+                "unknown shuffle mode `streaming` (expected materialized|pipelined)",
+            ),
+            (
+                "faults",
+                "seed:7,rat:0.05",
+                "unknown fault spec key `rat` (expected seed:<u64>, rate:<f64>, \
+                 map-rate:<f64>, reduce-rate:<f64>, kill-map:<idx[+idx…]>, \
+                 kill-reduce:<idx[+idx…]>)",
+            ),
+            (
+                "finalize",
+                "mystery",
+                "unknown finalize mode `mystery` (expected static|stealing)",
+            ),
+            (
+                "threads",
+                "-1",
+                "cannot parse `-1` as an unsigned integer: invalid digit found in string",
+            ),
+            (
+                "memory-budget",
+                "",
+                "cannot parse `` as an unsigned integer: cannot parse integer from empty string",
+            ),
+            (
+                "shufle",
+                "pipelined",
+                "unknown engine knob `shufle` (expected threads, shuffle, finalize, retries, \
+                 faults, memory-budget, checkpoint-dir)",
+            ),
+        ] {
+            let mut cfg = ClusterConfig::default();
+            assert_eq!(cfg.set_knob(knob, value), Err(message.to_string()));
+            assert_eq!(cfg, ClusterConfig::default(), "a failed knob sets nothing");
+        }
     }
 
     #[test]

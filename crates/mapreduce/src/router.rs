@@ -85,32 +85,18 @@ impl Router<usize> for DirectRouter {
 }
 
 /// Routes keys by explicit lookup table — the compiled form of a mapping
-/// schema.
-///
-/// Keys absent from the table fall back to hash routing when `fallback` is
-/// true (useful for skew joins where only heavy hitters get schema routing)
-/// and are dropped otherwise.
+/// schema. Keys absent from the table are dropped.
 #[derive(Debug, Clone)]
 pub struct TableRouter<K> {
     table: HashMap<K, Vec<usize>>,
-    fallback: Option<HashRouter>,
 }
 
 impl<K: Hash + Eq> TableRouter<K> {
-    /// Builds a router from `(key, targets)` entries with no fallback:
-    /// unlisted keys are dropped (their pairs are covered elsewhere).
+    /// Builds a router from `(key, targets)` entries: unlisted keys are
+    /// dropped (their pairs are covered elsewhere).
     pub fn new(entries: impl IntoIterator<Item = (K, Vec<usize>)>) -> Self {
         TableRouter {
             table: entries.into_iter().collect(),
-            fallback: None,
-        }
-    }
-
-    /// Builds a router that hash-routes keys missing from the table.
-    pub fn with_hash_fallback(entries: impl IntoIterator<Item = (K, Vec<usize>)>) -> Self {
-        TableRouter {
-            table: entries.into_iter().collect(),
-            fallback: Some(HashRouter::new()),
         }
     }
 
@@ -126,14 +112,9 @@ impl<K: Hash + Eq> TableRouter<K> {
 }
 
 impl<K: Hash + Eq + Sync> Router<K> for TableRouter<K> {
-    fn route(&self, key: &K, n_reducers: usize, targets: &mut Vec<usize>) {
-        match self.table.get(key) {
-            Some(list) => targets.extend_from_slice(list),
-            None => {
-                if let Some(fb) = &self.fallback {
-                    fb.route(key, n_reducers, targets);
-                }
-            }
+    fn route(&self, key: &K, _n_reducers: usize, targets: &mut Vec<usize>) {
+        if let Some(list) = self.table.get(key) {
+            targets.extend_from_slice(list);
         }
     }
 }
@@ -194,6 +175,8 @@ mod tests {
         let mut t = Vec::new();
         r.route(&1, 3, &mut t);
         assert_eq!(t, vec![0, 2]);
+        assert_eq!(r.len(), 2);
+        assert!(!r.is_empty());
     }
 
     #[test]
@@ -202,16 +185,5 @@ mod tests {
         let mut t = Vec::new();
         r.route(&99, 3, &mut t);
         assert!(t.is_empty());
-    }
-
-    #[test]
-    fn table_router_with_fallback_hashes_unknown() {
-        let r = TableRouter::with_hash_fallback([(1u64, vec![0])]);
-        let mut t = Vec::new();
-        r.route(&99, 3, &mut t);
-        assert_eq!(t.len(), 1);
-        assert!(t[0] < 3);
-        assert_eq!(r.len(), 1);
-        assert!(!r.is_empty());
     }
 }

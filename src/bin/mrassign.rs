@@ -25,7 +25,8 @@
 //! sweep runs on, the calling one included, without changing the plan.
 //!
 //! The engine knobs belong to `dag`, which runs the engine for every
-//! stage. `--threads` sets the engine's map threads, `--shuffle` picks
+//! stage; `ClusterConfig::KNOBS` names them and `ClusterConfig::set_knob`
+//! parses each. `--threads` sets the engine's map threads, `--shuffle` picks
 //! its shuffle mode (`pipelined` runs the overlapped stage-graph engine),
 //! and `--finalize` picks the pipelined engine's finalize scheduler
 //! (`stealing` lets idle consumer threads take completed partitions off
@@ -58,7 +59,6 @@
 //! runs without `--checkpoint-dir`, so it recomputes every partition
 //! instead of replaying the ones the DAG run persisted. `--repeat`
 //! submits every job graph that many times; with `--stage-cache <bytes>`
-//! (or the `MRASSIGN_STAGE_CACHE` environment variable — the flag wins)
 //! the server keeps a fingerprint-keyed intermediate store of that
 //! capacity, so repeat rounds are served from cache, execute strictly
 //! fewer stages, and still verify bit-identical against the referee; the
@@ -71,7 +71,6 @@
 //! `--shufle`) is an error naming the flag and the flags it accepts.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use mrassign::core::exact::{self, SearchBudget, SearchStats};
@@ -83,7 +82,7 @@ use mrassign::dag::marginals::{marginals_graph, run_marginals_chained, Marginals
 use mrassign::dag::{DagMetrics, JobServer};
 use mrassign::joins::{run_skew_join_chained, skew_join_graph, SkewDagConfig};
 use mrassign::planner::{plan_a2a_with, Objective, PlannerConfig};
-use mrassign::simmr::{ClusterConfig, FinalizeMode, ShuffleMode};
+use mrassign::simmr::ClusterConfig;
 use mrassign::workloads::cube::{generate_cube, CubeSpec};
 use mrassign::workloads::{generate_relation_pair, RelationSpec, SizeDistribution};
 
@@ -124,12 +123,8 @@ x2y solvers: auto | one-reducer | grid | grid-optimized | bighandling | exact
 --checkpoint-dir persists each finalized reduce partition; re-running the same job against the same dir
          resumes, re-executing only partitions that never committed
 --stage-cache gives the dag job server a fingerprint-keyed intermediate store of that many bytes
-         (MRASSIGN_STAGE_CACHE is the env fallback; the flag wins) and --repeat resubmits every dag
-         job that many times, so repeat rounds are served from the store instead of re-executing";
-
-/// The engine knobs `dag` applies to every stage, parsed by
-/// [`parse_engine_cluster`].
-const ENGINE_FLAGS: &str = "shuffle finalize retries faults memory-budget checkpoint-dir";
+         and --repeat resubmits every dag job that many times, so repeat rounds are served from the
+         store instead of re-executing";
 
 type Command = fn(&HashMap<String, String>) -> Result<String, String>;
 
@@ -138,26 +133,29 @@ fn run(args: &[String]) -> Result<String, String> {
     let Some((command, rest)) = args.split_first() else {
         return Err("no command given".into());
     };
-    // Every flag each command reads, space-separated, so a misspelled
-    // flag fails by name instead of being ignored.
-    let (accepted, cmd): (&[&str], Command) = match command.as_str() {
-        "gen" => (&["dist m seed out"], cmd_gen),
-        "a2a" => (&["weights q algo budget routes"], cmd_a2a),
-        "x2y" => (&["x y q algo budget routes"], cmd_x2y),
+    // Every flag each command reads, space-separated, then the engine
+    // knobs it takes, so a misspelled flag fails by name instead of being
+    // ignored.
+    let (flags, knobs, cmd): (&str, &[&str], Command) = match command.as_str() {
+        "gen" => ("dist m seed out", &[], cmd_gen),
+        "a2a" => ("weights q algo budget routes", &[], cmd_a2a),
+        "x2y" => ("x y q algo budget routes", &[], cmd_x2y),
         "plan" => (
-            &["weights workers candidates objective algo budget threads"],
+            "weights workers candidates objective algo budget threads",
+            &[],
             cmd_plan,
         ),
         "dag" => (
-            &[
-                "workload jobs tenants pool rows seed repeat stage-cache threads",
-                ENGINE_FLAGS,
-            ],
+            "workload jobs tenants pool rows seed repeat stage-cache",
+            &ClusterConfig::KNOBS,
             cmd_dag,
         ),
         other => return Err(format!("unknown command `{other}`")),
     };
-    let accepted: Vec<&str> = accepted.iter().flat_map(|g| g.split_whitespace()).collect();
+    let accepted: Vec<&str> = flags
+        .split_whitespace()
+        .chain(knobs.iter().copied())
+        .collect();
     cmd(&parse_flags(rest, &accepted)?)
 }
 
@@ -266,14 +264,6 @@ fn parse_x2y_algo(name: &str) -> Result<x2y::X2yAlgorithm, String> {
     })
 }
 
-fn parse_shuffle(name: &str) -> Result<ShuffleMode, String> {
-    name.parse()
-}
-
-fn parse_finalize(name: &str) -> Result<FinalizeMode, String> {
-    name.parse()
-}
-
 /// Parses the optional `--budget <nodes>` flag and checks it only rides
 /// along with `--algo exact` (`algo_name` is the resolved solver name).
 fn parse_budget(
@@ -288,15 +278,10 @@ fn parse_budget(
             "--budget only applies to --algo exact (got --algo {algo_name})"
         ));
     }
-    let nodes: u64 = value.parse().map_err(|_| {
-        format!("cannot parse `{value}` as a node budget (expected a positive integer of branch-and-bound nodes, e.g. --budget 2000000)")
-    })?;
-    if nodes == 0 {
-        return Err(
-            "a node budget of 0 can never certify anything; pass a positive integer".into(),
-        );
-    }
-    Ok(Some(SearchBudget::nodes(nodes)))
+    value
+        .parse()
+        .map(Some)
+        .map_err(|e| format!("--budget: {e}"))
 }
 
 /// Renders the `search:` summary line for exact-solver runs.
@@ -503,30 +488,17 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<String, String> {
     Ok(out)
 }
 
-/// Applies the engine knobs in [`ENGINE_FLAGS`] to `cluster` and
-/// validates the result, so a bad combination (e.g. a fault rate outside
-/// [0, 1]) maps to a flag error rather than failing mid-run.
-fn parse_engine_cluster(
-    flags: &HashMap<String, String>,
-    mut cluster: ClusterConfig,
-) -> Result<ClusterConfig, String> {
-    if let Some(s) = flags.get("shuffle") {
-        cluster.shuffle = parse_shuffle(s)?;
-    }
-    if let Some(s) = flags.get("finalize") {
-        cluster.finalize_mode = parse_finalize(s)?;
-    }
-    if let Some(s) = flags.get("retries") {
-        cluster.retry_budget = parse_num(s, "a retry budget")?;
-    }
-    if let Some(s) = flags.get("faults") {
-        cluster.fault_plan = Some(s.parse()?);
-    }
-    if let Some(s) = flags.get("memory-budget") {
-        cluster.memory_budget = Some(parse_num(s, "a memory budget in bytes")?);
-    }
-    if let Some(s) = flags.get("checkpoint-dir") {
-        cluster.checkpoint_dir = Some(PathBuf::from(s));
+/// The default cluster with every engine knob given as a flag applied,
+/// validated, so a bad combination (e.g. a fault rate outside [0, 1])
+/// maps to a flag error rather than failing mid-run.
+fn parse_engine_cluster(flags: &HashMap<String, String>) -> Result<ClusterConfig, String> {
+    let mut cluster = ClusterConfig::default();
+    for knob in ClusterConfig::KNOBS {
+        if let Some(value) = flags.get(knob) {
+            cluster
+                .set_knob(knob, value)
+                .map_err(|e| format!("--{knob}: {e}"))?;
+        }
     }
     cluster.validate().map_err(|e| e.to_string())?;
     Ok(cluster)
@@ -602,30 +574,13 @@ fn cmd_dag(flags: &HashMap<String, String>) -> Result<String, String> {
             return Err(format!("--{flag} must be at least 1"));
         }
     }
-    // The stage cache: `--stage-cache <bytes>` wins over the
-    // MRASSIGN_STAGE_CACHE environment variable; absent both, the server
-    // runs store-less and every submission executes.
-    let stage_cache: Option<u64> = match flags.get("stage-cache") {
-        Some(s) => Some(parse_num(s, "a stage-cache capacity in bytes")?),
-        None => match std::env::var("MRASSIGN_STAGE_CACHE") {
-            Ok(v) if !v.is_empty() => Some(
-                v.parse()
-                    .map_err(|_| format!("MRASSIGN_STAGE_CACHE must be a byte count, got `{v}`"))?,
-            ),
-            _ => None,
-        },
-    };
-    let map_threads: usize = match flags.get("threads") {
-        Some(s) => parse_num(s, "a thread count")?,
-        None => ClusterConfig::default().map_threads,
-    };
-    let cluster = parse_engine_cluster(
-        flags,
-        ClusterConfig {
-            map_threads,
-            ..ClusterConfig::default()
-        },
-    )?;
+    // Without `--stage-cache` the server runs store-less and every
+    // submission executes.
+    let stage_cache: Option<u64> = flags
+        .get("stage-cache")
+        .map(|s| parse_num(s, "a stage-cache capacity in bytes"))
+        .transpose()?;
+    let cluster = parse_engine_cluster(flags)?;
     // The hand-chained referee recomputes every partition: under the DAG
     // run's checkpoint dir it would replay what that run persisted and so
     // compare the checkpoint with itself.
@@ -1014,7 +969,8 @@ mod tests {
 
     /// A malformed shuffle mode or memory budget on `dag` is rejected with
     /// the knob named, before any job runs: the removed streaming shuffle,
-    /// a zero budget and an unparsable one.
+    /// a zero budget and an unparsable one. A bad value's message is
+    /// `ClusterConfig::set_knob`'s, prefixed with the flag.
     #[test]
     fn dag_rejects_malformed_shuffle_and_memory_budget() {
         let dag = |extra: &[&str]| {
@@ -1025,15 +981,17 @@ mod tests {
             args.extend(extra.iter().map(|s| s.to_string()));
             run(&args)
         };
-        let err = dag(&["--shuffle", "streaming"]).unwrap_err();
-        assert!(
-            err.contains("unknown shuffle mode `streaming` (expected materialized|pipelined)"),
-            "{err}"
+        assert_eq!(
+            dag(&["--shuffle", "streaming"]).unwrap_err(),
+            "--shuffle: unknown shuffle mode `streaming` (expected materialized|pipelined)"
         );
         let err = dag(&["--memory-budget", "0"]).unwrap_err();
         assert!(err.contains("memory_budget"), "{err}");
         let err = dag(&["--memory-budget", "lots"]).unwrap_err();
-        assert!(err.contains("memory budget"), "{err}");
+        assert!(
+            err.starts_with("--memory-budget: cannot parse `lots`"),
+            "{err}"
+        );
     }
 
     /// Malformed fault-injection flags on `dag` fail loudly instead of
@@ -1057,7 +1015,7 @@ mod tests {
             "out-of-range rate must be rejected: {err}"
         );
         let err = dag(&["--retries", "many"]).unwrap_err();
-        assert!(err.contains("retry budget"), "{err}");
+        assert!(err.starts_with("--retries: cannot parse `many`"), "{err}");
     }
 
     #[test]
@@ -1077,18 +1035,6 @@ mod tests {
         }
         assert!(parse_a2a_algo("grid").is_err());
         assert!(parse_x2y_algo("grouping").is_err());
-        assert!(parse_shuffle("materialized").is_ok());
-        assert!(parse_shuffle("pipelined").is_ok());
-        assert_eq!(
-            parse_shuffle("streaming").unwrap_err(),
-            "unknown shuffle mode `streaming` (expected materialized|pipelined)"
-        );
-        let err = parse_shuffle("mystery").unwrap_err();
-        assert!(err.contains("pipelined"), "{err}");
-        assert!(parse_finalize("static").is_ok());
-        assert!(parse_finalize("stealing").is_ok());
-        let err = parse_finalize("mystery").unwrap_err();
-        assert!(err.contains("stealing"), "{err}");
     }
 
     #[test]

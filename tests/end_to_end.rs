@@ -21,66 +21,105 @@ use mrassign::workloads::{
     generate_documents, generate_relation_pair, DocumentSpec, RelationSpec, SizeDistribution,
 };
 
-/// The cluster configuration used by every end-to-end test. CI runs this
-/// suite once per shuffle mode by setting `MRASSIGN_SHUFFLE`, plus once
-/// more under `MRASSIGN_SHUFFLE=pipelined MRASSIGN_FINALIZE=stealing` for
-/// the work-stealing finalize, plus once under seeded fault injection via
-/// `MRASSIGN_FAULTS`/`MRASSIGN_RETRIES`, plus once with a tight
-/// `MRASSIGN_MEMORY` byte budget to force the spill-to-disk path, plus
-/// once under `MRASSIGN_CHECKPOINT=<dir>` so every job checkpoints its
+/// The cluster configuration used by every end-to-end test: the default
+/// engine with each `MRASSIGN_<KNOB>` environment variable applied (see
+/// [`env_cluster`]). CI runs this suite once per shuffle mode through
+/// `MRASSIGN_SHUFFLE`, once more with `MRASSIGN_FINALIZE=stealing`, once
+/// under seeded faults (`MRASSIGN_FAULTS`/`MRASSIGN_RETRIES`), once with a
+/// tight `MRASSIGN_MEMORY_BUDGET` that forces the spill-to-disk path, and
+/// once under `MRASSIGN_CHECKPOINT_DIR=<dir>` so every job checkpoints its
 /// finalized partitions (and any job repeated within a test resumes from
 /// them); results must be identical every way, which
 /// `shuffle_modes_produce_identical_job_output` asserts directly.
 fn cluster() -> ClusterConfig {
-    // A typo in any env var must fail loudly, not quietly re-test the
-    // default engine path (same rule as ExecKnobs' flag parsing).
-    let shuffle = match std::env::var("MRASSIGN_SHUFFLE") {
-        Ok(name) => name
-            .parse::<ShuffleMode>()
-            .unwrap_or_else(|e| panic!("MRASSIGN_SHUFFLE: {e}")),
-        Err(_) => ShuffleMode::Materialized,
-    };
-    let finalize_mode = match std::env::var("MRASSIGN_FINALIZE") {
-        Ok(name) => name
-            .parse::<FinalizeMode>()
-            .unwrap_or_else(|e| panic!("MRASSIGN_FINALIZE: {e}")),
-        Err(_) => FinalizeMode::Static,
-    };
-    let retry_budget = match std::env::var("MRASSIGN_RETRIES") {
-        Ok(value) => value.parse::<u32>().unwrap_or_else(|e| {
-            panic!("MRASSIGN_RETRIES: cannot parse `{value}` as a retry budget: {e}")
-        }),
-        Err(_) => ClusterConfig::default().retry_budget,
-    };
-    let fault_plan = match std::env::var("MRASSIGN_FAULTS") {
-        Ok(spec) => Some(
-            spec.parse::<FaultPlan>()
-                .unwrap_or_else(|e| panic!("MRASSIGN_FAULTS: {e}")),
-        ),
-        Err(_) => None,
-    };
-    let memory_budget = match std::env::var("MRASSIGN_MEMORY") {
-        Ok(value) => Some(value.parse::<u64>().unwrap_or_else(|e| {
-            panic!("MRASSIGN_MEMORY: cannot parse `{value}` as a byte budget: {e}")
-        })),
-        Err(_) => None,
-    };
-    let checkpoint_dir = match std::env::var("MRASSIGN_CHECKPOINT") {
-        Ok(dir) => {
-            assert!(!dir.is_empty(), "MRASSIGN_CHECKPOINT: empty path");
-            Some(std::path::PathBuf::from(dir))
+    env_cluster(std::env::vars()).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// The default cluster with every `MRASSIGN_<KNOB>` variable in `vars`
+/// applied, where `<KNOB>` is a name of [`ClusterConfig::KNOBS`] in upper
+/// case with `-` as `_`. Any other `MRASSIGN_*` name but
+/// `MRASSIGN_STAGE_CACHE` (read by the DAG test) is an error, so a
+/// misspelled variable fails the suite instead of quietly re-testing the
+/// default engine.
+fn env_cluster(vars: impl IntoIterator<Item = (String, String)>) -> Result<ClusterConfig, String> {
+    let variable = |knob: &str| format!("MRASSIGN_{}", knob.to_uppercase().replace('-', "_"));
+    let mut cluster = ClusterConfig::default();
+    for (name, value) in vars {
+        if !name.starts_with("MRASSIGN_") || name == "MRASSIGN_STAGE_CACHE" {
+            continue;
         }
-        Err(_) => None,
-    };
-    ClusterConfig {
-        shuffle,
-        finalize_mode,
-        retry_budget,
-        fault_plan,
-        memory_budget,
-        checkpoint_dir,
-        ..ClusterConfig::default()
+        let Some(knob) = ClusterConfig::KNOBS
+            .into_iter()
+            .find(|&k| variable(k) == name)
+        else {
+            return Err(format!(
+                "unknown variable {name} (expected one of {}, or MRASSIGN_STAGE_CACHE)",
+                ClusterConfig::KNOBS.map(variable).join(", ")
+            ));
+        };
+        cluster
+            .set_knob(knob, &value)
+            .map_err(|e| format!("{name}: {e}"))?;
     }
+    cluster.validate().map_err(|e| e.to_string())?;
+    Ok(cluster)
+}
+
+/// Each knob's variable reaches its field, unrelated variables are
+/// ignored, and a misspelled or retired `MRASSIGN_*` name, or a bad value,
+/// fails by name.
+#[test]
+fn env_cluster_applies_knob_variables_and_rejects_misspellings() {
+    let vars = |pairs: &[(&str, &str)]| -> Vec<(String, String)> {
+        pairs
+            .iter()
+            .map(|(name, value)| (name.to_string(), value.to_string()))
+            .collect()
+    };
+    let cluster = env_cluster(vars(&[
+        ("PATH", "/usr/bin"),
+        ("MRASSIGN_THREADS", "3"),
+        ("MRASSIGN_SHUFFLE", "pipelined"),
+        ("MRASSIGN_FINALIZE", "stealing"),
+        ("MRASSIGN_RETRIES", "8"),
+        ("MRASSIGN_FAULTS", "seed:7,rate:0.05"),
+        ("MRASSIGN_MEMORY_BUDGET", "4096"),
+        ("MRASSIGN_CHECKPOINT_DIR", "ckpt"),
+        ("MRASSIGN_STAGE_CACHE", "4194304"),
+    ]))
+    .unwrap();
+    assert_eq!(
+        cluster,
+        ClusterConfig {
+            map_threads: 3,
+            shuffle: ShuffleMode::Pipelined,
+            finalize_mode: FinalizeMode::Stealing,
+            retry_budget: 8,
+            fault_plan: Some(FaultPlan::seeded(7, 0.05)),
+            memory_budget: Some(4096),
+            checkpoint_dir: Some("ckpt".into()),
+            ..ClusterConfig::default()
+        }
+    );
+    assert_eq!(env_cluster(vars(&[])).unwrap(), ClusterConfig::default());
+    for typo in [
+        "MRASSIGN_SHUFLE",
+        "MRASSIGN_MEMORY",
+        "MRASSIGN_CHECKPOINT",
+        "MRASSIGN_shuffle",
+    ] {
+        let err = env_cluster(vars(&[(typo, "pipelined")])).unwrap_err();
+        assert!(
+            err.starts_with(&format!("unknown variable {typo} ")),
+            "{err}"
+        );
+    }
+    assert_eq!(
+        env_cluster(vars(&[("MRASSIGN_SHUFFLE", "streaming")])).unwrap_err(),
+        "MRASSIGN_SHUFFLE: unknown shuffle mode `streaming` (expected materialized|pipelined)"
+    );
+    let err = env_cluster(vars(&[("MRASSIGN_CHECKPOINT_DIR", "")])).unwrap_err();
+    assert!(err.contains("checkpoint_dir"), "{err}");
 }
 
 /// One input of a mapping schema's engine job: `bytes` of payload that
