@@ -37,7 +37,8 @@ impl Scale {
 /// `budget` where it runs an exact search, or the engine knobs
 /// ([`ClusterConfig::KNOBS`]) where it executes jobs. Any other argument
 /// is rejected with the accepted flags listed, so a typo can never quietly
-/// run the default configuration.
+/// run the default configuration, and a flag given twice is rejected as
+/// `mrassign` rejects it, so neither value quietly wins.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentArgs {
     /// The selected experiment scale.
@@ -59,8 +60,15 @@ impl ExperimentArgs {
             budget: None,
             cluster: ClusterConfig::default(),
         };
+        let mut seen: Vec<&str> = Vec::new();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
+            // Values are consumed below, so every `arg` here is a flag (or
+            // a stray word, rejected on sight).
+            if seen.contains(&arg.as_str()) {
+                return Err(format!("flag {arg} given twice"));
+            }
+            seen.push(arg);
             if arg == "--smoke" {
                 parsed.scale = Scale::Smoke;
                 continue;
@@ -483,10 +491,10 @@ mod tests {
         }
     }
 
-    /// A misspelled engine-knob flag, a knob without its value, and a bad
-    /// value are rejected instead of quietly running the default
-    /// configuration. A bad value's message is the parser's, prefixed with
-    /// the flag.
+    /// A misspelled engine-knob flag, a knob without its value, a bad
+    /// value and a repeated flag are rejected instead of quietly running
+    /// the default configuration or the last value. A bad value's message
+    /// is the parser's, prefixed with the flag.
     #[test]
     fn exec_knobs_reject_typos_instead_of_ignoring_them() {
         let knobs = &ClusterConfig::KNOBS[..];
@@ -510,6 +518,9 @@ mod tests {
             &["--memory-budget", "0"],
             &["--checkpoint-dir", ""],
             &["--budget", "5000"],
+            &["--threads", "2", "--threads", "4"],
+            &["--threads", "2", "--threads", "2"],
+            &["--smoke", "--retries", "1", "--smoke"],
         ] {
             assert!(
                 ExperimentArgs::parse(&to_args(bad), knobs).is_err(),
@@ -526,11 +537,15 @@ mod tests {
             "unknown flag `--shufle` (expected --smoke, --threads, --shuffle, --finalize, \
              --retries, --faults, --memory-budget, --checkpoint-dir)"
         );
+        assert_eq!(
+            err(&["--smoke", "--threads", "2", "--threads", "4"]),
+            "flag --threads given twice"
+        );
     }
 
     /// A table binary's flags: `--smoke` alone parses, and a misspelled or
-    /// misplaced flag, a stray word, and a missing, malformed or zero node
-    /// budget are rejected with the accepted flags named.
+    /// misplaced flag, a stray word, a missing, malformed or zero node
+    /// budget and a repeated flag are rejected with a message naming it.
     #[test]
     fn table_args_parse_and_reject() {
         assert_eq!(
@@ -549,6 +564,8 @@ mod tests {
             (&["budget"], &["--budget", "many"]),
             (&["budget"], &["--budget"]),
             (&["budget"], &["--budget", "0"]),
+            (&["budget"], &["--budget", "9", "--budget", "10"]),
+            (&[], &["--smoke", "--smoke"]),
         ] {
             assert!(
                 ExperimentArgs::parse(&to_args(bad), accepted).is_err(),
@@ -564,6 +581,10 @@ mod tests {
         );
         assert!(err(&["budget"], &["--budget", "many"])
             .starts_with("--budget: `many` is not a node budget"));
+        assert_eq!(
+            err(&["budget"], &["--budget", "9", "--smoke", "--budget", "9"]),
+            "flag --budget given twice"
+        );
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! `StageStore` (crate-private). Stages opt in via
 //! [`StageGraph::mark_cached`](crate::StageGraph::mark_cached); at
 //! submission the server derives each opted-in stage's **stage key** — the
-//! engine's deterministic job-fingerprint chain ([`mrassign_simmr::fnv1a`]
-//! / [`mrassign_simmr::fold_hash`]) extended with the stage name and every
-//! upstream stage's key — and serves a hit by materializing the stored
-//! payload instead of enqueueing the stage (or any stage that only exists
-//! to feed it). Two submissions over identical sources therefore share
+//! stage name's [`mrassign_simmr::fnv1a`] folded
+//! ([`mrassign_simmr::fold_hash`]) with the stage's semantic seed and
+//! every upstream stage's key, rooted at its sources'
+//! [`mrassign_simmr::input_content_hash`] — and serves a hit by
+//! materializing the stored payload instead of enqueueing the stage (or
+//! any stage that only exists to feed it). Two submissions over identical sources therefore share
 //! intermediates bit-identically: the payload served *is* the `Arc` the
 //! first run produced.
 //!

@@ -42,10 +42,11 @@
 //! over the final name → append + sync the manifest entry. A crash at any
 //! point leaves either no entry (the work re-executes) or a committed file
 //! and entry (the work is skipped) — never a half-trusted state, because
-//! the manifest entry carries the file's length and FNV-64 content hash
-//! and both are re-verified at open. The map record is committed after the
-//! last map task resolves and before any partition of that run commits,
-//! so it precedes them in the manifest.
+//! the manifest entry carries the file's length and its checksum (the
+//! word hasher of [`crate::fnv`], eight bytes per step) and both are
+//! re-verified at open. The map record is committed after the last map
+//! task resolves and before any partition of that run commits, so it
+//! precedes them in the manifest.
 //!
 //! ## Locking
 //!
@@ -65,7 +66,7 @@ use std::time::{Duration, Instant};
 
 use crate::cluster::{ClusterConfig, FaultStage};
 use crate::error::SimError;
-use crate::fnv::{fnv1a, fold_hash, Fnv1a};
+use crate::fnv::{fnv1a, word_hash, WordHasher};
 use crate::job::{CapacityPolicy, DlqEntry, MapSummary, PartitionLoad};
 use crate::metrics::PipelineMetrics;
 use crate::record::ByteSized;
@@ -73,11 +74,11 @@ use crate::sink::{decode_partition, encode_partition};
 use crate::spill::SpillCodec;
 
 const MANIFEST_MAGIC: [u8; 8] = *b"MRCKPT\0\0";
-const MANIFEST_VERSION: u32 = 2;
+const MANIFEST_VERSION: u32 = 3;
 /// magic (8) + version (4) + fingerprint (8).
 const HEADER_LEN: usize = 20;
 /// partition, records, distinct_keys, file_bytes, file_hash (5 × u64),
-/// then the FNV-64 of those 40 bytes. Index `n_reducers` is the map
+/// then the word hash of those 40 bytes. Index `n_reducers` is the map
 /// record, with zero records and distinct keys.
 const ENTRY_LEN: usize = 48;
 
@@ -121,8 +122,9 @@ impl Fingerprint {
     where
         I: Hash + ByteSized + 'a,
     {
-        let h = job_semantic_hash(config, n_reducers, capacity, job_types);
-        Fingerprint(fold_inputs(h, inputs))
+        let mut hasher = WordHasher::default();
+        hasher.write_u64(job_semantic_hash(config, n_reducers, capacity, job_types));
+        Fingerprint(fold_inputs(hasher, inputs))
     }
 }
 
@@ -182,23 +184,22 @@ pub fn job_semantic_hash(
     fnv1a(&buf)
 }
 
-/// Folds a workload signature (input count plus each input's byte size
-/// *and* content hash, in order) into `h`, streamed so huge input sets
-/// never materialize a second buffer. The workload half of the
-/// [`Fingerprint`].
-fn fold_inputs<'a, I>(mut h: u64, inputs: impl Iterator<Item = &'a I>) -> u64
+/// Hashes a workload signature (each input's byte size *and* content,
+/// in order, then the input count) onto `hasher` and finishes it,
+/// streamed so huge input sets never materialize a second buffer. The
+/// workload half of the [`Fingerprint`].
+fn fold_inputs<'a, I>(mut hasher: WordHasher, inputs: impl Iterator<Item = &'a I>) -> u64
 where
     I: Hash + ByteSized + 'a,
 {
     let mut count = 0u64;
     for input in inputs {
         count += 1;
-        h = fold_hash(h, input.size_bytes());
-        let mut content = Fnv1a::default();
-        input.hash(&mut content);
-        h = fold_hash(h, content.finish());
+        hasher.write_u64(input.size_bytes());
+        input.hash(&mut hasher);
     }
-    fold_hash(h, count)
+    hasher.write_u64(count);
+    hasher.finish()
 }
 
 /// Content hash of an input set, standing alone: what a DAG source
@@ -209,7 +210,7 @@ pub fn input_content_hash<'a, I>(inputs: impl Iterator<Item = &'a I>) -> u64
 where
     I: Hash + ByteSized + 'a,
 {
-    fold_inputs(Fnv1a::default().finish(), inputs)
+    fold_inputs(WordHasher::default(), inputs)
 }
 
 /// One committed partition as the manifest records it.
@@ -230,7 +231,7 @@ impl ManifestEntry {
         out[16..24].copy_from_slice(&self.distinct_keys.to_le_bytes());
         out[24..32].copy_from_slice(&self.file_bytes.to_le_bytes());
         out[32..40].copy_from_slice(&self.file_hash.to_le_bytes());
-        let sum = fnv1a(&out[..40]);
+        let sum = word_hash(&out[..40]);
         out[40..48].copy_from_slice(&sum.to_le_bytes());
         out
     }
@@ -238,7 +239,7 @@ impl ManifestEntry {
     fn decode(bytes: &[u8; ENTRY_LEN]) -> Option<ManifestEntry> {
         let u64_at =
             |off: usize| u64::from_le_bytes(bytes[off..off + 8].try_into().expect("8-byte slice"));
-        if fnv1a(&bytes[..40]) != u64_at(40) {
+        if word_hash(&bytes[..40]) != u64_at(40) {
             return None;
         }
         Some(ManifestEntry {
@@ -316,7 +317,7 @@ fn check_committed(bytes: &[u8], entry: &ManifestEntry, what: &str) -> Result<()
             entry.file_bytes
         ));
     }
-    if fnv1a(bytes) != entry.file_hash {
+    if word_hash(bytes) != entry.file_hash {
         return Err(format!("{what} content hash mismatch"));
     }
     Ok(())
@@ -703,7 +704,7 @@ impl<Out: SpillCodec> CheckpointSession<Out> {
             records,
             distinct_keys,
             file_bytes: body.len() as u64,
-            file_hash: fnv1a(body),
+            file_hash: word_hash(body),
         };
         let mut tmp = path.as_os_str().to_owned();
         tmp.push(format!(
@@ -976,52 +977,116 @@ mod tests {
         fs::remove_dir_all(&base).unwrap();
     }
 
+    /// The fingerprint keeps every output-affecting field and drops every
+    /// execution-only one. Each field is varied alone against one base
+    /// that carries a fault plan, so a hash that skips any field (the
+    /// reducer count, a policy's variant or q, the retry budget, the DLQ
+    /// mode, the fault seed, a rate, either poison list, the job types or
+    /// the workload) collides with the base or with another variant.
     #[test]
     fn fingerprint_ignores_execution_knobs_but_not_workload() {
-        use crate::cluster::{FinalizeMode, ShuffleMode};
-        let base_cfg = ClusterConfig::default();
-        let f = |cfg: &ClusterConfig, inputs: &[u64]| {
+        use crate::cluster::{DlqMode, FaultPlan, FinalizeMode, ShuffleMode};
+        struct Job {
+            cfg: ClusterConfig,
+            reducers: usize,
+            capacity: CapacityPolicy,
+            types: &'static str,
+            inputs: Vec<u64>,
+        }
+        fn plan(job: &mut Job) -> &mut FaultPlan {
+            job.cfg.fault_plan.as_mut().expect("the base has a plan")
+        }
+        let f = |job: &Job| {
             Fingerprint::compute(
-                cfg,
-                4,
-                &CapacityPolicy::Unlimited,
-                "job<M,R,Rt>",
-                inputs.iter(),
+                &job.cfg,
+                job.reducers,
+                &job.capacity,
+                job.types,
+                job.inputs.iter(),
             )
         };
-        let a = f(&base_cfg, &[10, 20]);
-        let mut exec = base_cfg.clone();
-        exec.shuffle = ShuffleMode::Pipelined;
-        exec.finalize_mode = FinalizeMode::Stealing;
-        exec.map_threads = 8;
-        exec.workers = 3;
-        exec.memory_budget = Some(64);
-        assert_eq!(a, f(&exec, &[10, 20]), "execution-only knobs are excluded");
+        // One field changed from a base that carries a fault plan.
+        let vary = |edit: fn(&mut Job)| {
+            let mut job = Job {
+                cfg: ClusterConfig {
+                    fault_plan: Some(FaultPlan::default()),
+                    ..ClusterConfig::default()
+                },
+                reducers: 4,
+                capacity: CapacityPolicy::Unlimited,
+                types: "job<M,R,Rt>",
+                inputs: vec![10, 20],
+            };
+            edit(&mut job);
+            job
+        };
+        let a = f(&vary(|_| {}));
 
-        let mut killed = base_cfg.clone();
-        killed.fault_plan = Some(crate::cluster::FaultPlan {
-            kill_reduce_tasks: vec![3],
-            ..Default::default()
+        let exec = vary(|job| {
+            job.cfg.shuffle = ShuffleMode::Pipelined;
+            job.cfg.finalize_mode = FinalizeMode::Stealing;
+            job.cfg.map_threads = 8;
+            job.cfg.workers = 3;
+            job.cfg.memory_budget = Some(64);
         });
-        let mut plain = base_cfg.clone();
-        plain.fault_plan = Some(crate::cluster::FaultPlan::default());
+        assert_eq!(a, f(&exec), "execution-only knobs are excluded");
+        let killed = vary(|job| {
+            plan(job).kill_map_tasks = vec![0];
+            plan(job).kill_reduce_tasks = vec![3];
+        });
         assert_eq!(
-            f(&killed, &[10, 20]),
-            f(&plain, &[10, 20]),
+            a,
+            f(&killed),
             "kill lists are excluded so a resume can drop them"
         );
 
-        // u64 inputs are all 8 ByteSized bytes, so this distinguishes by
-        // *content*, not size — the collision that once let two concurrent
-        // same-shape jobs share (and clobber) one checkpoint session.
-        assert_ne!(a, f(&base_cfg, &[10, 21]), "workload content is included");
-        assert_ne!(a, f(&base_cfg, &[10, 20, 30]), "workload count is included");
-        let mut poisoned = base_cfg.clone();
-        poisoned.fault_plan = Some(crate::cluster::FaultPlan {
-            poison_reduce_tasks: vec![1],
-            ..Default::default()
-        });
-        assert_ne!(a, f(&poisoned, &[10, 20]), "poison lists are included");
+        let variants = [
+            ("reducer count", vary(|job| job.reducers = 5)),
+            (
+                "enforce q",
+                vary(|job| job.capacity = CapacityPolicy::Enforce(100)),
+            ),
+            (
+                "enforce q + 1",
+                vary(|job| job.capacity = CapacityPolicy::Enforce(101)),
+            ),
+            (
+                "record q",
+                vary(|job| job.capacity = CapacityPolicy::Record(100)),
+            ),
+            (
+                "record q + 1",
+                vary(|job| job.capacity = CapacityPolicy::Record(101)),
+            ),
+            ("job types", vary(|job| job.types = "job<M,R,Rt2>")),
+            ("retry budget", vary(|job| job.cfg.retry_budget += 1)),
+            ("DLQ mode", vary(|job| job.cfg.dlq_mode = DlqMode::Capture)),
+            ("no fault plan", vary(|job| job.cfg.fault_plan = None)),
+            ("fault seed", vary(|job| plan(job).seed = 1)),
+            ("map rate", vary(|job| plan(job).map_rate = 0.5)),
+            ("reduce rate", vary(|job| plan(job).reduce_rate = 0.5)),
+            (
+                "poisoned map task",
+                vary(|job| plan(job).poison_map_tasks = vec![1]),
+            ),
+            (
+                "poisoned reduce task",
+                vary(|job| plan(job).poison_reduce_tasks = vec![1]),
+            ),
+            // u64 inputs are all 8 ByteSized bytes, so this distinguishes
+            // by *content*, not size — the collision that once let two
+            // concurrent same-shape jobs share (and clobber) one session.
+            ("input content", vary(|job| job.inputs = vec![10, 21])),
+            ("input count", vary(|job| job.inputs = vec![10, 20, 30])),
+        ];
+        let mut seen = vec![("base", a)];
+        for (field, job) in &variants {
+            let fingerprint = f(job);
+            for (other, earlier) in &seen {
+                assert_ne!(fingerprint, *earlier, "{field} hashes like {other}");
+            }
+            seen.push((field, fingerprint));
+        }
     }
 
     /// Satellite regression: a fabricated orphan from a dead process is
@@ -1167,7 +1232,7 @@ mod tests {
             records: 0,
             distinct_keys: 0,
             file_bytes: bytes.len() as u64,
-            file_hash: fnv1a(&bytes),
+            file_hash: word_hash(&bytes),
         };
         for bit in 0..bytes.len() * 8 {
             let mut flipped = bytes.clone();

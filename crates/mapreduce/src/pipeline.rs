@@ -930,6 +930,27 @@ mod tests {
             restore_order::<u64, String>(Vec::new(), Vec::new()).unwrap(),
             vec![]
         );
+
+        // Many records per task, laid out as a spill leaves them: the
+        // earlier tasks appended from runs after the later tasks still
+        // resident. Only a stable sort keeps each task's emission order
+        // here; an unstable one happened to keep it at 8 per task but
+        // not at 64.
+        let task = |task: usize| -> Vec<(usize, u64, String)> {
+            (0..72u64)
+                .map(|i| (task, i % 5, format!("t{task}-{i}")))
+                .collect()
+        };
+        let resident: Vec<_> = [5, 3].into_iter().flat_map(task).collect();
+        let runs = [[4, 1], [0, 2]].map(|tasks| {
+            let run: Vec<_> = tasks.into_iter().flat_map(task).collect();
+            spill::write_run(&dir, &run, 1, None).expect("spill writes")
+        });
+        let expected: Vec<(u64, String)> = (0..6)
+            .flat_map(task)
+            .map(|(_, key, value)| (key, value))
+            .collect();
+        assert_eq!(restore_order(resident, runs.into()).unwrap(), expected);
         std::fs::remove_dir(&dir).expect("no spill file outlives its run");
     }
 
