@@ -111,6 +111,18 @@ pub fn a2a_comm_lb(inputs: &InputSet, q: Weight) -> u128 {
 ///   and, by [`crate::exact::a2a_two_reducer_feasible`], two reducers never
 ///   beat one — so the optimum is at least 3;
 /// * 1, whenever at least one pair exists.
+///
+/// The **replication bound** `max_i r_i` ([`a2a_replication_lb`]: input
+/// `i` alone needs `r_i` reducers) is sound too, but never exceeds this
+/// maximum, so it has no term. Let `R = r_i ≥ 2` be finite. Then
+/// `(q − w_i)(R − 1) < W − w_i`, and every other input has `r_j ≥ 1`, so
+/// `C_lb ≥ w_i·R + (W − w_i) > q(R − 1)`, which gives `⌈C_lb/q⌉ ≥ R`.
+/// `R = 1` is met by the last term. An input with `w_i ≥ q` (infeasible) has
+/// `r_i = u128::MAX` and saturates `C_lb`, so both come out as
+/// `usize::MAX`.
+///
+/// `q` must be at least 1: capacity 0 is infeasible
+/// ([`SchemaError::ZeroCapacity`]), and no caller passes it.
 pub fn a2a_reducer_lb(inputs: &InputSet, q: Weight) -> usize {
     if inputs.len() < 2 {
         return 0;
@@ -118,10 +130,6 @@ pub fn a2a_reducer_lb(inputs: &InputSet, q: Weight) -> usize {
     let q128 = q.max(1) as u128;
     let pair_bound = inputs.pair_weight().saturating_mul(2).div_ceil(q128 * q128);
     let comm_bound = a2a_comm_lb(inputs, q).div_ceil(q128);
-    let rep_bound = (0..inputs.len())
-        .map(|i| a2a_replication_lb(inputs, q, i as InputId))
-        .max()
-        .unwrap_or(0);
     let structural = if inputs.total_weight() > q as u128 {
         3
     } else {
@@ -129,7 +137,6 @@ pub fn a2a_reducer_lb(inputs: &InputSet, q: Weight) -> usize {
     };
     pair_bound
         .max(comm_bound)
-        .max(rep_bound)
         .max(structural)
         .try_into()
         .unwrap_or(usize::MAX)
@@ -218,8 +225,17 @@ pub fn x2y_comm_lb(inst: &X2yInstance, q: Weight) -> u128 {
 /// * the **cross-pair-weight bound** `⌈4·W_X·W_Y/q²⌉`: a reducer splitting
 ///   its load into `s_x + s_y ≤ q` covers cross weight `s_x·s_y ≤ q²/4`;
 /// * the **communication bound** `⌈C_lb/q⌉`;
-/// * the per-input **replication bounds**;
 /// * 1 whenever both sides are nonempty.
+///
+/// As in [`a2a_reducer_lb`], the per-input **replication bounds** never
+/// exceed this maximum, so they have no term. For an X input with finite
+/// `R = r_x ≥ 2`, `(q − w_x)(R − 1) < W_Y`, and every Y input has
+/// `r_y ≥ 1`, so `C_lb ≥ w_x·R + W_Y > q(R − 1)`; a Y input is symmetric.
+/// `R = 1` is met by the last term, and `w ≥ q` saturates both to
+/// `usize::MAX`.
+///
+/// `q` must be at least 1: capacity 0 is infeasible
+/// ([`SchemaError::ZeroCapacity`]), and no caller passes it.
 pub fn x2y_reducer_lb(inst: &X2yInstance, q: Weight) -> usize {
     if inst.x.is_empty() || inst.y.is_empty() {
         return 0;
@@ -230,18 +246,8 @@ pub fn x2y_reducer_lb(inst: &X2yInstance, q: Weight) -> usize {
         .saturating_mul(4)
         .div_ceil(q128 * q128);
     let comm_bound = x2y_comm_lb(inst, q).div_ceil(q128);
-    let rep_x = (0..inst.x.len())
-        .map(|x| x2y_replication_lb_x(inst, q, x as InputId))
-        .max()
-        .unwrap_or(0);
-    let rep_y = (0..inst.y.len())
-        .map(|y| x2y_replication_lb_y(inst, q, y as InputId))
-        .max()
-        .unwrap_or(0);
     pair_bound
         .max(comm_bound)
-        .max(rep_x)
-        .max(rep_y)
         .max(1)
         .try_into()
         .unwrap_or(usize::MAX)
@@ -344,7 +350,7 @@ mod tests {
     fn reducer_lb_takes_the_max() {
         let inputs = InputSet::from_weights(vec![2, 6, 6, 6]);
         // comm bound: ⌈78/10⌉ = 8; pair bound: P = 2·18 + 36·3 = 144 →
-        // ⌈288/100⌉ = 3; replication bound 4 → 8 wins.
+        // ⌈288/100⌉ = 3 → 8 wins (the replication bound, 4, has no term).
         assert_eq!(a2a_reducer_lb(&inputs, 10), 8);
     }
 

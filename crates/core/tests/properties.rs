@@ -455,3 +455,67 @@ proptest! {
         }
     }
 }
+
+/// Any instance at any capacity q ≥ 1, feasible or not: weights run to
+/// q + 1, so some inputs may not fit a reducer even alone.
+fn any_capacity_and_weights(max_inputs: usize) -> impl Strategy<Value = (Vec<u64>, Vec<u64>, u64)> {
+    (1u64..=60).prop_flat_map(move |q| {
+        (
+            proptest::collection::vec(0..=q + 1, 0..max_inputs),
+            proptest::collection::vec(0..=q + 1, 0..max_inputs),
+            Just(q),
+        )
+    })
+}
+
+/// A bound as a reducer count, saturating as the reducer bounds do.
+fn saturate(bound: u128) -> usize {
+    bound.try_into().unwrap_or(usize::MAX)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The replication bound `max r` never binds in `a2a_reducer_lb` or
+    /// `x2y_reducer_lb`: `⌈C_lb/q⌉ ≥ max r` whenever some weight is
+    /// positive (with every weight 0, every `r` is 1, the bounds' last
+    /// term). So both functions return what they returned when they still
+    /// took `max r` as a term of their own.
+    #[test]
+    fn communication_bound_dominates_every_replication_bound(
+        (a, b, q) in any_capacity_and_weights(10)
+    ) {
+        let inputs = InputSet::from_weights(a.clone());
+        if inputs.len() >= 2 {
+            let max_r = (0..inputs.len())
+                .map(|i| bounds::a2a_replication_lb(&inputs, q, i as u32))
+                .max()
+                .unwrap();
+            let comm = bounds::a2a_comm_lb(&inputs, q).div_ceil(q as u128);
+            if inputs.total_weight() > 0 {
+                prop_assert!(saturate(comm) >= saturate(max_r), "A2A {a:?} at q = {q}");
+            } else {
+                prop_assert_eq!(max_r, 1);
+            }
+            let lb = bounds::a2a_reducer_lb(&inputs, q);
+            prop_assert_eq!(lb, lb.max(saturate(max_r)), "A2A {a:?} at q = {q}");
+        }
+
+        let inst = X2yInstance::from_weights(a.clone(), b.clone());
+        if !inst.x.is_empty() && !inst.y.is_empty() {
+            let max_r = (0..inst.x.len() as u32)
+                .map(|x| bounds::x2y_replication_lb_x(&inst, q, x))
+                .chain((0..inst.y.len() as u32).map(|y| bounds::x2y_replication_lb_y(&inst, q, y)))
+                .max()
+                .unwrap();
+            let comm = bounds::x2y_comm_lb(&inst, q).div_ceil(q as u128);
+            if inst.x.total_weight() + inst.y.total_weight() > 0 {
+                prop_assert!(saturate(comm) >= saturate(max_r), "X2Y {a:?} × {b:?} at q = {q}");
+            } else {
+                prop_assert_eq!(max_r, 1);
+            }
+            let lb = bounds::x2y_reducer_lb(&inst, q);
+            prop_assert_eq!(lb, lb.max(saturate(max_r)), "X2Y {a:?} × {b:?} at q = {q}");
+        }
+    }
+}

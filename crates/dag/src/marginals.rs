@@ -263,20 +263,6 @@ impl Default for MarginalsConfig {
     }
 }
 
-impl MarginalsConfig {
-    /// Points both rounds at per-stage checkpoint subdirectories of
-    /// `base` (builder style), making the whole chain resumable: if the
-    /// second-order round is killed mid-run, a re-run replays the
-    /// first-order round entirely from its checkpoints (bit-identical
-    /// outputs, so round 2's job fingerprint still matches) and then
-    /// finishes only round 2's missing partitions.
-    pub fn with_checkpoint_base(mut self, base: &std::path::Path) -> Self {
-        self.first_cluster.checkpoint_dir = Some(base.join("first-order"));
-        self.second_cluster.checkpoint_dir = Some(base.join("second-order"));
-        self
-    }
-}
-
 /// Canonical output order shared by the DAG run, the chained referee, and
 /// the oracle: (dropped set, remaining coordinates).
 fn sort_marginals(marginals: &mut [Marginal]) {
@@ -560,7 +546,11 @@ mod tests {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&base);
-        let cfg = MarginalsConfig::default().with_checkpoint_base(&base);
+        // One directory serves both rounds: each job's session lives under
+        // its own `job-<fingerprint>/`, and the rounds' job types differ.
+        let mut cfg = MarginalsConfig::default();
+        cfg.first_cluster.checkpoint_dir = Some(base.clone());
+        cfg.second_cluster.checkpoint_dir = Some(base.clone());
 
         // First checkpointed run: cold — every partition is a miss.
         let cold = run_marginals_dag(&tuples, &cfg).unwrap();

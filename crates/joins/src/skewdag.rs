@@ -170,18 +170,6 @@ impl Default for SkewDagConfig {
     }
 }
 
-impl SkewDagConfig {
-    /// Points both rounds at per-stage checkpoint subdirectories of
-    /// `base` (builder style): a job killed in the join round resumes
-    /// with the statistics round served from its checkpoints and only
-    /// the join round's missing partitions re-executed.
-    pub fn with_checkpoint_base(mut self, base: &std::path::Path) -> Self {
-        self.stats_cluster.checkpoint_dir = Some(base.join("stats"));
-        self.join_cluster.checkpoint_dir = Some(base.join("join"));
-        self
-    }
-}
-
 /// What the skew-join DAG's sink stage (and the chained referee) returns.
 #[derive(Debug, Clone)]
 pub struct SkewJoinRounds {

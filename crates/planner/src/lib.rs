@@ -440,6 +440,51 @@ mod tests {
         assert!(plan.frontier.iter().all(|c| c.max_load <= c.q));
     }
 
+    /// A tie on the objective's score goes to the first tied candidate,
+    /// the smallest `q`, under every objective. Each frontier puts a
+    /// worse candidate first and three tied ones after it.
+    #[test]
+    fn select_breaks_ties_toward_the_smallest_q() {
+        let candidate = |q, makespan, communication| CandidatePlan {
+            q,
+            reducers: 1,
+            communication,
+            makespan,
+            speedup: 1.0,
+            max_load: q,
+        };
+        for (objective, frontier) in [
+            (
+                Objective::MinimizeMakespan,
+                [
+                    (10, 3.0, 100),
+                    (20, 1.0, 900),
+                    (30, 1.0, 500),
+                    (40, 1.0, 700),
+                ],
+            ),
+            (
+                // Budget 1.5 s; q = 10 is cheapest but too slow.
+                Objective::MinimizeCommunicationWithin { slowdown: 1.5 },
+                [
+                    (10, 2.0, 100),
+                    (20, 1.0, 400),
+                    (30, 1.25, 400),
+                    (40, 1.5, 400),
+                ],
+            ),
+            (
+                // Costs 4.0, 2.0, 2.0, 2.0: exact in binary, so a true tie.
+                Objective::WeightedCost { cost_per_byte: 0.5 },
+                [(10, 3.0, 2), (20, 1.0, 2), (30, 1.5, 1), (40, 0.5, 3)],
+            ),
+        ] {
+            let frontier = frontier.map(|(q, makespan, comm)| candidate(q, makespan, comm));
+            let plan = select(frontier.to_vec(), objective).unwrap();
+            assert_eq!(plan.best.q, 20, "{objective:?}");
+        }
+    }
+
     #[test]
     fn min_makespan_picks_the_frontier_minimum() {
         let plan = plan_a2a(&mixed_weights(100), &PlannerConfig::default()).unwrap();

@@ -199,25 +199,50 @@ fn parse_num<T: std::str::FromStr>(value: &str, what: &str) -> Result<T, String>
         .map_err(|_| format!("cannot parse `{value}` as {what}"))
 }
 
-/// Parses a distribution spec like `uniform:10:100`.
+/// Parses a distribution spec like `uniform:10:100`, rejecting values that
+/// the sampler would silently bend: bounds out of order, zero Zipf ranks, a
+/// non-finite exponent, a fraction outside [0, 1].
 fn parse_dist(spec: &str) -> Result<SizeDistribution, String> {
     let parts: Vec<&str> = spec.split(':').collect();
     match parts.as_slice() {
         ["const", w] => Ok(SizeDistribution::Constant(parse_num(w, "a weight")?)),
-        ["uniform", lo, hi] => Ok(SizeDistribution::Uniform {
-            lo: parse_num(lo, "a weight")?,
-            hi: parse_num(hi, "a weight")?,
-        }),
-        ["zipf", ranks, exp, max] => Ok(SizeDistribution::Zipf {
-            ranks: parse_num(ranks, "a rank count")?,
-            exponent: parse_num(exp, "an exponent")?,
-            max_size: parse_num(max, "a weight")?,
-        }),
-        ["bimodal", small, big, frac] => Ok(SizeDistribution::Bimodal {
-            small: parse_num(small, "a weight")?,
-            big: parse_num(big, "a weight")?,
-            big_fraction: parse_num(frac, "a fraction")?,
-        }),
+        ["uniform", lo, hi] => {
+            let (lo, hi): (u64, u64) = (parse_num(lo, "a weight")?, parse_num(hi, "a weight")?);
+            if lo > hi {
+                return Err(format!(
+                    "uniform bounds `{lo}:{hi}` are out of order (lo > hi)"
+                ));
+            }
+            Ok(SizeDistribution::Uniform { lo, hi })
+        }
+        ["zipf", ranks, exp, max] => {
+            let ranks: u32 = parse_num(ranks, "a rank count")?;
+            let exponent: f64 = parse_num(exp, "an exponent")?;
+            if ranks == 0 {
+                return Err("zipf needs at least one rank, not 0".into());
+            }
+            if !exponent.is_finite() {
+                return Err(format!("zipf exponent `{exponent}` is not finite"));
+            }
+            Ok(SizeDistribution::Zipf {
+                ranks,
+                exponent,
+                max_size: parse_num(max, "a weight")?,
+            })
+        }
+        ["bimodal", small, big, frac] => {
+            let big_fraction: f64 = parse_num(frac, "a fraction")?;
+            if !(0.0..=1.0).contains(&big_fraction) {
+                return Err(format!(
+                    "bimodal fraction `{big_fraction}` is not in [0, 1]"
+                ));
+            }
+            Ok(SizeDistribution::Bimodal {
+                small: parse_num(small, "a weight")?,
+                big: parse_num(big, "a weight")?,
+                big_fraction,
+            })
+        }
         ["boundary", q] => Ok(SizeDistribution::Boundary {
             q: parse_num(q, "a capacity")?,
         }),
@@ -837,6 +862,46 @@ mod tests {
         assert!(parse_dist("nonsense").is_err());
         assert!(parse_dist("uniform:1").is_err());
         assert!(parse_dist("boundary:x").is_err());
+    }
+
+    /// Specs the sampler would bend into other weights fail by name: a
+    /// fraction of 1.5 would draw only big inputs and NaN only small ones,
+    /// a NaN exponent or zero ranks one size, and `uniform:100:10` would
+    /// swap its bounds. The edges of each range still generate.
+    #[test]
+    fn gen_rejects_out_of_range_dist_specs() {
+        for (spec, named) in [
+            (
+                "bimodal:40:800:1.5",
+                "bimodal fraction `1.5` is not in [0, 1]",
+            ),
+            (
+                "bimodal:40:800:-0.1",
+                "bimodal fraction `-0.1` is not in [0, 1]",
+            ),
+            (
+                "bimodal:40:800:NaN",
+                "bimodal fraction `NaN` is not in [0, 1]",
+            ),
+            ("zipf:100:NaN:1000", "zipf exponent `NaN` is not finite"),
+            ("zipf:100:inf:1000", "zipf exponent `inf` is not finite"),
+            ("zipf:0:1.0:1000", "zipf needs at least one rank"),
+            ("uniform:100:10", "uniform bounds `100:10` are out of order"),
+        ] {
+            let args = ["gen", "--dist", spec, "--m", "8"].map(String::from);
+            let err = run(&args).unwrap_err();
+            assert!(err.contains(named), "{spec}: {err}");
+        }
+        let edges = [
+            "bimodal:40:800:0",
+            "bimodal:40:800:1",
+            "uniform:10:10",
+            "zipf:1:0:9",
+        ];
+        for spec in edges {
+            let args = ["gen", "--dist", spec, "--m", "8"].map(String::from);
+            assert!(run(&args).is_ok(), "{spec}");
+        }
     }
 
     #[test]
